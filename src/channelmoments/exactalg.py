@@ -30,10 +30,6 @@ def identity_exact(n: int) -> np.ndarray:
     return out
 
 
-def to_float(a: np.ndarray) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in a], dtype=float)
-
-
 def solve_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a x = b over Fractions by Gauss-Jordan with row pivoting."""
     n = a.shape[0]

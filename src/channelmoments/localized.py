@@ -25,14 +25,8 @@ from .specs import LOCALIZED, PERMUTATION, BasisTag, EnsembleSpec, TransferMatri
 @lru_cache(maxsize=None)
 def _subperm_table(t: int) -> np.ndarray:
     """Boolean matrix of the partial order: entry (i, j) iff sigma_j <= sigma_i."""
-    group = sg.symmetric_group(t)
-    n = len(group)
-    table = np.zeros((n, n), dtype=bool)
-    idx = sg.group_index(t)
-    for i, sigma in enumerate(group):
-        for pi in sg.enumerate_subpermutations(sigma):
-            table[i, idx[pi.images]] = True
-    return table
+    tab = sg.product_table(t)
+    return tab.size[tab.prod.T] == tab.size[:, None] - tab.size[None, :]
 
 
 def phi_inverse(t: int) -> np.ndarray:
@@ -46,16 +40,8 @@ def phi_inverse(t: int) -> np.ndarray:
 
 def phi_matrix(t: int) -> np.ndarray:
     """Möbius matrix: entry (sigma, pi) = mobius(inv(pi) sigma) on the order."""
-    group = sg.symmetric_group(t)
-    table = _subperm_table(t)
-    n = len(group)
-    out = np.full((n, n), 0, dtype=object)
-    for i in range(n):
-        for j in range(n):
-            if table[i, j]:
-                rel = sg.compose(sg.inverse(group[j]), group[i])
-                out[i, j] = sg.mobius(rel)
-    return out
+    tab = sg.product_table(t)
+    return np.where(_subperm_table(t), tab.mobius[tab.prod.T], 0).astype(object)
 
 
 def localized_gram(t: int, d: int, exact: bool = True) -> np.ndarray:
@@ -65,23 +51,14 @@ def localized_gram(t: int, d: int, exact: bool = True) -> np.ndarray:
     d^(size(eta) + size(kappa) - size(inv(eta) kappa)), which is a
     non-negative power of d by the triangle inequality of the size metric.
     """
-    group = sg.symmetric_group(t)
-    n = len(group)
-    inverses = [sg.inverse(p) for p in group]
+    tab = sg.product_table(t)
+    expo = tab.size[:, None] + tab.size[None, :] - tab.size[tab.prod]
+    phi = phi_matrix(t)
     if exact:
-        raw = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                expo = group[i].size + group[j].size - sg.compose(inverses[i], group[j]).size
-                raw[i, j] = d**expo
-        phi = phi_matrix(t)
+        raw = np.array([d**e for e in range(2 * t - 1)], dtype=object)[expo]
         return phi.dot(raw).dot(phi.T)
-    raw = np.empty((n, n), dtype=float)
-    for i in range(n):
-        for j in range(n):
-            expo = group[i].size + group[j].size - sg.compose(inverses[i], group[j]).size
-            raw[i, j] = float(d) ** expo
-    phi = np.array([[float(x) for x in row] for row in phi_matrix(t)])
+    raw = np.array([float(d) ** e for e in range(2 * t - 1)])[expo]
+    phi = phi.astype(float)
     return phi @ raw @ phi.T
 
 
@@ -107,21 +84,16 @@ def to_localized(tm: TransferMatrix) -> TransferMatrix:
     mid = tm.matrix * chi[:, None] * chi[None, :]
     zeta = phi_inverse(t)
     if not tm.exact:
-        zeta = np.array([[float(x) for x in row] for row in zeta])
+        zeta = zeta.astype(float)
     out = zeta.T.dot(mid).dot(zeta)
     return replace(tm, matrix=out, basis=BasisTag(LOCALIZED, t, d))
 
 
 def support_pattern(t: int):
     """(same_support, contains) boolean matrices over the canonical order."""
-    group = sg.symmetric_group(t)
-    n = len(group)
-    same = np.zeros((n, n), dtype=bool)
-    contains = np.zeros((n, n), dtype=bool)
-    for i, p in enumerate(group):
-        for j, q in enumerate(group):
-            same[i, j] = p.support == q.support
-            contains[i, j] = p.support >= q.support
+    mask = sg.product_table(t).mask
+    same = mask[:, None] == mask[None, :]
+    contains = (mask[:, None] & mask[None, :]) == mask[None, :]
     return same, contains
 
 

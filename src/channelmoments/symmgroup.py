@@ -18,10 +18,13 @@ index sequence, which is what ``enumerate_subpermutations`` exploits.
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb
+
+import numpy as np
 
 DEFAULT_MAX_ORDER = 6
 MAX_ORDER_ENV = "CHANNEL_MOMENTS_MAX_T"
@@ -275,6 +278,58 @@ def conjugacy_classes(t: int) -> tuple:
         key = p.cycle_type()
         counts[key] = counts.get(key, 0) + 1
     return tuple(sorted(counts.items()))
+
+
+@dataclass(frozen=True, eq=False)
+class ProductTable:
+    """Relative products of S_t in canonical order, with per-element data.
+
+    ``prod[i, j]`` is the canonical index of inv(sigma_i) * sigma_j.  Every
+    pair table over S_t (Gram, Weingarten, sub-permutation order, Möbius
+    matrix, localized Gram) is a per-element vector indexed by ``prod``.
+    ``size``, ``cls`` (position in ``conjugacy_classes``), ``mobius`` and
+    ``mask`` (support bitmask) are indexed by canonical position.
+    """
+
+    prod: np.ndarray
+    size: np.ndarray
+    cls: np.ndarray
+    mobius: np.ndarray
+    mask: np.ndarray
+
+    def __post_init__(self):
+        # The cached table is shared by every caller.
+        for a in (self.prod, self.size, self.cls, self.mobius, self.mask):
+            a.flags.writeable = False
+
+
+@lru_cache(maxsize=None)
+def product_table(t: int) -> ProductTable:
+    """The cached ``ProductTable`` of S_t, built from int8 image arrays.
+
+    Composition is fancy indexing on the images, and the index of each
+    product comes from a lookup on the base-t code of its image row.  Rows
+    are built one at a time, so temporaries stay at t! * t entries.
+    """
+    group = symmetric_group(t)
+    n = len(group)
+    images = np.array([p.images for p in group], dtype=np.int8).reshape(n, t)
+    inverses = np.argsort(images, axis=1).astype(np.int8)
+    weights = t ** np.arange(t - 1, -1, -1, dtype=np.int64)
+    codes = images @ weights
+    lookup = np.zeros(t**t, dtype=np.int32)
+    lookup[codes] = np.arange(n)
+    prod = np.empty((n, n), dtype=np.int16 if n <= 2**15 else np.int32)
+    for i in range(n):
+        prod[i] = lookup[inverses[i][images] @ weights]
+    kidx = {key: c for c, (key, _) in enumerate(conjugacy_classes(t))}
+    return ProductTable(
+        prod=prod,
+        size=np.array([p.size for p in group], dtype=np.int8),
+        cls=np.array([kidx[p.cycle_type()] for p in group], dtype=np.int8),
+        mobius=np.array([mobius(p) for p in group], dtype=np.int64),
+        mask=np.array([canonical_key(p)[1] for p in group], dtype=np.int64),
+    )
 
 
 def derangement_count(l: int) -> int:

@@ -29,16 +29,8 @@ class SingularGramError(ValueError):
 @lru_cache(maxsize=None)
 def _pair_class_table(t: int) -> np.ndarray:
     """Index of the cycle type of inv(sigma_i)*sigma_j for all pairs."""
-    group = sg.symmetric_group(t)
-    keys = [k for k, _ in sg.conjugacy_classes(t)]
-    kidx = {k: i for i, k in enumerate(keys)}
-    n = len(group)
-    table = np.empty((n, n), dtype=np.int64)
-    inverses = [sg.inverse(p) for p in group]
-    for i, pinv in enumerate(inverses):
-        for j, q in enumerate(group):
-            table[i, j] = kidx[sg.compose(pinv, q).cycle_type()]
-    return table
+    tab = sg.product_table(t)
+    return tab.cls[tab.prod]
 
 
 def _class_size(cycle_type) -> int:
@@ -52,19 +44,15 @@ def weingarten_function(t: int, d: int):
     Returns a dict mapping cycle type -> Fraction.  Raises SingularGramError
     when the overlap form is degenerate.
     """
-    group = sg.symmetric_group(t)
     keys = [k for k, _ in sg.conjugacy_classes(t)]
-    kidx = {k: i for i, k in enumerate(keys)}
-    reps = {}
-    for p in group:
-        reps.setdefault(p.cycle_type(), p)
     n = len(keys)
-    a = np.full((n, n), Fraction(0), dtype=object)
-    for r, key in enumerate(keys):
-        g0 = reps[key]
-        for u in group:
-            col = kidx[sg.compose(sg.inverse(u), g0).cycle_type()]
-            a[r, col] += Fraction(1, d**u.size)
+    tab = sg.product_table(t)
+    reps = np.unique(tab.cls, return_index=True)[1]
+    # counts[r, c, s]: elements u of size s with inv(u) * rep_r in class c.
+    flat = (np.arange(n)[:, None] * n + tab.cls[tab.prod[:, reps]].T) * t + tab.size
+    counts = np.bincount(flat.ravel(), minlength=n * n * t).reshape(n, n, t)
+    powers = np.array([Fraction(1, d**s) for s in range(t)], dtype=object)
+    a = counts.astype(object).dot(powers)
     rhs = np.array(
         [[Fraction(1) if key == (1,) * t else Fraction(0)] for key in keys],
         dtype=object,
