@@ -77,12 +77,8 @@ def _matrix_rows(matrix: np.ndarray, t: int) -> list:
 
 def cmd_weingarten(args) -> int:
     config = {"command": "weingarten", "t": args.t, "d": args.d, "exact": args.exact}
-    try:
-        g = wg.gram_matrix(args.t, args.d, exact=args.exact)
-        w = wg.weingarten_matrix(args.t, args.d, exact=args.exact)
-    except wg.SingularGramError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    g = wg.gram_matrix(args.t, args.d, exact=args.exact)
+    w = wg.weingarten_matrix(args.t, args.d, exact=args.exact)
     rows = [["gram"] + r for r in _matrix_rows(g, args.t)]
     rows += [["weingarten"] + r for r in _matrix_rows(w, args.t)]
     _emit(args, config, ["matrix", "row", "col", "row_perm", "col_perm", "value"], rows)
@@ -105,14 +101,10 @@ def cmd_transfer(args) -> int:
         "basis": args.basis,
         "exact": args.exact,
     }
-    try:
-        tm = mo.transfer(spec, basis=args.basis, exact=args.exact)
-        if spec.k > 1:
-            x = mo.gram(spec.t, spec.d, basis=args.basis, exact=args.exact)
-            tm = mo.concatenate(tm, x, spec.k)
-    except wg.SingularGramError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    tm = mo.transfer(spec, basis=args.basis, exact=args.exact)
+    if spec.k > 1:
+        x = mo.gram(spec.t, spec.d, basis=args.basis, exact=args.exact)
+        tm = mo.concatenate(tm, x, spec.k)
     _emit(
         args,
         config,
@@ -205,11 +197,7 @@ def cmd_simulate(args) -> int:
                     noise=noise or None,
                     gamma=gamma if noise else 0.0,
                 )
-                try:
-                    traj = tw.evolve(spec, max_qubits=args.max_qubits)
-                except tw.ResourceCapError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return 2
+                traj = tw.evolve(spec, max_qubits=args.max_qubits)
                 for li, val in enumerate(traj, start=1):
                     rows.append([ansatz, noise or "none", gamma, args.n, li, val])
                 if not noise:
@@ -229,12 +217,14 @@ def cmd_mc(args) -> int:
         "samples": args.samples,
         "seed": args.seed,
     }
-    est = mo.frame_potential_mc(spec, args.samples, seed=args.seed)
-    rows = [["frame_potential", est.value, est.stderr, est.samples, args.seed]]
+    # The exact value first: it rejects d < t before any sampling.
     tm = mo.transfer(spec, exact=False)
-    rows.append(
-        ["exact_norm2", float(mo.norm_squared(tm, mo.gram_for(tm))), 0.0, 0, args.seed]
-    )
+    norm2 = float(mo.norm_squared(tm, mo.gram_for(tm)))
+    est = mo.frame_potential_mc(spec, args.samples, seed=args.seed)
+    rows = [
+        ["frame_potential", est.value, est.stderr, est.samples, args.seed],
+        ["exact_norm2", norm2, 0.0, 0, args.seed],
+    ]
     _emit(args, config, ["quantity", "value", "stderr", "samples", "seed"], rows)
     return 0
 
@@ -443,9 +433,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; bad input of any kind exits 2 with one stderr line.
+
+    Every package error subclasses ValueError, so this is the single error
+    boundary of the command line.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print("error: " + " ".join(str(exc).split()), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,7 +10,9 @@ this pairing:
 - the spectrum equals the spectrum of the modified matrix tau X.
 
 All identities hold in either basis, so exact rational results transport
-between the permutation and localized bases unchanged.
+between the permutation and localized bases unchanged.  On the exact path
+every product is taken on integer matrices over one common denominator
+(``exactalg.to_integer``); results are reduced to Fractions only at the end.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 from . import localized as loc
 from . import symmgroup as sg
 from . import weingarten as wg
+from .exactalg import from_integer, mat_eq, to_integer
 from .specs import (
     CHAAR,
     DEPOLARIZE,
@@ -102,14 +105,31 @@ def gram_for(tm: TransferMatrix) -> np.ndarray:
     return gram(tm.t, tm.d, basis=tm.basis.kind, exact=tm.exact)
 
 
+def _parts(tm: TransferMatrix, gram_matrix: np.ndarray) -> tuple:
+    """(tau, X) as (numerator matrix, denominator) pairs: on the exact path
+    integer matrices over one common denominator each, else floats over 1."""
+    if tm.exact:
+        return to_integer(tm.matrix), to_integer(gram_matrix)
+    return (tm.matrix, 1), (gram_matrix, 1)
+
+
+def trace_of_product(p: np.ndarray, q: np.ndarray):
+    """Tr[P Q] as the O(n^2) sum of P * Q^T, without forming P Q."""
+    return (p * q.T).sum()
+
+
 def concatenate(tm: TransferMatrix, gram_matrix: np.ndarray, k: int) -> TransferMatrix:
     """k-fold concatenation tau (X tau)^(k-1) with X the normalized Gram."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    step = gram_matrix.dot(tm.matrix)
-    out = tm.matrix
-    for _ in range(k - 1):
-        out = out.dot(step)
+    (a, da), (b, db) = _parts(tm, gram_matrix)
+    out = a
+    if k > 1:
+        step = b.dot(a)
+        for _ in range(k - 1):
+            out = out.dot(step)
+    if tm.exact:
+        out = from_integer(out, da * (da * db) ** (k - 1))
     return tm.with_matrix(out, k=tm.k * k)
 
 
@@ -137,9 +157,10 @@ def exact_t2_chaar(k: int, d: int, dE: int) -> TransferMatrix:
 
 
 def norm_squared(tm: TransferMatrix, gram_matrix: np.ndarray):
-    """Squared Hilbert-Schmidt norm Tr[tau X tau^T X]."""
-    m = tm.matrix
-    return np.trace(m.dot(gram_matrix).dot(m.T).dot(gram_matrix))
+    """Squared Hilbert-Schmidt norm Tr[tau X tau^T X] = Tr[(tau X)(tau^T X)]."""
+    (a, da), (b, db) = _parts(tm, gram_matrix)
+    total = trace_of_product(a.dot(b), a.T.dot(b))
+    return Fraction(total, (da * db) ** 2) if tm.exact else total
 
 
 def norm_squared_quad(tm: TransferMatrix, gram_matrix: np.ndarray):
@@ -159,7 +180,9 @@ def norm_squared_quad(tm: TransferMatrix, gram_matrix: np.ndarray):
 
 def trace(tm: TransferMatrix, gram_matrix: np.ndarray):
     """Trace Tr[tau X] of the represented operator."""
-    return np.trace(tm.matrix.dot(gram_matrix))
+    (a, da), (b, db) = _parts(tm, gram_matrix)
+    total = trace_of_product(a, b)
+    return Fraction(total, da * db) if tm.exact else total
 
 
 @dataclass(frozen=True)
@@ -377,26 +400,25 @@ def invariance_checks(spec_a: EnsembleSpec, spec_b: EnsembleSpec) -> list:
     dep = transfer(depolarize(d, t), basis=PERMUTATION, exact=True)
     ta = transfer(spec_a, basis=PERMUTATION, exact=True)
     tb = transfer(spec_b, basis=PERMUTATION, exact=True)
+    xi, dx = to_integer(x)
 
-    def _eq(m1, m2):
-        return all(
-            m1[i, j] == m2[i, j] for i in range(m1.shape[0]) for j in range(m1.shape[1])
-        )
+    def sandwich(left, right):
+        """left X right, exactly."""
+        (li, dl), (ri, dr) = to_integer(left.matrix), to_integer(right.matrix)
+        return from_integer(li.dot(xi).dot(ri), dl * dx * dr)
 
     results = []
     for name, tm in (("a", ta), ("b", tb)):
-        prod = dep.matrix.dot(x).dot(tm.matrix)
         results.append(
             CheckResult(
                 f"depolarize_right_invariant_under_{name}",
-                _eq(prod, dep.matrix),
+                mat_eq(sandwich(dep, tm), dep.matrix),
                 f"ensemble {tm.ensemble.label()}",
             )
         )
     for name, tm in (("a", ta), ("b", tb)):
         unital = is_unital_transfer(tm, x)
-        prod = tm.matrix.dot(x).dot(dep.matrix)
-        left_ok = _eq(prod, dep.matrix)
+        left_ok = mat_eq(sandwich(tm, dep), dep.matrix)
         results.append(
             CheckResult(
                 f"depolarize_left_invariance_matches_unitality_{name}",
@@ -408,18 +430,18 @@ def invariance_checks(spec_a: EnsembleSpec, spec_b: EnsembleSpec) -> list:
     if pair == {HAAR, CHAAR}:
         th = ta if spec_a.kind == HAAR else tb
         tc = tb if spec_a.kind == HAAR else ta
-        left = th.matrix.dot(x).dot(tc.matrix)
-        right = tc.matrix.dot(x).dot(th.matrix)
         results.append(
-            CheckResult("chaar_left_invariant_under_haar", _eq(left, tc.matrix))
+            CheckResult("chaar_left_invariant_under_haar", mat_eq(sandwich(th, tc), tc.matrix))
         )
         results.append(
-            CheckResult("chaar_right_invariant_under_haar", _eq(right, tc.matrix))
+            CheckResult("chaar_right_invariant_under_haar", mat_eq(sandwich(tc, th), tc.matrix))
         )
     for tm in (ta, tb):
         if tm.ensemble.kind == CHAAR and t > 1 and tm.ensemble.dE > 1:
-            mod = tm.matrix.dot(x)
-            dev = mod.dot(mod) - mod
+            # mod = tau X = m / dm, and mod^2 - mod = (m^2 - dm m) / dm^2.
+            mi, dt = to_integer(tm.matrix)
+            m, dm = mi.dot(xi), dt * dx
+            dev = from_integer(m.dot(m) - dm * m, dm * dm)
             max_dev = max(abs(float(v)) for v in dev.flat)
             results.append(
                 CheckResult(

@@ -32,7 +32,11 @@ MAX_ORDER_ENV = "CHANNEL_MOMENTS_MAX_T"
 
 def max_order() -> int:
     """Largest allowed copy count t (720 permutations by default)."""
-    return int(os.environ.get(MAX_ORDER_ENV, DEFAULT_MAX_ORDER))
+    raw = os.environ.get(MAX_ORDER_ENV, str(DEFAULT_MAX_ORDER))
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{MAX_ORDER_ENV}={raw!r} is not an integer") from None
 
 
 class OrderMismatchError(ValueError):

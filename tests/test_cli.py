@@ -141,3 +141,32 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     text = target.read_text()
     assert "4/3" in text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--ensemble", "haar", "--t", "3", "--d", "2"),
+        ("mc", "--ensemble", "haar", "--t", "3", "--d", "2"),
+        ("simulate", "--n", "2", "--layers", "1", "--noise", "foo", "--gamma", "0.1"),
+        ("simulate", "--n", "2", "--layers", "1", "--noise", "dephasing", "--gamma", "1.5"),
+        ("transfer", "--ensemble", "haar", "--t", "7", "--d", "7"),
+        ("weingarten", "--t", "3", "--d", "2"),
+    ],
+)
+def test_bad_input_is_one_error_line(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_bad_max_order_env_is_one_error_line(capsys, monkeypatch):
+    monkeypatch.setenv("CHANNEL_MOMENTS_MAX_T", "x")
+    code = main(["transfer", "--ensemble", "haar", "--t", "2", "--d", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: CHANNEL_MOMENTS_MAX_T='x' is not an integer\n"

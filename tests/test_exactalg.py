@@ -6,11 +6,13 @@ import pytest
 from channelmoments.exactalg import (
     SingularMatrixError,
     frac_array,
+    from_integer,
     identity_exact,
     invert_bareiss,
     invert_exact,
     mat_eq,
     product_is_identity,
+    to_integer,
 )
 
 
@@ -52,3 +54,44 @@ def test_row_swap_pivoting():
     a = frac_array([[0, 1], [1, 0]])
     assert mat_eq(invert_exact(a), a)
     assert mat_eq(invert_bareiss(a), a)
+
+
+def test_integer_round_trip_mixed_entries():
+    m = frac_array(
+        [[Fraction(-3, 4), 0, 5], [Fraction(7, 6), Fraction(-2), Fraction(1, 9)]]
+    )
+    ints, denom = to_integer(m)
+    assert denom == 36
+    assert ints.tolist() == [[-27, 0, 180], [42, -72, 4]]
+    assert all(type(v) is int for v in ints.flat)
+    back = from_integer(ints, denom)
+    assert mat_eq(back, m)
+    assert all(type(v) is Fraction for v in back.flat)
+
+
+def test_integer_round_trip_integral_and_zero():
+    for rows in ([[0, 0], [0, 0]], [[2, -1], [0, 3]]):
+        m = frac_array(rows)
+        ints, denom = to_integer(m)
+        assert denom == 1
+        assert ints.tolist() == rows
+        assert mat_eq(from_integer(ints, denom), m)
+    # Plain Python-int and numpy-int entries convert too.
+    ints, denom = to_integer(np.array([[4, -6]], dtype=np.int64))
+    assert denom == 1 and ints.tolist() == [[4, -6]]
+    assert all(type(v) is int for v in ints.flat)
+
+
+def test_from_integer_reduces_to_lowest_terms():
+    back = from_integer(np.array([[6, -4, 0]], dtype=object), 8)
+    assert back.tolist() == [[Fraction(3, 4), Fraction(-1, 2), Fraction(0)]]
+    assert back[0, 1].denominator == 2
+
+
+def test_integer_round_trip_random():
+    rng = np.random.default_rng(11)
+    for n in (1, 3, 6):
+        m = random_rational_matrix(rng, n)
+        ints, denom = to_integer(m)
+        assert all(v == Fraction(i, denom) for v, i in zip(m.flat, ints.flat))
+        assert mat_eq(from_integer(ints, denom), m)

@@ -181,3 +181,53 @@ def test_to_localized_requires_permutation_basis():
     tm = mo.transfer(EnsembleSpec(HAAR, d=3, t=2), basis=LOCALIZED)
     with pytest.raises(ValueError):
         loc.to_localized(tm)
+
+
+def frac_to_localized(tm):
+    """zeta^T (chi tau chi) zeta with Fraction characters and a Fraction matmul."""
+    chi = np.array(
+        [Fraction(1, tm.d**p.size) for p in sg.symmetric_group(tm.t)], dtype=object
+    )
+    zeta = loc.phi_inverse(tm.t)
+    return zeta.T.dot(tm.matrix * chi[:, None] * chi[None, :]).dot(zeta)
+
+
+def same_fractions(got, want):
+    return got.shape == want.shape and all(
+        type(g) is Fraction and g == w for g, w in zip(got.flat, want.flat)
+    )
+
+
+LOCALIZED_GRID = [
+    EnsembleSpec(kind, d=d, t=t, dE=dE)
+    for t in (1, 2, 3, 4)
+    for kind, d, dE in (
+        (HAAR, max(t, 2), 1), (HAAR, t + 2, 1), (DEPOLARIZE, 2, 1),
+        (CHAAR, max(t, 2), 2), (CHAAR, 2, 3), (CHAAR, 3, 4),
+    )
+]
+
+
+@pytest.mark.parametrize("spec", LOCALIZED_GRID, ids=lambda s: f"{s.label()}-t{s.t}")
+def test_to_localized_matches_fraction_oracle(spec):
+    tm = mo.transfer(spec)
+    assert same_fractions(loc.to_localized(tm).matrix, frac_to_localized(tm))
+
+
+def test_to_localized_t5_matches_definition():
+    # Entry (i, j) sums chi tau chi over sigma_p >= sigma_i and sigma_q >= sigma_j,
+    # added up in Fractions (a Fraction matmul at t = 5 takes about 8 s).
+    tm = mo.transfer(EnsembleSpec(CHAAR, d=2, t=5, dE=3))
+    chi = np.array([Fraction(1, 2**p.size) for p in sg.symmetric_group(5)], dtype=object)
+    mid = tm.matrix * chi[:, None] * chi[None, :]
+    up = loc.phi_inverse(5).astype(bool)  # up[p, i]: sigma_i <= sigma_p
+    rows = np.array([mid[up[:, i]].sum(axis=0) for i in range(len(up))])
+    want = np.array([[rows[i, up[:, j]].sum() for j in range(len(up))] for i in range(len(up))])
+    assert same_fractions(loc.to_localized(tm).matrix, want)
+
+
+def test_to_localized_float_matches_exact():
+    tm = mo.transfer(EnsembleSpec(CHAAR, d=2, t=4, dE=3))
+    tf = mo.transfer(EnsembleSpec(CHAAR, d=2, t=4, dE=3), exact=False)
+    want = loc.to_localized(tm).matrix.astype(float)
+    assert np.allclose(loc.to_localized(tf).matrix, want, rtol=1e-12, atol=1e-15)

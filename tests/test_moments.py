@@ -254,3 +254,131 @@ def test_stinespring_kraus_complete():
     kraus = mo.sample_stinespring_kraus(3, 4, rng)
     acc = sum(k.conj().T @ k for k in kraus)
     assert np.max(np.abs(acc - np.eye(3))) < 1e-12
+
+
+# -- exact path against Fraction matmuls ---------------------------------------
+# The oracles below are the Fraction-object formulas the integer path replaces.
+
+
+def frac_norm_squared(m, x):
+    return np.trace(m.dot(x).dot(m.T).dot(x))
+
+
+def frac_trace(m, x):
+    return sum((m[i, j] * x[j, i] for i in range(len(m)) for j in range(len(m))), Fraction(0))
+
+
+def frac_concatenate(m, x, k):
+    out = m
+    for _ in range(k - 1):
+        out = out.dot(x.dot(m))
+    return out
+
+
+def frac_invariance_checks(spec_a, spec_b):
+    t, d = spec_a.t, spec_a.d
+    x = mo.gram(t, d)
+    dep = mo.transfer(depolarize(d, t)).matrix
+    tms = {"a": mo.transfer(spec_a), "b": mo.transfer(spec_b)}
+    out = [
+        (f"depolarize_right_invariant_under_{name}", mat_eq(dep.dot(x).dot(tm.matrix), dep),
+         f"ensemble {tm.ensemble.label()}")
+        for name, tm in tms.items()
+    ]
+    for name, tm in tms.items():
+        unital = mo.is_unital_transfer(tm, x)
+        left_ok = mat_eq(tm.matrix.dot(x).dot(dep), dep)
+        out.append((f"depolarize_left_invariance_matches_unitality_{name}",
+                    left_ok == unital, f"unital={unital} left_invariant={left_ok}"))
+    if {spec_a.kind, spec_b.kind} == {HAAR, CHAAR}:
+        th, tc = (tms["a"], tms["b"]) if spec_a.kind == HAAR else (tms["b"], tms["a"])
+        out.append(("chaar_left_invariant_under_haar",
+                    mat_eq(th.matrix.dot(x).dot(tc.matrix), tc.matrix), ""))
+        out.append(("chaar_right_invariant_under_haar",
+                    mat_eq(tc.matrix.dot(x).dot(th.matrix), tc.matrix), ""))
+    for tm in tms.values():
+        if tm.ensemble.kind == CHAAR and t > 1 and tm.ensemble.dE > 1:
+            mod = tm.matrix.dot(x)
+            max_dev = max(abs(float(v)) for v in (mod.dot(mod) - mod).flat)
+            out.append(("chaar_not_idempotent", max_dev > 1e-6, f"max deviation {max_dev:.3e}"))
+    return out
+
+
+def same_fractions(got, want):
+    """Equal in value, and every entry of ``got`` is a Fraction."""
+    return got.shape == want.shape and all(
+        type(g) is Fraction and g == w for g, w in zip(got.flat, want.flat)
+    )
+
+
+EXACT_GRID = [
+    spec
+    for t in (1, 2, 3, 4)
+    for spec in (
+        haar(max(t, 2), t), haar(t + 2, t), depolarize(2, t), depolarize(t + 2, t),
+        chaar(2, 3, t), chaar(max(t, 2), 1, t), chaar(max(t, 2), 2, t), chaar(3, 4, t),
+    )
+]
+
+
+@pytest.mark.parametrize("spec", EXACT_GRID, ids=lambda s: f"{s.label()}-t{s.t}")
+@pytest.mark.parametrize("basis", ["permutation", "localized"])
+def test_exact_norm_trace_concatenate_match_fraction_oracle(spec, basis):
+    tm = mo.transfer(spec, basis=basis)
+    x = mo.gram(spec.t, spec.d, basis=basis)
+    n2 = mo.norm_squared(tm, x)
+    assert type(n2) is Fraction and n2 == frac_norm_squared(tm.matrix, x)
+    tr = mo.trace(tm, x)
+    assert type(tr) is Fraction and tr == frac_trace(tm.matrix, x)
+    for k in (1, 2, 3):
+        got = mo.concatenate(tm, x, k)
+        assert got.k == k
+        assert same_fractions(got.matrix, frac_concatenate(tm.matrix, x, k))
+
+
+@pytest.mark.parametrize("spec", [s for s in EXACT_GRID if s.t <= 3],
+                         ids=lambda s: f"{s.label()}-t{s.t}")
+def test_exact_norm_matches_quadruple_sum(spec):
+    for basis in ("permutation", "localized"):
+        tm = mo.transfer(spec, basis=basis)
+        x = mo.gram(spec.t, spec.d, basis=basis)
+        assert mo.norm_squared(tm, x) == mo.norm_squared_quad(tm, x)
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [(haar(t, t), chaar(t, 2, t)) for t in (2, 3, 4)]
+    + [(chaar(3, 3, t), depolarize(3, t)) for t in (2, 3)]
+    + [(chaar(4, 1, 4), haar(4, 4)), (chaar(2, 2, 2), chaar(2, 5, 2))],
+    ids=lambda p: f"{p[0].label()}-{p[1].label()}-t{p[0].t}",
+)
+def test_invariance_checks_match_fraction_oracle(pair):
+    got = [(r.name, r.passed, r.detail) for r in mo.invariance_checks(*pair)]
+    assert got == frac_invariance_checks(*pair)
+
+
+def test_exact_t5_chaar_point():
+    # 284/147 was computed with frac_norm_squared (about 25 s per basis at t = 5).
+    spec = chaar(2, 3, 5)
+    tm = mo.transfer(spec)
+    x = mo.gram(5, 2)
+    n2 = mo.norm_squared(tm, x)
+    assert type(n2) is Fraction and n2 == Fraction(284, 147)
+    tr = mo.trace(tm, x)
+    assert type(tr) is Fraction and tr == frac_trace(tm.matrix, x) == Fraction(17, 3)
+    tl = mo.transfer(spec, basis=LOCALIZED)
+    xl = mo.gram(5, 2, basis=LOCALIZED)
+    assert mo.norm_squared(tl, xl) == n2
+    assert mo.trace(tl, xl) == tr
+
+
+def test_float_norm_and_trace_match_exact():
+    for spec in (chaar(2, 3, 4), haar(5, 4), chaar(3, 2, 3)):
+        tf = mo.transfer(spec, exact=False)
+        xf = mo.gram(spec.t, spec.d, exact=False)
+        te, xe = mo.transfer(spec), mo.gram(spec.t, spec.d)
+        for f in (mo.norm_squared, mo.trace):
+            want = float(f(te, xe))
+            got = f(tf, xf)
+            assert isinstance(got, np.floating)
+            assert abs(got - want) <= 1e-12 * abs(want)
