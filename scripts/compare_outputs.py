@@ -1,0 +1,105 @@
+#!/usr/bin/env python3
+"""Dump the package's outputs on a fixed grid, or compare two dumps.
+
+A refactor that must not change results is checked by dumping the outputs
+of the old and the new tree and comparing the dumps: exact arrays must
+agree in value and in entry type (Fraction or Python int), float arrays
+bit for bit.  The grid covers the Gram and Weingarten matrices, transfer
+matrices in both bases, the leading right vector and the localized Gram
+(exact for t <= 5, float for t <= 6), two-copy purity trajectories and
+seeded Monte-Carlo moments for n <= 3 (both ansaetze, all four noises,
+both placements), and hierarchy-scan rows.
+
+    PYTHONPATH=src python scripts/compare_outputs.py dump new.pkl
+    python scripts/compare_outputs.py compare old.pkl new.pkl
+"""
+
+import pickle
+import sys
+from dataclasses import astuple
+
+import numpy as np
+
+
+def _grid():
+    from channelmoments import channels as ch
+    from channelmoments import localized as loc
+    from channelmoments import moments as mo
+    from channelmoments import twirlsim as tw
+    from channelmoments import weingarten as wg
+    from channelmoments.specs import CircuitSpec, chaar, depolarize, haar
+
+    out = {}
+    for exact, t_max in ((True, 5), (False, 6)):
+        for t in range(1, t_max + 1):
+            for d in sorted({max(t, 2), t + 1}):
+                key = (exact, t, d)
+                out[("gram",) + key] = wg.gram_matrix(t, d, exact=exact)
+                out[("weingarten",) + key] = wg.weingarten_matrix(t, d, exact=exact)
+                out[("localized_gram",) + key] = loc.localized_gram(t, d, exact=exact)
+                specs = [haar(d, t), depolarize(d, t)] + [chaar(d, dE, t) for dE in (1, 2, 3)]
+                for spec in specs:
+                    name = (spec.label(),) + key
+                    out[("leading_right",) + name] = mo.leading_right_vector(spec, exact=exact)
+                    for basis in ("permutation", "localized"):
+                        tm = mo.transfer(spec, basis=basis, exact=exact)
+                        out[("transfer", basis) + name] = tm.matrix
+    for n in (1, 2, 3):
+        for ansatz in ("hea", "mat"):
+            for noise in ch.NOISE_KINDS:
+                for placement in ("gate", "register"):
+                    spec = CircuitSpec(n=n, ansatz=ansatz, layers=3, noise=noise,
+                                       gamma=0.1, noise_placement=placement)
+                    key = (n, ansatz, noise, placement)
+                    out[("evolve",) + key] = tw.evolve(spec)
+                    # Built here, not by the package, so that any tree can be dumped.
+                    psi = np.zeros(spec.d, dtype=complex)
+                    if spec.state == "zero":
+                        psi[0] = 1.0
+                    else:
+                        psi[:] = 1 / np.sqrt(spec.d)
+                    obs = ch.pauli_string(n, "Z" + "I" * (n - 1))
+                    est = tw.mc_expectation_moments(spec, np.outer(psi, psi.conj()), obs, 100,
+                                                    seed=n)
+                    out[("mc",) + key] = astuple(est)
+    out["scan_float"] = astuple(mo.hierarchy_scan([2, 3, 4], [1, 3], [2, 3, 4, 5]))
+    out["scan_exact"] = astuple(mo.hierarchy_scan([2, 3], [1, 2], [2, 3], exact=True))
+    return out
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        if not (isinstance(b, np.ndarray) and a.dtype == b.dtype and a.shape == b.shape):
+            return False
+        if a.dtype == object:
+            return all(type(x) is type(y) and x == y for x, y in zip(a.flat, b.flat))
+        return a.tobytes() == b.tobytes()
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, float):
+        return type(b) is float and np.float64(a).tobytes() == np.float64(b).tobytes()
+    return type(a) is type(b) and a == b
+
+
+def main(argv) -> int:
+    if len(argv) == 2 and argv[0] == "dump":
+        with open(argv[1], "wb") as fh:
+            pickle.dump(_grid(), fh)
+        return 0
+    if len(argv) == 3 and argv[0] == "compare":
+        with open(argv[1], "rb") as fh:
+            old = pickle.load(fh)
+        with open(argv[2], "rb") as fh:
+            new = pickle.load(fh)
+        bad = sorted(map(str, set(old) ^ set(new)))
+        bad += [str(k) for k in old if k in new and not _same(old[k], new[k])]
+        for key in bad:
+            print("differs:", key)
+        print(f"{len(old)} results compared, {len(bad)} differ")
+        return 1 if bad else 0
+    print(__doc__, file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -22,12 +22,10 @@ def main() -> int:
     parser.add_argument("--k-list", default="1,3")
     parser.add_argument("--d-list", default="2,3,4,5,6,7,8")
     parser.add_argument("--dE-rules", default="1,2,d,d2")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--out", default="hierarchy.csv")
     args = parser.parse_args()
     return cli_main(
         [
-            "--threads", str(args.threads),
             "--out", args.out,
             "hierarchy",
             "--t-list", args.t_list,

@@ -77,12 +77,6 @@ def kraus_to_super(kraus, t: int = 1) -> np.ndarray:
     return out
 
 
-def super_tensor_square(s1: np.ndarray) -> np.ndarray:
-    """Two-copy superoperator from a single-copy one, by leg reordering of
-    kron(s1, s1) into the (out-kets, out-bras; in-kets, in-bras) layout."""
-    return _super_tensor(s1, s1)
-
-
 def apply_channel(super_op: np.ndarray, x: np.ndarray) -> np.ndarray:
     return unvectorize(super_op @ vectorize(x))
 
@@ -108,18 +102,6 @@ def standard_noise(kind: str, gamma: float) -> list:
         k2 = np.array([[1, 0], [0, np.sqrt(1 - g)]], dtype=complex)
         return [k1, k2]
     raise ValueError(f"unknown noise kind {kind!r}")
-
-
-def depolarizing_kraus(d: int) -> list:
-    """Kraus set of the maximally depolarizing channel X -> Tr[X] I/d."""
-    scale = 1 / np.sqrt(d)
-    out = []
-    for i in range(d):
-        for j in range(d):
-            k = np.zeros((d, d), dtype=complex)
-            k[i, j] = scale
-            out.append(k)
-    return out
 
 
 def pauli_string(n: int, labels: str) -> np.ndarray:

@@ -136,11 +136,8 @@ def cmd_hierarchy(args) -> int:
         "d_list": d_list,
         "dE_rules": de_rules,
         "exact": args.exact,
-        "threads": args.threads,
     }
-    result = mo.hierarchy_scan(
-        t_list, k_list, d_list, de_rules, exact=args.exact, threads=args.threads
-    )
+    result = mo.hierarchy_scan(t_list, k_list, d_list, de_rules, exact=args.exact)
     rows = [
         [r.t, r.k, r.d, r.dE, r.norm2, r.trace, r.eps_dep, ";".join(r.flags)]
         for r in result.rows
@@ -174,6 +171,8 @@ def cmd_simulate(args) -> int:
     ansatze = args.ansatz.split(",")
     noises = args.noise.split(",") if args.noise else [""]
     gammas = [float(g) for g in args.gamma.split(",")]
+    if not all(0.0 <= g <= 1.0 for g in gammas):
+        raise ValueError(f"gamma must lie in [0, 1], got {args.gamma}")
     config = {
         "command": "simulate",
         "ansatz": ansatze,
@@ -374,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Moment operators of quantum-channel ensembles",
     )
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker bound for scans")
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--exact", dest="exact", action="store_true", default=True)
     mode.add_argument("--float", dest="exact", action="store_false")

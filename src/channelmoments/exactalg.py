@@ -5,9 +5,8 @@ denominator (``to_integer``), and reduced back to Fractions only at the end
 (``from_integer``): integer matmul skips the per-operation gcd reduction of
 Fraction arithmetic, which makes a 120 x 120 product about 60 times faster.
 
-Two independent inversion routines are provided: plain Gauss-Jordan over
-Fractions, and the fraction-free Bareiss/Montante scheme on a denominator
-cleared integer matrix.  They cross-check each other in the test suite.
+``solve_exact`` is plain Gauss-Jordan over Fractions; the tests cross-check
+it against an independent fraction-free Bareiss/Montante inverse.
 """
 
 from __future__ import annotations
@@ -77,52 +76,6 @@ def solve_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 ref = m[col]
                 m[r] = [row[j] - f * ref[j] for j in range(width)]
     return np.array([row[n:] for row in m], dtype=object)
-
-
-def invert_exact(a: np.ndarray) -> np.ndarray:
-    return solve_exact(a, identity_exact(a.shape[0]))
-
-
-def invert_bareiss(a: np.ndarray) -> np.ndarray:
-    """Exact inverse via fraction-free Gauss-Jordan (Montante/Bareiss).
-
-    Denominators are cleared first, so every intermediate value is an
-    integer and every division in the elimination is exact.
-    """
-    n = a.shape[0]
-    ints, denom = to_integer(a)
-    m = [list(ints[i]) + [denom if j == i else 0 for j in range(n)] for i in range(n)]
-    width = 2 * n
-    prev = 1
-    sign = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise SingularMatrixError("zero pivot column in Bareiss elimination")
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        p = m[col][col]
-        for r in range(n):
-            if r == col:
-                continue
-            f = m[r][col]
-            row = m[r]
-            ref = m[col]
-            for j in range(width):
-                num = p * row[j] - f * ref[j]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise ArithmeticError("inexact division in Bareiss step")
-                row[j] = q
-        prev = p
-    det = m[n - 1][n - 1]
-    if det == 0:
-        raise SingularMatrixError("zero determinant")
-    return np.array(
-        [[Fraction(m[i][n + j], det) for j in range(n)] for i in range(n)],
-        dtype=object,
-    )
 
 
 def mat_eq(a: np.ndarray, b: np.ndarray) -> bool:

@@ -20,6 +20,7 @@ import numpy as np
 from . import symmgroup as sg
 from .exactalg import from_integer, to_integer
 from .specs import LOCALIZED, PERMUTATION, BasisTag, EnsembleSpec, TransferMatrix
+from .weingarten import inverse_powers
 
 
 @lru_cache(maxsize=None)
@@ -56,10 +57,10 @@ def localized_gram(t: int, d: int, exact: bool = True) -> np.ndarray:
     phi = phi_matrix(t)
     if exact:
         raw = np.array([d**e for e in range(2 * t - 1)], dtype=object)[expo]
-        return phi.dot(raw).dot(phi.T)
-    raw = np.array([float(d) ** e for e in range(2 * t - 1)])[expo]
-    phi = phi.astype(float)
-    return phi @ raw @ phi.T
+    else:
+        raw = np.array([float(d) ** e for e in range(2 * t - 1)])[expo]
+        phi = phi.astype(float)
+    return phi.dot(raw).dot(phi.T)
 
 
 def to_localized(tm: TransferMatrix) -> TransferMatrix:
@@ -86,9 +87,9 @@ def to_localized(tm: TransferMatrix) -> TransferMatrix:
         out = np.array([rows[:, up].sum(axis=1) for up in ups]).T
         out = from_integer(out, denom * d ** (2 * t - 2))
     else:
-        chi = np.array([float(d) ** -int(s) for s in size])
+        chi = inverse_powers(d, t, exact=False)[size]
         mid = tm.matrix * chi[:, None] * chi[None, :]
-        zeta = phi_inverse(t).astype(float)
+        zeta = _subperm_table(t).astype(float)
         out = zeta.T.dot(mid).dot(zeta)
     return replace(tm, matrix=out, basis=BasisTag(LOCALIZED, t, d))
 

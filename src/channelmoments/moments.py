@@ -163,21 +163,6 @@ def norm_squared(tm: TransferMatrix, gram_matrix: np.ndarray):
     return Fraction(total, (da * db) ** 2) if tm.exact else total
 
 
-def norm_squared_quad(tm: TransferMatrix, gram_matrix: np.ndarray):
-    """Literal quadruple sum over basis labels; oracle for norm_squared."""
-    m = tm.matrix
-    n = m.shape[0]
-    total = Fraction(0) if tm.exact else 0.0
-    for p in range(n):
-        for s in range(n):
-            if m[p, s] == 0:
-                continue
-            for q in range(n):
-                for t_ in range(n):
-                    total += m[p, s] * m[q, t_] * gram_matrix[p, q] * gram_matrix[s, t_]
-    return total
-
-
 def trace(tm: TransferMatrix, gram_matrix: np.ndarray):
     """Trace Tr[tau X] of the represented operator."""
     (a, da), (b, db) = _parts(tm, gram_matrix)
@@ -207,17 +192,12 @@ def leading_right_vector(spec: EnsembleSpec, exact: bool = False) -> np.ndarray:
     The dilated ensemble fixes the character vector (d dE)^(-size); the
     rank-one reference fixes the identity indicator (its large-dE limit).
     """
-    group = sg.symmetric_group(spec.t)
+    size = sg.product_table(spec.t).size
     if spec.kind == DEPOLARIZE:
-        out = np.zeros(len(group)) if not exact else np.array(
-            [Fraction(0)] * len(group), dtype=object
-        )
-        out[0] = Fraction(1) if exact else 1.0
-        return out
+        out = np.array([Fraction(int(s == 0)) for s in size], dtype=object)
+        return out if exact else out.astype(float)
     dd = spec.d * spec.dE if spec.kind == CHAAR else spec.d
-    if exact:
-        return np.array([Fraction(1, dd**p.size) for p in group], dtype=object)
-    return np.array([float(dd) ** -p.size for p in group])
+    return wg.inverse_powers(dd, spec.t, exact)[size]
 
 
 def spectrum(spec: EnsembleSpec) -> SpectralReport:
@@ -304,9 +284,7 @@ def _scan_point(t: int, k: int, d: int, dE: int, exact: bool):
     tm = transfer(spec, basis=PERMUTATION, exact=exact)
     x = gram(t, d, basis=PERMUTATION, exact=exact)
     tk = concatenate(tm, x, k) if k > 1 else tm
-    n2 = norm_squared(tk, x)
-    tr = trace(tk, x)
-    return spec, float(n2), float(tr)
+    return float(norm_squared(tk, x)), float(trace(tk, x))
 
 
 def hierarchy_scan(
@@ -315,7 +293,6 @@ def hierarchy_scan(
     d_list,
     dE_rules=("1", "2", "d", "d2"),
     exact: bool = False,
-    threads: int = 1,
     rel_tol: float = 1e-9,
 ) -> ScanResult:
     """Norm and trace over a (t, k, d, dE) grid, with hierarchy checks.
@@ -332,17 +309,11 @@ def hierarchy_scan(
                 for dE in des:
                     if d * dE >= t:
                         points.append((t, k, d, dE))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda p: _scan_point(*p, exact), points))
-    else:
-        results = [_scan_point(*p, exact) for p in points]
 
     rows = []
     violations = []
-    for (t, k, d, dE), (specp, n2, tr) in zip(points, results):
+    for t, k, d, dE in points:
+        n2, tr = _scan_point(t, k, d, dE, exact)
         flags = []
         hi = float(factorial(t))
         if not (1.0 - rel_tol <= n2 <= hi * (1 + rel_tol)):
@@ -484,6 +455,8 @@ def frame_potential_mc(spec: EnsembleSpec, samples: int, seed: int = 0) -> MCEst
     """
     if samples < 100:
         raise ValueError("need at least 100 samples")
+    if spec.k != 1:
+        raise ValueError(f"the sampler draws single channels; k = {spec.k} is not supported")
     rng = np.random.default_rng(seed)
     t = spec.t
     vals = np.empty(samples)

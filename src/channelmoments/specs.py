@@ -133,6 +133,8 @@ class CircuitSpec:
             raise ValueError("gamma must lie in [0, 1]")
         if self.noise_placement not in (NOISE_ON_GATE_SUPPORT, NOISE_ON_REGISTER):
             raise ValueError(f"unknown noise placement {self.noise_placement!r}")
+        if self.initial_state not in (None, ZERO_STATE, PLUS_STATE):
+            raise ValueError(f"unknown initial state {self.initial_state!r}")
 
     @property
     def state(self) -> str:

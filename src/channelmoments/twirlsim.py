@@ -27,7 +27,6 @@ from .specs import (
     HAAR,
     HEA,
     NOISE_ON_REGISTER,
-    PLUS_STATE,
     ZERO_STATE,
     CircuitSpec,
 )
@@ -167,17 +166,37 @@ def _twirl_state(m: np.ndarray, ga: _GateActions) -> np.ndarray:
     return (3 * (m + sand_both) - (right + left) + cross) / 8
 
 
-def initial_two_copy_state(spec: CircuitSpec) -> np.ndarray:
-    d = spec.d
+def initial_vector(spec: CircuitSpec) -> np.ndarray:
+    """Single-copy input state vector: |0...0> or |+...+>."""
     if spec.state == ZERO_STATE:
-        psi = np.zeros(d, dtype=complex)
+        psi = np.zeros(spec.d, dtype=complex)
         psi[0] = 1.0
-    elif spec.state == PLUS_STATE:
-        psi = np.full(d, 1 / sqrt(d), dtype=complex)
-    else:
-        raise ValueError(f"unknown initial state {spec.state!r}")
+        return psi
+    return np.full(spec.d, 1 / sqrt(spec.d), dtype=complex)
+
+
+def initial_two_copy_state(spec: CircuitSpec) -> np.ndarray:
+    psi = initial_vector(spec)
     v = np.kron(psi, psi)
     return np.outer(v, v.conj())
+
+
+def apply_gate_noise(
+    m: np.ndarray, spec: CircuitSpec, kraus, qubits: tuple, copies: tuple
+) -> np.ndarray:
+    """Noise after one gate: the channel on each target qubit of each copy.
+
+    The targets are the gate's qubits, or the whole register under
+    register placement; ``copies`` holds the leg offset of each copy of the
+    register in ``m``.  Leg q is updated before leg q + offset.
+    """
+    if kraus is None:
+        return m
+    targets = range(spec.n) if spec.noise_placement == NOISE_ON_REGISTER else qubits
+    for q in targets:
+        for offset in copies:
+            m = apply_1q_channel(m, kraus, q + offset)
+    return m
 
 
 def purity(m: np.ndarray) -> float:
@@ -215,17 +234,9 @@ def evolve(spec: CircuitSpec, max_qubits: int = DEFAULT_QUBIT_CAP) -> list:
     kraus = ch.standard_noise(spec.noise, spec.gamma) if spec.noise else None
     m = initial_two_copy_state(spec)
     out = []
-    all_qubits = tuple(range(n))
     for _ in range(spec.layers):
         for ga in gates:
-            m = _twirl_state(m, ga)
-            if kraus is not None:
-                targets = (
-                    all_qubits if spec.noise_placement == NOISE_ON_REGISTER else ga.qubits
-                )
-                for q in targets:
-                    m = apply_1q_channel(m, kraus, q)
-                    m = apply_1q_channel(m, kraus, q + n)
+            m = apply_gate_noise(_twirl_state(m, ga), spec, kraus, ga.qubits, (0, n))
         out.append(purity(m))
     return out
 
@@ -393,26 +404,15 @@ class _SingleCopyCircuit:
 
     def __init__(self, spec: CircuitSpec):
         self.spec = spec
-        self.n = spec.n
         self.gates = [
             (name, tuple(sorted(labels)), pauli_action(spec.n, labels))
             for name, labels in generators(spec)
         ]
         self.kraus = ch.standard_noise(spec.noise, spec.gamma) if spec.noise else None
 
-    def initial_state(self) -> np.ndarray:
-        d = self.spec.d
-        if self.spec.state == ZERO_STATE:
-            psi = np.zeros(d, dtype=complex)
-            psi[0] = 1.0
-        else:
-            psi = np.full(d, 1 / sqrt(d), dtype=complex)
-        return np.outer(psi, psi.conj())
-
     def run(self, rho: np.ndarray, thetas: np.ndarray) -> np.ndarray:
         spec = self.spec
         idx = 0
-        all_qubits = tuple(range(self.n))
         for _ in range(spec.layers):
             for name, qubits, action in self.gates:
                 theta = thetas[idx]
@@ -422,14 +422,7 @@ class _SingleCopyCircuit:
                 g_rho = pauli_left(rho, action)
                 u_rho = c * rho - 1j * s * g_rho
                 rho = c * u_rho + 1j * s * pauli_right(u_rho, action)
-                if self.kraus is not None:
-                    targets = (
-                        all_qubits
-                        if spec.noise_placement == NOISE_ON_REGISTER
-                        else qubits
-                    )
-                    for q in targets:
-                        rho = apply_1q_channel(rho, self.kraus, q)
+                rho = apply_gate_noise(rho, spec, self.kraus, qubits, (0,))
         return rho
 
 

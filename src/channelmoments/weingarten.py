@@ -5,8 +5,7 @@ exactly when d >= t.  Because the Gram entries depend only on the cycle
 type of inv(sigma)*pi, the matrix is multiplication by a central element of
 the group algebra, so its inverse is again of that form: it suffices to
 solve a p(t) x p(t) class-function system instead of inverting the full
-t! x t! matrix.  The generic Bareiss inverse in ``exactalg`` cross-checks
-this in the tests.
+t! x t! matrix.  A generic Bareiss inverse in the tests cross-checks this.
 """
 
 from __future__ import annotations
@@ -33,8 +32,15 @@ def _pair_class_table(t: int) -> np.ndarray:
     return tab.cls[tab.prod]
 
 
-def _class_size(cycle_type) -> int:
-    return sum(length - 1 for length in cycle_type)
+def inverse_powers(base: int, count: int, exact: bool) -> np.ndarray:
+    """[base^0, base^-1, ..., base^-(count-1)]: Fractions, or floats.
+
+    Indexed by ``symmgroup.product_table(t).size`` (with count = t) it is
+    the vector base^(-size(sigma)) over S_t.
+    """
+    if exact:
+        return np.array([Fraction(1, base**s) for s in range(count)], dtype=object)
+    return np.array([float(base) ** -s for s in range(count)])
 
 
 @lru_cache(maxsize=None)
@@ -51,8 +57,7 @@ def weingarten_function(t: int, d: int):
     # counts[r, c, s]: elements u of size s with inv(u) * rep_r in class c.
     flat = (np.arange(n)[:, None] * n + tab.cls[tab.prod[:, reps]].T) * t + tab.size
     counts = np.bincount(flat.ravel(), minlength=n * n * t).reshape(n, n, t)
-    powers = np.array([Fraction(1, d**s) for s in range(t)], dtype=object)
-    a = counts.astype(object).dot(powers)
+    a = counts.astype(object).dot(inverse_powers(d, t, exact=True))
     rhs = np.array(
         [[Fraction(1) if key == (1,) * t else Fraction(0)] for key in keys],
         dtype=object,
@@ -70,25 +75,16 @@ def gram_matrix(t: int, d: int, exact: bool = True) -> np.ndarray:
     """Normalized overlap matrix, entry (sigma, pi) = d^(-size(inv(sigma) pi))."""
     if t < 1 or d < 1:
         raise ValueError("t and d must be >= 1")
-    table = _pair_class_table(t)
-    keys = [k for k, _ in sg.conjugacy_classes(t)]
-    if exact:
-        vals = np.array([Fraction(1, d ** _class_size(k)) for k in keys], dtype=object)
-        return vals[table]
-    vals = np.array([float(d) ** -_class_size(k) for k in keys])
-    return vals[table]
+    tab = sg.product_table(t)
+    return inverse_powers(d, t, exact)[tab.size][tab.prod]
 
 
 def weingarten_matrix(t: int, d: int, exact: bool = True) -> np.ndarray:
     """Exact inverse of ``gram_matrix(t, d)``.  Requires d >= t."""
-    table = _pair_class_table(t)
     w = weingarten_function(t, d)
     keys = [k for k, _ in sg.conjugacy_classes(t)]
-    if exact:
-        vals = np.array([w[k] for k in keys], dtype=object)
-    else:
-        vals = np.array([float(w[k]) for k in keys])
-    return vals[table]
+    vals = np.array([w[k] for k in keys], dtype=object if exact else float)
+    return vals[_pair_class_table(t)]
 
 
 def jucys_murphy_sum(t: int, d: int) -> Fraction:
@@ -120,13 +116,9 @@ def chaar_transfer_perm(t: int, d: int, dE: int, exact: bool = True) -> Transfer
     """Stinespring-dilated ensemble coefficients: dE^(-size) times the
     Weingarten matrix of the composite dimension d*dE."""
     big = weingarten_matrix(t, d * dE, exact=exact)
-    group = sg.symmetric_group(t)
-    if exact:
-        scale = np.array([[Fraction(1, dE**p.size)] for p in group], dtype=object)
-    else:
-        scale = np.array([[float(dE) ** -p.size] for p in group])
+    scale = inverse_powers(dE, t, exact)[sg.product_table(t).size]
     return TransferMatrix(
-        matrix=scale * big,
+        matrix=scale[:, None] * big,
         basis=BasisTag(PERMUTATION, t, d),
         ensemble=chaar_spec(d, dE, t),
         k=1,

@@ -150,6 +150,8 @@ def test_out_file(tmp_path, capsys):
         ("mc", "--ensemble", "haar", "--t", "3", "--d", "2"),
         ("simulate", "--n", "2", "--layers", "1", "--noise", "foo", "--gamma", "0.1"),
         ("simulate", "--n", "2", "--layers", "1", "--noise", "dephasing", "--gamma", "1.5"),
+        ("simulate", "--n", "2", "--layers", "1", "--gamma", "1.5"),
+        ("mc", "--ensemble", "chaar", "--t", "2", "--d", "2", "--dE", "2", "--k", "3"),
         ("transfer", "--ensemble", "haar", "--t", "7", "--d", "7"),
         ("weingarten", "--t", "3", "--d", "2"),
     ],

@@ -17,6 +17,7 @@ from channelmoments.specs import (
     depolarize,
     haar,
 )
+from oracles import norm_squared_quad
 
 
 def test_transfer_depolarize_single_unit_entry():
@@ -91,7 +92,7 @@ def test_norm_squared_against_quadruple_sum_oracle():
     for spec, basis in ((chaar(2, 2, 2), "permutation"), (haar(3, 2), "permutation")):
         tm = mo.transfer(spec, basis=basis)
         x = mo.gram(spec.t, spec.d, basis=basis)
-        assert mo.norm_squared(tm, x) == mo.norm_squared_quad(tm, x)
+        assert mo.norm_squared(tm, x) == norm_squared_quad(tm, x)
 
 
 def test_trace_examples():
@@ -200,12 +201,6 @@ def test_hierarchy_scan_exact_path_agrees():
         assert abs(a.norm2 - b.norm2) < 1e-12
 
 
-def test_hierarchy_scan_threads_deterministic():
-    res1 = mo.hierarchy_scan([2, 3], [1, 3], [2, 3], ("1", "d"), threads=1)
-    res4 = mo.hierarchy_scan([2, 3], [1, 3], [2, 3], ("1", "d"), threads=4)
-    assert res1.rows == res4.rows
-
-
 @pytest.mark.parametrize("t", [1, 2, 3])
 def test_invariance_checks(t):
     d = max(2, t)  # the unitary-ensemble transfer needs d >= t
@@ -225,6 +220,11 @@ def test_frame_potential_depolarize_exact():
 def test_frame_potential_sample_floor():
     with pytest.raises(ValueError):
         mo.frame_potential_mc(haar(2, 2), 50)
+
+
+def test_frame_potential_rejects_concatenation():
+    with pytest.raises(ValueError, match="k = 3"):
+        mo.frame_potential_mc(chaar(2, 2, 2, k=3), 1000)
 
 
 def test_frame_potential_haar_and_chaar():
@@ -342,7 +342,7 @@ def test_exact_norm_matches_quadruple_sum(spec):
     for basis in ("permutation", "localized"):
         tm = mo.transfer(spec, basis=basis)
         x = mo.gram(spec.t, spec.d, basis=basis)
-        assert mo.norm_squared(tm, x) == mo.norm_squared_quad(tm, x)
+        assert mo.norm_squared(tm, x) == norm_squared_quad(tm, x)
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,10 @@ from channelmoments.specs import (
     HAAR,
     HEA,
     MAT,
+    NOISE_ON_GATE_SUPPORT,
     NOISE_ON_REGISTER,
+    PLUS_STATE,
+    ZERO_STATE,
     CircuitSpec,
     EnsembleSpec,
 )
@@ -145,6 +148,11 @@ def test_evolve_state_invariants():
             assert np.max(np.abs(tw.swap_copies(m, n) - m)) < 1e-9
     evals = np.linalg.eigvalsh(m)
     assert evals.min() > -1e-8
+
+
+def test_circuit_spec_rejects_unknown_initial_state():
+    with pytest.raises(ValueError, match="unknown initial state 'foo'"):
+        CircuitSpec(n=2, initial_state="foo")
 
 
 def test_evolve_qubit_cap():
@@ -289,8 +297,17 @@ def test_mc_expectation_moments_haar():
     assert abs(est.variance - 1 / 3) < 3 * est.variance_stderr
 
 
-def test_mc_circuit_second_moment_matches_evolve():
-    spec = CircuitSpec(n=2, ansatz=HEA, layers=3, noise=ch.LOCAL_DEPOLARIZING, gamma=0.1)
+# <Z> vanishes on every MAT realization from the plus state, so MAT is
+# checked on X, whose second moment does not.
+@pytest.mark.parametrize("placement", [NOISE_ON_GATE_SUPPORT, NOISE_ON_REGISTER])
+@pytest.mark.parametrize(
+    "ansatz, state, label", [(HEA, ZERO_STATE, "ZI"), (MAT, PLUS_STATE, "XI")]
+)
+def test_mc_circuit_second_moment_matches_evolve(ansatz, state, label, placement):
+    spec = CircuitSpec(
+        n=2, ansatz=ansatz, layers=3, noise=ch.LOCAL_DEPOLARIZING, gamma=0.1,
+        initial_state=state, noise_placement=placement,
+    )
     # exact second moment from the averaged two-copy state
     n, nlegs = spec.n, 2 * spec.n
     gates = []
@@ -311,13 +328,13 @@ def test_mc_circuit_second_moment_matches_evolve():
     for _ in range(spec.layers):
         for ga in gates:
             m = tw._twirl_state(m, ga)
-            for q in ga.qubits:
+            for q in range(n) if placement == NOISE_ON_REGISTER else ga.qubits:
                 m = tw.apply_1q_channel(m, kraus, q)
                 m = tw.apply_1q_channel(m, kraus, q + n)
-    obs = ch.pauli_string(2, "ZI")
+    obs = ch.pauli_string(2, label)
     exact_second = np.trace(m @ np.kron(obs, obs)).real
-    circuit = tw._SingleCopyCircuit(spec)
-    est = tw.mc_expectation_moments(spec, circuit.initial_state(), obs, 3000, seed=8)
+    psi = tw.initial_vector(spec)
+    est = tw.mc_expectation_moments(spec, np.outer(psi, psi.conj()), obs, 3000, seed=8)
     got_second = est.variance + est.mean**2
     se = est.variance_stderr + 2 * abs(est.mean) * est.mean_stderr
     assert abs(got_second - exact_second) < 3 * se + 1e-4
