@@ -4,11 +4,14 @@
 A refactor that must not change results is checked by dumping the outputs
 of the old and the new tree and comparing the dumps: exact arrays must
 agree in value and in entry type (Fraction or Python int), float arrays
-bit for bit.  The grid covers the Gram and Weingarten matrices, transfer
-matrices in both bases, the leading right vector and the localized Gram
-(exact for t <= 5, float for t <= 6), two-copy purity trajectories and
-seeded Monte-Carlo moments for n <= 3 (both ansaetze, all four noises,
-both placements), and hierarchy-scan rows.
+bit for bit.  For each output family whose float results differ, the
+comparison also prints the largest relative difference, so that a change
+that reorders float arithmetic shows how far it drifts.  The grid covers
+the Gram and Weingarten matrices, transfer matrices in both bases, the
+leading right vector and the localized Gram (exact for t <= 5, float for
+t <= 6), two-copy purity trajectories and seeded Monte-Carlo moments for
+n <= 3 (both ansaetze, all four noises, both placements), and
+hierarchy-scan rows.
 
     PYTHONPATH=src python scripts/compare_outputs.py dump new.pkl
     python scripts/compare_outputs.py compare old.pkl new.pkl
@@ -81,6 +84,20 @@ def _same(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
+def _relative_drift(a, b):
+    """Largest relative difference of two float results, or None when either
+    is not a float array of the other's shape."""
+    try:
+        x, y = np.asarray(a), np.asarray(b)
+    except ValueError:
+        return None
+    if x.dtype.kind not in "fc" or y.dtype.kind not in "fc" or x.shape != y.shape:
+        return None
+    scale = np.maximum(np.abs(x), np.abs(y))
+    diff = np.abs(x - y)
+    return float(np.max(diff / np.where(scale > 0, scale, 1.0), initial=0.0))
+
+
 def main(argv) -> int:
     if len(argv) == 2 and argv[0] == "dump":
         with open(argv[1], "wb") as fh:
@@ -92,9 +109,19 @@ def main(argv) -> int:
         with open(argv[2], "rb") as fh:
             new = pickle.load(fh)
         bad = sorted(map(str, set(old) ^ set(new)))
-        bad += [str(k) for k in old if k in new and not _same(old[k], new[k])]
+        drift = {}  # family -> (float results that differ, largest relative difference)
+        for k in old:
+            if k in new and not _same(old[k], new[k]):
+                bad.append(str(k))
+                rel = _relative_drift(old[k], new[k])
+                if rel is not None:
+                    family = k[0] if isinstance(k, tuple) else k
+                    count, worst = drift.get(family, (0, 0.0))
+                    drift[family] = (count + 1, max(worst, rel))
         for key in bad:
             print("differs:", key)
+        for family, (count, worst) in sorted(drift.items()):
+            print(f"float drift: {family}: {count} differ, largest relative difference {worst:.3g}")
         print(f"{len(old)} results compared, {len(bad)} differ")
         return 1 if bad else 0
     print(__doc__, file=sys.stderr)

@@ -198,7 +198,7 @@ def cmd_simulate(args) -> int:
                 )
                 traj = tw.evolve(spec, max_qubits=args.max_qubits)
                 for li, val in enumerate(traj, start=1):
-                    rows.append([ansatz, noise or "none", gamma, args.n, li, val])
+                    rows.append([ansatz, noise or "none", spec.gamma, args.n, li, val])
                 if not noise:
                     break  # gamma grid is meaningless without noise
     _emit(args, config, ["ansatz", "noise", "gamma", "n", "L_index", "purity"], rows)
@@ -374,7 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
     mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--exact", dest="exact", action="store_true", default=True)
+    # None until a flag is given: the exact path is the default of every
+    # command except ``hierarchy``, whose sweeps default to the float path.
+    mode.add_argument("--exact", dest="exact", action="store_true", default=None)
     mode.add_argument("--float", dest="exact", action="store_false")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -402,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-list", default="1,3")
     p.add_argument("--d-list", default="2,3,4,5,6,7,8")
     p.add_argument("--dE-rules", default="1,2,d,d2")
-    p.set_defaults(func=cmd_hierarchy, exact=False)
+    p.set_defaults(func=cmd_hierarchy)
 
     p = sub.add_parser("spectrum", help="eigenvalues of the modified transfer")
     add_spec_args(p)
@@ -438,6 +440,8 @@ def main(argv=None) -> int:
     """
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.exact is None:
+        args.exact = args.command != "hierarchy"
     try:
         return args.func(args)
     except ValueError as exc:

@@ -1,21 +1,37 @@
 """Exact second-moment evolution of noisy layered parametrized circuits.
 
-The two-copy state M = E[rho (x) rho] is a d^2 x d^2 matrix (d = 2^n).  Each
-gate with involutory Pauli-string generator G and uniform angle is averaged
-in closed form:
+The averaged two-copy state M = E[rho (x) rho] (d = 2^n) is held by its real
+coefficients over pairs of Pauli strings,
 
-    T(X) = (3 (X + G2 X G2) - {X, G2} + Gs X Gs) / 8,
-    G2 = G (x) G,  Gs = G (x) I + I (x) G,
+    M = sum_{P,Q} c[P, Q] P (x) Q,
 
-and single-qubit noise follows each gate on the gate's support qubits of
-both copies.  Pauli-string conjugations are signed index permutations, so a
-layer costs O(d^4) memory traffic rather than dense matrix products.
+a 4^n x 4^n float64 array.  Strings are ordered "IXYZ" per qubit with qubit
+0 most significant, the order of ``channels.pauli_labels``.  The input
+|0...0> or |+...+> gives c = outer(c1, c1), where c1 is the kron of
+(1, 0, 0, 1)/2 or (1, 1, 0, 0)/2 per qubit, and the purity Tr[M^2] is
+4^n sum c^2.
+
+A gate exp(-i theta G) with involutory Pauli-string generator G maps a
+string P that anticommutes with G to cos(2 theta) P + sin(2 theta) iPG, where
+iPG = s(P) pi(P) for a string pi(P) and a sign s(P) = +-1; it fixes every
+other string.  Over a uniform angle the cross terms average to zero, so the
+twirl of a coefficient depends only on which of P and Q anticommute with G:
+
+    neither:      c[P, Q] is kept;
+    exactly one:  c[P, Q] becomes 0;
+    both:         c[P, Q] becomes (c[P, Q] + s(P) s(Q) c[pi P, pi Q]) / 2.
+
+Single-qubit noise with Pauli transfer matrix R (``channels.pauli_transfer``)
+acts on one leg, a string digit of one copy, as the 4 x 4 matrix R on that
+axis.  Each gate thus costs one masked pass over the O(16^n) real
+coefficients plus one 4 x 4 product per noisy leg.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import sqrt
 
 import numpy as np
@@ -141,29 +157,53 @@ def apply_1q_channel(m: np.ndarray, kraus: list, leg: int) -> np.ndarray:
     return out
 
 
-# -- two-copy evolution ------------------------------------------------------
+# -- two-copy evolution in Pauli-pair coordinates ---------------------------
+
+# One-qubit Pauli products over the letters I, X, Y, Z = 0..3: letter a times
+# letter b is _PHASE[a, b] times letter a ^ b.
+_PHASE = np.array([[1, 1, 1, 1], [1, 1, 1j, -1j], [1, -1j, 1, 1j], [1, 1j, -1j, 1]])
 
 
-@dataclass
-class _GateActions:
-    name: str
-    qubits: tuple
-    both: tuple  # G on copy A and copy B
-    copy_a: tuple
-    copy_b: tuple
+def generator_table(n: int, labels: dict) -> tuple:
+    """(anti, partner, sign) over the 4^n strings for the generator G whose
+    Pauli letter on qubit q is ``labels[q]``.
+
+    anti[P] says whether string P anticommutes with G; where it does,
+    iPG = sign[P] * (string partner[P]).  Elsewhere partner[P] = P and
+    sign[P] = 1, so that ``twirl_pairs`` keeps c[P, Q] when neither
+    string anticommutes.
+    """
+    idx = np.arange(4**n)
+    partner = idx.copy()
+    phase = np.ones(4**n, dtype=complex)
+    for q, p in labels.items():
+        shift = 2 * (n - 1 - q)
+        g = "IXYZ".index(p)
+        phase *= _PHASE[(idx >> shift) & 3, g]
+        partner ^= g << shift
+    anti = phase.imag != 0
+    return anti, np.where(anti, partner, idx), np.where(anti, (1j * phase).real, 1.0)
 
 
-def _twirl_state(m: np.ndarray, ga: _GateActions) -> np.ndarray:
-    sand_both = pauli_sandwich(m, ga.both)
-    right = pauli_right(m, ga.both)
-    left = pauli_left(m, ga.both)
-    cross = (
-        pauli_sandwich(m, ga.copy_a)
-        + pauli_sandwich(m, ga.copy_b)
-        + pauli_right(pauli_left(m, ga.copy_a), ga.copy_b)
-        + pauli_right(pauli_left(m, ga.copy_b), ga.copy_a)
-    )
-    return (3 * (m + sand_both) - (right + left) + cross) / 8
+def twirl_pairs(c: np.ndarray, table: tuple) -> np.ndarray:
+    """Uniform-angle gate average of Pauli-pair coefficients (module docstring).
+
+    Acts on the last two axes, so a stack of coefficient matrices is
+    twirled in one call.
+    """
+    anti, partner, sign = table
+    out = c[..., partner[:, None], partner]
+    out *= sign[:, None]
+    out *= sign
+    out += c
+    out *= 0.5
+    out *= anti[:, None] == anti
+    return out
+
+
+def pauli_channel_leg(c: np.ndarray, r: np.ndarray, leg: int) -> np.ndarray:
+    """The 4 x 4 Pauli transfer matrix ``r`` on string digit ``leg`` of ``c``."""
+    return np.matmul(r, c.reshape(4**leg, 4, -1)).reshape(c.shape)
 
 
 def initial_vector(spec: CircuitSpec) -> np.ndarray:
@@ -175,39 +215,27 @@ def initial_vector(spec: CircuitSpec) -> np.ndarray:
     return np.full(spec.d, 1 / sqrt(spec.d), dtype=complex)
 
 
-def initial_two_copy_state(spec: CircuitSpec) -> np.ndarray:
-    psi = initial_vector(spec)
-    v = np.kron(psi, psi)
-    return np.outer(v, v.conj())
-
-
 def apply_gate_noise(
-    m: np.ndarray, spec: CircuitSpec, kraus, qubits: tuple, copies: tuple
+    m: np.ndarray, spec: CircuitSpec, channel, qubits: tuple, copies: tuple
 ) -> np.ndarray:
-    """Noise after one gate: the channel on each target qubit of each copy.
+    """Noise after one gate: ``channel(m, leg=...)`` on each target qubit of each copy.
 
     The targets are the gate's qubits, or the whole register under
     register placement; ``copies`` holds the leg offset of each copy of the
-    register in ``m``.  Leg q is updated before leg q + offset.
+    register in ``m``.  Leg q is updated before leg q + offset.  ``channel``
+    is None for a noiseless circuit.
     """
-    if kraus is None:
+    if channel is None:
         return m
     targets = range(spec.n) if spec.noise_placement == NOISE_ON_REGISTER else qubits
     for q in targets:
         for offset in copies:
-            m = apply_1q_channel(m, kraus, q + offset)
+            m = channel(m, leg=q + offset)
     return m
 
 
 def purity(m: np.ndarray) -> float:
     return float(np.vdot(m, m).real)
-
-
-def swap_copies(m: np.ndarray, n: int) -> np.ndarray:
-    d = 2**n
-    return (
-        m.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
-    )
 
 
 def evolve(spec: CircuitSpec, max_qubits: int = DEFAULT_QUBIT_CAP) -> list:
@@ -217,27 +245,24 @@ def evolve(spec: CircuitSpec, max_qubits: int = DEFAULT_QUBIT_CAP) -> list:
             f"n={spec.n} exceeds cap {max_qubits}; pass max_qubits to override"
         )
     n = spec.n
-    nlegs = 2 * n
-    gates = []
-    for name, labels in generators(spec):
-        both = dict(labels)
-        both.update({q + n: p for q, p in labels.items()})
-        gates.append(
-            _GateActions(
-                name,
-                tuple(sorted(labels)),
-                pauli_action(nlegs, both),
-                pauli_action(nlegs, labels),
-                pauli_action(nlegs, {q + n: p for q, p in labels.items()}),
-            )
-        )
-    kraus = ch.standard_noise(spec.noise, spec.gamma) if spec.noise else None
-    m = initial_two_copy_state(spec)
+    gates = [
+        (tuple(sorted(labels)), generator_table(n, labels)) for _, labels in generators(spec)
+    ]
+    channel = (
+        partial(pauli_channel_leg, r=ch.pauli_transfer(ch.standard_noise(spec.noise, spec.gamma), 1))
+        if spec.noise
+        else None
+    )
+    one = [0.5, 0.0, 0.0, 0.5] if spec.state == ZERO_STATE else [0.5, 0.5, 0.0, 0.0]
+    c1 = np.ones(1)
+    for _ in range(n):
+        c1 = np.kron(c1, one)
+    c = np.outer(c1, c1)
     out = []
     for _ in range(spec.layers):
-        for ga in gates:
-            m = apply_gate_noise(_twirl_state(m, ga), spec, kraus, ga.qubits, (0, n))
-        out.append(purity(m))
+        for qubits, table in gates:
+            c = apply_gate_noise(twirl_pairs(c, table), spec, channel, qubits, (0, n))
+        out.append(4**n * purity(c))
     return out
 
 
@@ -290,26 +315,12 @@ def _haar_twirl_pair_matrix(d: int) -> np.ndarray:
 
 
 def _generator_twirl_pair_matrix(g_labels: str) -> np.ndarray:
-    """Two-copy single-generator twirl in the Pauli-pair basis (dense route)."""
-    n = len(g_labels)
-    d = 2**n
-    g = ch.pauli_string(n, g_labels)
-    labels = ch.pauli_labels(n)
-    mats = [ch.pauli_string(n, lab) for lab in labels]
-    nb = len(labels)
-    m = np.zeros((nb * nb, nb * nb))
-    for a in range(nb):
-        for b in range(nb):
-            img = gate_twirl_t2(np.kron(mats[a], mats[b]), g)
-            for c in range(nb):
-                pc = mats[c]
-                for e in range(nb):
-                    val = np.einsum("ij,ji->", np.kron(pc, mats[e]).conj().T, img) / (
-                        d * d
-                    )
-                    if abs(val) > 1e-14:
-                        m[c * nb + e, a * nb + b] = val.real
-    return m
+    """Two-copy single-generator twirl in the Pauli-pair basis: column
+    (a, b) is the pair twirl of the unit coefficient matrix at (a, b)."""
+    nb = 4 ** len(g_labels)
+    units = np.eye(nb * nb).reshape(nb * nb, nb, nb)
+    table = generator_table(len(g_labels), dict(enumerate(g_labels)))
+    return twirl_pairs(units, table).reshape(nb * nb, nb * nb).T
 
 
 def composite_noise_norm(
@@ -328,36 +339,28 @@ def composite_noise_norm(
     """
     if t not in (1, 2):
         raise ValueError("composite norms implemented for t = 1, 2 only")
-    d = noise.d
-    m_noise_1 = noise.single_copy_transfer()
+    if ensemble == SINGLE_GENERATOR:
+        if generator is None:
+            raise ValueError("single-generator ensemble needs a generator label")
+        if 2 ** len(generator) != noise.d:
+            raise ValueError("generator label length must match the noise dimension")
+    elif ensemble != HAAR_UNITARIES:
+        raise ValueError(f"unknown ensemble {ensemble!r}")
+    m_noise = noise.single_copy_transfer()
     if t == 1:
-        m_noise = m_noise_1
-        if ensemble in (HAAR_UNITARIES, SINGLE_GENERATOR):
-            nb = m_noise_1.shape[0]
-            m_uni = np.zeros((nb, nb))
-            if ensemble == HAAR_UNITARIES:
-                m_uni[0, 0] = 1.0
-            else:
-                lab = ch.pauli_labels(len(generator))
-                g = generator
-                for i, a in enumerate(lab):
-                    # first-order twirl keeps commuting strings, kills the rest
-                    anti = sum(1 for x, y in zip(a, g) if x != "I" and y != "I" and x != y)
-                    m_uni[i, i] = 1.0 if anti % 2 == 0 else 0.0
-        else:
-            raise ValueError(f"unknown ensemble {ensemble!r}")
-    else:
-        m_noise = np.kron(m_noise_1, m_noise_1)
         if ensemble == HAAR_UNITARIES:
-            m_uni = _haar_twirl_pair_matrix(d)
-        elif ensemble == SINGLE_GENERATOR:
-            if generator is None:
-                raise ValueError("single-generator ensemble needs a generator label")
-            if 2 ** len(generator) != d:
-                raise ValueError("generator label length must match the noise dimension")
-            m_uni = _generator_twirl_pair_matrix(generator)
+            m_uni = np.zeros_like(m_noise)
+            m_uni[0, 0] = 1.0
         else:
-            raise ValueError(f"unknown ensemble {ensemble!r}")
+            # the first-order twirl keeps the commuting strings and kills the rest
+            anti = generator_table(len(generator), dict(enumerate(generator)))[0]
+            m_uni = np.diag(1.0 - anti)
+    else:
+        m_noise = np.kron(m_noise, m_noise)
+        if ensemble == HAAR_UNITARIES:
+            m_uni = _haar_twirl_pair_matrix(noise.d)
+        else:
+            m_uni = _generator_twirl_pair_matrix(generator)
     comp = m_noise @ m_uni
     power = np.linalg.matrix_power(comp, k)
     return float(np.sum(power * power))
@@ -408,7 +411,11 @@ class _SingleCopyCircuit:
             (name, tuple(sorted(labels)), pauli_action(spec.n, labels))
             for name, labels in generators(spec)
         ]
-        self.kraus = ch.standard_noise(spec.noise, spec.gamma) if spec.noise else None
+        self.channel = (
+            partial(apply_1q_channel, kraus=ch.standard_noise(spec.noise, spec.gamma))
+            if spec.noise
+            else None
+        )
 
     def run(self, rho: np.ndarray, thetas: np.ndarray) -> np.ndarray:
         spec = self.spec
@@ -422,7 +429,7 @@ class _SingleCopyCircuit:
                 g_rho = pauli_left(rho, action)
                 u_rho = c * rho - 1j * s * g_rho
                 rho = c * u_rho + 1j * s * pauli_right(u_rho, action)
-                rho = apply_gate_noise(rho, spec, self.kraus, qubits, (0,))
+                rho = apply_gate_noise(rho, spec, self.channel, qubits, (0,))
         return rho
 
 

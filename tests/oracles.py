@@ -2,14 +2,18 @@
 
 Each one computes by a route independent of (or more literal than) the
 package code it checks: a quadruple-sum norm, two exact matrix inverses,
-a reordered two-copy superoperator and an explicit depolarizing Kraus set.
+a reordered two-copy superoperator, an explicit depolarizing Kraus set, the
+dense two-copy circuit evolution and the dense single-generator pair twirl.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
 from channelmoments import channels as ch
+from channelmoments import twirlsim as tw
 from channelmoments.exactalg import SingularMatrixError, identity_exact, solve_exact, to_integer
 
 
@@ -90,3 +94,91 @@ def depolarizing_kraus(d: int) -> list:
             k[i, j] = scale
             out.append(k)
     return out
+
+
+# -- dense two-copy circuit evolution ----------------------------------------
+#
+# The averaged two-copy state as a d^2 x d^2 complex matrix; each gate
+# applies T(X) = (3 (X + G2 X G2) - {X, G2} + Gs X Gs) / 8 with G2 = G (x) G
+# and Gs = G (x) I + I (x) G through signed-permutation Pauli actions, and
+# noise through the Kraus operators on each leg.
+
+
+@dataclass
+class _GateActions:
+    name: str
+    qubits: tuple
+    both: tuple  # G on copy A and copy B
+    copy_a: tuple
+    copy_b: tuple
+
+
+def _twirl_state(m: np.ndarray, ga: _GateActions) -> np.ndarray:
+    sand_both = tw.pauli_sandwich(m, ga.both)
+    right = tw.pauli_right(m, ga.both)
+    left = tw.pauli_left(m, ga.both)
+    cross = (
+        tw.pauli_sandwich(m, ga.copy_a)
+        + tw.pauli_sandwich(m, ga.copy_b)
+        + tw.pauli_right(tw.pauli_left(m, ga.copy_a), ga.copy_b)
+        + tw.pauli_right(tw.pauli_left(m, ga.copy_b), ga.copy_a)
+    )
+    return (3 * (m + sand_both) - (right + left) + cross) / 8
+
+
+def initial_two_copy_state(spec) -> np.ndarray:
+    psi = tw.initial_vector(spec)
+    v = np.kron(psi, psi)
+    return np.outer(v, v.conj())
+
+
+def swap_copies(m: np.ndarray, n: int) -> np.ndarray:
+    d = 2**n
+    return (
+        m.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
+    )
+
+
+def evolve_dense(spec) -> list:
+    """Purity after each layer from the dense two-copy state; oracle for evolve."""
+    n = spec.n
+    nlegs = 2 * n
+    gates = []
+    for name, labels in tw.generators(spec):
+        both = dict(labels)
+        both.update({q + n: p for q, p in labels.items()})
+        gates.append(
+            _GateActions(
+                name,
+                tuple(sorted(labels)),
+                tw.pauli_action(nlegs, both),
+                tw.pauli_action(nlegs, labels),
+                tw.pauli_action(nlegs, {q + n: p for q, p in labels.items()}),
+            )
+        )
+    channel = (
+        partial(tw.apply_1q_channel, kraus=ch.standard_noise(spec.noise, spec.gamma))
+        if spec.noise
+        else None
+    )
+    m = initial_two_copy_state(spec)
+    out = []
+    for _ in range(spec.layers):
+        for ga in gates:
+            m = tw.apply_gate_noise(_twirl_state(m, ga), spec, channel, ga.qubits, (0, n))
+        out.append(tw.purity(m))
+    return out
+
+
+def generator_twirl_pair_matrix_dense(g_labels: str) -> np.ndarray:
+    """Two-copy single-generator twirl in the Pauli-pair basis: each string
+    pair P_a (x) P_b is twirled as a dense matrix and expanded back by its
+    Hilbert-Schmidt overlaps with every pair P_c (x) P_e."""
+    n = len(g_labels)
+    d = 2**n
+    g = ch.pauli_string(n, g_labels)
+    mats = [ch.pauli_string(n, lab) for lab in ch.pauli_labels(n)]
+    pairs = [np.kron(pa, pb) for pa in mats for pb in mats]
+    overlap = np.array([p.conj().ravel() for p in pairs]) / (d * d)
+    cols = [overlap @ tw.gate_twirl_t2(p, g).ravel() for p in pairs]
+    return np.array(cols).T.real

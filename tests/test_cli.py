@@ -104,6 +104,25 @@ def test_hierarchy_command(capsys):
         assert fields[-1] == ""  # no violation flags
 
 
+@pytest.mark.parametrize("flags, exact", [((), False), (("--exact",), True), (("--float",), False)])
+def test_hierarchy_exact_flag(capsys, flags, exact):
+    code, out = run_cli(
+        capsys, *flags, "hierarchy", "--t-list", "2", "--k-list", "1", "--d-list", "2",
+        "--dE-rules", "1",
+    )
+    assert code == 0
+    config = json.loads(out.splitlines()[1].removeprefix("# config "))
+    assert config["exact"] is exact
+
+
+def test_simulate_noiseless_rows_carry_gamma_zero(capsys):
+    code, out = run_cli(capsys, "simulate", "--n", "2", "--layers", "2", "--gamma", "0.1,0.2")
+    assert code == 0
+    traj = [l for l in out.splitlines() if l.startswith("hea,none")]
+    assert len(traj) == 2
+    assert all(l.split(",")[2] == "0.0" for l in traj)
+
+
 def test_simulate_command(capsys):
     code, out = run_cli(
         capsys, "simulate", "--n", "2", "--layers", "3", "--noise", "dephasing",

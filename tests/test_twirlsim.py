@@ -19,6 +19,14 @@ from channelmoments.specs import (
     CircuitSpec,
     EnsembleSpec,
 )
+from oracles import (
+    _GateActions,
+    _twirl_state,
+    evolve_dense,
+    generator_twirl_pair_matrix_dense,
+    initial_two_copy_state,
+    swap_copies,
+)
 
 
 def quadrature_twirl_t2(x, g, npts):
@@ -100,7 +108,7 @@ def test_fast_twirl_matches_dense_formula():
     nlegs = 2 * spec.n
     m = random_hermitian(rng, 16)
     for name, labels in tw.generators(spec):
-        ga = tw._GateActions(
+        ga = _GateActions(
             name,
             tuple(sorted(labels)),
             tw.pauli_action(nlegs, {**labels, **{q + 2: p for q, p in labels.items()}}),
@@ -108,7 +116,7 @@ def test_fast_twirl_matches_dense_formula():
             tw.pauli_action(nlegs, {q + 2: p for q, p in labels.items()}),
         )
         dense_g = ch.pauli_string(2, "".join(labels.get(q, "I") for q in range(2)))
-        assert np.max(np.abs(tw._twirl_state(m, ga) - tw.gate_twirl_t2(m, dense_g))) < 1e-12
+        assert np.max(np.abs(_twirl_state(m, ga) - tw.gate_twirl_t2(m, dense_g))) < 1e-12
 
 
 def test_generators_layout():
@@ -127,7 +135,7 @@ def test_evolve_state_invariants():
         both = dict(labels)
         both.update({q + n: p for q, p in labels.items()})
         gates.append(
-            tw._GateActions(
+            _GateActions(
                 name,
                 tuple(sorted(labels)),
                 tw.pauli_action(nlegs, both),
@@ -136,16 +144,16 @@ def test_evolve_state_invariants():
             )
         )
     kraus = ch.standard_noise(spec.noise, spec.gamma)
-    m = tw.initial_two_copy_state(spec)
+    m = initial_two_copy_state(spec)
     for _ in range(spec.layers):
         for ga in gates:
-            m = tw._twirl_state(m, ga)
+            m = _twirl_state(m, ga)
             for q in ga.qubits:
                 m = tw.apply_1q_channel(m, kraus, q)
                 m = tw.apply_1q_channel(m, kraus, q + n)
             assert np.max(np.abs(m - m.conj().T)) < 1e-9
             assert abs(np.trace(m) - 1) < 1e-10
-            assert np.max(np.abs(tw.swap_copies(m, n) - m)) < 1e-9
+            assert np.max(np.abs(swap_copies(m, n) - m)) < 1e-9
     evals = np.linalg.eigvalsh(m)
     assert evals.min() > -1e-8
 
@@ -158,6 +166,52 @@ def test_circuit_spec_rejects_unknown_initial_state():
 def test_evolve_qubit_cap():
     with pytest.raises(tw.ResourceCapError):
         tw.evolve(CircuitSpec(n=6, layers=1))
+
+
+@pytest.mark.parametrize("placement", [NOISE_ON_GATE_SUPPORT, NOISE_ON_REGISTER])
+@pytest.mark.parametrize("noise", [None, *ch.NOISE_KINDS])
+@pytest.mark.parametrize("ansatz", [HEA, MAT])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_evolve_matches_dense_oracle(n, ansatz, noise, placement):
+    spec = CircuitSpec(
+        n=n, ansatz=ansatz, layers=3, noise=noise, gamma=0.1 if noise else 0.0,
+        noise_placement=placement,
+    )
+    want = np.array(evolve_dense(spec))
+    got = np.array(tw.evolve(spec))
+    assert np.max(np.abs(got - want) / want) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "ansatz, noise, placement",
+    [(MAT, ch.AMPLITUDE_DAMPING, NOISE_ON_REGISTER), (HEA, ch.LOCAL_DEPOLARIZING, NOISE_ON_GATE_SUPPORT)],
+)
+def test_evolve_matches_dense_oracle_n4(ansatz, noise, placement):
+    spec = CircuitSpec(n=4, ansatz=ansatz, layers=3, noise=noise, gamma=0.2,
+                       noise_placement=placement)
+    want = np.array(evolve_dense(spec))
+    got = np.array(tw.evolve(spec))
+    assert np.max(np.abs(got - want) / want) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_generator_table_matches_pauli_products(n):
+    labels = ch.pauli_labels(n)
+    mats = [ch.pauli_string(n, lab) for lab in labels]
+    for g_label, g in zip(labels, mats):
+        anti, partner, sign = tw.generator_table(n, dict(enumerate(g_label)))
+        for i, p in enumerate(mats):
+            assert anti[i] == (np.max(np.abs(p @ g + g @ p)) < 1e-12)
+            if anti[i]:
+                assert np.max(np.abs(1j * p @ g - sign[i] * mats[partner[i]])) < 1e-12
+            else:
+                assert partner[i] == i and sign[i] == 1.0
+
+
+@pytest.mark.parametrize("label", ch.pauli_labels(1) + ch.pauli_labels(2))
+def test_generator_twirl_pair_matrix_matches_dense(label):
+    got = tw._generator_twirl_pair_matrix(label)
+    assert np.max(np.abs(got - generator_twirl_pair_matrix_dense(label))) < 1e-13
 
 
 def test_reference_purities():
@@ -315,7 +369,7 @@ def test_mc_circuit_second_moment_matches_evolve(ansatz, state, label, placement
         both = dict(labels)
         both.update({q + n: p for q, p in labels.items()})
         gates.append(
-            tw._GateActions(
+            _GateActions(
                 name,
                 tuple(sorted(labels)),
                 tw.pauli_action(nlegs, both),
@@ -324,10 +378,10 @@ def test_mc_circuit_second_moment_matches_evolve(ansatz, state, label, placement
             )
         )
     kraus = ch.standard_noise(spec.noise, spec.gamma)
-    m = tw.initial_two_copy_state(spec)
+    m = initial_two_copy_state(spec)
     for _ in range(spec.layers):
         for ga in gates:
-            m = tw._twirl_state(m, ga)
+            m = _twirl_state(m, ga)
             for q in range(n) if placement == NOISE_ON_REGISTER else ga.qubits:
                 m = tw.apply_1q_channel(m, kraus, q)
                 m = tw.apply_1q_channel(m, kraus, q + n)
