@@ -9,8 +9,9 @@ comparison also prints the largest relative difference, so that a change
 that reorders float arithmetic shows how far it drifts.  The grid covers
 the Gram and Weingarten matrices, transfer matrices in both bases, the
 leading right vector and the localized Gram (exact for t <= 5, float for
-t <= 6), two-copy purity trajectories and seeded Monte-Carlo moments for
-n <= 3 (both ansaetze, all four noises, both placements), and
+t <= 6), float spectra for t <= 6 and k = 1, 2 (eigenvalues sorted by real,
+then imaginary part), two-copy purity trajectories and seeded Monte-Carlo
+moments for n <= 3 (both ansaetze, all four noises, both placements), and
 hierarchy-scan rows.
 
     PYTHONPATH=src python scripts/compare_outputs.py dump new.pkl
@@ -19,7 +20,7 @@ hierarchy-scan rows.
 
 import pickle
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 
@@ -47,6 +48,10 @@ def _grid():
                     for basis in ("permutation", "localized"):
                         tm = mo.transfer(spec, basis=basis, exact=exact)
                         out[("transfer", basis) + name] = tm.matrix
+                    if not exact:
+                        for k in (1, 2):
+                            ev = mo.spectrum(replace(spec, k=k)).eigenvalues
+                            out[("spectrum", k) + name] = np.sort_complex(ev)
     for n in (1, 2, 3):
         for ansatz in ("hea", "mat"):
             for noise in ch.NOISE_KINDS:

@@ -173,6 +173,7 @@ def cmd_simulate(args) -> int:
     gammas = [float(g) for g in args.gamma.split(",")]
     if not all(0.0 <= g <= 1.0 for g in gammas):
         raise ValueError(f"gamma must lie in [0, 1], got {args.gamma}")
+    CircuitSpec(n=args.n, layers=args.layers)  # rejects bad n or layers before any work
     config = {
         "command": "simulate",
         "ansatz": ansatze,

@@ -39,10 +39,24 @@ def phi_inverse(t: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
 def phi_matrix(t: int) -> np.ndarray:
-    """Möbius matrix: entry (sigma, pi) = mobius(inv(pi) sigma) on the order."""
+    """Möbius matrix: entry (sigma, pi) = mobius(inv(pi) sigma) on the order.
+
+    Python ints; cached and read-only, since every caller shares it.
+    """
     tab = sg.product_table(t)
-    return np.where(_subperm_table(t), tab.mobius[tab.prod.T], 0).astype(object)
+    out = np.where(_subperm_table(t), tab.mobius[tab.prod.T], 0).astype(object)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def _phi_float(t: int) -> np.ndarray:
+    """Float copy of ``phi_matrix(t)``, built once."""
+    out = phi_matrix(t).astype(float)
+    out.flags.writeable = False
+    return out
 
 
 def localized_gram(t: int, d: int, exact: bool = True) -> np.ndarray:
@@ -51,16 +65,20 @@ def localized_gram(t: int, d: int, exact: bool = True) -> np.ndarray:
     Computed as phi . R . phi^T with R(eta, kappa) =
     d^(size(eta) + size(kappa) - size(inv(eta) kappa)), which is a
     non-negative power of d by the triangle inequality of the size metric.
+    On the exact path both products are Möbius-weighted sums over the
+    sub-permutation order, on Python ints.
     """
     tab = sg.product_table(t)
     expo = tab.size[:, None] + tab.size[None, :] - tab.size[tab.prod]
-    phi = phi_matrix(t)
-    if exact:
-        raw = np.array([d**e for e in range(2 * t - 1)], dtype=object)[expo]
-    else:
+    if not exact:
+        phi = _phi_float(t)
         raw = np.array([float(d) ** e for e in range(2 * t - 1)])[expo]
-        phi = phi.astype(float)
-    return phi.dot(raw).dot(phi.T)
+        return phi.dot(raw).dot(phi.T)
+    raw = np.array([d**e for e in range(2 * t - 1)], dtype=object)[expo]
+    phi = phi_matrix(t)
+    downs = [(np.flatnonzero(row), w) for row, w in zip(_subperm_table(t), phi)]
+    rows = np.array([w[down].dot(raw[down]) for down, w in downs])
+    return np.array([rows[:, down].dot(w[down]) for down, w in downs]).T
 
 
 def to_localized(tm: TransferMatrix) -> TransferMatrix:

@@ -13,6 +13,12 @@ All identities hold in either basis, so exact rational results transport
 between the permutation and localized bases unchanged.  On the exact path
 every product is taken on integer matrices over one common denominator
 (``exactalg.to_integer``); results are reduced to Fractions only at the end.
+
+The spectrum is real.  For the Haar and dilated ensembles tau X is
+similar to the symmetric matrix D^(-1/2) (tau X) D^(1/2) with
+D = diag(dE^(-size)), so one symmetric eigensolve gives it; the rank-one
+reference has eigenvalues 1 and 0 in closed form.  The k-fold spectrum is
+the k-th power of the single one.
 """
 
 from __future__ import annotations
@@ -60,11 +66,6 @@ __all__ = [
     "chaar",
     "depolarize",
 ]
-
-
-# Eigenvector columns per residual mat-mat product: bounds the temporary at
-# t! x RESIDUAL_BLOCK complex entries.
-RESIDUAL_BLOCK = 32
 
 
 def _zero_matrix(n: int, exact: bool) -> np.ndarray:
@@ -174,10 +175,13 @@ def trace(tm: TransferMatrix, gram_matrix: np.ndarray):
 class SpectralReport:
     """Eigen-data of the modified transfer matrix tau X (float path).
 
+    The spectrum is real: tau X is similar to a symmetric matrix (see
+    ``spectrum``), so ``eigenvalues`` is a float64 array sorted by modulus.
     ``leading_right`` is the coefficient vector of the invariant operator,
     (d dE)^(-size(sigma)) for the dilated ensemble; ``leading_left`` is the
     identity-permutation indicator, i.e. trace preservation, and is checked
-    against the dual modified matrix X tau.
+    against the dual modified matrix X tau.  ``residuals`` are checked
+    against the unsymmetrized k-fold matrix (tau X)^k.
     """
 
     eigenvalues: np.ndarray
@@ -200,36 +204,65 @@ def leading_right_vector(spec: EnsembleSpec, exact: bool = False) -> np.ndarray:
     return wg.inverse_powers(dd, spec.t, exact)[size]
 
 
+def _right_eigenpairs(spec: EnsembleSpec, modified: np.ndarray) -> tuple:
+    """Real eigenvalues and column-normalized right eigenvectors of tau X.
+
+    The dilated ensemble has tau = D W with D = diag(dE^(-size)).  W and X
+    are symmetric right multiplications by central elements, so they
+    commute, W X is symmetric, and so is
+    D^(-1/2) (tau X) D^(1/2) = D^(1/2) (W X) D^(1/2); its eigenvectors u
+    give the right eigenvectors D^(1/2) u.  Haar is dE = 1.
+    The rank-one reference tau X = e_0 x_0^T, with x_0[0] = 1, has
+    eigenvalue 1 on e_0 and 0 on e_j - x_0[j] e_0.
+    """
+    n = len(modified)
+    if spec.kind == DEPOLARIZE:
+        evals = np.zeros(n)
+        evals[0] = 1.0
+        evecs = np.eye(n)
+        evecs[0, 1:] = -modified[0, 1:]
+    else:
+        dE = spec.dE if spec.kind == CHAAR else 1
+        size = sg.product_table(spec.t).size
+        half = np.sqrt(wg.inverse_powers(dE, spec.t, exact=False))[size]
+        evals, u = np.linalg.eigh(modified / half[:, None] * half)
+        evecs = u * half[:, None]
+    return evals, evecs / np.linalg.norm(evecs, axis=0)
+
+
 def spectrum(spec: EnsembleSpec) -> SpectralReport:
-    """Eigenvalues and leading eigenpair of the k-concatenated ensemble."""
+    """Eigenvalues and leading eigenpair of the k-concatenated ensemble.
+
+    Since (tau X)^k = tau_k X, the k-fold eigenvalues are the k-th powers
+    of those of tau X, with the same eigenvectors.
+    """
     tm = transfer(spec, basis=PERMUTATION, exact=False)
     x = gram(spec.t, spec.d, basis=PERMUTATION, exact=False)
-    if spec.k > 1:
-        tm = concatenate(tm, x, spec.k)
     modified = tm.matrix @ x
-    evals, evecs = np.linalg.eig(modified)
+    e_ind = np.zeros(len(x))
+    e_ind[0] = 1.0
+    # Row 0 of the dual k-fold matrix (X tau)^k.
+    row = e_ind
+    for _ in range(spec.k):
+        row = row @ x @ tm.matrix
+    left_residual = float(np.linalg.norm(row - e_ind, np.inf))
+    del tm, x  # two t! x t! matrices fewer held through the eigensolve
+    evals, evecs = _right_eigenpairs(spec, modified)
+    evals = evals**spec.k
     order = np.argsort(-np.abs(evals))
     evals = evals[order]
     evecs = evecs[:, order]
-    pair_residual = 0.0
-    for lo in range(0, len(evals), RESIDUAL_BLOCK):
-        v = evecs[:, lo : lo + RESIDUAL_BLOCK]
-        # Two real products: real @ complex would copy ``modified`` to complex.
-        r = modified @ v.real + 1j * (modified @ v.imag) - v * evals[lo : lo + RESIDUAL_BLOCK]
-        pair_residual = max(pair_residual, float(np.linalg.norm(r, axis=0).max()))
+    power = np.linalg.matrix_power(modified, spec.k)
+    pair = power @ evecs
+    pair -= evecs * evals
     psi = leading_right_vector(spec)
-    right_residual = float(np.linalg.norm(modified @ psi - psi, np.inf))
-    e_ind = np.zeros(len(psi))
-    e_ind[0] = 1.0
-    # Row 0 of the dual modified matrix X tau.
-    left_residual = float(np.linalg.norm(x[0] @ tm.matrix - e_ind, np.inf))
     return SpectralReport(
         eigenvalues=evals,
         leading_right=psi / np.linalg.norm(psi),
         leading_left=e_ind,
         residuals={
-            "eigenpairs": pair_residual,
-            "leading_right": right_residual,
+            "eigenpairs": float(np.linalg.norm(pair, axis=0).max()),
+            "leading_right": float(np.linalg.norm(power @ psi - psi, np.inf)),
             "leading_left": left_residual,
         },
     )

@@ -127,6 +127,10 @@ class CircuitSpec:
     noise_placement: str = NOISE_ON_GATE_SUPPORT
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"need n >= 1 qubits, got {self.n}")
+        if self.layers < 0:
+            raise ValueError(f"need layers >= 0, got {self.layers}")
         if self.ansatz not in (HEA, MAT):
             raise ValueError(f"unknown ansatz {self.ansatz!r}")
         if not 0.0 <= self.gamma <= 1.0:

@@ -203,6 +203,9 @@ def twirl_pairs(c: np.ndarray, table: tuple) -> np.ndarray:
 
 def pauli_channel_leg(c: np.ndarray, r: np.ndarray, leg: int) -> np.ndarray:
     """The 4 x 4 Pauli transfer matrix ``r`` on string digit ``leg`` of ``c``."""
+    if c.size == 4 ** (leg + 1):
+        # Last digit: one GEMM instead of 4^leg products of shape (4, 4) @ (4, 1).
+        return (c.reshape(-1, 4) @ r.T).reshape(c.shape)
     return np.matmul(r, c.reshape(4**leg, 4, -1)).reshape(c.shape)
 
 

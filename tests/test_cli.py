@@ -170,6 +170,9 @@ def test_out_file(tmp_path, capsys):
         ("simulate", "--n", "2", "--layers", "1", "--noise", "foo", "--gamma", "0.1"),
         ("simulate", "--n", "2", "--layers", "1", "--noise", "dephasing", "--gamma", "1.5"),
         ("simulate", "--n", "2", "--layers", "1", "--gamma", "1.5"),
+        ("simulate", "--n", "0", "--layers", "1"),
+        ("simulate", "--n", "-1", "--layers", "1"),
+        ("simulate", "--n", "2", "--layers", "-1"),
         ("mc", "--ensemble", "chaar", "--t", "2", "--d", "2", "--dE", "2", "--k", "3"),
         ("transfer", "--ensemble", "haar", "--t", "7", "--d", "7"),
         ("weingarten", "--t", "3", "--d", "2"),

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial, sqrt
 
@@ -127,6 +128,31 @@ def test_spectrum_leading_pair_residuals(t):
         rep = mo.spectrum(chaar(d, dE, t))
         assert rep.residuals["leading_right"] < 1e-10
         assert rep.residuals["leading_left"] < 1e-10
+
+
+# Largest difference allowed between the symmetric-eigh spectrum and the
+# dense nonsymmetric eig of the same k-fold matrix.
+EIG_TOL = 1e-12
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+def test_spectrum_matches_dense_eig(t):
+    bases = [haar(t, t), depolarize(2, t)]
+    bases += [chaar(max(2, -(-t // dE)), dE, t) for dE in (1, 2, 3)]
+    for base in bases:
+        x = mo.gram(t, base.d, exact=False)
+        tm = mo.transfer(base, exact=False)
+        for k in (1, 2, 3):
+            rep = mo.spectrum(replace(base, k=k))
+            want = np.linalg.eig(mo.concatenate(tm, x, k).matrix @ x)[0]
+            want = want[np.argsort(want.real)]
+            got = rep.eigenvalues
+            assert got.dtype == np.float64 and np.all(np.imag(got) == 0)
+            assert np.all(np.diff(np.abs(got)) <= 0), "not sorted by modulus"
+            assert np.abs(np.sort(got) - want).max() < EIG_TOL, (base.label(), k)
+            assert rep.residuals["eigenpairs"] < 1e-8, rep.residuals
+            assert rep.residuals["leading_right"] < 1e-10, rep.residuals
+            assert rep.residuals["leading_left"] < 1e-10, rep.residuals
 
 
 def test_spectrum_unique_leading_eigenvalue():

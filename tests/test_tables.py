@@ -100,6 +100,11 @@ def test_phi_matrix(t):
     assert_same_exact(loc.phi_matrix(t), phi_oracle(t))
 
 
+def test_phi_matrix_is_cached_read_only():
+    phi = loc.phi_matrix(4)
+    assert loc.phi_matrix(4) is phi and not phi.flags.writeable
+
+
 @pytest.mark.parametrize("t", ORDERS)
 @pytest.mark.parametrize("d", [2, 3])
 def test_localized_gram_exact(t, d):

@@ -163,6 +163,22 @@ def test_circuit_spec_rejects_unknown_initial_state():
         CircuitSpec(n=2, initial_state="foo")
 
 
+@pytest.mark.parametrize("kwargs", [{"n": 0}, {"n": -1}, {"n": 2, "layers": -1}])
+def test_circuit_spec_rejects_bad_sizes(kwargs):
+    with pytest.raises(ValueError, match="need"):
+        CircuitSpec(**kwargs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pauli_channel_leg_matches_einsum(n):
+    rng = np.random.default_rng(n)
+    c = rng.standard_normal((4**n, 4**n))
+    r = rng.standard_normal((4, 4))
+    for leg in range(2 * n):
+        want = np.einsum("ij,ajb->aib", r, c.reshape(4**leg, 4, -1)).reshape(c.shape)
+        assert np.max(np.abs(tw.pauli_channel_leg(c, r, leg) - want)) < 1e-13, leg
+
+
 def test_evolve_qubit_cap():
     with pytest.raises(tw.ResourceCapError):
         tw.evolve(CircuitSpec(n=6, layers=1))
