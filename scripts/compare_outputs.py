@@ -11,8 +11,10 @@ the Gram and Weingarten matrices, transfer matrices in both bases, the
 leading right vector and the localized Gram (exact for t <= 5, float for
 t <= 6), float spectra for t <= 6 and k = 1, 2 (eigenvalues sorted by real,
 then imaginary part), two-copy purity trajectories and seeded Monte-Carlo
-moments for n <= 3 (both ansaetze, all four noises, both placements), and
-hierarchy-scan rows.
+moments for n <= 3 (both ansaetze, all four noises, both placements),
+seeded frame potentials and expectation moments of the haar, chaar and
+depolarize ensembles (more samples than one Monte-Carlo chunk, so that the
+dumps show whether the random stream changed), and hierarchy-scan rows.
 
     PYTHONPATH=src python scripts/compare_outputs.py dump new.pkl
     python scripts/compare_outputs.py compare old.pkl new.pkl
@@ -70,6 +72,14 @@ def _grid():
                     est = tw.mc_expectation_moments(spec, np.outer(psi, psi.conj()), obs, 100,
                                                     seed=n)
                     out[("mc",) + key] = astuple(est)
+    rho = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+    obs = ch.PAULI_Z + 0.5 * ch.PAULI_X
+    for spec in (haar(2, 2), haar(3, 3), chaar(2, 2, 2), chaar(2, 4, 3), depolarize(2, 2)):
+        est = mo.frame_potential_mc(spec, 1000, seed=spec.t)
+        out[("frame_potential_mc", spec.label(), spec.t)] = astuple(est)
+    for spec in (haar(2, 2), chaar(2, 2, 2), chaar(2, 4, 2), depolarize(2, 2)):
+        est = tw.mc_expectation_moments(spec, rho, obs, 1000, seed=4)
+        out[("mc_ensemble", spec.label())] = astuple(est)
     out["scan_float"] = astuple(mo.hierarchy_scan([2, 3, 4], [1, 3], [2, 3, 4, 5]))
     out["scan_exact"] = astuple(mo.hierarchy_scan([2, 3], [1, 2], [2, 3], exact=True))
     return out

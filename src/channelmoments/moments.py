@@ -200,8 +200,7 @@ def leading_right_vector(spec: EnsembleSpec, exact: bool = False) -> np.ndarray:
     if spec.kind == DEPOLARIZE:
         out = np.array([Fraction(int(s == 0)) for s in size], dtype=object)
         return out if exact else out.astype(float)
-    dd = spec.d * spec.dE if spec.kind == CHAAR else spec.d
-    return wg.inverse_powers(dd, spec.t, exact)[size]
+    return wg.inverse_powers(spec.d * spec.environment_dim, spec.t, exact)[size]
 
 
 def _right_eigenpairs(spec: EnsembleSpec, modified: np.ndarray) -> tuple:
@@ -222,9 +221,8 @@ def _right_eigenpairs(spec: EnsembleSpec, modified: np.ndarray) -> tuple:
         evecs = np.eye(n)
         evecs[0, 1:] = -modified[0, 1:]
     else:
-        dE = spec.dE if spec.kind == CHAAR else 1
         size = sg.product_table(spec.t).size
-        half = np.sqrt(wg.inverse_powers(dE, spec.t, exact=False))[size]
+        half = np.sqrt(wg.inverse_powers(spec.environment_dim, spec.t, exact=False))[size]
         evals, u = np.linalg.eigh(modified / half[:, None] * half)
         evecs = u * half[:, None]
     return evals, evecs / np.linalg.norm(evecs, axis=0)
@@ -312,14 +310,6 @@ class ScanResult:
     violations: tuple
 
 
-def _scan_point(t: int, k: int, d: int, dE: int, exact: bool):
-    spec = chaar(d, dE, t, k=k)
-    tm = transfer(spec, basis=PERMUTATION, exact=exact)
-    x = gram(t, d, basis=PERMUTATION, exact=exact)
-    tk = concatenate(tm, x, k) if k > 1 else tm
-    return float(norm_squared(tk, x)), float(trace(tk, x))
-
-
 def hierarchy_scan(
     t_list,
     k_list,
@@ -343,10 +333,23 @@ def hierarchy_scan(
                     if d * dE >= t:
                         points.append((t, k, d, dE))
 
+    # One transfer and Gram matrix per (t, d, dE), shared by every k.
+    ks_by_pair: dict = {}
+    for t, k, d, dE in points:
+        ks_by_pair.setdefault((t, d, dE), []).append(k)
+    values = {}
+    for (t, d, dE), ks in ks_by_pair.items():
+        tm = transfer(chaar(d, dE, t), basis=PERMUTATION, exact=exact)
+        x = gram(t, d, basis=PERMUTATION, exact=exact)
+        for k in ks:
+            tk = concatenate(tm, x, k) if k > 1 else tm
+            values[t, k, d, dE] = float(norm_squared(tk, x)), float(trace(tk, x))
+        del tm, x, tk  # freed before the next pair is built
+
     rows = []
     violations = []
     for t, k, d, dE in points:
-        n2, tr = _scan_point(t, k, d, dE, exact)
+        n2, tr = values[t, k, d, dE]
         flags = []
         hi = float(factorial(t))
         if not (1.0 - rel_tol <= n2 <= hi * (1 + rel_tol)):
@@ -441,7 +444,7 @@ def invariance_checks(spec_a: EnsembleSpec, spec_b: EnsembleSpec) -> list:
             CheckResult("chaar_right_invariant_under_haar", mat_eq(sandwich(tc, th), tc.matrix))
         )
     for tm in (ta, tb):
-        if tm.ensemble.kind == CHAAR and t > 1 and tm.ensemble.dE > 1:
+        if t > 1 and tm.ensemble.environment_dim > 1:
             # mod = tau X = m / dm, and mod^2 - mod = (m^2 - dm m) / dm^2.
             mi, dt = to_integer(tm.matrix)
             m, dm = mi.dot(xi), dt * dx
@@ -457,6 +460,10 @@ def invariance_checks(spec_a: EnsembleSpec, spec_b: EnsembleSpec) -> list:
     return results
 
 
+# Samples per stacked draw of the Monte-Carlo estimators.
+MC_CHUNK = 256
+
+
 @dataclass(frozen=True)
 class MCEstimate:
     value: float
@@ -464,20 +471,34 @@ class MCEstimate:
     samples: int
 
 
-def sample_haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar unitary via QR of a complex Ginibre matrix with phase fixing."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases[None, :]
+def sample_haar_unitary(dim: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """(count, dim, dim) stack of Haar unitaries: QR of complex Ginibre
+    matrices with the phases of diag(R) moved into Q (Mezzadri 2007).
+
+    Each draw takes its real block, then its imaginary block, from ``rng``,
+    so a stack holds the same numbers as ``count`` single draws in turn.
+    """
+    z = rng.standard_normal((count, 2, dim, dim))
+    q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
+    phases = np.diagonal(r, axis1=1, axis2=2)
+    return q * (phases / np.abs(phases))[:, None, :]
 
 
-def sample_stinespring_kraus(d: int, dE: int, rng: np.random.Generator) -> list:
-    """Kraus operators of a channel from a Haar unitary on system x environment."""
-    u = sample_haar_unitary(d * dE, rng)
-    u4 = u.reshape(d, dE, d, dE)
-    return [u4[:, j, :, 0] for j in range(dE)]
+def sample_stinespring_kraus(d: int, dE: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """(count, dE, d, d) stack of Kraus sets K_j = (I x <j|) U (I x |0>) of
+    Haar unitaries U on system x environment; dE = 1 gives Haar unitaries."""
+    u = sample_haar_unitary(d * dE, rng, count).reshape(count, d, dE, d, dE)
+    return u[..., 0].transpose(0, 2, 1, 3)
+
+
+def stacked_draws(draw, samples: int) -> np.ndarray:
+    """Concatenation of ``draw(m)`` over chunks of at most ``MC_CHUNK`` samples.
+
+    The chunks bound the memory of a stack; samples are drawn in stream
+    order, so the values do not depend on the chunk size.
+    """
+    sizes = [min(MC_CHUNK, samples - i) for i in range(0, samples, MC_CHUNK)]
+    return np.concatenate([draw(m) for m in sizes])
 
 
 def frame_potential_mc(spec: EnsembleSpec, samples: int, seed: int = 0) -> MCEstimate:
@@ -491,27 +512,12 @@ def frame_potential_mc(spec: EnsembleSpec, samples: int, seed: int = 0) -> MCEst
     if spec.k != 1:
         raise ValueError(f"the sampler draws single channels; k = {spec.k} is not supported")
     rng = np.random.default_rng(seed)
-    t = spec.t
-    vals = np.empty(samples)
-    if spec.kind == DEPOLARIZE:
-        vals[:] = 1.0
-    elif spec.kind == HAAR:
-        for i in range(samples):
-            u = sample_haar_unitary(spec.d, rng)
-            v = sample_haar_unitary(spec.d, rng)
-            s = abs(np.trace(u.conj().T @ v)) ** 2
-            vals[i] = s**t
-    elif spec.kind == CHAAR:
-        for i in range(samples):
-            ka = sample_stinespring_kraus(spec.d, spec.dE, rng)
-            kb = sample_stinespring_kraus(spec.d, spec.dE, rng)
-            a = np.stack(ka)
-            b = np.stack(kb)
-            overlaps = np.einsum("aij,bij->ab", a.conj(), b)
-            s = float(np.sum(np.abs(overlaps) ** 2))
-            vals[i] = s**t
-    else:
-        raise ValueError(f"sampling not supported for {spec.kind!r}")
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / sqrt(samples)) if samples > 1 else 0.0
-    return MCEstimate(mean, stderr, samples)
+    d, dE = spec.d, spec.environment_dim
+
+    def draw(m):
+        pairs = sample_stinespring_kraus(d, dE, rng, 2 * m).reshape(m, 2, dE, d, d)
+        overlaps = np.einsum("naij,nbij->nab", pairs[:, 0].conj(), pairs[:, 1])
+        return np.sum(np.abs(overlaps) ** 2, axis=(1, 2)) ** spec.t
+
+    vals = np.ones(samples) if spec.kind == DEPOLARIZE else stacked_draws(draw, samples)
+    return MCEstimate(float(np.mean(vals)), float(np.std(vals, ddof=1) / sqrt(samples)), samples)

@@ -50,8 +50,10 @@ class EnsembleSpec:
             raise ValueError("dE, t and k must be positive")
 
     @property
-    def composite_dim(self) -> int:
-        return self.d * self.dE
+    def environment_dim(self) -> int:
+        """Environment dimension of the Stinespring dilation: ``dE`` for
+        the dilated ensemble, 1 otherwise (Haar is the trivial dilation)."""
+        return self.dE if self.kind == CHAAR else 1
 
     def label(self) -> str:
         if self.kind == CHAAR:

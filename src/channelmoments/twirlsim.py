@@ -40,13 +40,12 @@ from . import channels as ch
 from .specs import (
     CHAAR,
     DEPOLARIZE,
-    HAAR,
     HEA,
     NOISE_ON_REGISTER,
     ZERO_STATE,
     CircuitSpec,
 )
-from .moments import MCEstimate, sample_haar_unitary, sample_stinespring_kraus
+from .moments import sample_stinespring_kraus, stacked_draws
 
 DEFAULT_QUBIT_CAP = 5
 
@@ -124,33 +123,36 @@ def pauli_sandwich(m: np.ndarray, action: tuple) -> np.ndarray:
 
 
 def pauli_left(m: np.ndarray, action: tuple) -> np.ndarray:
+    """P m on the last two axes of ``m``."""
     perm, phase = action
     out = np.empty_like(m)
-    out[perm, :] = phase[:, None] * m
+    out[..., perm, :] = phase[:, None] * m
     return out
 
 
 def pauli_right(m: np.ndarray, action: tuple) -> np.ndarray:
+    """m P on the last two axes of ``m``."""
     perm, phase = action
-    return m[:, perm] * phase[None, :]
+    return m[..., perm] * phase
 
 
 def _apply_left_1q(m: np.ndarray, k: np.ndarray, leg: int) -> np.ndarray:
     pre = 1 << leg
-    post = m.shape[0] // (2 * pre)
-    mr = m.reshape(pre, 2, post * m.shape[1])
-    return np.einsum("ij,ajb->aib", k, mr).reshape(m.shape)
+    post = m.shape[-2] // (2 * pre)
+    mr = m.reshape(m.shape[:-2] + (pre, 2, post * m.shape[-1]))
+    return np.einsum("ij,...ajb->...aib", k, mr).reshape(m.shape)
 
 
 def _apply_right_1q(m: np.ndarray, k: np.ndarray, leg: int) -> np.ndarray:
     pre = 1 << leg
-    post = m.shape[1] // (2 * pre)
-    mr = m.reshape(m.shape[0], pre, 2, post)
-    return np.einsum("wajb,ji->waib", mr, k).reshape(m.shape)
+    post = m.shape[-1] // (2 * pre)
+    mr = m.reshape(m.shape[:-1] + (pre, 2, post))
+    return np.einsum("...ajb,ji->...aib", mr, k).reshape(m.shape)
 
 
 def apply_1q_channel(m: np.ndarray, kraus: list, leg: int) -> np.ndarray:
-    """sum_j K_j m K_j^dag on one qubit leg of a square-matrix operand."""
+    """sum_j K_j m K_j^dag on one qubit leg of the square matrices on the
+    last two axes of ``m``."""
     out = np.zeros_like(m)
     for k in kraus:
         out += _apply_right_1q(_apply_left_1q(m, k, leg), k.conj().T, leg)
@@ -405,71 +407,62 @@ class MCMoments:
     samples: int
 
 
-class _SingleCopyCircuit:
-    """Sampler-side evolution of one noisy circuit realization."""
-
-    def __init__(self, spec: CircuitSpec):
-        self.spec = spec
-        self.gates = [
-            (name, tuple(sorted(labels)), pauli_action(spec.n, labels))
-            for name, labels in generators(spec)
-        ]
-        self.channel = (
-            partial(apply_1q_channel, kraus=ch.standard_noise(spec.noise, spec.gamma))
-            if spec.noise
-            else None
-        )
-
-    def run(self, rho: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        spec = self.spec
-        idx = 0
-        for _ in range(spec.layers):
-            for name, qubits, action in self.gates:
-                theta = thetas[idx]
-                idx += 1
-                c, s = np.cos(theta), np.sin(theta)
-                # U rho U^dag with U = cos I - i sin G
-                g_rho = pauli_left(rho, action)
-                u_rho = c * rho - 1j * s * g_rho
-                rho = c * u_rho + 1j * s * pauli_right(u_rho, action)
-                rho = apply_gate_noise(rho, spec, self.channel, qubits, (0,))
-        return rho
+def _run_circuits(spec: CircuitSpec, rho: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Outputs of the noisy circuit on ``rho``, one per row of gate angles
+    ``thetas`` (in gate order, layer by layer), as a (m, d, d) stack."""
+    gates = [
+        (tuple(sorted(labels)), pauli_action(spec.n, labels)) for _, labels in generators(spec)
+    ]
+    channel = (
+        partial(apply_1q_channel, kraus=ch.standard_noise(spec.noise, spec.gamma))
+        if spec.noise
+        else None
+    )
+    out = np.broadcast_to(rho.astype(complex), (len(thetas),) + rho.shape)
+    for col, (qubits, action) in enumerate(gates * spec.layers):
+        c = np.cos(thetas[:, col, None, None])
+        s = np.sin(thetas[:, col, None, None])
+        # U rho U^dag with U = cos I - i sin G
+        u_rho = c * out - 1j * s * pauli_left(out, action)
+        out = c * u_rho + 1j * s * pauli_right(u_rho, action)
+        out = apply_gate_noise(out, spec, channel, qubits, (0,))
+    return out
 
 
 def mc_expectation_moments(spec, rho: np.ndarray, obs: np.ndarray, samples: int, seed: int = 0) -> MCMoments:
     """Sample mean and variance of Tr[Lambda(rho) O] over an ensemble.
 
-    Accepts an EnsembleSpec (haar / chaar / depolarize) or a CircuitSpec.
-    Error bars are standard errors; the variance error bar uses the
-    fourth-moment formula Var[s^2] ~ (m4 - s^4)/N.
+    Accepts an EnsembleSpec (haar / chaar / depolarize) or a CircuitSpec;
+    ``rho`` and ``obs`` are spec.d x spec.d.  Haar is the dilated ensemble
+    with a trivial environment.  Error bars are standard errors; the
+    variance error bar uses the fourth-moment formula Var[s^2] ~ (m4 - s^4)/N.
     """
+    d = spec.d
+    for name, op in (("rho", rho), ("obs", obs)):
+        if np.shape(op) != (d, d):
+            raise ValueError(f"{name} must be {d} x {d} for {spec!r}, got shape {np.shape(op)}")
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples, got {samples}")
     rng = np.random.default_rng(seed)
-    d = rho.shape[0]
-    vals = np.empty(samples)
     if isinstance(spec, CircuitSpec):
-        circuit = _SingleCopyCircuit(spec)
-        n_params = spec.layers * len(circuit.gates)
-        for i in range(samples):
-            thetas = rng.uniform(0.0, 2 * np.pi, size=n_params)
-            out = circuit.run(rho.astype(complex), thetas)
-            vals[i] = np.trace(out @ obs).real
-    elif spec.kind == HAAR:
-        for i in range(samples):
-            u = sample_haar_unitary(d, rng)
-            vals[i] = np.trace(u @ rho @ u.conj().T @ obs).real
-    elif spec.kind == CHAAR:
-        for i in range(samples):
-            kraus = sample_stinespring_kraus(spec.d, spec.dE, rng)
-            out = sum(k @ rho @ k.conj().T for k in kraus)
-            vals[i] = np.trace(out @ obs).real
+        n_params = spec.layers * len(generators(spec))
+
+        def draw(m):
+            out = _run_circuits(spec, rho, rng.uniform(0.0, 2 * np.pi, size=(m, n_params)))
+            return np.trace(out @ obs, axis1=1, axis2=2).real
+
+        vals = stacked_draws(draw, samples)
     elif spec.kind == DEPOLARIZE:
-        vals[:] = (np.trace(rho) * np.trace(obs)).real / d
+        vals = np.full(samples, (np.trace(rho) * np.trace(obs)).real / d)
     else:
-        raise ValueError(f"sampling not supported for {spec!r}")
+
+        def draw(m):
+            kraus = sample_stinespring_kraus(d, spec.environment_dim, rng, m)
+            out = (kraus @ rho @ kraus.conj().swapaxes(-1, -2)).sum(axis=1)
+            return np.trace(out @ obs, axis1=1, axis2=2).real
+
+        vals = stacked_draws(draw, samples)
     mean = float(np.mean(vals))
-    var = float(np.var(vals, ddof=1)) if samples > 1 else 0.0
-    mean_se = sqrt(var / samples) if samples > 1 else 0.0
-    centered = vals - mean
-    m4 = float(np.mean(centered**4))
-    var_se = sqrt(max(m4 - var**2, 0.0) / samples)
-    return MCMoments(mean, mean_se, var, var_se, samples)
+    var = float(np.var(vals, ddof=1))
+    m4 = float(np.mean((vals - mean) ** 4))
+    return MCMoments(mean, sqrt(var / samples), var, sqrt(max(m4 - var**2, 0.0) / samples), samples)

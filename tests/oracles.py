@@ -3,18 +3,22 @@
 Each one computes by a route independent of (or more literal than) the
 package code it checks: a quadruple-sum norm, two exact matrix inverses,
 a reordered two-copy superoperator, an explicit depolarizing Kraus set, the
-dense two-copy circuit evolution and the dense single-generator pair twirl.
+dense two-copy circuit evolution, the dense single-generator pair twirl and
+the Monte-Carlo estimators as loops over single draws.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from math import sqrt
 
 import numpy as np
 
 from channelmoments import channels as ch
 from channelmoments import twirlsim as tw
 from channelmoments.exactalg import SingularMatrixError, identity_exact, solve_exact, to_integer
+from channelmoments.moments import MCEstimate
+from channelmoments.specs import CHAAR, DEPOLARIZE, HAAR, CircuitSpec
 
 
 def norm_squared_quad(tm, gram_matrix: np.ndarray):
@@ -182,3 +186,101 @@ def generator_twirl_pair_matrix_dense(g_labels: str) -> np.ndarray:
     overlap = np.array([p.conj().ravel() for p in pairs]) / (d * d)
     cols = [overlap @ tw.gate_twirl_t2(p, g).ravel() for p in pairs]
     return np.array(cols).T.real
+
+
+# -- Monte-Carlo estimators, one draw at a time ----------------------------------
+#
+# Each draw consumes the random stream in the order the stacked samplers of
+# the package do, so both give the same estimates up to rounding.
+
+
+def sample_haar_unitary_once(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """One Haar unitary via QR of a complex Ginibre matrix with phase fixing."""
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    phases = np.diag(r).copy()
+    phases /= np.abs(phases)
+    return q * phases[None, :]
+
+
+def sample_stinespring_kraus_once(d: int, dE: int, rng: np.random.Generator) -> list:
+    """Kraus operators of one channel from a Haar unitary on system x environment."""
+    u = sample_haar_unitary_once(d * dE, rng)
+    u4 = u.reshape(d, dE, d, dE)
+    return [u4[:, j, :, 0] for j in range(dE)]
+
+
+def frame_potential_mc_loop(spec, samples: int, seed: int = 0) -> MCEstimate:
+    """Per-draw loop; oracle for moments.frame_potential_mc."""
+    rng = np.random.default_rng(seed)
+    t = spec.t
+    vals = np.empty(samples)
+    if spec.kind == DEPOLARIZE:
+        vals[:] = 1.0
+    elif spec.kind == HAAR:
+        for i in range(samples):
+            u = sample_haar_unitary_once(spec.d, rng)
+            v = sample_haar_unitary_once(spec.d, rng)
+            s = abs(np.trace(u.conj().T @ v)) ** 2
+            vals[i] = s**t
+    else:
+        for i in range(samples):
+            a = np.stack(sample_stinespring_kraus_once(spec.d, spec.dE, rng))
+            b = np.stack(sample_stinespring_kraus_once(spec.d, spec.dE, rng))
+            overlaps = np.einsum("aij,bij->ab", a.conj(), b)
+            s = float(np.sum(np.abs(overlaps) ** 2))
+            vals[i] = s**t
+    return MCEstimate(float(np.mean(vals)), float(np.std(vals, ddof=1) / sqrt(samples)), samples)
+
+
+def run_circuit_once(spec: CircuitSpec, rho: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """One noisy circuit realization on a single d x d state."""
+    gates = [
+        (tuple(sorted(labels)), tw.pauli_action(spec.n, labels))
+        for _, labels in tw.generators(spec)
+    ]
+    channel = (
+        partial(tw.apply_1q_channel, kraus=ch.standard_noise(spec.noise, spec.gamma))
+        if spec.noise
+        else None
+    )
+    idx = 0
+    for _ in range(spec.layers):
+        for qubits, action in gates:
+            theta = thetas[idx]
+            idx += 1
+            c, s = np.cos(theta), np.sin(theta)
+            # U rho U^dag with U = cos I - i sin G
+            u_rho = c * rho - 1j * s * tw.pauli_left(rho, action)
+            rho = c * u_rho + 1j * s * tw.pauli_right(u_rho, action)
+            rho = tw.apply_gate_noise(rho, spec, channel, qubits, (0,))
+    return rho
+
+
+def mc_expectation_moments_loop(spec, rho, obs, samples: int, seed: int = 0) -> tw.MCMoments:
+    """Per-draw loop; oracle for twirlsim.mc_expectation_moments."""
+    rng = np.random.default_rng(seed)
+    d = rho.shape[0]
+    vals = np.empty(samples)
+    if isinstance(spec, CircuitSpec):
+        n_params = spec.layers * len(tw.generators(spec))
+        for i in range(samples):
+            thetas = rng.uniform(0.0, 2 * np.pi, size=n_params)
+            out = run_circuit_once(spec, rho.astype(complex), thetas)
+            vals[i] = np.trace(out @ obs).real
+    elif spec.kind == HAAR:
+        for i in range(samples):
+            u = sample_haar_unitary_once(d, rng)
+            vals[i] = np.trace(u @ rho @ u.conj().T @ obs).real
+    elif spec.kind == CHAAR:
+        for i in range(samples):
+            kraus = sample_stinespring_kraus_once(spec.d, spec.dE, rng)
+            out = sum(k @ rho @ k.conj().T for k in kraus)
+            vals[i] = np.trace(out @ obs).real
+    else:
+        vals[:] = (np.trace(rho) * np.trace(obs)).real / d
+    mean = float(np.mean(vals))
+    var = float(np.var(vals, ddof=1))
+    m4 = float(np.mean((vals - mean) ** 4))
+    var_se = sqrt(max(m4 - var**2, 0.0) / samples)
+    return tw.MCMoments(mean, sqrt(var / samples), var, var_se, samples)

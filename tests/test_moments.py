@@ -18,7 +18,7 @@ from channelmoments.specs import (
     depolarize,
     haar,
 )
-from oracles import norm_squared_quad
+from oracles import frame_potential_mc_loop, norm_squared_quad, sample_haar_unitary_once
 
 
 def test_transfer_depolarize_single_unit_entry():
@@ -271,15 +271,46 @@ def test_frame_potential_error_bar_scaling():
 
 def test_haar_sampling_is_unitary():
     rng = np.random.default_rng(3)
-    u = mo.sample_haar_unitary(4, rng)
-    assert np.max(np.abs(u @ u.conj().T - np.eye(4))) < 1e-12
+    u = mo.sample_haar_unitary(4, rng, 5)
+    assert u.shape == (5, 4, 4)
+    assert np.max(np.abs(u @ u.conj().swapaxes(1, 2) - np.eye(4))) < 1e-12
 
 
 def test_stinespring_kraus_complete():
     rng = np.random.default_rng(4)
-    kraus = mo.sample_stinespring_kraus(3, 4, rng)
-    acc = sum(k.conj().T @ k for k in kraus)
+    kraus = mo.sample_stinespring_kraus(3, 4, rng, 5)
+    assert kraus.shape == (5, 4, 3, 3)
+    acc = (kraus.conj().swapaxes(2, 3) @ kraus).sum(axis=1)  # sum_j K_j^dag K_j per draw
     assert np.max(np.abs(acc - np.eye(3))) < 1e-12
+
+
+def test_haar_stack_is_the_single_draw_stream():
+    whole = mo.sample_haar_unitary(4, np.random.default_rng(13), 7)
+    rng = np.random.default_rng(13)
+    split = np.concatenate([mo.sample_haar_unitary(4, rng, 3), mo.sample_haar_unitary(4, rng, 4)])
+    rng = np.random.default_rng(13)
+    single = np.stack([sample_haar_unitary_once(4, rng) for _ in range(7)])
+    assert whole.tobytes() == split.tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("spec", [haar(2, 2), chaar(2, 2, 2), chaar(2, 4, 2), haar(3, 3)],
+                         ids=lambda s: s.label())
+@pytest.mark.parametrize("samples", [mo.MC_CHUNK + 1, 2 * mo.MC_CHUNK + 45])
+def test_frame_potential_matches_single_draw_loop(spec, samples):
+    got = mo.frame_potential_mc(spec, samples, seed=17)
+    want = frame_potential_mc_loop(spec, samples, seed=17)
+    assert got.samples == want.samples
+    assert got.value == pytest.approx(want.value, rel=1e-12, abs=0)
+    assert got.stderr == pytest.approx(want.stderr, rel=1e-12, abs=0)
+
+
+def test_environment_dim_is_one_outside_the_dilation():
+    assert chaar(2, 3, 2).environment_dim == 3
+    for kind in (HAAR, DEPOLARIZE):
+        spec = EnsembleSpec(kind, d=2, t=2, dE=3)
+        assert spec.environment_dim == 1
+        assert np.array_equal(mo.leading_right_vector(spec),
+                              mo.leading_right_vector(replace(spec, dE=1)))
 
 
 # -- exact path against Fraction matmuls ---------------------------------------

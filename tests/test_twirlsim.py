@@ -25,6 +25,7 @@ from oracles import (
     evolve_dense,
     generator_twirl_pair_matrix_dense,
     initial_two_copy_state,
+    mc_expectation_moments_loop,
     swap_copies,
 )
 
@@ -408,6 +409,59 @@ def test_mc_circuit_second_moment_matches_evolve(ansatz, state, label, placement
     got_second = est.variance + est.mean**2
     se = est.variance_stderr + 2 * abs(est.mean) * est.mean_stderr
     assert abs(got_second - exact_second) < 3 * se + 1e-4
+
+
+def _same_moments(got, want):
+    assert got.samples == want.samples
+    for name in ("mean", "mean_stderr", "variance", "variance_stderr"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0), name
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [EnsembleSpec(HAAR, d=2, t=2), EnsembleSpec(CHAAR, d=2, t=2, dE=2),
+     EnsembleSpec(CHAAR, d=2, t=2, dE=4)],
+    ids=lambda s: s.label(),
+)
+@pytest.mark.parametrize("samples", [mo.MC_CHUNK + 1, 2 * mo.MC_CHUNK + 45])
+def test_mc_expectation_moments_matches_single_draw_loop(spec, samples):
+    rho = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+    obs = ch.PAULI_Z + 0.5 * ch.PAULI_X
+    _same_moments(
+        tw.mc_expectation_moments(spec, rho, obs, samples, seed=19),
+        mc_expectation_moments_loop(spec, rho, obs, samples, seed=19),
+    )
+
+
+@pytest.mark.parametrize("placement", [NOISE_ON_GATE_SUPPORT, NOISE_ON_REGISTER])
+@pytest.mark.parametrize("ansatz, label", [(HEA, "ZI"), (MAT, "XI")])
+def test_mc_circuit_matches_single_draw_loop(ansatz, label, placement):
+    spec = CircuitSpec(n=2, ansatz=ansatz, layers=3, noise=ch.AMPLITUDE_DAMPING, gamma=0.1,
+                       noise_placement=placement)
+    psi = tw.initial_vector(spec)
+    rho, obs = np.outer(psi, psi.conj()), ch.pauli_string(2, label)
+    _same_moments(
+        tw.mc_expectation_moments(spec, rho, obs, mo.MC_CHUNK + 1, seed=20),
+        mc_expectation_moments_loop(spec, rho, obs, mo.MC_CHUNK + 1, seed=20),
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [EnsembleSpec(HAAR, d=2, t=2), EnsembleSpec(CHAAR, d=2, t=2, dE=2),
+     EnsembleSpec(DEPOLARIZE, d=2, t=2), CircuitSpec(n=1, layers=1)],
+    ids=["haar", "chaar", "depolarize", "circuit"],
+)
+def test_mc_expectation_moments_rejects_bad_input(spec):
+    good = np.diag([1.0, 0.0]).astype(complex)
+    bad = np.eye(4, dtype=complex) / 4
+    with pytest.raises(ValueError, match="rho must be 2 x 2"):
+        tw.mc_expectation_moments(spec, bad, ch.PAULI_Z, 100)
+    with pytest.raises(ValueError, match="obs must be 2 x 2"):
+        tw.mc_expectation_moments(spec, good, np.eye(4), 100)
+    for samples in (-1, 0, 1):
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            tw.mc_expectation_moments(spec, good, ch.PAULI_Z, samples)
 
 
 def test_mc_error_bars_scale_with_samples():
