@@ -12,6 +12,8 @@ leading right vector and the localized Gram (exact for t <= 5, float for
 t <= 6), float spectra for t <= 6 and k = 1, 2 (eigenvalues sorted by real,
 then imaginary part), two-copy purity trajectories and seeded Monte-Carlo
 moments for n <= 3 (both ansaetze, all four noises, both placements),
+purity trajectories for n = 4, 5 (both ansaetze, both initial states,
+amplitude damping and local depolarizing, both placements),
 seeded frame potentials and expectation moments of the haar, chaar and
 depolarize ensembles (more samples than one Monte-Carlo chunk, so that the
 dumps show whether the random stream changed), and hierarchy-scan rows.
@@ -72,6 +74,14 @@ def _grid():
                     est = tw.mc_expectation_moments(spec, np.outer(psi, psi.conj()), obs, 100,
                                                     seed=n)
                     out[("mc",) + key] = astuple(est)
+    for n in (4, 5):
+        for ansatz in ("hea", "mat"):
+            for state in ("zero", "plus"):
+                for noise in (ch.AMPLITUDE_DAMPING, ch.LOCAL_DEPOLARIZING):
+                    for placement in ("gate", "register"):
+                        spec = CircuitSpec(n=n, ansatz=ansatz, layers=3, noise=noise, gamma=0.1,
+                                           initial_state=state, noise_placement=placement)
+                        out[("evolve", n, ansatz, noise, placement, state)] = tw.evolve(spec)
     rho = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
     obs = ch.PAULI_Z + 0.5 * ch.PAULI_X
     for spec in (haar(2, 2), haar(3, 3), chaar(2, 2, 2), chaar(2, 4, 3), depolarize(2, 2)):

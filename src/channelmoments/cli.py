@@ -96,7 +96,7 @@ def cmd_transfer(args) -> int:
         "ensemble": spec.kind,
         "t": spec.t,
         "d": spec.d,
-        "dE": spec.dE,
+        "dE": spec.environment_dim,
         "k": spec.k,
         "basis": args.basis,
         "exact": args.exact,
@@ -153,7 +153,7 @@ def cmd_spectrum(args) -> int:
         "ensemble": spec.kind,
         "t": spec.t,
         "d": spec.d,
-        "dE": spec.dE,
+        "dE": spec.environment_dim,
         "k": spec.k,
     }
     report = mo.spectrum(spec)
@@ -213,7 +213,7 @@ def cmd_mc(args) -> int:
         "ensemble": spec.kind,
         "t": spec.t,
         "d": spec.d,
-        "dE": spec.dE,
+        "dE": spec.environment_dim,
         "samples": args.samples,
         "seed": args.seed,
     }

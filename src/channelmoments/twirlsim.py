@@ -3,13 +3,12 @@
 The averaged two-copy state M = E[rho (x) rho] (d = 2^n) is held by its real
 coefficients over pairs of Pauli strings,
 
-    M = sum_{P,Q} c[P, Q] P (x) Q,
+    M = sum_{P,Q} c[P, Q] P (x) Q.
 
-a 4^n x 4^n float64 array.  Strings are ordered "IXYZ" per qubit with qubit
-0 most significant, the order of ``channels.pauli_labels``.  The input
-|0...0> or |+...+> gives c = outer(c1, c1), where c1 is the kron of
-(1, 0, 0, 1)/2 or (1, 1, 0, 0)/2 per qubit, and the purity Tr[M^2] is
-4^n sum c^2.
+Strings are ordered "IXYZ" per qubit with qubit 0 most significant, the
+order of ``channels.pauli_labels``.  The input |0...0> or |+...+> gives
+c = outer(c1, c1), where c1 is the kron of (1, 0, 0, 1)/2 or (1, 1, 0, 0)/2
+per qubit, and the purity Tr[M^2] is 4^n sum c^2.
 
 A gate exp(-i theta G) with involutory Pauli-string generator G maps a
 string P that anticommutes with G to cos(2 theta) P + sin(2 theta) iPG, where
@@ -23,15 +22,28 @@ twirl of a coefficient depends only on which of P and Q anticommute with G:
 
 Single-qubit noise with Pauli transfer matrix R (``channels.pauli_transfer``)
 acts on one leg, a string digit of one copy, as the 4 x 4 matrix R on that
-axis.  Each gate thus costs one masked pass over the O(16^n) real
-coefficients plus one 4 x 4 product per noisy leg.
+axis.  The four standard noises have R = (1 + O) D, with D diagonal and O
+nonzero only below the I entry of column I (amplitude damping: I -> Z).
+
+Most of the 16^n coefficients stay zero.  The twirl keeps the Pauli
+difference P (+) Q (the string product up to phase), diagonal noise keeps P
+and Q, and amplitude damping only adds Z digits to the difference; from
+|0...0> the difference stays in {I, Z}^n.  So only the live coefficients
+are stored, as int64 keys P 4^n + Q with float64 values, in no fixed order.
+Per gate, the twirl merges the entries where both strings anticommute with
+their partners; the diagonals D of all noisy legs form one factor table over
+the strings, applied as one product; and each noisy leg with O != 0 adds its
+lifted entries and merges once more.  A merge sorts, so a gate costs
+O(m log m) for m live coefficients.  Over 10 HEA layers at n = 7 from
+|0...0> with amplitude damping on the gate qubits, m peaks at 0.28 M of the
+268 M pairs; with a unital noise it stays at 16 k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import reduce
 from math import sqrt
 
 import numpy as np
@@ -47,7 +59,7 @@ from .specs import (
 )
 from .moments import sample_stinespring_kraus, stacked_draws
 
-DEFAULT_QUBIT_CAP = 5
+DEFAULT_QUBIT_CAP = 7
 
 
 class ResourceCapError(ValueError):
@@ -62,35 +74,6 @@ def generators(spec: CircuitSpec) -> list:
         gens += [(f"Y{i}", {i: "Y"}) for i in range(n)]
     gens += [(f"Z{i}Z{i+1}", {i: "Z", i + 1: "Z"}) for i in range(n - 1)]
     return gens
-
-
-# -- dense public twirls ----------------------------------------------------
-
-
-def _check_involutory(g: np.ndarray, tol: float = 1e-12):
-    if np.max(np.abs(g @ g - np.eye(g.shape[0]))) > tol:
-        raise ValueError("generator must square to the identity")
-
-
-def gate_twirl_t1(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Average conjugation by exp(-i theta g) over uniform theta: (x + gxg)/2."""
-    _check_involutory(g)
-    return (x + g @ x @ g) / 2
-
-
-def gate_twirl_t2(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Two-copy average conjugation by exp(-i theta g)^(x 2), uniform theta.
-
-    ``g`` is the single-copy generator; ``x`` lives on two copies.
-    """
-    _check_involutory(g)
-    d = g.shape[0]
-    if x.shape[0] != d * d:
-        raise ValueError("two-copy operand has wrong dimension")
-    eye = np.eye(d)
-    g2 = np.kron(g, g)
-    gs = np.kron(g, eye) + np.kron(eye, g)
-    return (3 * (x + g2 @ x @ g2) - (x @ g2 + g2 @ x) + gs @ x @ gs) / 8
 
 
 # -- signed-permutation Pauli actions ---------------------------------------
@@ -203,14 +186,6 @@ def twirl_pairs(c: np.ndarray, table: tuple) -> np.ndarray:
     return out
 
 
-def pauli_channel_leg(c: np.ndarray, r: np.ndarray, leg: int) -> np.ndarray:
-    """The 4 x 4 Pauli transfer matrix ``r`` on string digit ``leg`` of ``c``."""
-    if c.size == 4 ** (leg + 1):
-        # Last digit: one GEMM instead of 4^leg products of shape (4, 4) @ (4, 1).
-        return (c.reshape(-1, 4) @ r.T).reshape(c.shape)
-    return np.matmul(r, c.reshape(4**leg, 4, -1)).reshape(c.shape)
-
-
 def initial_vector(spec: CircuitSpec) -> np.ndarray:
     """Single-copy input state vector: |0...0> or |+...+>."""
     if spec.state == ZERO_STATE:
@@ -220,27 +195,77 @@ def initial_vector(spec: CircuitSpec) -> np.ndarray:
     return np.full(spec.d, 1 / sqrt(spec.d), dtype=complex)
 
 
-def apply_gate_noise(
-    m: np.ndarray, spec: CircuitSpec, channel, qubits: tuple, copies: tuple
-) -> np.ndarray:
-    """Noise after one gate: ``channel(m, leg=...)`` on each target qubit of each copy.
-
-    The targets are the gate's qubits, or the whole register under
-    register placement; ``copies`` holds the leg offset of each copy of the
-    register in ``m``.  Leg q is updated before leg q + offset.  ``channel``
-    is None for a noiseless circuit.
-    """
-    if channel is None:
-        return m
-    targets = range(spec.n) if spec.noise_placement == NOISE_ON_REGISTER else qubits
-    for q in targets:
-        for offset in copies:
-            m = channel(m, leg=q + offset)
-    return m
+def noise_qubits(spec: CircuitSpec, qubits: tuple) -> tuple:
+    """Qubits that get noise after a gate on ``qubits``: the gate's own, or
+    the whole register under register placement; none without noise."""
+    if not spec.noise:
+        return ()
+    return tuple(range(spec.n)) if spec.noise_placement == NOISE_ON_REGISTER else qubits
 
 
 def purity(m: np.ndarray) -> float:
     return float(np.vdot(m, m).real)
+
+
+def _merge(keys: np.ndarray, vals: np.ndarray) -> tuple:
+    """Sorted unique keys with the values of equal keys summed; no key may
+    occur more than twice."""
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    vals[:-1] += vals[1:] * ~first[1:]
+    return keys[first], vals[first]
+
+
+def _twirl_sparse(keys: np.ndarray, vals: np.ndarray, table: tuple, n: int) -> tuple:
+    """``twirl_pairs`` on the live coefficients, keyed P 4^n + Q."""
+    anti, partner, sign = table
+    p, q = keys >> 2 * n, keys & (4**n - 1)
+    ap, aq = anti[p], anti[q]
+    both = ap & aq
+    neither = ~(ap | aq)
+    p, q = p[both], q[both]
+    half = 0.5 * vals[both]
+    # The partner pair also anticommutes on both sides, so only this subset merges.
+    bk, bv = _merge(
+        np.concatenate((keys[both], partner[p] << 2 * n | partner[q])),
+        np.concatenate((half, sign[p] * sign[q] * half)),
+    )
+    return np.concatenate((keys[neither], bk)), np.concatenate((vals[neither], bv))
+
+
+def _pair_states(spec: CircuitSpec):
+    """The live coefficients (keys, vals) after each gate, layer by layer."""
+    n = spec.n
+    r = ch.pauli_transfer(ch.standard_noise(spec.noise, spec.gamma), 1) if spec.noise else np.eye(4)
+    # R = (1 + O) D: the diagonal D first, then O adds lift times the I digit's
+    # coefficient to the Z digit's (its one nonzero entry, amplitude damping only).
+    diag = np.diag(r)
+    lift = r[3, 0] / r[0, 0]
+    gates = []
+    for _, labels in generators(spec):
+        targets = noise_qubits(spec, tuple(sorted(labels)))
+        factor = reduce(np.kron, [diag if q in targets else np.ones(4) for q in range(n)], np.ones(1))
+        # Digit q of P (the high half of a key), then digit q of Q.
+        shifts = [2 * (n - 1 - q) + copy for q in targets for copy in (2 * n, 0)] if lift else []
+        gates.append((generator_table(n, labels), factor, shifts))
+    one = [0.5, 0.0, 0.0, 0.5] if spec.state == ZERO_STATE else [0.5, 0.5, 0.0, 0.0]
+    c1 = reduce(np.kron, [one] * n, np.ones(1))
+    live = np.flatnonzero(c1)
+    keys = (live[:, None] << 2 * n | live).ravel()
+    vals = np.outer(c1[live], c1[live]).ravel()
+    for _ in range(spec.layers):
+        for table, factor, shifts in gates:
+            keys, vals = _twirl_sparse(keys, vals, table, n)
+            vals *= factor[keys >> 2 * n] * factor[keys & (4**n - 1)]
+            for shift in shifts:
+                src = (keys >> shift) & 3 == 0
+                keys, vals = _merge(
+                    np.concatenate((keys, keys[src] | 3 << shift)),
+                    np.concatenate((vals, lift * vals[src])),
+                )
+            yield keys, vals
 
 
 def evolve(spec: CircuitSpec, max_qubits: int = DEFAULT_QUBIT_CAP) -> list:
@@ -249,26 +274,12 @@ def evolve(spec: CircuitSpec, max_qubits: int = DEFAULT_QUBIT_CAP) -> list:
         raise ResourceCapError(
             f"n={spec.n} exceeds cap {max_qubits}; pass max_qubits to override"
         )
-    n = spec.n
-    gates = [
-        (tuple(sorted(labels)), generator_table(n, labels)) for _, labels in generators(spec)
+    per_layer = len(generators(spec))
+    return [
+        4**spec.n * purity(vals)
+        for step, (_, vals) in enumerate(_pair_states(spec), start=1)
+        if step % per_layer == 0
     ]
-    channel = (
-        partial(pauli_channel_leg, r=ch.pauli_transfer(ch.standard_noise(spec.noise, spec.gamma), 1))
-        if spec.noise
-        else None
-    )
-    one = [0.5, 0.0, 0.0, 0.5] if spec.state == ZERO_STATE else [0.5, 0.5, 0.0, 0.0]
-    c1 = np.ones(1)
-    for _ in range(n):
-        c1 = np.kron(c1, one)
-    c = np.outer(c1, c1)
-    out = []
-    for _ in range(spec.layers):
-        for qubits, table in gates:
-            c = apply_gate_noise(twirl_pairs(c, table), spec, channel, qubits, (0, n))
-        out.append(4**n * purity(c))
-    return out
 
 
 def reference_purities(n: int, dE: int) -> dict:
@@ -413,11 +424,7 @@ def _run_circuits(spec: CircuitSpec, rho: np.ndarray, thetas: np.ndarray) -> np.
     gates = [
         (tuple(sorted(labels)), pauli_action(spec.n, labels)) for _, labels in generators(spec)
     ]
-    channel = (
-        partial(apply_1q_channel, kraus=ch.standard_noise(spec.noise, spec.gamma))
-        if spec.noise
-        else None
-    )
+    kraus = ch.standard_noise(spec.noise, spec.gamma) if spec.noise else None
     out = np.broadcast_to(rho.astype(complex), (len(thetas),) + rho.shape)
     for col, (qubits, action) in enumerate(gates * spec.layers):
         c = np.cos(thetas[:, col, None, None])
@@ -425,7 +432,8 @@ def _run_circuits(spec: CircuitSpec, rho: np.ndarray, thetas: np.ndarray) -> np.
         # U rho U^dag with U = cos I - i sin G
         u_rho = c * out - 1j * s * pauli_left(out, action)
         out = c * u_rho + 1j * s * pauli_right(u_rho, action)
-        out = apply_gate_noise(out, spec, channel, qubits, (0,))
+        for q in noise_qubits(spec, qubits):
+            out = apply_1q_channel(out, kraus, q)
     return out
 
 

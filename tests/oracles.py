@@ -3,7 +3,8 @@
 Each one computes by a route independent of (or more literal than) the
 package code it checks: a quadruple-sum norm, two exact matrix inverses,
 a reordered two-copy superoperator, an explicit depolarizing Kraus set, the
-dense two-copy circuit evolution, the dense single-generator pair twirl and
+dense gate twirls, the dense two-copy circuit evolution, the evolution over
+all 16^n Pauli-pair coefficients, the dense single-generator pair twirl and
 the Monte-Carlo estimators as loops over single draws.
 """
 
@@ -18,7 +19,7 @@ from channelmoments import channels as ch
 from channelmoments import twirlsim as tw
 from channelmoments.exactalg import SingularMatrixError, identity_exact, solve_exact, to_integer
 from channelmoments.moments import MCEstimate
-from channelmoments.specs import CHAAR, DEPOLARIZE, HAAR, CircuitSpec
+from channelmoments.specs import CHAAR, DEPOLARIZE, HAAR, ZERO_STATE, CircuitSpec
 
 
 def norm_squared_quad(tm, gram_matrix: np.ndarray):
@@ -100,12 +101,40 @@ def depolarizing_kraus(d: int) -> list:
     return out
 
 
-# -- dense two-copy circuit evolution ----------------------------------------
-#
-# The averaged two-copy state as a d^2 x d^2 complex matrix; each gate
-# applies T(X) = (3 (X + G2 X G2) - {X, G2} + Gs X Gs) / 8 with G2 = G (x) G
-# and Gs = G (x) I + I (x) G through signed-permutation Pauli actions, and
-# noise through the Kraus operators on each leg.
+# -- dense twirls and two-copy circuit evolution ------------------------------
+
+
+def _check_involutory(g: np.ndarray, tol: float = 1e-12):
+    if np.max(np.abs(g @ g - np.eye(g.shape[0]))) > tol:
+        raise ValueError("generator must square to the identity")
+
+
+def gate_twirl_t1(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Average conjugation by exp(-i theta g) over uniform theta: (x + gxg)/2."""
+    _check_involutory(g)
+    return (x + g @ x @ g) / 2
+
+
+def gate_twirl_t2(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Two-copy average conjugation by exp(-i theta g)^(x 2), uniform theta.
+
+    ``g`` is the single-copy generator; ``x`` lives on two copies.
+    """
+    _check_involutory(g)
+    d = g.shape[0]
+    if x.shape[0] != d * d:
+        raise ValueError("two-copy operand has wrong dimension")
+    eye = np.eye(d)
+    g2 = np.kron(g, g)
+    gs = np.kron(g, eye) + np.kron(eye, g)
+    return (3 * (x + g2 @ x @ g2) - (x @ g2 + g2 @ x) + gs @ x @ gs) / 8
+
+
+# The dense two-copy circuit evolution holds the averaged two-copy state as a
+# d^2 x d^2 complex matrix; each gate applies
+# T(X) = (3 (X + G2 X G2) - {X, G2} + Gs X Gs) / 8 with G2 = G (x) G and
+# Gs = G (x) I + I (x) G through signed-permutation Pauli actions, and noise
+# through the Kraus operators on each leg.
 
 
 @dataclass
@@ -169,8 +198,42 @@ def evolve_dense(spec) -> list:
     out = []
     for _ in range(spec.layers):
         for ga in gates:
-            m = tw.apply_gate_noise(_twirl_state(m, ga), spec, channel, ga.qubits, (0, n))
+            m = _twirl_state(m, ga)
+            for q in tw.noise_qubits(spec, ga.qubits):
+                m = channel(m, leg=q)
+                m = channel(m, leg=q + n)
         out.append(tw.purity(m))
+    return out
+
+
+def pauli_channel_leg(c: np.ndarray, r: np.ndarray, leg: int) -> np.ndarray:
+    """The 4 x 4 Pauli transfer matrix ``r`` on string digit ``leg`` of ``c``."""
+    if c.size == 4 ** (leg + 1):
+        # Last digit: one GEMM instead of 4^leg products of shape (4, 4) @ (4, 1).
+        return (c.reshape(-1, 4) @ r.T).reshape(c.shape)
+    return np.matmul(r, c.reshape(4**leg, 4, -1)).reshape(c.shape)
+
+
+def evolve_pairs_dense(spec) -> list:
+    """Purity after each layer from all 16^n Pauli-pair coefficients c[P, Q]
+    (the ``twirlsim`` module docstring); oracle for the sparse evolve."""
+    n = spec.n
+    gates = [(tuple(sorted(labels)), tw.generator_table(n, labels))
+             for _, labels in tw.generators(spec)]
+    r = ch.pauli_transfer(ch.standard_noise(spec.noise, spec.gamma), 1) if spec.noise else None
+    one = [0.5, 0.0, 0.0, 0.5] if spec.state == ZERO_STATE else [0.5, 0.5, 0.0, 0.0]
+    c1 = np.ones(1)
+    for _ in range(n):
+        c1 = np.kron(c1, one)
+    c = np.outer(c1, c1)
+    out = []
+    for _ in range(spec.layers):
+        for qubits, table in gates:
+            c = tw.twirl_pairs(c, table)
+            for q in tw.noise_qubits(spec, qubits):
+                c = pauli_channel_leg(c, r, q)
+                c = pauli_channel_leg(c, r, q + n)
+        out.append(4**n * tw.purity(c))
     return out
 
 
@@ -184,7 +247,7 @@ def generator_twirl_pair_matrix_dense(g_labels: str) -> np.ndarray:
     mats = [ch.pauli_string(n, lab) for lab in ch.pauli_labels(n)]
     pairs = [np.kron(pa, pb) for pa in mats for pb in mats]
     overlap = np.array([p.conj().ravel() for p in pairs]) / (d * d)
-    cols = [overlap @ tw.gate_twirl_t2(p, g).ravel() for p in pairs]
+    cols = [overlap @ gate_twirl_t2(p, g).ravel() for p in pairs]
     return np.array(cols).T.real
 
 
@@ -253,7 +316,8 @@ def run_circuit_once(spec: CircuitSpec, rho: np.ndarray, thetas: np.ndarray) -> 
             # U rho U^dag with U = cos I - i sin G
             u_rho = c * rho - 1j * s * tw.pauli_left(rho, action)
             rho = c * u_rho + 1j * s * tw.pauli_right(u_rho, action)
-            rho = tw.apply_gate_noise(rho, spec, channel, qubits, (0,))
+            for q in tw.noise_qubits(spec, qubits):
+                rho = channel(rho, leg=q)
     return rho
 
 

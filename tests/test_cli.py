@@ -137,6 +137,17 @@ def test_simulate_command(capsys):
     assert len(traj) == 3
 
 
+@pytest.mark.parametrize("command, extra", [("transfer", ()), ("spectrum", ()),
+                                            ("mc", ("--samples", "100"))])
+@pytest.mark.parametrize("ensemble, used", [("haar", 1), ("depolarize", 1), ("chaar", 3)])
+def test_config_records_environment_used(capsys, command, extra, ensemble, used):
+    code, out = run_cli(capsys, "--float", command, "--ensemble", ensemble, "--t", "2",
+                        "--d", "2", "--dE", "3", *extra)
+    assert code == 0
+    config = json.loads(out.splitlines()[1].removeprefix("# config "))
+    assert config["dE"] == used
+
+
 def test_spectrum_command(capsys):
     code, out = run_cli(
         capsys, "spectrum", "--ensemble", "chaar", "--t", "2", "--d", "2", "--dE", "2"

@@ -23,9 +23,13 @@ from oracles import (
     _GateActions,
     _twirl_state,
     evolve_dense,
+    evolve_pairs_dense,
+    gate_twirl_t1,
+    gate_twirl_t2,
     generator_twirl_pair_matrix_dense,
     initial_two_copy_state,
     mc_expectation_moments_loop,
+    pauli_channel_leg,
     swap_copies,
 )
 
@@ -62,24 +66,24 @@ def test_gate_twirl_t1():
     g = ch.PAULI_Z
     # commuting operators are left alone
     x = np.diag(rng.standard_normal(2)).astype(complex)
-    assert np.max(np.abs(tw.gate_twirl_t1(x, g) - x)) < 1e-14
+    assert np.max(np.abs(gate_twirl_t1(x, g) - x)) < 1e-14
     # the twirl by Z kills X
-    assert np.max(np.abs(tw.gate_twirl_t1(ch.PAULI_X, g))) == 0
+    assert np.max(np.abs(gate_twirl_t1(ch.PAULI_X, g))) == 0
     for _ in range(5):
         x = random_hermitian(rng, 2)
         want = quadrature_twirl_t1(x, g, 4096)
-        assert np.max(np.abs(tw.gate_twirl_t1(x, g) - want)) < 1e-10
+        assert np.max(np.abs(gate_twirl_t1(x, g) - want)) < 1e-10
 
 
 def test_gate_twirl_t1_rejects_non_involutory():
     with pytest.raises(ValueError):
-        tw.gate_twirl_t1(np.eye(2), np.diag([1.0, 2.0]))
+        gate_twirl_t1(np.eye(2), np.diag([1.0, 2.0]))
 
 
 def test_gate_twirl_t2_identity_is_fixed():
     g = ch.pauli_string(2, "ZZ")
     eye = np.eye(16, dtype=complex)
-    assert np.max(np.abs(tw.gate_twirl_t2(eye, g) - eye)) < 1e-13
+    assert np.max(np.abs(gate_twirl_t2(eye, g) - eye)) < 1e-13
 
 
 @pytest.mark.parametrize("labels", ["XI", "YI", "ZZ"])
@@ -88,7 +92,7 @@ def test_gate_twirl_t2_matches_quadrature(labels):
     g = ch.pauli_string(2, labels)
     for _ in range(5):
         x = random_hermitian(rng, 16)
-        got = tw.gate_twirl_t2(x, g)
+        got = gate_twirl_t2(x, g)
         assert np.max(np.abs(got - quadrature_twirl_t2(x, g, 8))) < 1e-12
         assert np.max(np.abs(got - quadrature_twirl_t2(x, g, 4096))) < 1e-10
 
@@ -117,7 +121,7 @@ def test_fast_twirl_matches_dense_formula():
             tw.pauli_action(nlegs, {q + 2: p for q, p in labels.items()}),
         )
         dense_g = ch.pauli_string(2, "".join(labels.get(q, "I") for q in range(2)))
-        assert np.max(np.abs(_twirl_state(m, ga) - tw.gate_twirl_t2(m, dense_g))) < 1e-12
+        assert np.max(np.abs(_twirl_state(m, ga) - gate_twirl_t2(m, dense_g))) < 1e-12
 
 
 def test_generators_layout():
@@ -177,12 +181,12 @@ def test_pauli_channel_leg_matches_einsum(n):
     r = rng.standard_normal((4, 4))
     for leg in range(2 * n):
         want = np.einsum("ij,ajb->aib", r, c.reshape(4**leg, 4, -1)).reshape(c.shape)
-        assert np.max(np.abs(tw.pauli_channel_leg(c, r, leg) - want)) < 1e-13, leg
+        assert np.max(np.abs(pauli_channel_leg(c, r, leg) - want)) < 1e-13, leg
 
 
 def test_evolve_qubit_cap():
     with pytest.raises(tw.ResourceCapError):
-        tw.evolve(CircuitSpec(n=6, layers=1))
+        tw.evolve(CircuitSpec(n=8, layers=1))
 
 
 @pytest.mark.parametrize("placement", [NOISE_ON_GATE_SUPPORT, NOISE_ON_REGISTER])
@@ -209,6 +213,62 @@ def test_evolve_matches_dense_oracle_n4(ansatz, noise, placement):
     want = np.array(evolve_dense(spec))
     got = np.array(tw.evolve(spec))
     assert np.max(np.abs(got - want) / want) < 1e-12
+
+
+@pytest.mark.parametrize("placement", [NOISE_ON_GATE_SUPPORT, NOISE_ON_REGISTER])
+@pytest.mark.parametrize("noise", [ch.AMPLITUDE_DAMPING, ch.LOCAL_DEPOLARIZING])
+@pytest.mark.parametrize("state", [ZERO_STATE, PLUS_STATE])
+@pytest.mark.parametrize("n, ansatz", [(4, HEA), (4, MAT), (5, MAT)])
+def test_evolve_matches_dense_pair_oracle(n, ansatz, state, noise, placement):
+    spec = CircuitSpec(n=n, ansatz=ansatz, layers=3, noise=noise, gamma=0.1,
+                       initial_state=state, noise_placement=placement)
+    want = np.array(evolve_pairs_dense(spec))
+    got = np.array(tw.evolve(spec))
+    assert np.max(np.abs(got - want) / want) < 1e-12
+
+
+@pytest.mark.parametrize("noise", ch.NOISE_KINDS)
+def test_noise_transfer_is_diagonal_plus_z_lift(noise):
+    # evolve folds R = (1 + O) D, with O nonzero only at [Z, I]
+    r = ch.pauli_transfer(ch.standard_noise(noise, 0.3), 1)
+    off = r - np.diag(np.diag(r))
+    off[3, 0] = 0.0
+    assert np.max(np.abs(off)) < 1e-15
+    assert abs(r[0, 0] - 1) < 1e-15
+
+
+@pytest.mark.parametrize("placement", [NOISE_ON_GATE_SUPPORT, NOISE_ON_REGISTER])
+@pytest.mark.parametrize("state", [ZERO_STATE, PLUS_STATE])
+@pytest.mark.parametrize("n", [2, 3])
+def test_pair_states_invariants(n, state, placement):
+    spec = CircuitSpec(n=n, ansatz=HEA, layers=3, noise=ch.AMPLITUDE_DAMPING, gamma=0.2,
+                       initial_state=state, noise_placement=placement)
+    size = 4**n
+    steps = 0
+    for keys, vals in tw._pair_states(spec):
+        steps += 1
+        order = np.argsort(keys)
+        assert np.all(np.diff(keys[order]) > 0)  # each pair stored once
+        # trace: c[I, I] = 4^-n
+        assert vals[keys == 0] == pytest.approx([1 / size], rel=1e-12)
+        # copy swap: c[P, Q] = c[Q, P]
+        p, q = np.divmod(keys, size)
+        swapped = q * size + p
+        back = np.argsort(swapped)
+        assert np.array_equal(keys[order], swapped[back])
+        np.testing.assert_allclose(vals[back], vals[order], rtol=1e-12, atol=1e-15 / size)
+        purity = size * float(np.sum(vals**2))
+        assert 1 / size - 1e-12 <= purity <= 1 + 1e-12
+    assert steps == spec.layers * len(tw.generators(spec))
+
+
+def test_evolve_n7_local_depolarizing_between_references():
+    refs = tw.reference_purities(7, dE=4**7)
+    traj = tw.evolve(
+        CircuitSpec(n=7, ansatz=HEA, layers=2, noise=ch.LOCAL_DEPOLARIZING, gamma=0.1)
+    )
+    assert len(traj) == 2
+    assert all(refs["depolarize"] <= p <= refs["haar"] for p in traj), traj
 
 
 @pytest.mark.parametrize("n", [1, 2])
