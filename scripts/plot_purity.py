@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Plot trajectory CSVs from run_circuit_sweep.py (matplotlib required).
+"""Plot trajectory CSVs written by `channel-moments simulate` (matplotlib required).
 
 One panel per (ansatz, noise) pair; solid lines are trajectories by noise
 strength, dashed horizontals the reference-ensemble values.

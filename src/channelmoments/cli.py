@@ -85,22 +85,23 @@ def cmd_weingarten(args) -> int:
     return 0
 
 
-def _build_spec(args) -> EnsembleSpec:
-    return EnsembleSpec(args.ensemble, d=args.d, t=args.t, dE=args.dE, k=args.k)
-
-
-def cmd_transfer(args) -> int:
-    spec = _build_spec(args)
+def _spec_and_config(args, **extra) -> tuple:
+    """The ensemble of a transfer, spectrum or mc command and its output
+    config, which records the environment dimension used, then ``extra``."""
+    spec = EnsembleSpec(args.ensemble, d=args.d, t=args.t, dE=args.dE, k=args.k)
     config = {
-        "command": "transfer",
+        "command": args.command,
         "ensemble": spec.kind,
         "t": spec.t,
         "d": spec.d,
         "dE": spec.environment_dim,
-        "k": spec.k,
-        "basis": args.basis,
-        "exact": args.exact,
+        **extra,
     }
+    return spec, config
+
+
+def cmd_transfer(args) -> int:
+    spec, config = _spec_and_config(args, k=args.k, basis=args.basis, exact=args.exact)
     tm = mo.transfer(spec, basis=args.basis, exact=args.exact)
     if spec.k > 1:
         x = mo.gram(spec.t, spec.d, basis=args.basis, exact=args.exact)
@@ -147,15 +148,7 @@ def cmd_hierarchy(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    spec = _build_spec(args)
-    config = {
-        "command": "spectrum",
-        "ensemble": spec.kind,
-        "t": spec.t,
-        "d": spec.d,
-        "dE": spec.environment_dim,
-        "k": spec.k,
-    }
+    spec, config = _spec_and_config(args, k=args.k)
     report = mo.spectrum(spec)
     rows = [
         ["eigenvalue", i, ev.real, ev.imag, abs(ev)]
@@ -168,12 +161,26 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    import logging
+    import time
+
     ansatze = args.ansatz.split(",")
-    noises = args.noise.split(",") if args.noise else [""]
+    noises = args.noise.split(",") if args.noise else []
     gammas = [float(g) for g in args.gamma.split(",")]
     if not all(0.0 <= g <= 1.0 for g in gammas):
         raise ValueError(f"gamma must lie in [0, 1], got {args.gamma}")
-    CircuitSpec(n=args.n, layers=args.layers)  # rejects bad n or layers before any work
+    # The noiseless trajectory once per ansatz (every noise is the identity
+    # at gamma 0), then each noise kind at its nonzero strengths.
+    runs = [(None, 0.0)] if not noises or 0.0 in gammas else []
+    runs += [(noise, g) for noise in noises for g in gammas if g > 0]
+    # Every spec before the first trajectory, so that bad input costs no work.
+    specs = {
+        ansatz: [
+            CircuitSpec(n=args.n, ansatz=ansatz, layers=args.layers, noise=noise, gamma=g)
+            for noise, g in runs
+        ]
+        for ansatz in ansatze
+    }
     config = {
         "command": "simulate",
         "ansatz": ansatze,
@@ -183,40 +190,26 @@ def cmd_simulate(args) -> int:
         "layers": args.layers,
         "max_qubits": args.max_qubits,
     }
+    log = logging.getLogger(__name__)
     rows = []
     refs = tw.reference_purities(args.n, dE=4**args.n)
+    start = time.perf_counter()
     for ansatz in ansatze:
         for name, value in refs.items():
             rows.append([ansatz, f"ref_{name}", 0.0, args.n, -1, value])
-        for noise in noises:
-            for gamma in gammas:
-                spec = CircuitSpec(
-                    n=args.n,
-                    ansatz=ansatz,
-                    layers=args.layers,
-                    noise=noise or None,
-                    gamma=gamma if noise else 0.0,
-                )
-                traj = tw.evolve(spec, max_qubits=args.max_qubits)
-                for li, val in enumerate(traj, start=1):
-                    rows.append([ansatz, noise or "none", spec.gamma, args.n, li, val])
-                if not noise:
-                    break  # gamma grid is meaningless without noise
+        for spec in specs[ansatz]:
+            traj = tw.evolve(spec, max_qubits=args.max_qubits)
+            noise = spec.noise or "none"
+            for li, val in enumerate(traj, start=1):
+                rows.append([ansatz, noise, spec.gamma, args.n, li, val])
+            log.info("%s %s gamma=%s done (%.1f s elapsed)",
+                     ansatz, noise, spec.gamma, time.perf_counter() - start)
     _emit(args, config, ["ansatz", "noise", "gamma", "n", "L_index", "purity"], rows)
     return 0
 
 
 def cmd_mc(args) -> int:
-    spec = _build_spec(args)
-    config = {
-        "command": "mc",
-        "ensemble": spec.kind,
-        "t": spec.t,
-        "d": spec.d,
-        "dE": spec.environment_dim,
-        "samples": args.samples,
-        "seed": args.seed,
-    }
+    spec, config = _spec_and_config(args, samples=args.samples, seed=args.seed)
     # The exact value first: it rejects d < t before any sampling.
     tm = mo.transfer(spec, exact=False)
     norm2 = float(mo.norm_squared(tm, mo.gram_for(tm)))
@@ -381,6 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--float", dest="exact", action="store_false")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("weingarten", help="Gram and Weingarten matrices")
@@ -441,6 +435,10 @@ def main(argv=None) -> int:
     """
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.verbose:
+        import logging
+
+        logging.basicConfig(level=logging.INFO, format="%(message)s")
     if args.exact is None:
         args.exact = args.command != "hierarchy"
     try:

@@ -346,39 +346,29 @@ def hierarchy_scan(
             values[t, k, d, dE] = float(norm_squared(tk, x)), float(trace(tk, x))
         del tm, x, tk  # freed before the next pair is built
 
-    rows = []
+    # One flag list per point, filled by the bounds check, then by the
+    # monotonicity passes in dE at fixed (t, k, d) and in k at fixed (t, d, dE).
+    norms = [values[p][0] for p in points]
+    flags = [[] for _ in points]
     violations = []
-    for t, k, d, dE in points:
-        n2, tr = values[t, k, d, dE]
-        flags = []
-        hi = float(factorial(t))
-        if not (1.0 - rel_tol <= n2 <= hi * (1 + rel_tol)):
-            flags.append("bounds")
-            violations.append(("bounds", (t, k, d, dE), n2))
-        eps = sqrt(max(n2 - 1.0, 0.0))
-        rows.append(ScanRow(t, k, d, dE, n2, tr, eps, tuple(flags)))
-
-    by_tkd: dict = {}
-    by_tddE: dict = {}
-    for row in rows:
-        by_tkd.setdefault((row.t, row.k, row.d), []).append(row)
-        by_tddE.setdefault((row.t, row.d, row.dE), []).append(row)
-    final_rows = {id(r): list(r.flags) for r in rows}
-    for key, group_rows in by_tkd.items():
-        group_rows.sort(key=lambda r: r.dE)
-        for a, b in zip(group_rows, group_rows[1:]):
-            if b.norm2 > a.norm2 * (1 + rel_tol) + rel_tol:
-                violations.append(("monotone_dE", key + (a.dE, b.dE), (a.norm2, b.norm2)))
-                final_rows[id(b)].append("monotone_dE")
-    for key, group_rows in by_tddE.items():
-        group_rows.sort(key=lambda r: r.k)
-        for a, b in zip(group_rows, group_rows[1:]):
-            if b.norm2 > a.norm2 * (1 + rel_tol) + rel_tol:
-                violations.append(("monotone_k", key + (a.k, b.k), (a.norm2, b.norm2)))
-                final_rows[id(b)].append("monotone_k")
+    for i, (p, n2) in enumerate(zip(points, norms)):
+        if not (1.0 - rel_tol <= n2 <= factorial(p[0]) * (1 + rel_tol)):
+            flags[i].append("bounds")
+            violations.append(("bounds", p, n2))
+    for name, key_at, var_at in (("monotone_dE", (0, 1, 2), 3), ("monotone_k", (0, 2, 3), 1)):
+        groups: dict = {}
+        for i, p in enumerate(points):
+            groups.setdefault(tuple(p[j] for j in key_at), []).append(i)
+        for key, members in groups.items():
+            members.sort(key=lambda i: points[i][var_at])
+            for a, b in zip(members, members[1:]):
+                if norms[b] > norms[a] * (1 + rel_tol) + rel_tol:
+                    pair = (points[a][var_at], points[b][var_at])
+                    violations.append((name, key + pair, (norms[a], norms[b])))
+                    flags[b].append(name)
     rows = [
-        ScanRow(r.t, r.k, r.d, r.dE, r.norm2, r.trace, r.eps_dep, tuple(final_rows[id(r)]))
-        for r in rows
+        ScanRow(*p, n2, values[p][1], sqrt(max(n2 - 1.0, 0.0)), tuple(f))
+        for p, n2, f in zip(points, norms, flags)
     ]
     return ScanResult(tuple(rows), tuple(violations))
 

@@ -7,6 +7,8 @@ from typing import Optional
 
 import numpy as np
 
+from .channels import NOISE_KINDS
+
 PERMUTATION = "permutation"
 LOCALIZED = "localized"
 
@@ -135,6 +137,8 @@ class CircuitSpec:
             raise ValueError(f"need layers >= 0, got {self.layers}")
         if self.ansatz not in (HEA, MAT):
             raise ValueError(f"unknown ansatz {self.ansatz!r}")
+        if self.noise is not None and self.noise not in NOISE_KINDS:
+            raise ValueError(f"unknown noise kind {self.noise!r}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
         if self.noise_placement not in (NOISE_ON_GATE_SUPPORT, NOISE_ON_REGISTER):

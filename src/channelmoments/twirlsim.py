@@ -208,14 +208,15 @@ def purity(m: np.ndarray) -> float:
 
 
 def _merge(keys: np.ndarray, vals: np.ndarray) -> tuple:
-    """Sorted unique keys with the values of equal keys summed; no key may
-    occur more than twice."""
+    """Sorted unique keys with the values of equal keys summed, dropping the
+    sums that cancel to exactly 0; no key may occur more than twice."""
     order = np.argsort(keys, kind="stable")
     keys, vals = keys[order], vals[order]
     first = np.ones(len(keys), dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
     vals[:-1] += vals[1:] * ~first[1:]
-    return keys[first], vals[first]
+    keep = first & (vals != 0)
+    return keys[keep], vals[keep]
 
 
 def _twirl_sparse(keys: np.ndarray, vals: np.ndarray, table: tuple, n: int) -> tuple:

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import channelmoments
+from channelmoments import twirlsim as tw
 from channelmoments.cli import main
+from channelmoments.specs import CircuitSpec
 
 
 def run_cli(capsys, *argv):
@@ -135,6 +141,65 @@ def test_simulate_command(capsys):
     assert len(refs) == 3
     traj = [l for l in lines if l.startswith("hea,dephasing")]
     assert len(traj) == 3
+
+
+def counting_evolve(monkeypatch):
+    calls = []
+
+    def evolve(spec, **kwargs):
+        calls.append(spec)
+        return real(spec, **kwargs)
+
+    real = tw.evolve
+    monkeypatch.setattr(tw, "evolve", evolve)
+    return calls
+
+
+def test_simulate_runs_noiseless_once_per_ansatz(capsys, monkeypatch):
+    calls = counting_evolve(monkeypatch)
+    code, out = run_cli(
+        capsys, "simulate", "--n", "2", "--layers", "2", "--ansatz", "hea,mat",
+        "--noise", "dephasing,amplitude_damping", "--gamma", "0.0,0.1",
+    )
+    assert code == 0
+    assert [(s.ansatz, s.noise, s.gamma) for s in calls] == [
+        (a, noise, g) for a in ("hea", "mat")
+        for noise, g in ((None, 0.0), ("dephasing", 0.1), ("amplitude_damping", 0.1))
+    ]
+    rows = [l.split(",") for l in out.splitlines()[3:]]
+    assert {(r[1], r[2]) for r in rows if r[4] != "-1"} == {
+        ("none", "0.0"), ("dephasing", "0.1"), ("amplitude_damping", "0.1")
+    }
+    # Every noise is the identity at gamma 0, so the one noiseless run stands for all.
+    none = [float(r[5]) for r in rows if r[0] == "hea" and r[1] == "none"]
+    for noise in ("dephasing", "amplitude_damping"):
+        assert tw.evolve(CircuitSpec(n=2, layers=2, noise=noise, gamma=0.0)) == none
+
+
+def test_simulate_bad_noise_fails_before_any_trajectory(capsys, monkeypatch):
+    calls = counting_evolve(monkeypatch)
+    code = main(["simulate", "--n", "2", "--layers", "1", "--noise", "dephasing,foo",
+                 "--gamma", "0.1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: unknown noise kind 'foo'\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize("verbose", [False, True])
+def test_simulate_logs_one_line_per_trajectory_at_v(verbose):
+    argv = ["-v"] * verbose + ["simulate", "--n", "1", "--layers", "1", "--ansatz", "hea,mat",
+                               "--noise", "dephasing", "--gamma", "0.0,0.1"]
+    src = os.path.dirname(os.path.dirname(channelmoments.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "channelmoments.cli", *argv],
+                          capture_output=True, text=True, env=env, check=True)
+    lines = proc.stderr.splitlines()
+    assert len(lines) == (4 if verbose else 0), proc.stderr
+    assert [line.split(" done")[0] for line in lines] == [
+        "hea none gamma=0.0", "hea dephasing gamma=0.1",
+        "mat none gamma=0.0", "mat dephasing gamma=0.1",
+    ][: len(lines)]
 
 
 @pytest.mark.parametrize("command, extra", [("transfer", ()), ("spectrum", ()),

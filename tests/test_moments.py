@@ -220,6 +220,37 @@ def test_hierarchy_scan_small_grid():
             assert abs(row.norm2 - factorial(row.t)) < 1e-9
 
 
+def test_hierarchy_scan_flags_violations_in_order():
+    # A negative tolerance turns the checks around, so that every kind of
+    # violation occurs; k is listed unsorted to exercise the k ordering.
+    res = mo.hierarchy_scan([2, 3], [3, 1], [3], ("1", "2", "d"), rel_tol=-0.1)
+    bd, de, mk = "bounds", "monotone_dE", "monotone_k"
+    assert [(r.t, r.k, r.d, r.dE, r.flags) for r in res.rows] == [
+        (2, 3, 3, 1, (bd, mk)),
+        (2, 3, 3, 2, (bd, mk)),
+        (2, 3, 3, 3, (bd, de, mk)),
+        (2, 1, 3, 1, (bd,)),
+        (2, 1, 3, 2, ()),
+        (2, 1, 3, 3, (bd, de)),
+        (3, 3, 3, 1, (bd, mk)),
+        (3, 3, 3, 2, (bd,)),
+        (3, 3, 3, 3, (bd, de)),
+        (3, 1, 3, 1, (bd,)),
+        (3, 1, 3, 2, ()),
+        (3, 1, 3, 3, ()),
+    ]
+    n2 = {(r.t, r.k, r.d, r.dE): r.norm2 for r in res.rows}
+    out_of_bounds = [(2, 3, 3, 1), (2, 3, 3, 2), (2, 3, 3, 3), (2, 1, 3, 1), (2, 1, 3, 3),
+                     (3, 3, 3, 1), (3, 3, 3, 2), (3, 3, 3, 3), (3, 1, 3, 1)]
+    assert res.violations == (
+        *[(bd, p, n2[p]) for p in out_of_bounds],
+        *[(de, (t, k, d, 2, 3), (n2[t, k, d, 2], n2[t, k, d, 3]))
+          for t, k, d in [(2, 3, 3), (2, 1, 3), (3, 3, 3)]],
+        *[(mk, (t, d, dE, 1, 3), (n2[t, 1, d, dE], n2[t, 3, d, dE]))
+          for t, d, dE in [(2, 3, 1), (2, 3, 2), (2, 3, 3), (3, 3, 1)]],
+    )
+
+
 def test_hierarchy_scan_exact_path_agrees():
     res_f = mo.hierarchy_scan([2], [1, 2], [2, 3], ("1", "2"))
     res_e = mo.hierarchy_scan([2], [1, 2], [2, 3], ("1", "2"), exact=True)

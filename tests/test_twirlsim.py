@@ -168,6 +168,11 @@ def test_circuit_spec_rejects_unknown_initial_state():
         CircuitSpec(n=2, initial_state="foo")
 
 
+def test_circuit_spec_rejects_unknown_noise():
+    with pytest.raises(ValueError, match="unknown noise kind 'foo'"):
+        CircuitSpec(n=2, noise="foo")
+
+
 @pytest.mark.parametrize("kwargs", [{"n": 0}, {"n": -1}, {"n": 2, "layers": -1}])
 def test_circuit_spec_rejects_bad_sizes(kwargs):
     with pytest.raises(ValueError, match="need"):
@@ -247,6 +252,7 @@ def test_pair_states_invariants(n, state, placement):
     steps = 0
     for keys, vals in tw._pair_states(spec):
         steps += 1
+        assert np.all(vals != 0)  # sums that cancel exactly are dropped
         order = np.argsort(keys)
         assert np.all(np.diff(keys[order]) > 0)  # each pair stored once
         # trace: c[I, I] = 4^-n
