@@ -13,7 +13,6 @@ from .specs import (  # noqa: F401
     HAAR,
     LOCALIZED,
     PERMUTATION,
-    BasisTag,
     CircuitSpec,
     EnsembleSpec,
     TransferMatrix,

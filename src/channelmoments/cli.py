@@ -67,12 +67,12 @@ def _emit(args, config: dict, columns: list, rows: list):
 
 
 def _matrix_rows(matrix: np.ndarray, t: int) -> list:
-    group = sg.symmetric_group(t)
-    rows = []
-    for i in range(matrix.shape[0]):
-        for j in range(matrix.shape[1]):
-            rows.append([i, j, group[i].cycle_label(), group[j].cycle_label(), matrix[i, j]])
-    return rows
+    labels = [p.cycle_label() for p in sg.symmetric_group(t)]
+    return [
+        [i, j, labels[i], labels[j], matrix[i, j]]
+        for i in range(matrix.shape[0])
+        for j in range(matrix.shape[1])
+    ]
 
 
 def cmd_weingarten(args) -> int:
@@ -103,9 +103,6 @@ def _spec_and_config(args, **extra) -> tuple:
 def cmd_transfer(args) -> int:
     spec, config = _spec_and_config(args, k=args.k, basis=args.basis, exact=args.exact)
     tm = mo.transfer(spec, basis=args.basis, exact=args.exact)
-    if spec.k > 1:
-        x = mo.gram(spec.t, spec.d, basis=args.basis, exact=args.exact)
-        tm = mo.concatenate(tm, x, spec.k)
     _emit(
         args,
         config,
@@ -115,21 +112,19 @@ def cmd_transfer(args) -> int:
     return 0
 
 
-def cmd_hierarchy(args) -> int:
+def _int_list(text: str, flag: str) -> list:
     try:
-        t_list = [int(x) for x in args.t_list.split(",")]
-        k_list = [int(x) for x in args.k_list.split(",")]
-        d_list = [int(x) for x in args.d_list.split(",")]
-        de_rules = args.dE_rules.split(",")
-        if min(t_list) < 1 or min(k_list) < 1 or min(d_list) < 2:
-            raise ValueError("need t >= 1, k >= 1, d >= 2")
-        for rule in de_rules:
-            from .localized import _resolve_dE
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(f"invalid grid: {flag} {text!r} is not a list of integers") from None
 
-            _resolve_dE(rule, 2)
-    except ValueError as exc:
-        print(f"error: invalid grid: {exc}", file=sys.stderr)
-        return 2
+
+def cmd_hierarchy(args) -> int:
+    # hierarchy_scan checks the values of the whole grid before any work.
+    t_list = _int_list(args.t_list, "--t-list")
+    k_list = _int_list(args.k_list, "--k-list")
+    d_list = _int_list(args.d_list, "--d-list")
+    de_rules = args.dE_rules.split(",")
     config = {
         "command": "hierarchy",
         "t_list": t_list,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import symmgroup as sg
 from .exactalg import from_integer, to_integer
-from .specs import LOCALIZED, PERMUTATION, BasisTag, EnsembleSpec, TransferMatrix
+from .specs import LOCALIZED, PERMUTATION, EnsembleSpec, TransferMatrix
 from .weingarten import inverse_powers
 
 
@@ -92,7 +92,7 @@ def to_localized(tm: TransferMatrix) -> TransferMatrix:
     matrix over a d^(2t-2), summed over the order instead of multiplied by
     the 0/1 matrix zeta (at t = 6 under 6% of zeta is nonzero).
     """
-    if tm.basis.kind != PERMUTATION:
+    if tm.basis != PERMUTATION:
         raise ValueError("input transfer matrix is not in the permutation basis")
     t, d = tm.t, tm.d
     size = sg.product_table(t).size
@@ -109,7 +109,7 @@ def to_localized(tm: TransferMatrix) -> TransferMatrix:
         mid = tm.matrix * chi[:, None] * chi[None, :]
         zeta = _subperm_table(t).astype(float)
         out = zeta.T.dot(mid).dot(zeta)
-    return replace(tm, matrix=out, basis=BasisTag(LOCALIZED, t, d))
+    return replace(tm, matrix=out, basis=LOCALIZED)
 
 
 def support_pattern(t: int):
@@ -137,17 +137,23 @@ class ExponentReport:
 
 
 def _resolve_dE(rule, d: int) -> int:
+    """Environment dimension of a rule at system dimension d: an integer,
+    "d", "d2" (d^2), or None (1).  Rejects a rule that gives dE < 1."""
     if isinstance(rule, int):
-        return rule
-    if rule is None:
-        return 1
-    if rule == "d":
-        return d
-    if rule == "d2":
-        return d * d
-    if isinstance(rule, str) and rule.isdigit():
-        return int(rule)
-    raise ValueError(f"unknown environment-dimension rule {rule!r}")
+        dE = rule
+    elif rule is None:
+        dE = 1
+    elif rule == "d":
+        dE = d
+    elif rule == "d2":
+        dE = d * d
+    elif isinstance(rule, str) and rule.isdigit():
+        dE = int(rule)
+    else:
+        raise ValueError(f"unknown environment-dimension rule {rule!r}")
+    if dE < 1:
+        raise ValueError(f"environment-dimension rule {rule!r} gives dE = {dE}, need dE >= 1")
+    return dE
 
 
 def scaling_exponents(

@@ -23,7 +23,7 @@ the k-th power of the single one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial, sqrt
 
@@ -39,7 +39,6 @@ from .specs import (
     HAAR,
     LOCALIZED,
     PERMUTATION,
-    BasisTag,
     EnsembleSpec,
     TransferMatrix,
     chaar,
@@ -75,21 +74,26 @@ def _zero_matrix(n: int, exact: bool) -> np.ndarray:
 
 
 def transfer(spec: EnsembleSpec, basis: str = PERMUTATION, exact: bool = True) -> TransferMatrix:
-    """Single-application (k=1) transfer matrix of a reference ensemble."""
+    """Transfer matrix of a reference ensemble, concatenated ``spec.k`` times.
+
+    The rank-one reference is e_0 e_0^T; Haar and the dilated ensemble are
+    the dilation with environment dimension ``spec.environment_dim``
+    (1 for Haar).  The localized matrix is transported from the
+    permutation one.
+    """
+    if basis not in (PERMUTATION, LOCALIZED):
+        raise ValueError(f"unknown basis {basis!r}")
     t, d = spec.t, spec.d
     if spec.kind == DEPOLARIZE:
-        n = len(sg.symmetric_group(t))
-        m = _zero_matrix(n, exact)
+        m = _zero_matrix(len(sg.symmetric_group(t)), exact)
         m[0, 0] = Fraction(1) if exact else 1.0
-        return TransferMatrix(m, BasisTag(basis, t, d), spec, k=1, exact=exact)
-    if spec.kind == HAAR:
-        tm = wg.haar_transfer_perm(t, d, exact=exact)
-    elif spec.kind == CHAAR:
-        tm = wg.chaar_transfer_perm(t, d, spec.dE, exact=exact)
     else:
-        raise ValueError(f"no transfer matrix for ensemble kind {spec.kind!r}")
+        m = wg.chaar_transfer_perm(t, d, spec.environment_dim, exact=exact)
+    tm = TransferMatrix(m, PERMUTATION, replace(spec, k=1), exact)
     if basis == LOCALIZED:
         tm = loc.to_localized(tm)
+    if spec.k > 1:
+        tm = concatenate(tm, gram(t, d, basis=basis, exact=exact), spec.k)
     return tm
 
 
@@ -103,7 +107,7 @@ def gram(t: int, d: int, basis: str = PERMUTATION, exact: bool = True) -> np.nda
 
 
 def gram_for(tm: TransferMatrix) -> np.ndarray:
-    return gram(tm.t, tm.d, basis=tm.basis.kind, exact=tm.exact)
+    return gram(tm.t, tm.d, basis=tm.basis, exact=tm.exact)
 
 
 def _parts(tm: TransferMatrix, gram_matrix: np.ndarray) -> tuple:
@@ -131,7 +135,7 @@ def concatenate(tm: TransferMatrix, gram_matrix: np.ndarray, k: int) -> Transfer
             out = out.dot(step)
     if tm.exact:
         out = from_integer(out, da * (da * db) ** (k - 1))
-    return tm.with_matrix(out, k=tm.k * k)
+    return replace(tm, matrix=out, ensemble=replace(tm.ensemble, k=tm.k * k))
 
 
 def exact_t2_chaar(k: int, d: int, dE: int) -> TransferMatrix:
@@ -148,13 +152,7 @@ def exact_t2_chaar(k: int, d: int, dE: int) -> TransferMatrix:
     off = Fraction(dE - 1, den) * sum((r**s for s in range(k)), Fraction(0))
     diag = Fraction(1, d * d - 1) * r**k
     m = np.array([[Fraction(1), Fraction(0)], [off, diag]], dtype=object)
-    return TransferMatrix(
-        m,
-        BasisTag(LOCALIZED, 2, d),
-        chaar(d, dE, 2, k=k),
-        k=k,
-        exact=True,
-    )
+    return TransferMatrix(m, LOCALIZED, chaar(d, dE, 2, k=k))
 
 
 def norm_squared(tm: TransferMatrix, gram_matrix: np.ndarray):
@@ -234,7 +232,7 @@ def spectrum(spec: EnsembleSpec) -> SpectralReport:
     Since (tau X)^k = tau_k X, the k-fold eigenvalues are the k-th powers
     of those of tau X, with the same eigenvectors.
     """
-    tm = transfer(spec, basis=PERMUTATION, exact=False)
+    tm = transfer(replace(spec, k=1), basis=PERMUTATION, exact=False)
     x = gram(spec.t, spec.d, basis=PERMUTATION, exact=False)
     modified = tm.matrix @ x
     e_ind = np.zeros(len(x))
@@ -282,10 +280,7 @@ def leading_overlap(spec: EnsembleSpec) -> Fraction:
 def design_distance_depolarize(spec: EnsembleSpec) -> float:
     """HS distance to the rank-one trace-preserving reference: sqrt(norm^2 - 1)."""
     tm = transfer(spec, basis=PERMUTATION, exact=False)
-    x = gram(spec.t, spec.d, basis=PERMUTATION, exact=False)
-    if spec.k > 1:
-        tm = concatenate(tm, x, spec.k)
-    n2 = float(norm_squared(tm, x))
+    n2 = float(norm_squared(tm, gram_for(tm)))
     radicand = n2 - 1.0
     if radicand < -1e-9:
         raise ArithmeticError(f"norm^2 = {n2} below 1: inconsistent norm computation")
@@ -322,18 +317,23 @@ def hierarchy_scan(
 
     Checks recorded as violations rather than raised: norm^2 outside
     [1, t!], growth in environment dimension at fixed (t, k, d), and growth
-    in concatenation count at fixed (t, d, dE).
+    in concatenation count at fixed (t, d, dE).  The whole grid is checked
+    before any matrix is built; points with d * dE < t are left out.
     """
-    points = []
-    for t in t_list:
-        for k in k_list:
-            for d in d_list:
-                des = sorted({loc._resolve_dE(rule, d) for rule in dE_rules})
-                for dE in des:
-                    if d * dE >= t:
-                        points.append((t, k, d, dE))
+    for name, grid, low in (("t", t_list, 1), ("k", k_list, 1), ("d", d_list, 2)):
+        for v in grid:
+            if v < low:
+                raise ValueError(f"invalid grid: need {name} >= {low}, got {name} = {v}")
+    try:
+        des = {d: sorted({loc._resolve_dE(rule, d) for rule in dE_rules}) for d in d_list}
+    except ValueError as exc:
+        raise ValueError(f"invalid grid: {exc}") from None
+    points = [
+        (t, k, d, dE)
+        for t in t_list for k in k_list for d in d_list for dE in des[d] if d * dE >= t
+    ]
 
-    # One transfer and Gram matrix per (t, d, dE), shared by every k.
+    # One k = 1 transfer and Gram matrix per (t, d, dE), concatenated per k.
     ks_by_pair: dict = {}
     for t, k, d, dE in points:
         ks_by_pair.setdefault((t, d, dE), []).append(k)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -15,17 +15,6 @@ LOCALIZED = "localized"
 HAAR = "haar"
 CHAAR = "chaar"
 DEPOLARIZE = "depolarize"
-
-
-@dataclass(frozen=True)
-class BasisTag:
-    kind: str  # PERMUTATION or LOCALIZED
-    t: int
-    d: int
-
-    def __post_init__(self):
-        if self.kind not in (PERMUTATION, LOCALIZED):
-            raise ValueError(f"unknown basis kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -77,29 +66,34 @@ def depolarize(d: int, t: int, k: int = 1) -> EnsembleSpec:
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    """t! x t! coefficient matrix of a moment operator in a tagged basis.
+    """t! x t! coefficient matrix of an ensemble's moment operator in a basis.
 
     ``matrix`` is a numpy array, either dtype=object with Fractions (exact
     path) or float64.  Rows and columns are indexed by the canonical order
-    of ``symmgroup.symmetric_group(t)``.
+    of ``symmgroup.symmetric_group(t)``.  ``basis`` is PERMUTATION or
+    LOCALIZED; t, d and the concatenation count k are those of ``ensemble``.
     """
 
     matrix: np.ndarray
-    basis: BasisTag
+    basis: str
     ensemble: EnsembleSpec
-    k: int = 1
     exact: bool = True
+
+    def __post_init__(self):
+        if self.basis not in (PERMUTATION, LOCALIZED):
+            raise ValueError(f"unknown basis {self.basis!r}")
 
     @property
     def t(self) -> int:
-        return self.basis.t
+        return self.ensemble.t
 
     @property
     def d(self) -> int:
-        return self.basis.d
+        return self.ensemble.d
 
-    def with_matrix(self, matrix: np.ndarray, k: Optional[int] = None) -> "TransferMatrix":
-        return replace(self, matrix=matrix, k=self.k if k is None else k)
+    @property
+    def k(self) -> int:
+        return self.ensemble.k
 
 
 HEA = "hea"

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import symmgroup as sg
 from .exactalg import SingularMatrixError, solve_exact
-from .specs import PERMUTATION, BasisTag, TransferMatrix, chaar as chaar_spec, haar as haar_spec
 
 
 class SingularGramError(ValueError):
@@ -101,26 +100,12 @@ def character_sum(t: int, d: int) -> Fraction:
     )
 
 
-def haar_transfer_perm(t: int, d: int, exact: bool = True) -> TransferMatrix:
-    """Unitary-invariant moment operator coefficients: the Weingarten matrix."""
-    return TransferMatrix(
-        matrix=weingarten_matrix(t, d, exact=exact),
-        basis=BasisTag(PERMUTATION, t, d),
-        ensemble=haar_spec(d, t),
-        k=1,
-        exact=exact,
-    )
-
-
-def chaar_transfer_perm(t: int, d: int, dE: int, exact: bool = True) -> TransferMatrix:
-    """Stinespring-dilated ensemble coefficients: dE^(-size) times the
-    Weingarten matrix of the composite dimension d*dE."""
+def chaar_transfer_perm(t: int, d: int, dE: int, exact: bool = True) -> np.ndarray:
+    """Permutation-basis coefficients of the Stinespring-dilated ensemble:
+    dE^(-size) times the Weingarten matrix of the composite dimension d*dE.
+    dE = 1 is the Haar ensemble, whose coefficients are the Weingarten matrix."""
     big = weingarten_matrix(t, d * dE, exact=exact)
+    if dE == 1:
+        return big  # the scale is all ones; a Fraction product costs t!^2 calls
     scale = inverse_powers(dE, t, exact)[sg.product_table(t).size]
-    return TransferMatrix(
-        matrix=scale[:, None] * big,
-        basis=BasisTag(PERMUTATION, t, d),
-        ensemble=chaar_spec(d, dE, t),
-        k=1,
-        exact=exact,
-    )
+    return scale[:, None] * big

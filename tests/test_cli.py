@@ -264,6 +264,29 @@ def test_bad_input_is_one_error_line(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "flag, value, named",
+    [
+        ("--dE-rules", "0", "dE = 0"),
+        ("--dE-rules", "1,foo", "'foo'"),
+        ("--t-list", "x", "'x'"),
+        ("--t-list", "2,0", "t = 0"),
+        ("--k-list", "0", "k = 0"),
+        ("--d-list", "1", "d = 1"),
+    ],
+)
+def test_hierarchy_bad_grid_is_one_error_line(capsys, flag, value, named):
+    argv = {"--t-list": "2", "--k-list": "1", "--d-list": "2", "--dE-rules": "1"}
+    argv[flag] = value
+    code = main(["hierarchy", *(x for item in argv.items() for x in item)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: invalid grid: ")
+    assert named in lines[0]
+
+
 def test_bad_max_order_env_is_one_error_line(capsys, monkeypatch):
     monkeypatch.setenv("CHANNEL_MOMENTS_MAX_T", "x")
     code = main(["transfer", "--ensemble", "haar", "--t", "2", "--d", "2"])

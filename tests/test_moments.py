@@ -258,6 +258,52 @@ def test_hierarchy_scan_exact_path_agrees():
         assert abs(a.norm2 - b.norm2) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "grid, bad",
+    [
+        (([2, 0], [1], [2], ("1",)), "t = 0"),
+        (([2], [1, 0], [2], ("1",)), "k = 0"),
+        (([2], [1], [2, 1], ("1",)), "d = 1"),
+        (([2], [1], [2], ("1", "0")), "dE = 0"),
+        (([2], [1], [2], ("1", "foo")), "'foo'"),
+    ],
+)
+def test_hierarchy_scan_checks_grid_before_any_matrix(grid, bad, monkeypatch):
+    calls = []
+    monkeypatch.setattr(mo, "transfer", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match="invalid grid") as err:
+        mo.hierarchy_scan(*grid)
+    assert bad in str(err.value)
+    assert calls == []
+
+
+REFERENCE_SPECS = [
+    spec for t in (1, 2, 3) for spec in (haar(max(t, 2), t), chaar(2, 2, t), depolarize(2, t))
+]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("basis", ["permutation", "localized"])
+@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: f"{s.label()}-t{s.t}")
+def test_transfer_returns_the_k_fold_operator_of_its_spec(spec, basis, k):
+    spec = replace(spec, k=k)
+    tm = mo.transfer(spec, basis=basis)
+    assert tm.ensemble == spec
+    assert (tm.t, tm.d, tm.k) == (spec.t, spec.d, k)
+    single = mo.transfer(replace(spec, k=1), basis=basis)
+    want = mo.concatenate(single, mo.gram(spec.t, spec.d, basis=basis), k)
+    assert same_fractions(tm.matrix, want.matrix)
+
+
+@pytest.mark.parametrize("spec", [haar(2, 2), chaar(2, 2, 2), depolarize(2, 2)],
+                         ids=lambda s: s.kind)
+def test_transfer_rejects_unknown_basis(spec):
+    with pytest.raises(ValueError, match="unknown basis 'bogus'"):
+        mo.transfer(spec, basis="bogus")
+    with pytest.raises(ValueError, match="unknown basis 'bogus'"):
+        mo.TransferMatrix(mo.transfer(spec).matrix, "bogus", spec)
+
+
 @pytest.mark.parametrize("t", [1, 2, 3])
 def test_invariance_checks(t):
     d = max(2, t)  # the unitary-ensemble transfer needs d >= t

@@ -268,6 +268,23 @@ def test_pair_states_invariants(n, state, placement):
     assert steps == spec.layers * len(tw.generators(spec))
 
 
+@pytest.mark.parametrize("placement", [NOISE_ON_GATE_SUPPORT, NOISE_ON_REGISTER])
+@pytest.mark.parametrize(
+    "noise, gamma",
+    [(ch.LOCAL_DEPOLARIZING, 0.75), (ch.DEPHASING, 0.5), (ch.BIT_FLIP, 0.5)],
+)
+@pytest.mark.parametrize("n", [2, 3])
+def test_pair_states_drop_zeros_of_a_singular_noise_diagonal(n, noise, gamma, placement):
+    # Each of these noises has a zero on its Pauli-transfer diagonal.
+    spec = CircuitSpec(n=n, ansatz=HEA, layers=3, noise=noise, gamma=gamma,
+                       initial_state=PLUS_STATE, noise_placement=placement)
+    for _, vals in tw._pair_states(spec):
+        assert np.all(vals != 0)
+    want = np.array(evolve_pairs_dense(spec))
+    got = np.array(tw.evolve(spec))
+    assert np.max(np.abs(got - want) / want) < 1e-12
+
+
 def test_evolve_n7_local_depolarizing_between_references():
     refs = tw.reference_purities(7, dE=4**7)
     traj = tw.evolve(
@@ -404,6 +421,34 @@ def test_variance_reference_chaar_matches_mc():
     est = tw.mc_expectation_moments(
         EnsembleSpec(CHAAR, d=2, t=2, dE=4), rho, ch.PAULI_Z, 4000, seed=5
     )
+    assert abs(est.variance - want) < 3 * est.variance_stderr
+
+
+def _random_state_and_observable(d, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real, random_hermitian(rng, d)
+
+
+def test_variance_reference_haar_is_the_two_design_form():
+    d = 3
+    rho, obs = _random_state_and_observable(d, 11)
+    tr_rho, tr_rho2 = np.trace(rho).real, np.trace(rho @ rho).real
+    tr_o, tr_o2 = np.trace(obs).real, np.trace(obs @ obs).real
+    want = (
+        tr_rho**2 * tr_o**2 + tr_rho2 * tr_o2 - (tr_rho**2 * tr_o2 + tr_rho2 * tr_o**2) / d
+    ) / (d * d - 1)
+    got = tw.variance_reference(rho, obs, HAAR)
+    assert abs(got - want) <= 1e-12 * abs(want)
+    assert got == tw.variance_reference(rho, obs, CHAAR, dE=1)
+
+
+def test_variance_reference_haar_matches_mc():
+    rho, obs = _random_state_and_observable(3, 11)
+    obs -= np.trace(obs).real / 3 * np.eye(3)  # traceless: the mean vanishes
+    want = tw.variance_reference(rho, obs, HAAR)
+    est = tw.mc_expectation_moments(EnsembleSpec(HAAR, d=3, t=2), rho, obs, 4000, seed=5)
     assert abs(est.variance - want) < 3 * est.variance_stderr
 
 

@@ -96,18 +96,18 @@ def test_weingarten_sign_is_mobius_sign_at_large_d(t):
 
 def test_haar_transfer_projector_identity():
     # tau (X tau) = tau exactly, with X the normalized Gram
-    tm = wg.haar_transfer_perm(3, 4)
+    w = wg.weingarten_matrix(3, 4)
     x = wg.gram_matrix(3, 4)
-    prod = tm.matrix.dot(x).dot(tm.matrix)
-    assert mat_eq(prod, tm.matrix)
+    prod = w.dot(x).dot(w)
+    assert mat_eq(prod, w)
 
 
 def test_chaar_transfer_limits():
     for t, d in ((1, 2), (2, 3), (3, 4)):
         assert mat_eq(
-            wg.chaar_transfer_perm(t, d, 1).matrix, wg.haar_transfer_perm(t, d).matrix
+            wg.chaar_transfer_perm(t, d, 1), wg.weingarten_matrix(t, d)
         )
-    assert wg.chaar_transfer_perm(1, 5, 7).matrix.tolist() == [[1]]
+    assert wg.chaar_transfer_perm(1, 5, 7).tolist() == [[1]]
 
 
 def test_chaar_transfer_trace_preserving_row():
@@ -116,7 +116,7 @@ def test_chaar_transfer_trace_preserving_row():
     t, d, dE = 2, 2, 4
     tm = wg.chaar_transfer_perm(t, d, dE)
     g = wg.gram_matrix(t, d)
-    vec = g[0, :].dot(tm.matrix)
+    vec = g[0, :].dot(tm)
     assert vec[0] == 1 and all(v == 0 for v in vec[1:])
 
 
