@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -205,8 +206,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_mc(args) -> int:
     spec, config = _spec_and_config(args, samples=args.samples, seed=args.seed)
-    # The exact value first: it rejects d < t before any sampling.
-    tm = mo.transfer(spec, exact=False)
+    # The exact value first: it rejects d < t before any sampling.  The
+    # sampler draws single channels, so only the k = 1 matrix is built.
+    tm = mo.transfer(replace(spec, k=1), exact=False)
     norm2 = float(mo.norm_squared(tm, mo.gram_for(tm)))
     est = mo.frame_potential_mc(spec, args.samples, seed=args.seed)
     rows = [

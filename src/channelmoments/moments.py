@@ -78,20 +78,22 @@ def transfer(spec: EnsembleSpec, basis: str = PERMUTATION, exact: bool = True) -
 
     The rank-one reference is e_0 e_0^T; Haar and the dilated ensemble are
     the dilation with environment dimension ``spec.environment_dim``
-    (1 for Haar).  The localized matrix is transported from the
+    (1 for Haar); their localized matrix is transported from the
     permutation one.
     """
     if basis not in (PERMUTATION, LOCALIZED):
         raise ValueError(f"unknown basis {basis!r}")
     t, d = spec.t, spec.d
     if spec.kind == DEPOLARIZE:
+        # e_0 e_0^T in either basis (zeta[0, j] = delta_j0), so no transport.
         m = _zero_matrix(len(sg.symmetric_group(t)), exact)
         m[0, 0] = Fraction(1) if exact else 1.0
+        tm = TransferMatrix(m, basis, replace(spec, k=1), exact)
     else:
         m = wg.chaar_transfer_perm(t, d, spec.environment_dim, exact=exact)
-    tm = TransferMatrix(m, PERMUTATION, replace(spec, k=1), exact)
-    if basis == LOCALIZED:
-        tm = loc.to_localized(tm)
+        tm = TransferMatrix(m, PERMUTATION, replace(spec, k=1), exact)
+        if basis == LOCALIZED:
+            tm = loc.to_localized(tm)
     if spec.k > 1:
         tm = concatenate(tm, gram(t, d, basis=basis, exact=exact), spec.k)
     return tm

@@ -246,9 +246,6 @@ def _pair_states(spec: CircuitSpec):
     # coefficient to the Z digit's (its one nonzero entry, amplitude damping only).
     diag = np.diag(r)
     lift = r[3, 0] / r[0, 0]
-    # A zero on the diagonal (e.g. bit flip or dephasing at gamma = 1/2) makes
-    # exact zeros, which are dropped so that later gates do not carry them.
-    kills = not diag.all()
     gates = []
     for _, labels in generators(spec):
         targets = noise_qubits(spec, tuple(sorted(labels)))
@@ -265,9 +262,10 @@ def _pair_states(spec: CircuitSpec):
         for table, factor, shifts in gates:
             keys, vals = _twirl_sparse(keys, vals, table, n)
             vals *= factor[keys >> 2 * n] * factor[keys & (4**n - 1)]
-            if kills:
-                live = vals != 0
-                keys, vals = keys[live], vals[live]
+            # A zero of D (e.g. dephasing at gamma = 1/2) makes exact zeros;
+            # dropping them keeps later gates from carrying them.
+            live = vals != 0
+            keys, vals = keys[live], vals[live]
             for shift in shifts:
                 src = (keys >> shift) & 3 == 0
                 keys, vals = _merge(

@@ -264,6 +264,19 @@ def test_bad_input_is_one_error_line(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+def test_mc_k_fold_fails_without_concatenating(capsys, monkeypatch):
+    from channelmoments import moments as mo
+
+    def concatenate(*args, **kwargs):
+        raise AssertionError("concatenate called")
+
+    monkeypatch.setattr(mo, "concatenate", concatenate)
+    code = main(["mc", "--ensemble", "chaar", "--t", "3", "--d", "2", "--dE", "2", "--k", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: the sampler draws single channels; k = 3 is not supported\n"
+
+
 @pytest.mark.parametrize(
     "flag, value, named",
     [

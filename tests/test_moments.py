@@ -5,6 +5,7 @@ from math import comb, factorial, sqrt
 import numpy as np
 import pytest
 
+from channelmoments import localized as loc
 from channelmoments import moments as mo
 from channelmoments import symmgroup as sg
 from channelmoments.exactalg import mat_eq
@@ -302,6 +303,15 @@ def test_transfer_rejects_unknown_basis(spec):
         mo.transfer(spec, basis="bogus")
     with pytest.raises(ValueError, match="unknown basis 'bogus'"):
         mo.TransferMatrix(mo.transfer(spec).matrix, "bogus", spec)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: f"{s.label()}-t{s.t}")
+def test_localized_transfer_is_the_transported_permutation_matrix(spec, exact):
+    tm = mo.transfer(spec, basis=LOCALIZED, exact=exact)
+    want = loc.to_localized(mo.transfer(spec, exact=exact))
+    assert (tm.basis, tm.ensemble, tm.exact) == (want.basis, want.ensemble, want.exact)
+    assert (tm.matrix == want.matrix).all()
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])
