@@ -2,16 +2,22 @@
 
 Every output embeds the resolved configuration and package version as
 comment-prefixed header lines (CSV) or top-level fields (JSON), so a run is
-reproducible from its own output.  Exact rationals serialize as "p/q".
+reproducible from its own output.  The configuration carries the run's
+provenance: Python and numpy versions, and the git commit when the package
+runs from a checkout.  Exact rationals serialize as "p/q".
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import platform
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -43,7 +49,37 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def git_sha(git_dir: Path):
+    """Commit of ``HEAD`` in ``git_dir`` (loose or packed ref, or detached),
+    read from the files without running git; None when there is none."""
+    try:
+        head = (git_dir / "HEAD").read_text().strip()
+        if not head.startswith("ref: "):
+            return head
+        ref = head.removeprefix("ref: ")
+        if (git_dir / ref).is_file():
+            return (git_dir / ref).read_text().strip()
+        for line in (git_dir / "packed-refs").read_text().splitlines():
+            if line.endswith(" " + ref):
+                return line.split()[0]
+    except OSError:
+        pass
+    return None
+
+
+@lru_cache(maxsize=None)
+def provenance() -> dict:
+    """Python and numpy versions, and the git commit of the checkout the
+    package runs from, if any; read once per process."""
+    out = {"python": platform.python_version(), "numpy": np.__version__}
+    sha = git_sha(Path(__file__).resolve().parents[2] / ".git")
+    if sha:
+        out["git_sha"] = sha
+    return out
+
+
 def _emit(args, config: dict, columns: list, rows: list):
+    config = {**config, "provenance": provenance()}
     lines = []
     if args.format == "json":
         payload = {
@@ -158,7 +194,6 @@ def cmd_spectrum(args) -> int:
 
 def cmd_simulate(args) -> int:
     import logging
-    import time
 
     ansatze = args.ansatz.split(",")
     noises = args.noise.split(",") if args.noise else []
@@ -350,10 +385,13 @@ def cmd_verify(args) -> int:
     }
     rows = []
     failed = 0
+    seconds = config["suite_seconds"] = {}
     for name in names:
+        start = time.perf_counter()
         for check, ok, detail in SUITES[name](args.seed, args.samples):
             rows.append([name, check, "PASS" if ok else "FAIL", detail])
             failed += 0 if ok else 1
+        seconds[name] = time.perf_counter() - start
     _emit(args, config, ["suite", "check", "status", "detail"], rows)
     return 1 if failed else 0
 

@@ -14,11 +14,18 @@ between the permutation and localized bases unchanged.  On the exact path
 every product is taken on integer matrices over one common denominator
 (``exactalg.to_integer``); results are reduced to Fractions only at the end.
 
+In the permutation basis the Haar and dilated ensembles have tau = D W with
+D = diag(dE^(-size)), and W (Weingarten) and X are convolutions by class
+functions: each is fixed by its row 0, and so are C = W X and Q = W X W.
+``spectrum`` and ``hierarchy_scan`` work from these rows and never build a
+transfer matrix.  tau X = D C, and the k-fold norm and trace are
+Tr[Y_k Q Y_k X] and Tr[Y_k C] with Y_k = D (C D)^(k-1): no t! x t! product
+at k = 1, and k of them at k >= 2 (``_dilated_values``).
+
 The spectrum is real.  For the Haar and dilated ensembles tau X is
-similar to the symmetric matrix D^(-1/2) (tau X) D^(1/2) with
-D = diag(dE^(-size)), so one symmetric eigensolve gives it; the rank-one
-reference has eigenvalues 1 and 0 in closed form.  The k-fold spectrum is
-the k-th power of the single one.
+similar to the symmetric matrix D^(-1/2) (tau X) D^(1/2), so one symmetric
+eigensolve gives it; the rank-one reference has eigenvalues 1 and 0 in
+closed form.  The k-fold spectrum is the k-th power of the single one.
 """
 
 from __future__ import annotations
@@ -112,12 +119,72 @@ def gram_for(tm: TransferMatrix) -> np.ndarray:
     return gram(tm.t, tm.d, basis=tm.basis, exact=tm.exact)
 
 
+def _split(a: np.ndarray, exact: bool) -> tuple:
+    """(numerators, denominator): on the exact path an integer array over
+    one common denominator, else the float array over 1."""
+    return to_integer(a) if exact else (a, 1)
+
+
 def _parts(tm: TransferMatrix, gram_matrix: np.ndarray) -> tuple:
-    """(tau, X) as (numerator matrix, denominator) pairs: on the exact path
-    integer matrices over one common denominator each, else floats over 1."""
-    if tm.exact:
-        return to_integer(tm.matrix), to_integer(gram_matrix)
-    return (tm.matrix, 1), (gram_matrix, 1)
+    """(tau, X) as (numerator matrix, denominator) pairs."""
+    return _split(tm.matrix, tm.exact), _split(gram_matrix, tm.exact)
+
+
+def _class_rows(spec: EnsembleSpec, exact: bool) -> tuple:
+    """(f, x, w) over S_t with tau = diag(f) w[prod] and X = x[prod].
+
+    ``prod`` is ``symmgroup.product_table(t).prod``, so x = d^(-size) is
+    row 0 of X and w row 0 of W.  The dilated ensemble has f = dE^(-size)
+    and the Weingarten function of dimension d dE for w; the rank-one
+    reference is their large-dE limit, f = w = the identity indicator.
+    """
+    tab = sg.product_table(spec.t)
+    x = wg.inverse_powers(spec.d, spec.t, exact)[tab.size]
+    if spec.kind == DEPOLARIZE:
+        f = w = leading_right_vector(spec, exact)
+    else:
+        f = wg.inverse_powers(spec.environment_dim, spec.t, exact)[tab.size]
+        w = wg.weingarten_values(spec.t, spec.d * spec.environment_dim, exact)[tab.cls]
+    return f, x, w
+
+
+def _dilated_values(t: int, d: int, dE: int, ks, exact: bool) -> dict:
+    """{k: (norm^2, trace)} of the k-fold ``chaar(d, dE, t)``, k in ``ks``.
+
+    W and X are convolutions by class functions, so C = W X = c[prod] and
+    Q = W X W = W C = q[prod] with c = w X and q = w C, each one O(t!^2)
+    mat-vec.  tau_k X = (D C)^k = Y_k C with the symmetric
+    Y_k = D (C D)^(k-1), so norm^2 = Tr[Y_k Q Y_k X] and trace = Tr[Y_k C].
+    At k = 1 both are sums over S_t: norm^2 = sum_g q(g) x(g) (f*f)(g)
+    with f*f = f F, F = f[prod], and trace = c(e) sum f.  Y_2 = D C D is a
+    scaling, and each later Y_k one t! x t! product; each norm at k >= 2
+    takes two.  Intermediates are (numerators, denominator) pairs, as in
+    ``_parts``, so the exact values are Fractions.
+    """
+    prod = sg.product_table(t).prod
+    (f, df), (x, dx), (w, dw) = (_split(v, exact) for v in _class_rows(chaar(d, dE, t), exact))
+    xm = x[prod]
+    c, dc = w.dot(xm), dw * dx
+    cm = c[prod]
+    q, dq = w.dot(cm), dw * dc
+
+    def value(total, denom):
+        return Fraction(total, denom) if exact else total / denom
+
+    out = {}
+    if 1 in ks:
+        out[1] = (value((q * x * f.dot(f[prod])).sum(), dq * dx * df * df),
+                  value(c[0] * f.sum(), dc * df))
+    for k in range(2, max(ks) + 1):
+        if k == 2:
+            y, dy = f[:, None] * cm * f, df * dc * df
+        else:
+            y, dy = y.dot(cm), dy * dc * df
+            y *= f
+        if k in ks:
+            out[k] = (value(np.vdot(y.dot(q[prod]), xm.dot(y)), dy * dq * dy * dx),
+                      value(np.vdot(y, cm), dy * dc))
+    return out
 
 
 def trace_of_product(p: np.ndarray, q: np.ndarray):
@@ -203,54 +270,63 @@ def leading_right_vector(spec: EnsembleSpec, exact: bool = False) -> np.ndarray:
     return wg.inverse_powers(spec.d * spec.environment_dim, spec.t, exact)[size]
 
 
-def _right_eigenpairs(spec: EnsembleSpec, modified: np.ndarray) -> tuple:
-    """Real eigenvalues and column-normalized right eigenvectors of tau X.
+def _right_eigenpairs(spec: EnsembleSpec, f: np.ndarray, c: np.ndarray) -> tuple:
+    """Real eigenvalues and column-normalized right eigenvectors of
+    tau X = D C, with D = diag(f) and C = c[prod] (see ``_class_rows``).
 
-    The dilated ensemble has tau = D W with D = diag(dE^(-size)).  W and X
-    are symmetric right multiplications by central elements, so they
-    commute, W X is symmetric, and so is
-    D^(-1/2) (tau X) D^(1/2) = D^(1/2) (W X) D^(1/2); its eigenvectors u
-    give the right eigenvectors D^(1/2) u.  Haar is dE = 1.
-    The rank-one reference tau X = e_0 x_0^T, with x_0[0] = 1, has
+    The dilated ensemble has f = dE^(-size).  W and X are symmetric right
+    multiplications by central elements, so they commute, C = W X is
+    symmetric, and so is D^(-1/2) (tau X) D^(1/2) = D^(1/2) C D^(1/2); its
+    eigenvectors u give the right eigenvectors D^(1/2) u.  Haar is dE = 1.
+    The rank-one reference tau X = e_0 x_0^T, with x_0 = c, has
     eigenvalue 1 on e_0 and 0 on e_j - x_0[j] e_0.
     """
-    n = len(modified)
+    n = len(f)
     if spec.kind == DEPOLARIZE:
         evals = np.zeros(n)
         evals[0] = 1.0
         evecs = np.eye(n)
-        evecs[0, 1:] = -modified[0, 1:]
+        evecs[0, 1:] = -c[1:]
     else:
-        size = sg.product_table(spec.t).size
-        half = np.sqrt(wg.inverse_powers(spec.environment_dim, spec.t, exact=False))[size]
-        evals, u = np.linalg.eigh(modified / half[:, None] * half)
-        evecs = u * half[:, None]
-    return evals, evecs / np.linalg.norm(evecs, axis=0)
+        half = np.sqrt(f)
+        sym = c[sg.product_table(spec.t).prod]
+        sym *= half[:, None]
+        sym *= half
+        evals, evecs = np.linalg.eigh(sym)
+        evecs *= half[:, None]
+    evecs /= np.linalg.norm(evecs, axis=0)
+    return evals, evecs
 
 
 def spectrum(spec: EnsembleSpec) -> SpectralReport:
     """Eigenvalues and leading eigenpair of the k-concatenated ensemble.
 
     Since (tau X)^k = tau_k X, the k-fold eigenvalues are the k-th powers
-    of those of tau X, with the same eigenvectors.
+    of those of tau X, with the same eigenvectors.  tau X = D C comes
+    from the class rows of ``_class_rows`` (see ``_dilated_values``),
+    without a t! x t! product.
     """
-    tm = transfer(replace(spec, k=1), basis=PERMUTATION, exact=False)
-    x = gram(spec.t, spec.d, basis=PERMUTATION, exact=False)
-    modified = tm.matrix @ x
+    f, x, w = _class_rows(spec, exact=False)
+    prod = sg.product_table(spec.t).prod
+    xm, wm = x[prod], w[prod]
     e_ind = np.zeros(len(x))
     e_ind[0] = 1.0
-    # Row 0 of the dual k-fold matrix (X tau)^k.
+    # Row 0 of the dual k-fold matrix (X tau)^k, with X tau = X D W.
     row = e_ind
     for _ in range(spec.k):
-        row = row @ x @ tm.matrix
+        row = (row @ xm * f) @ wm
     left_residual = float(np.linalg.norm(row - e_ind, np.inf))
-    del tm, x  # two t! x t! matrices fewer held through the eigensolve
-    evals, evecs = _right_eigenpairs(spec, modified)
+    c = w.dot(xm)
+    del wm, xm  # only the eigensolve's own matrices are held through it
+    evals, evecs = _right_eigenpairs(spec, f, c)
     evals = evals**spec.k
     order = np.argsort(-np.abs(evals))
     evals = evals[order]
     evecs = evecs[:, order]
+    modified = c[prod]
+    modified *= f[:, None]
     power = np.linalg.matrix_power(modified, spec.k)
+    del modified
     pair = power @ evecs
     pair -= evecs * evals
     psi = leading_right_vector(spec)
@@ -264,19 +340,6 @@ def spectrum(spec: EnsembleSpec) -> SpectralReport:
             "leading_left": left_residual,
         },
     )
-
-
-def leading_overlap(spec: EnsembleSpec) -> Fraction:
-    """Exact normalized overlap of the leading eigenvector with the identity.
-
-    Equals binom(d^2 dE + t - 1, t) t! / (d^(2t) dE^t) for the dilated
-    ensemble.
-    """
-    t, d, dE = spec.t, spec.d, spec.dE
-    psi = leading_right_vector(spec, exact=True)
-    g = wg.gram_matrix(t, d)
-    row = g[0, :]
-    return sum((row[i] * psi[i] for i in range(len(psi))), Fraction(0))
 
 
 def design_distance_depolarize(spec: EnsembleSpec) -> float:
@@ -335,18 +398,14 @@ def hierarchy_scan(
         for t in t_list for k in k_list for d in d_list for dE in des[d] if d * dE >= t
     ]
 
-    # One k = 1 transfer and Gram matrix per (t, d, dE), concatenated per k.
+    # All k of one (t, d, dE) from one set of class rows.
     ks_by_pair: dict = {}
     for t, k, d, dE in points:
         ks_by_pair.setdefault((t, d, dE), []).append(k)
     values = {}
     for (t, d, dE), ks in ks_by_pair.items():
-        tm = transfer(chaar(d, dE, t), basis=PERMUTATION, exact=exact)
-        x = gram(t, d, basis=PERMUTATION, exact=exact)
-        for k in ks:
-            tk = concatenate(tm, x, k) if k > 1 else tm
-            values[t, k, d, dE] = float(norm_squared(tk, x)), float(trace(tk, x))
-        del tm, x, tk  # freed before the next pair is built
+        for k, (n2, tr) in _dilated_values(t, d, dE, ks, exact).items():
+            values[t, k, d, dE] = float(n2), float(tr)
 
     # One flag list per point, filled by the bounds check, then by the
     # monotonicity passes in dE at fixed (t, k, d) and in k at fixed (t, d, dE).

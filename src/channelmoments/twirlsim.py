@@ -188,15 +188,6 @@ def twirl_pairs(c: np.ndarray, table: tuple) -> np.ndarray:
     return out
 
 
-def initial_vector(spec: CircuitSpec) -> np.ndarray:
-    """Single-copy input state vector: |0...0> or |+...+>."""
-    if spec.state == ZERO_STATE:
-        psi = np.zeros(spec.d, dtype=complex)
-        psi[0] = 1.0
-        return psi
-    return np.full(spec.d, 1 / sqrt(spec.d), dtype=complex)
-
-
 def noise_qubits(spec: CircuitSpec, qubits: tuple) -> tuple:
     """Qubits that get noise after a gate on ``qubits``: the gate's own, or
     the whole register under register placement; none without noise."""

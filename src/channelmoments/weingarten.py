@@ -78,12 +78,16 @@ def gram_matrix(t: int, d: int, exact: bool = True) -> np.ndarray:
     return inverse_powers(d, t, exact)[tab.size][tab.prod]
 
 
+def weingarten_values(t: int, d: int, exact: bool = True) -> np.ndarray:
+    """``weingarten_function(t, d)`` as a vector over the conjugacy classes,
+    in ``conjugacy_classes`` order: Fractions, or floats."""
+    w = weingarten_function(t, d)
+    return np.array([w[k] for k, _ in sg.conjugacy_classes(t)], dtype=object if exact else float)
+
+
 def weingarten_matrix(t: int, d: int, exact: bool = True) -> np.ndarray:
     """Exact inverse of ``gram_matrix(t, d)``.  Requires d >= t."""
-    w = weingarten_function(t, d)
-    keys = [k for k, _ in sg.conjugacy_classes(t)]
-    vals = np.array([w[k] for k in keys], dtype=object if exact else float)
-    return vals[_pair_class_table(t)]
+    return weingarten_values(t, d, exact)[_pair_class_table(t)]
 
 
 def jucys_murphy_sum(t: int, d: int) -> Fraction:

@@ -1,9 +1,10 @@
 """Reference implementations that only the tests use.
 
 Each one computes by a route independent of (or more literal than) the
-package code it checks: a quadruple-sum norm, two exact matrix inverses,
-a reordered two-copy superoperator, an explicit depolarizing Kraus set, the
-dense gate twirls, the dense two-copy circuit evolution, the evolution over
+package code it checks: a quadruple-sum norm, the leading-eigenvector
+overlap, two exact matrix inverses, a reordered two-copy superoperator, an
+explicit depolarizing Kraus set, the dense gate twirls, the single-copy
+input vector, the dense two-copy circuit evolution, the evolution over
 all 16^n Pauli-pair coefficients, the dense single-generator pair twirl and
 the Monte-Carlo estimators as loops over single draws.
 """
@@ -17,8 +18,9 @@ import numpy as np
 
 from channelmoments import channels as ch
 from channelmoments import twirlsim as tw
+from channelmoments import weingarten as wg
 from channelmoments.exactalg import SingularMatrixError, identity_exact, solve_exact, to_integer
-from channelmoments.moments import MCEstimate
+from channelmoments.moments import MCEstimate, leading_right_vector
 from channelmoments.specs import CHAAR, DEPOLARIZE, HAAR, ZERO_STATE, CircuitSpec
 
 
@@ -35,6 +37,17 @@ def norm_squared_quad(tm, gram_matrix: np.ndarray):
                 for t_ in range(n):
                     total += m[p, s] * m[q, t_] * gram_matrix[p, q] * gram_matrix[s, t_]
     return total
+
+
+def leading_overlap(spec) -> Fraction:
+    """Exact normalized overlap of the leading eigenvector with the identity.
+
+    Equals binom(d^2 dE + t - 1, t) t! / (d^(2t) dE^t) for the dilated
+    ensemble.
+    """
+    psi = leading_right_vector(spec, exact=True)
+    row = wg.gram_matrix(spec.t, spec.d)[0, :]
+    return sum((row[i] * psi[i] for i in range(len(psi))), Fraction(0))
 
 
 def invert_exact(a: np.ndarray) -> np.ndarray:
@@ -159,8 +172,17 @@ def _twirl_state(m: np.ndarray, ga: _GateActions) -> np.ndarray:
     return (3 * (m + sand_both) - (right + left) + cross) / 8
 
 
+def initial_vector(spec: CircuitSpec) -> np.ndarray:
+    """Single-copy input state vector: |0...0> or |+...+>."""
+    if spec.state == ZERO_STATE:
+        psi = np.zeros(spec.d, dtype=complex)
+        psi[0] = 1.0
+        return psi
+    return np.full(spec.d, 1 / sqrt(spec.d), dtype=complex)
+
+
 def initial_two_copy_state(spec) -> np.ndarray:
-    psi = tw.initial_vector(spec)
+    psi = initial_vector(spec)
     v = np.kron(psi, psi)
     return np.outer(v, v.conj())
 

@@ -1,11 +1,15 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 
 import pytest
 
 import channelmoments
+import numpy as np
+
+from channelmoments import cli
 from channelmoments import twirlsim as tw
 from channelmoments.cli import main
 from channelmoments.specs import CircuitSpec
@@ -306,3 +310,56 @@ def test_bad_max_order_env_is_one_error_line(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == "error: CHANNEL_MOMENTS_MAX_T='x' is not an integer\n"
+
+
+def _config(out: str, fmt: str) -> dict:
+    if fmt == "json":
+        return json.loads(out)["config"]
+    return json.loads(out.splitlines()[1].removeprefix("# config "))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_outputs_carry_provenance(capsys, monkeypatch, fmt):
+    sha = "0123456789abcdef0123456789abcdef01234567"
+    monkeypatch.setattr(cli, "provenance", lambda: {"python": "3.x", "numpy": "2.x",
+                                                   "git_sha": sha})
+    code, out = run_cli(capsys, "--format", fmt, "weingarten", "--t", "2", "--d", "2")
+    assert code == 0
+    config = _config(out, fmt)
+    assert config["provenance"] == {"python": "3.x", "numpy": "2.x", "git_sha": sha}
+    assert config["command"] == "weingarten"
+    if fmt == "csv":
+        assert out.splitlines()[2] == "matrix,row,col,row_perm,col_perm,value"
+    else:
+        assert json.loads(out)["columns"] == ["matrix", "row", "col", "row_perm", "col_perm",
+                                              "value"]
+
+
+def test_provenance_versions():
+    got = cli.provenance()
+    assert got["python"] == platform.python_version()
+    assert got["numpy"] == np.__version__
+    assert cli.provenance() is got  # read once per process
+    assert "git_sha" not in got or len(got["git_sha"]) == 40
+
+
+def test_git_sha_reads_loose_packed_and_detached_heads(tmp_path):
+    a, b = "a" * 40, "b" * 40
+    assert cli.git_sha(tmp_path) is None
+    (tmp_path / "HEAD").write_text(a + "\n")
+    assert cli.git_sha(tmp_path) == a
+    (tmp_path / "HEAD").write_text("ref: refs/heads/main\n")
+    assert cli.git_sha(tmp_path) is None
+    (tmp_path / "packed-refs").write_text(f"# pack-refs with: peeled\n{b} refs/heads/main\n")
+    assert cli.git_sha(tmp_path) == b
+    (tmp_path / "refs" / "heads").mkdir(parents=True)
+    (tmp_path / "refs" / "heads" / "main").write_text(a + "\n")
+    assert cli.git_sha(tmp_path) == a
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_verify_records_seconds_per_suite(capsys, fmt):
+    code, out = run_cli(capsys, "--format", fmt, "verify", "--suite", "oracle")
+    assert code == 0
+    seconds = _config(out, fmt)["suite_seconds"]
+    assert list(seconds) == ["oracle"] and seconds["oracle"] >= 0

@@ -19,7 +19,12 @@ from channelmoments.specs import (
     depolarize,
     haar,
 )
-from oracles import frame_potential_mc_loop, norm_squared_quad, sample_haar_unitary_once
+from oracles import (
+    frame_potential_mc_loop,
+    leading_overlap,
+    norm_squared_quad,
+    sample_haar_unitary_once,
+)
 
 
 def test_transfer_depolarize_single_unit_entry():
@@ -194,7 +199,7 @@ def test_trace_equals_eigenvalue_sum():
 
 def test_leading_overlap_closed_form():
     for t, d, dE in ((2, 2, 2), (3, 2, 4), (4, 3, 2)):
-        got = mo.leading_overlap(chaar(d, dE, t))
+        got = leading_overlap(chaar(d, dE, t))
         want = Fraction(
             comb(d * d * dE + t - 1, t) * factorial(t), d ** (2 * t) * dE**t
         )
@@ -272,6 +277,7 @@ def test_hierarchy_scan_exact_path_agrees():
 def test_hierarchy_scan_checks_grid_before_any_matrix(grid, bad, monkeypatch):
     calls = []
     monkeypatch.setattr(mo, "transfer", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(mo, "_dilated_values", lambda *a, **k: calls.append(a))
     with pytest.raises(ValueError, match="invalid grid") as err:
         mo.hierarchy_scan(*grid)
     assert bad in str(err.value)
@@ -526,3 +532,58 @@ def test_float_norm_and_trace_match_exact():
             got = f(tf, xf)
             assert isinstance(got, np.floating)
             assert abs(got - want) <= 1e-12 * abs(want)
+
+
+# -- the scan's class-row values against the matrix path ------------------------
+
+
+def matrix_path_values(spec, k, exact):
+    """(norm^2, trace) of the k-fold ``spec`` from its concatenated transfer matrix."""
+    tm = mo.transfer(spec, exact=exact)
+    x = mo.gram(spec.t, spec.d, exact=exact)
+    tk = mo.concatenate(tm, x, k)
+    return mo.norm_squared(tk, x), mo.trace(tk, x)
+
+
+DILATED_GRID = [
+    (t, d, dE)
+    for t in (1, 2, 3, 4)
+    for d in (2, 3, 4)
+    for dE in sorted({1, 2, d, d * d})
+    if d * dE >= t
+] + [(5, 3, 2), (5, 5, 1)]
+
+
+@pytest.mark.parametrize("t, d, dE", DILATED_GRID)
+def test_dilated_values_equal_matrix_path_exactly(t, d, dE):
+    ks = (1, 3) if t == 5 else (1, 2, 3, 4)
+    got = mo._dilated_values(t, d, dE, ks, exact=True)
+    assert sorted(got) == list(ks)
+    for k in ks:
+        spec = haar(d, t) if dE == 1 else chaar(d, dE, t)
+        want = matrix_path_values(spec, k, exact=True)
+        assert all(type(v) is Fraction for v in got[k])
+        assert got[k] == want, (k, got[k], want)
+
+
+@pytest.mark.parametrize("t, d, dE", [(5, 5, 2), (5, 3, 9), (6, 6, 1), (6, 3, 2), (6, 7, 49)])
+def test_dilated_values_float_match_matrix_path(t, d, dE):
+    got = mo._dilated_values(t, d, dE, (1, 3), exact=False)
+    for k in (1, 3):
+        want = matrix_path_values(chaar(d, dE, t), k, exact=False)
+        for g, w in zip(got[k], want):
+            assert abs(g - w) <= 1e-12 * abs(w), (k, g, w)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_hierarchy_scan_builds_no_transfer_matrix(exact, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("matrix path called")
+
+    for name in ("transfer", "concatenate", "norm_squared", "trace"):
+        monkeypatch.setattr(mo, name, refuse)
+    res = mo.hierarchy_scan([2, 3], [1, 3], [2, 3], exact=exact)
+    assert not res.violations
+    for row in res.rows:
+        if row.dE == 1:
+            assert row.norm2 == pytest.approx(factorial(row.t), rel=1e-12)

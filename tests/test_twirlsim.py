@@ -28,6 +28,7 @@ from oracles import (
     gate_twirl_t2,
     generator_twirl_pair_matrix_dense,
     initial_two_copy_state,
+    initial_vector,
     mc_expectation_moments_loop,
     pauli_channel_leg,
     swap_copies,
@@ -515,7 +516,7 @@ def test_mc_circuit_second_moment_matches_evolve(ansatz, state, label, placement
                 m = tw.apply_1q_channel(m, kraus, q + n)
     obs = ch.pauli_string(2, label)
     exact_second = np.trace(m @ np.kron(obs, obs)).real
-    psi = tw.initial_vector(spec)
+    psi = initial_vector(spec)
     est = tw.mc_expectation_moments(spec, np.outer(psi, psi.conj()), obs, 3000, seed=8)
     got_second = est.variance + est.mean**2
     se = est.variance_stderr + 2 * abs(est.mean) * est.mean_stderr
@@ -549,7 +550,7 @@ def test_mc_expectation_moments_matches_single_draw_loop(spec, samples):
 def test_mc_circuit_matches_single_draw_loop(ansatz, label, placement):
     spec = CircuitSpec(n=2, ansatz=ansatz, layers=3, noise=ch.AMPLITUDE_DAMPING, gamma=0.1,
                        noise_placement=placement)
-    psi = tw.initial_vector(spec)
+    psi = initial_vector(spec)
     rho, obs = np.outer(psi, psi.conj()), ch.pauli_string(2, label)
     _same_moments(
         tw.mc_expectation_moments(spec, rho, obs, mo.MC_CHUNK + 1, seed=20),
