@@ -14,7 +14,6 @@ import json
 import platform
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -242,9 +241,8 @@ def cmd_simulate(args) -> int:
 def cmd_mc(args) -> int:
     spec, config = _spec_and_config(args, samples=args.samples, seed=args.seed)
     # The exact value first: it rejects d < t before any sampling.  The
-    # sampler draws single channels, so only the k = 1 matrix is built.
-    tm = mo.transfer(replace(spec, k=1), exact=False)
-    norm2 = float(mo.norm_squared(tm, mo.gram_for(tm)))
+    # sampler draws single channels, so only the k = 1 norm is taken.
+    norm2 = float(mo._reference_values(spec, (1,), exact=False)[1][0])
     est = mo.frame_potential_mc(spec, args.samples, seed=args.seed)
     rows = [
         ["frame_potential", est.value, est.stderr, est.samples, args.seed],
@@ -355,9 +353,7 @@ def _suite_mc(seed: int, samples: int) -> list:
     ok = abs(est.value - 2.0) <= 3 * est.stderr
     checks.append(("haar_frame_potential", ok, f"{est.value:.4f} +- {est.stderr:.4f}"))
     spec = EnsembleSpec(CHAAR, d=2, t=2, dE=2)
-    tm = mo.transfer(spec, exact=True)
-    x = mo.gram(2, 2, exact=True)
-    exact = float(mo.norm_squared(tm, x))
+    exact = float(mo._reference_values(spec, (1,), exact=True)[1][0])
     est = mo.frame_potential_mc(spec, samples, seed=seed + 1)
     ok = abs(est.value - exact) <= 3 * est.stderr
     checks.append(("chaar_frame_potential", ok, f"{est.value:.4f} vs {exact:.4f}"))

@@ -14,13 +14,14 @@ between the permutation and localized bases unchanged.  On the exact path
 every product is taken on integer matrices over one common denominator
 (``exactalg.to_integer``); results are reduced to Fractions only at the end.
 
-In the permutation basis the Haar and dilated ensembles have tau = D W with
-D = diag(dE^(-size)), and W (Weingarten) and X are convolutions by class
-functions: each is fixed by its row 0, and so are C = W X and Q = W X W.
-``spectrum`` and ``hierarchy_scan`` work from these rows and never build a
-transfer matrix.  tau X = D C, and the k-fold norm and trace are
-Tr[Y_k Q Y_k X] and Tr[Y_k C] with Y_k = D (C D)^(k-1): no t! x t! product
-at k = 1, and k of them at k >= 2 (``_dilated_values``).
+In the permutation basis every reference ensemble has tau = D W with
+D = diag(f[size]) and W = w[cls prod], and X = x[size][prod]; ``_tables``
+gives (f, x, w) and is the only place that says what an ensemble is.  W and
+X are convolutions by class functions: each is fixed by its row 0, and so
+are C = W X and Q = W X W.  ``spectrum`` and ``hierarchy_scan`` work from
+these rows and never build a transfer matrix.  tau X = D C, and the k-fold
+norm and trace are Tr[Y_k Q Y_k X] and Tr[Y_k C] with Y_k = D (C D)^(k-1):
+no t! x t! product at k = 1, and k of them at k >= 2 (``_reference_values``).
 
 The spectrum is real.  For the Haar and dilated ensembles tau X is
 similar to the symmetric matrix D^(-1/2) (tau X) D^(1/2), so one symmetric
@@ -74,35 +75,45 @@ __all__ = [
 ]
 
 
-def _zero_matrix(n: int, exact: bool) -> np.ndarray:
-    if exact:
-        return np.full((n, n), Fraction(0), dtype=object)
-    return np.zeros((n, n))
+def _tables(spec: EnsembleSpec, exact: bool) -> tuple:
+    """(f, x, w) of a reference ensemble, with f and x indexed by size
+    0..t-1 and w by conjugacy class (``conjugacy_classes`` order).
+
+    Haar and the dilated ensemble have f = dE^(-size) (dE = 1 for Haar),
+    x = d^(-size) and w the Weingarten function of dimension d dE; the
+    rank-one reference is their large-dE limit, f and w the identity
+    indicators (size 0, class 0).
+    """
+    t = spec.t
+    x = wg.inverse_powers(spec.d, t, exact)
+    if spec.kind == DEPOLARIZE:
+        dtype = object if exact else float
+        f, w = (np.array([Fraction(int(i == 0)) for i in range(n)], dtype=dtype)
+                for n in (t, len(sg.conjugacy_classes(t))))
+    else:
+        f = wg.inverse_powers(spec.environment_dim, t, exact)
+        w = wg.weingarten_values(t, spec.d * spec.environment_dim, exact)
+    return f, x, w
 
 
 def transfer(spec: EnsembleSpec, basis: str = PERMUTATION, exact: bool = True) -> TransferMatrix:
     """Transfer matrix of a reference ensemble, concatenated ``spec.k`` times.
 
-    The rank-one reference is e_0 e_0^T; Haar and the dilated ensemble are
-    the dilation with environment dimension ``spec.environment_dim``
-    (1 for Haar); their localized matrix is transported from the
-    permutation one.
+    The permutation-basis matrix diag(f[size]) w[cls prod] is gathered from
+    the t p(t) products of the ensemble's ``_tables``.  The localized matrix
+    is transported from it, except for the rank-one reference e_0 e_0^T,
+    which is the same in both bases (zeta[0, j] = delta_j0).
     """
     if basis not in (PERMUTATION, LOCALIZED):
         raise ValueError(f"unknown basis {basis!r}")
-    t, d = spec.t, spec.d
-    if spec.kind == DEPOLARIZE:
-        # e_0 e_0^T in either basis (zeta[0, j] = delta_j0), so no transport.
-        m = _zero_matrix(len(sg.symmetric_group(t)), exact)
-        m[0, 0] = Fraction(1) if exact else 1.0
-        tm = TransferMatrix(m, basis, replace(spec, k=1), exact)
-    else:
-        m = wg.chaar_transfer_perm(t, d, spec.environment_dim, exact=exact)
-        tm = TransferMatrix(m, PERMUTATION, replace(spec, k=1), exact)
-        if basis == LOCALIZED:
-            tm = loc.to_localized(tm)
+    t = spec.t
+    f, _, w = _tables(spec, exact)
+    m = np.multiply.outer(f, w)[sg.product_table(t).size[:, None], wg._pair_class_table(t)]
+    tm = TransferMatrix(m, PERMUTATION, replace(spec, k=1), exact)
+    if basis == LOCALIZED:
+        tm = replace(tm, basis=LOCALIZED) if spec.kind == DEPOLARIZE else loc.to_localized(tm)
     if spec.k > 1:
-        tm = concatenate(tm, gram(t, d, basis=basis, exact=exact), spec.k)
+        tm = concatenate(tm, gram(t, spec.d, basis=basis, exact=exact), spec.k)
     return tm
 
 
@@ -113,10 +124,6 @@ def gram(t: int, d: int, basis: str = PERMUTATION, exact: bool = True) -> np.nda
     if basis == LOCALIZED:
         return loc.localized_gram(t, d, exact=exact)
     raise ValueError(f"unknown basis {basis!r}")
-
-
-def gram_for(tm: TransferMatrix) -> np.ndarray:
-    return gram(tm.t, tm.d, basis=tm.basis, exact=tm.exact)
 
 
 def _split(a: np.ndarray, exact: bool) -> tuple:
@@ -131,25 +138,15 @@ def _parts(tm: TransferMatrix, gram_matrix: np.ndarray) -> tuple:
 
 
 def _class_rows(spec: EnsembleSpec, exact: bool) -> tuple:
-    """(f, x, w) over S_t with tau = diag(f) w[prod] and X = x[prod].
-
-    ``prod`` is ``symmgroup.product_table(t).prod``, so x = d^(-size) is
-    row 0 of X and w row 0 of W.  The dilated ensemble has f = dE^(-size)
-    and the Weingarten function of dimension d dE for w; the rank-one
-    reference is their large-dE limit, f = w = the identity indicator.
-    """
+    """The ``_tables`` read over S_t: (f, x, w) with tau = diag(f) w[prod] and
+    X = x[prod], so x is row 0 of X and w row 0 of W."""
     tab = sg.product_table(spec.t)
-    x = wg.inverse_powers(spec.d, spec.t, exact)[tab.size]
-    if spec.kind == DEPOLARIZE:
-        f = w = leading_right_vector(spec, exact)
-    else:
-        f = wg.inverse_powers(spec.environment_dim, spec.t, exact)[tab.size]
-        w = wg.weingarten_values(spec.t, spec.d * spec.environment_dim, exact)[tab.cls]
-    return f, x, w
+    f, x, w = _tables(spec, exact)
+    return f[tab.size], x[tab.size], w[tab.cls]
 
 
-def _dilated_values(t: int, d: int, dE: int, ks, exact: bool) -> dict:
-    """{k: (norm^2, trace)} of the k-fold ``chaar(d, dE, t)``, k in ``ks``.
+def _reference_values(spec: EnsembleSpec, ks, exact: bool) -> dict:
+    """{k: (norm^2, trace)} of the k-fold reference ensemble ``spec``, k in ``ks``.
 
     W and X are convolutions by class functions, so C = W X = c[prod] and
     Q = W X W = W C = q[prod] with c = w X and q = w C, each one O(t!^2)
@@ -161,8 +158,8 @@ def _dilated_values(t: int, d: int, dE: int, ks, exact: bool) -> dict:
     takes two.  Intermediates are (numerators, denominator) pairs, as in
     ``_parts``, so the exact values are Fractions.
     """
-    prod = sg.product_table(t).prod
-    (f, df), (x, dx), (w, dw) = (_split(v, exact) for v in _class_rows(chaar(d, dE, t), exact))
+    prod = sg.product_table(spec.t).prod
+    (f, df), (x, dx), (w, dw) = (_split(v, exact) for v in _class_rows(spec, exact))
     xm = x[prod]
     c, dc = w.dot(xm), dw * dx
     cm = c[prod]
@@ -258,16 +255,11 @@ class SpectralReport:
 
 
 def leading_right_vector(spec: EnsembleSpec, exact: bool = False) -> np.ndarray:
-    """Coefficient vector of the invariant operator over the permutation basis.
-
-    The dilated ensemble fixes the character vector (d dE)^(-size); the
-    rank-one reference fixes the identity indicator (its large-dE limit).
-    """
-    size = sg.product_table(spec.t).size
-    if spec.kind == DEPOLARIZE:
-        out = np.array([Fraction(int(s == 0)) for s in size], dtype=object)
-        return out if exact else out.astype(float)
-    return wg.inverse_powers(spec.d * spec.environment_dim, spec.t, exact)[size]
+    """Coefficient vector f x of the invariant operator over the permutation
+    basis, from the ensemble's ``_tables``: (d dE)^(-size) for the dilated
+    ensemble, the identity indicator for the rank-one reference."""
+    f, x, _ = _tables(spec, exact)
+    return (f * x)[sg.product_table(spec.t).size]
 
 
 def _right_eigenpairs(spec: EnsembleSpec, f: np.ndarray, c: np.ndarray) -> tuple:
@@ -303,7 +295,7 @@ def spectrum(spec: EnsembleSpec) -> SpectralReport:
 
     Since (tau X)^k = tau_k X, the k-fold eigenvalues are the k-th powers
     of those of tau X, with the same eigenvectors.  tau X = D C comes
-    from the class rows of ``_class_rows`` (see ``_dilated_values``),
+    from the class rows of ``_class_rows`` (see ``_reference_values``),
     without a t! x t! product.
     """
     f, x, w = _class_rows(spec, exact=False)
@@ -329,7 +321,7 @@ def spectrum(spec: EnsembleSpec) -> SpectralReport:
     del modified
     pair = power @ evecs
     pair -= evecs * evals
-    psi = leading_right_vector(spec)
+    psi = f * x  # the invariant operator, as in leading_right_vector
     return SpectralReport(
         eigenvalues=evals,
         leading_right=psi / np.linalg.norm(psi),
@@ -344,8 +336,7 @@ def spectrum(spec: EnsembleSpec) -> SpectralReport:
 
 def design_distance_depolarize(spec: EnsembleSpec) -> float:
     """HS distance to the rank-one trace-preserving reference: sqrt(norm^2 - 1)."""
-    tm = transfer(spec, basis=PERMUTATION, exact=False)
-    n2 = float(norm_squared(tm, gram_for(tm)))
+    n2 = float(_reference_values(spec, (spec.k,), exact=False)[spec.k][0])
     radicand = n2 - 1.0
     if radicand < -1e-9:
         raise ArithmeticError(f"norm^2 = {n2} below 1: inconsistent norm computation")
@@ -389,6 +380,10 @@ def hierarchy_scan(
         for v in grid:
             if v < low:
                 raise ValueError(f"invalid grid: need {name} >= {low}, got {name} = {v}")
+    for t in t_list:
+        if t > sg.max_order():
+            raise ValueError(f"invalid grid: t = {t} exceeds the cap {sg.max_order()} "
+                             f"(set {sg.MAX_ORDER_ENV} to raise it)")
     try:
         des = {d: sorted({loc._resolve_dE(rule, d) for rule in dE_rules}) for d in d_list}
     except ValueError as exc:
@@ -404,7 +399,7 @@ def hierarchy_scan(
         ks_by_pair.setdefault((t, d, dE), []).append(k)
     values = {}
     for (t, d, dE), ks in ks_by_pair.items():
-        for k, (n2, tr) in _dilated_values(t, d, dE, ks, exact).items():
+        for k, (n2, tr) in _reference_values(chaar(d, dE, t), ks, exact).items():
             values[t, k, d, dE] = float(n2), float(tr)
 
     # One flag list per point, filled by the bounds check, then by the

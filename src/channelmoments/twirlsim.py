@@ -280,21 +280,30 @@ def evolve(spec: CircuitSpec, max_qubits: int = DEFAULT_QUBIT_CAP) -> list:
     ]
 
 
+def _two_copy_weights(kind: str, d: int, dE: int, tr_rho, tr_rho2) -> tuple:
+    """(a, b) with E[Lambda(rho) (x) Lambda(rho)] = a I + b SWAP under a
+    reference ensemble, from Tr[rho] and Tr[rho^2] (Fractions or floats).
+    Haar is the dilation with dE = 1; the rank-one reference is
+    rho -> Tr[rho] I / d."""
+    if kind == DEPOLARIZE:
+        return tr_rho**2 / d**2, 0
+    if kind not in (HAAR, CHAAR):
+        raise ValueError(f"unknown reference ensemble {kind!r}")
+    dE = dE if kind == CHAAR else 1
+    x = Fraction(1, d * dE)
+    kappa = Fraction(1, d * d) / (1 - x * x)
+    return kappa * (tr_rho**2 - x * tr_rho2), kappa * (tr_rho2 - x * tr_rho**2) / dE
+
+
 def reference_purities(n: int, dE: int) -> dict:
-    """Purity of the averaged two-copy output of the three reference
-    ensembles on a pure input state."""
+    """Purity Tr[M^2] = a^2 d^2 + 2 a b d + b^2 d^2 of the averaged two-copy
+    output M = a I + b SWAP of the reference ensembles on a pure input."""
     d = 2**n
-    haar_val = Fraction(2, d * (d + 1))
-    dep_val = Fraction(1, d * d)
-    kappa = Fraction(1, d * d) / (1 - Fraction(1, d * d * dE * dE))
-    a = kappa * (1 - Fraction(1, d * dE))
-    b = a / dE
-    chaar_val = a * a * d * d + 2 * a * b * d + b * b * d * d
-    return {
-        "haar": float(haar_val),
-        "chaar": float(chaar_val),
-        "depolarize": float(dep_val),
-    }
+    out = {}
+    for kind in (HAAR, CHAAR, DEPOLARIZE):
+        a, b = _two_copy_weights(kind, d, dE, Fraction(1), Fraction(1))
+        out[kind] = float(a * a * d * d + 2 * a * b * d + b * b * d * d)
+    return out
 
 
 # -- composite unitary + noise moment-operator norms -------------------------
@@ -388,25 +397,15 @@ def variance_reference(rho: np.ndarray, obs: np.ndarray, ref: str, dE: int = 1) 
 
     This is the inherent variance term: it upper-bounds the variance and
     equals it exactly for traceless observables (where the mean vanishes).
-    Closed forms come from the exact two-copy averages of the reference
-    ensembles; Haar is the dilated ensemble with a trivial environment, and
-    ignores ``dE``.
+    With E[Lambda(rho) (x) Lambda(rho)] = a I + b SWAP it is
+    a (Tr O)^2 + b Tr[O^2]; Haar ignores ``dE``.
     """
-    d = rho.shape[0]
     tr_rho = complex(np.trace(rho)).real
     tr_rho2 = complex(np.trace(rho @ rho)).real
     tr_o = complex(np.trace(obs)).real
     tr_o2 = complex(np.trace(obs @ obs)).real
-    if ref == DEPOLARIZE:
-        return (tr_rho**2) * (tr_o**2) / d**2
-    if ref in (HAAR, CHAAR):
-        dE = dE if ref == CHAAR else 1
-        x = 1.0 / (d * dE)
-        kappa = (1.0 / d**2) / (1.0 - x * x)
-        a = kappa * (tr_rho**2 - x * tr_rho2)
-        b = kappa * (tr_rho2 - x * tr_rho**2) / dE
-        return a * tr_o**2 + b * tr_o2
-    raise ValueError(f"unknown reference ensemble {ref!r}")
+    a, b = _two_copy_weights(ref, rho.shape[0], dE, tr_rho, tr_rho2)
+    return a * tr_o**2 + b * tr_o2
 
 
 @dataclass(frozen=True)

@@ -103,13 +103,3 @@ def character_sum(t: int, d: int) -> Fraction:
         (Fraction(1, d**p.size) for p in sg.symmetric_group(t)), Fraction(0)
     )
 
-
-def chaar_transfer_perm(t: int, d: int, dE: int, exact: bool = True) -> np.ndarray:
-    """Permutation-basis coefficients of the Stinespring-dilated ensemble:
-    dE^(-size) times the Weingarten matrix of the composite dimension d*dE.
-    dE = 1 is the Haar ensemble, whose coefficients are the Weingarten matrix."""
-    big = weingarten_matrix(t, d * dE, exact=exact)
-    if dE == 1:
-        return big  # the scale is all ones; a Fraction product costs t!^2 calls
-    scale = inverse_powers(dE, t, exact)[sg.product_table(t).size]
-    return scale[:, None] * big

@@ -6,7 +6,8 @@ overlap, two exact matrix inverses, a reordered two-copy superoperator, an
 explicit depolarizing Kraus set, the dense gate twirls, the single-copy
 input vector, the dense two-copy circuit evolution, the evolution over
 all 16^n Pauli-pair coefficients, the dense single-generator pair twirl and
-the Monte-Carlo estimators as loops over single draws.
+the Monte-Carlo estimators as loops over single draws, and the dilated
+ensemble's transfer matrix as t!^2 products.
 """
 
 from dataclasses import dataclass
@@ -17,6 +18,7 @@ from math import sqrt
 import numpy as np
 
 from channelmoments import channels as ch
+from channelmoments import symmgroup as sg
 from channelmoments import twirlsim as tw
 from channelmoments import weingarten as wg
 from channelmoments.exactalg import SingularMatrixError, identity_exact, solve_exact, to_integer
@@ -48,6 +50,15 @@ def leading_overlap(spec) -> Fraction:
     psi = leading_right_vector(spec, exact=True)
     row = wg.gram_matrix(spec.t, spec.d)[0, :]
     return sum((row[i] * psi[i] for i in range(len(psi))), Fraction(0))
+
+
+def chaar_transfer_perm(t: int, d: int, dE: int, exact: bool = True) -> np.ndarray:
+    """Permutation-basis coefficients of the Stinespring-dilated ensemble:
+    dE^(-size) times the Weingarten matrix of the composite dimension d*dE,
+    one product per entry.  dE = 1 is the Haar ensemble.  Oracle for
+    moments.transfer."""
+    scale = wg.inverse_powers(dE, t, exact)[sg.product_table(t).size]
+    return scale[:, None] * wg.weingarten_matrix(t, d * dE, exact=exact)
 
 
 def invert_exact(a: np.ndarray) -> np.ndarray:

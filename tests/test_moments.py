@@ -14,12 +14,15 @@ from channelmoments.specs import (
     DEPOLARIZE,
     HAAR,
     LOCALIZED,
+    PERMUTATION,
     EnsembleSpec,
+    TransferMatrix,
     chaar,
     depolarize,
     haar,
 )
 from oracles import (
+    chaar_transfer_perm,
     frame_potential_mc_loop,
     leading_overlap,
     norm_squared_quad,
@@ -272,12 +275,13 @@ def test_hierarchy_scan_exact_path_agrees():
         (([2], [1], [2, 1], ("1",)), "d = 1"),
         (([2], [1], [2], ("1", "0")), "dE = 0"),
         (([2], [1], [2], ("1", "foo")), "'foo'"),
+        (([2, 3, 7], [1], [8], ("1",)), "t = 7"),
     ],
 )
 def test_hierarchy_scan_checks_grid_before_any_matrix(grid, bad, monkeypatch):
     calls = []
     monkeypatch.setattr(mo, "transfer", lambda *a, **k: calls.append(a))
-    monkeypatch.setattr(mo, "_dilated_values", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(mo, "_reference_values", lambda *a, **k: calls.append(a))
     with pytest.raises(ValueError, match="invalid grid") as err:
         mo.hierarchy_scan(*grid)
     assert bad in str(err.value)
@@ -554,25 +558,69 @@ DILATED_GRID = [
 ] + [(5, 3, 2), (5, 5, 1)]
 
 
-@pytest.mark.parametrize("t, d, dE", DILATED_GRID)
-def test_dilated_values_equal_matrix_path_exactly(t, d, dE):
-    ks = (1, 3) if t == 5 else (1, 2, 3, 4)
-    got = mo._dilated_values(t, d, dE, ks, exact=True)
+def grid_id(spec):
+    """t-d-dE of a dilated ensemble (Haar is dE = 1), depolarize-t-d of the
+    rank-one reference."""
+    if spec.kind == DEPOLARIZE:
+        return f"depolarize-{spec.t}-{spec.d}"
+    return f"{spec.t}-{spec.d}-{spec.environment_dim}"
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [haar(d, t) if dE == 1 else chaar(d, dE, t) for t, d, dE in DILATED_GRID]
+    + [depolarize(d, t) for t, d in ((1, 2), (2, 2), (3, 2), (4, 3), (5, 2))],
+    ids=grid_id,
+)
+def test_dilated_values_equal_matrix_path_exactly(spec):
+    ks = (1, 3) if spec.t == 5 else (1, 2, 3, 4)
+    got = mo._reference_values(spec, ks, exact=True)
     assert sorted(got) == list(ks)
     for k in ks:
-        spec = haar(d, t) if dE == 1 else chaar(d, dE, t)
         want = matrix_path_values(spec, k, exact=True)
         assert all(type(v) is Fraction for v in got[k])
         assert got[k] == want, (k, got[k], want)
 
 
-@pytest.mark.parametrize("t, d, dE", [(5, 5, 2), (5, 3, 9), (6, 6, 1), (6, 3, 2), (6, 7, 49)])
-def test_dilated_values_float_match_matrix_path(t, d, dE):
-    got = mo._dilated_values(t, d, dE, (1, 3), exact=False)
+@pytest.mark.parametrize(
+    "spec",
+    [chaar(d, dE, t) for t, d, dE in [(5, 5, 2), (5, 3, 9), (6, 6, 1), (6, 3, 2), (6, 7, 49)]]
+    + [depolarize(2, 5), depolarize(3, 6)],
+    ids=grid_id,
+)
+def test_dilated_values_float_match_matrix_path(spec):
+    got = mo._reference_values(spec, (1, 3), exact=False)
     for k in (1, 3):
-        want = matrix_path_values(chaar(d, dE, t), k, exact=False)
+        want = matrix_path_values(spec, k, exact=False)
         for g, w in zip(got[k], want):
             assert abs(g - w) <= 1e-12 * abs(w), (k, g, w)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("basis", [PERMUTATION, LOCALIZED])
+@pytest.mark.parametrize(
+    "spec",
+    [s for t in (1, 2, 3, 4, 5) for s in (haar(max(t, 2), t), chaar(2, 3, t), depolarize(2, t))],
+    ids=lambda s: f"{s.label()}-t{s.t}",
+)
+def test_transfer_equals_oracle_in_value_and_entry_type(spec, basis, exact):
+    """The gathered diag(f[size]) w[cls prod] against one product per entry;
+    the rank-one reference is e_0 e_0^T in both bases."""
+    n = factorial(spec.t)
+    if spec.kind == DEPOLARIZE:
+        zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+        want = np.full((n, n), zero, dtype=object if exact else float)
+        want[0, 0] = one
+    else:
+        want = chaar_transfer_perm(spec.t, spec.d, spec.environment_dim, exact=exact)
+        if basis == LOCALIZED:
+            want = loc.to_localized(TransferMatrix(want, PERMUTATION, spec, exact)).matrix
+    got = mo.transfer(spec, basis=basis, exact=exact).matrix
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    if exact:
+        assert all(type(g) is type(w) and g == w for g, w in zip(got.flat, want.flat))
+    else:
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("exact", [False, True])
