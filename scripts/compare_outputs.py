@@ -16,7 +16,10 @@ purity trajectories for n = 4, 5 (both ansaetze, both initial states,
 amplitude damping and local depolarizing, both placements),
 seeded frame potentials and expectation moments of the haar, chaar and
 depolarize ensembles (more samples than one Monte-Carlo chunk, so that the
-dumps show whether the random stream changed), and hierarchy-scan rows.
+dumps show whether the random stream changed), hierarchy-scan rows, the
+reference purities for n <= 7, reference variances on fixed (rho, O) pairs
+with d = 2, 3, and composite noise norms of both unitary ensembles for
+t = 1, 2, d = 2, 4 and k <= 3.
 
     PYTHONPATH=src python scripts/compare_outputs.py dump new.pkl
     python scripts/compare_outputs.py compare old.pkl new.pkl
@@ -92,6 +95,28 @@ def _grid():
         out[("mc_ensemble", spec.label())] = astuple(est)
     out["scan_float"] = astuple(mo.hierarchy_scan([2, 3, 4], [1, 3], [2, 3, 4, 5]))
     out["scan_exact"] = astuple(mo.hierarchy_scan([2, 3], [1, 2], [2, 3], exact=True))
+    for n in range(1, 8):
+        for dE in (1, 3, 4**n):
+            out[("reference_purities", n, dE)] = tw.reference_purities(n, dE)
+    rng = np.random.default_rng(7)
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    pairs = {2: (rho, obs), 3: (g @ g.conj().T / np.trace(g @ g.conj().T).real, h + h.conj().T)}
+    for d, (r, o) in pairs.items():
+        for ref in ("haar", "chaar", "depolarize"):
+            for dE in (1, 2, 5):
+                out[("variance_reference", d, ref, dE)] = tw.variance_reference(r, o, ref, dE)
+    for d, labels in ((2, ("X", "Z")), (4, ("ZZ", "XI"))):
+        for gamma, eta in ((0.0, 0.0), (0.1, 0.0), (0.1, 0.02)):
+            model = ch.NoiseModel.uniform(d, gamma, eta)
+            for t in (1, 2):
+                for k in (1, 2, 3):
+                    key = (d, gamma, eta, t, k)
+                    out[("composite_haar",) + key] = tw.composite_noise_norm(
+                        tw.HAAR_UNITARIES, model, t, k)
+                    for label in labels:
+                        out[("composite_generator", label) + key] = tw.composite_noise_norm(
+                            tw.SINGLE_GENERATOR, model, t, k, generator=label)
     return out
 
 

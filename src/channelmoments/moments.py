@@ -377,9 +377,11 @@ def hierarchy_scan(
     before any matrix is built; points with d * dE < t are left out.
     """
     for name, grid, low in (("t", t_list, 1), ("k", k_list, 1), ("d", d_list, 2)):
-        for v in grid:
+        for i, v in enumerate(grid):
             if v < low:
                 raise ValueError(f"invalid grid: need {name} >= {low}, got {name} = {v}")
+            if v in grid[:i]:
+                raise ValueError(f"invalid grid: duplicate {name} = {v}")
     for t in t_list:
         if t > sg.max_order():
             raise ValueError(f"invalid grid: t = {t} exceeds the cap {sg.max_order()} "

@@ -38,6 +38,9 @@ once more.  A merge sorts, so a gate costs O(m log m) for m live
 coefficients.  Over 10 HEA layers at n = 7 from |0...0> with amplitude
 damping on the gate qubits, m peaks at 0.28 M of the 268 M pairs; with a
 unital noise it stays at 16 k.
+
+The reference purities, variances and Haar composite norms read the t = 1, 2
+transfer matrices of ``moments.transfer``; no Weingarten value is derived here.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from math import sqrt
 import numpy as np
 
 from . import channels as ch
+from . import moments as mo
 from .specs import (
     CHAAR,
     DEPOLARIZE,
@@ -59,7 +63,6 @@ from .specs import (
     ZERO_STATE,
     CircuitSpec,
 )
-from .moments import sample_stinespring_kraus, stacked_draws
 
 DEFAULT_QUBIT_CAP = 7
 
@@ -280,19 +283,12 @@ def evolve(spec: CircuitSpec, max_qubits: int = DEFAULT_QUBIT_CAP) -> list:
     ]
 
 
-def _two_copy_weights(kind: str, d: int, dE: int, tr_rho, tr_rho2) -> tuple:
-    """(a, b) with E[Lambda(rho) (x) Lambda(rho)] = a I + b SWAP under a
-    reference ensemble, from Tr[rho] and Tr[rho^2] (Fractions or floats).
-    Haar is the dilation with dE = 1; the rank-one reference is
-    rho -> Tr[rho] I / d."""
-    if kind == DEPOLARIZE:
-        return tr_rho**2 / d**2, 0
-    if kind not in (HAAR, CHAAR):
-        raise ValueError(f"unknown reference ensemble {kind!r}")
-    dE = dE if kind == CHAAR else 1
-    x = Fraction(1, d * dE)
-    kappa = Fraction(1, d * d) / (1 - x * x)
-    return kappa * (tr_rho**2 - x * tr_rho2), kappa * (tr_rho2 - x * tr_rho**2) / dE
+def _two_copy_weights(kind: str, d: int, dE: int, tr_a_tr_b, tr_ab) -> tuple:
+    """(a, b) = tau (Tr[A] Tr[B], Tr[AB]) / d^2, so that E[Lambda(A) (x)
+    Lambda(B)] = a I + b SWAP, with tau the exact t = 2 transfer matrix of a
+    reference ensemble over (e, SWAP); Fractions stay Fractions."""
+    tau = mo.transfer(mo.EnsembleSpec(kind, d, 2, dE)).matrix
+    return tuple(tau.dot(np.array([tr_a_tr_b, tr_ab], dtype=object)) / d**2)
 
 
 def reference_purities(n: int, dE: int) -> dict:
@@ -312,29 +308,27 @@ HAAR_UNITARIES = "haar_unitaries"
 SINGLE_GENERATOR = "single_generator"
 
 
-def _haar_twirl_pair_matrix(d: int) -> np.ndarray:
-    """Two-copy Haar twirl in the orthonormalized Pauli-pair basis."""
-    n = d.bit_length() - 1
-    if 2**n != d:
-        raise ValueError("qubit dimensions only")
-    labels = ch.pauli_labels(n)
-    nb = len(labels)
-    iden = 0  # identity label index
-    m = np.zeros((nb * nb, nb * nb))
-    denom = d * d - 1
-    for a in range(nb):
-        for b in range(nb):
-            col = a * nb + b
-            tr_ab_over_d = 1.0 if a == b else 0.0
-            tr_a_tr_b = float(d * d) if (a == iden and b == iden) else 0.0
-            c_i = (tr_a_tr_b - tr_ab_over_d) / denom
-            c_s = (d * tr_ab_over_d - tr_a_tr_b / d) / denom
-            if c_i != 0.0:
-                m[iden * nb + iden, col] += c_i
-            if c_s != 0.0:
-                for c in range(nb):
-                    m[c * nb + c, col] += c_s / d
-    return m
+def _haar_composite_norm(m: np.ndarray, d: int, t: int, k: int) -> float:
+    """Squared HS norm of k concatenations of (noise N with Pauli transfer m
+    after a Haar unitary), from t! x t! overlaps (t = 1, 2).
+
+    In the orthonormal Pauli basis the permutation operators A, scaled to
+    a = A / d^(t/2), are e_0 at t = 1, and e_0 (x) e_0 and SWAP / d =
+    sum_c e_c (x) e_c / d at t = 2; N maps a vector v to m v and a pair
+    matrix V to m V m^T.  With G = <a, N(a)> = <A, N(A)> / d^t and
+    H = <N(a), N(a)>, the k-fold operator has coefficients R = W (G W)^(k-1)
+    over A, W the Haar transfer matrix, and norm^2 = Tr[R^T H R X].
+    """
+    one = np.eye(len(m))
+    if t == 1:
+        perms = one[:1]
+        noisy = perms @ m.T
+    else:
+        perms = np.array([np.diag(one[0]), one / d])
+        noisy = m @ perms @ m.T
+    perms, noisy = perms.reshape(len(perms), -1), noisy.reshape(len(perms), -1)
+    r = mo.concatenate(mo.transfer(mo.haar(d, t), exact=False), perms @ noisy.T, k).matrix
+    return float(mo.trace_of_product(r.T @ (noisy @ noisy.T) @ r, mo.gram(t, d, exact=False)))
 
 
 def _generator_twirl_pair_matrix(g_labels: str) -> np.ndarray:
@@ -355,41 +349,43 @@ def composite_noise_norm(
 ) -> float:
     """Squared HS norm of k concatenations of (noise after random unitary).
 
-    Everything is computed in the orthonormalized Pauli-string basis, where
-    concatenation is a matrix power and the squared HS norm is a Frobenius
-    norm.  Supported for t in {1, 2}; the single-generator ensemble needs an
-    involutory Pauli ``generator`` label string.
+    Supported for t in {1, 2}; Haar unitaries via ``_haar_composite_norm``.
+    The single-generator ensemble needs an involutory Pauli ``generator``
+    label string and works in the orthonormalized Pauli-string basis, where
+    concatenation is a matrix power and the squared HS norm a Frobenius norm.
     """
     if t not in (1, 2):
         raise ValueError("composite norms implemented for t = 1, 2 only")
-    if ensemble == SINGLE_GENERATOR:
-        if generator is None:
-            raise ValueError("single-generator ensemble needs a generator label")
-        if 2 ** len(generator) != noise.d:
-            raise ValueError("generator label length must match the noise dimension")
-    elif ensemble != HAAR_UNITARIES:
-        raise ValueError(f"unknown ensemble {ensemble!r}")
+    if k < 1:
+        raise ValueError(f"need k >= 1, got k = {k}")
     m_noise = noise.single_copy_transfer()
+    if ensemble == HAAR_UNITARIES:
+        return _haar_composite_norm(m_noise, noise.d, t, k)
+    if ensemble != SINGLE_GENERATOR:
+        raise ValueError(f"unknown ensemble {ensemble!r}")
+    if generator is None:
+        raise ValueError("single-generator ensemble needs a generator label")
+    if 2 ** len(generator) != noise.d:
+        raise ValueError("generator label length must match the noise dimension")
     if t == 1:
-        if ensemble == HAAR_UNITARIES:
-            m_uni = np.zeros_like(m_noise)
-            m_uni[0, 0] = 1.0
-        else:
-            # the first-order twirl keeps the commuting strings and kills the rest
-            anti = generator_table(len(generator), dict(enumerate(generator)))[0]
-            m_uni = np.diag(1.0 - anti)
+        # the first-order twirl keeps the commuting strings and kills the rest
+        anti = generator_table(len(generator), dict(enumerate(generator)))[0]
+        m_uni = np.diag(1.0 - anti)
     else:
         m_noise = np.kron(m_noise, m_noise)
-        if ensemble == HAAR_UNITARIES:
-            m_uni = _haar_twirl_pair_matrix(noise.d)
-        else:
-            m_uni = _generator_twirl_pair_matrix(generator)
-    comp = m_noise @ m_uni
-    power = np.linalg.matrix_power(comp, k)
+        m_uni = _generator_twirl_pair_matrix(generator)
+    power = np.linalg.matrix_power(m_noise @ m_uni, k)
     return float(np.sum(power * power))
 
 
 # -- reference-ensemble expectation statistics --------------------------------
+
+
+def _check_operators(d: int, context: str, **ops) -> None:
+    """One ValueError unless every named operator has shape (d, d)."""
+    for name, op in ops.items():
+        if np.shape(op) != (d, d):
+            raise ValueError(f"{name} must be {d} x {d} {context}, got shape {np.shape(op)}")
 
 
 def variance_reference(rho: np.ndarray, obs: np.ndarray, ref: str, dE: int = 1) -> float:
@@ -400,11 +396,13 @@ def variance_reference(rho: np.ndarray, obs: np.ndarray, ref: str, dE: int = 1) 
     With E[Lambda(rho) (x) Lambda(rho)] = a I + b SWAP it is
     a (Tr O)^2 + b Tr[O^2]; Haar ignores ``dE``.
     """
+    d = len(rho)
+    _check_operators(d, "(d from rho)", rho=rho, obs=obs)
     tr_rho = complex(np.trace(rho)).real
     tr_rho2 = complex(np.trace(rho @ rho)).real
     tr_o = complex(np.trace(obs)).real
     tr_o2 = complex(np.trace(obs @ obs)).real
-    a, b = _two_copy_weights(ref, rho.shape[0], dE, tr_rho, tr_rho2)
+    a, b = _two_copy_weights(ref, d, dE, tr_rho**2, tr_rho2)
     return a * tr_o**2 + b * tr_o2
 
 
@@ -445,9 +443,7 @@ def mc_expectation_moments(spec, rho: np.ndarray, obs: np.ndarray, samples: int,
     variance error bar uses the fourth-moment formula Var[s^2] ~ (m4 - s^4)/N.
     """
     d = spec.d
-    for name, op in (("rho", rho), ("obs", obs)):
-        if np.shape(op) != (d, d):
-            raise ValueError(f"{name} must be {d} x {d} for {spec!r}, got shape {np.shape(op)}")
+    _check_operators(d, f"for {spec!r}", rho=rho, obs=obs)
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     rng = np.random.default_rng(seed)
@@ -458,17 +454,17 @@ def mc_expectation_moments(spec, rho: np.ndarray, obs: np.ndarray, samples: int,
             out = _run_circuits(spec, rho, rng.uniform(0.0, 2 * np.pi, size=(m, n_params)))
             return np.trace(out @ obs, axis1=1, axis2=2).real
 
-        vals = stacked_draws(draw, samples)
+        vals = mo.stacked_draws(draw, samples)
     elif spec.kind == DEPOLARIZE:
         vals = np.full(samples, (np.trace(rho) * np.trace(obs)).real / d)
     else:
 
         def draw(m):
-            kraus = sample_stinespring_kraus(d, spec.environment_dim, rng, m)
+            kraus = mo.sample_stinespring_kraus(d, spec.environment_dim, rng, m)
             out = (kraus @ rho @ kraus.conj().swapaxes(-1, -2)).sum(axis=1)
             return np.trace(out @ obs, axis1=1, axis2=2).real
 
-        vals = stacked_draws(draw, samples)
+        vals = mo.stacked_draws(draw, samples)
     mean = float(np.mean(vals))
     var = float(np.var(vals, ddof=1))
     m4 = float(np.mean((vals - mean) ** 4))

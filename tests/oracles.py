@@ -5,9 +5,11 @@ package code it checks: a quadruple-sum norm, the leading-eigenvector
 overlap, two exact matrix inverses, a reordered two-copy superoperator, an
 explicit depolarizing Kraus set, the dense gate twirls, the single-copy
 input vector, the dense two-copy circuit evolution, the evolution over
-all 16^n Pauli-pair coefficients, the dense single-generator pair twirl and
-the Monte-Carlo estimators as loops over single draws, and the dilated
-ensemble's transfer matrix as t!^2 products.
+all 16^n Pauli-pair coefficients, the dense single-generator and Haar pair
+twirls, the Haar composite norm as a power of the dense Pauli-pair matrix,
+the two-copy weights in closed form, the Monte-Carlo estimators as loops
+over single draws, and the dilated ensemble's transfer matrix as t!^2
+products.
 """
 
 from dataclasses import dataclass
@@ -282,6 +284,57 @@ def generator_twirl_pair_matrix_dense(g_labels: str) -> np.ndarray:
     overlap = np.array([p.conj().ravel() for p in pairs]) / (d * d)
     cols = [overlap @ gate_twirl_t2(p, g).ravel() for p in pairs]
     return np.array(cols).T.real
+
+
+def haar_twirl_pair_matrix_dense(d: int) -> np.ndarray:
+    """Two-copy Haar twirl in the orthonormalized Pauli-pair basis, one
+    pair (a, b) at a time from its overlaps Tr[P_a] Tr[P_b] and Tr[P_a P_b]."""
+    n = d.bit_length() - 1
+    nb = len(ch.pauli_labels(n))
+    m = np.zeros((nb * nb, nb * nb))
+    denom = d * d - 1
+    for a in range(nb):
+        for b in range(nb):
+            col = a * nb + b
+            tr_ab_over_d = 1.0 if a == b else 0.0
+            tr_a_tr_b = float(d * d) if (a == 0 and b == 0) else 0.0
+            c_i = (tr_a_tr_b - tr_ab_over_d) / denom
+            c_s = (d * tr_ab_over_d - tr_a_tr_b / d) / denom
+            if c_i != 0.0:
+                m[0, col] += c_i
+            if c_s != 0.0:
+                for c in range(nb):
+                    m[c * nb + c, col] += c_s / d
+    return m
+
+
+def haar_composite_norm_dense(noise: ch.NoiseModel, t: int, k: int) -> float:
+    """Squared HS norm of k concatenations of (noise after a Haar unitary)
+    as the Frobenius norm of the k-th power of the dense matrix over Pauli
+    strings (t = 1) or string pairs (t = 2); oracle for the Haar branch of
+    twirlsim.composite_noise_norm."""
+    m_noise = noise.single_copy_transfer()
+    if t == 1:
+        m_uni = np.zeros_like(m_noise)
+        m_uni[0, 0] = 1.0
+    else:
+        m_noise = np.kron(m_noise, m_noise)
+        m_uni = haar_twirl_pair_matrix_dense(noise.d)
+    power = np.linalg.matrix_power(m_noise @ m_uni, k)
+    return float(np.sum(power * power))
+
+
+def two_copy_weights_kappa(kind: str, d: int, dE: int, tr_a_tr_b, tr_ab) -> tuple:
+    """(a, b) with E[Lambda(A) (x) Lambda(B)] = a I + b SWAP in closed form:
+    kappa = 1 / (d^2 (1 - x^2)) with x = 1 / (d dE), dE = 1 for Haar; the
+    rank-one reference gives (Tr[A] Tr[B] / d^2, 0).  Oracle for
+    twirlsim._two_copy_weights."""
+    if kind == DEPOLARIZE:
+        return tr_a_tr_b / d**2, Fraction(0)
+    dE = dE if kind == CHAAR else 1
+    x = Fraction(1, d * dE)
+    kappa = Fraction(1, d * d) / (1 - x * x)
+    return kappa * (tr_a_tr_b - x * tr_ab), kappa * (tr_ab - x * tr_a_tr_b) / dE
 
 
 # -- Monte-Carlo estimators, one draw at a time ----------------------------------

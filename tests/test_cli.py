@@ -290,6 +290,9 @@ def test_mc_k_fold_fails_without_concatenating(capsys, monkeypatch):
         ("--t-list", "2,0", "t = 0"),
         ("--k-list", "0", "k = 0"),
         ("--d-list", "1", "d = 1"),
+        ("--t-list", "2,2", "duplicate t = 2"),
+        ("--k-list", "1,1", "duplicate k = 1"),
+        ("--d-list", "2,3,2", "duplicate d = 2"),
     ],
 )
 def test_hierarchy_bad_grid_is_one_error_line(capsys, flag, value, named):

@@ -276,6 +276,7 @@ def test_hierarchy_scan_exact_path_agrees():
         (([2], [1], [2], ("1", "0")), "dE = 0"),
         (([2], [1], [2], ("1", "foo")), "'foo'"),
         (([2, 3, 7], [1], [8], ("1",)), "t = 7"),
+        (([2], [1, 1], [2, 2], ("1", "d")), "duplicate k = 1"),
     ],
 )
 def test_hierarchy_scan_checks_grid_before_any_matrix(grid, bad, monkeypatch):
@@ -286,6 +287,11 @@ def test_hierarchy_scan_checks_grid_before_any_matrix(grid, bad, monkeypatch):
         mo.hierarchy_scan(*grid)
     assert bad in str(err.value)
     assert calls == []
+
+
+def test_hierarchy_scan_merges_rules_that_resolve_to_one_dE():
+    res = mo.hierarchy_scan([2], [1], [2], ("2", "d"))
+    assert [(row.d, row.dE) for row in res.rows] == [(2, 2)]
 
 
 REFERENCE_SPECS = [

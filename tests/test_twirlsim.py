@@ -1,4 +1,5 @@
-from math import log
+from fractions import Fraction
+from math import factorial, log
 
 import numpy as np
 import pytest
@@ -27,11 +28,13 @@ from oracles import (
     gate_twirl_t1,
     gate_twirl_t2,
     generator_twirl_pair_matrix_dense,
+    haar_composite_norm_dense,
     initial_two_copy_state,
     initial_vector,
     mc_expectation_moments_loop,
     pauli_channel_leg,
     swap_copies,
+    two_copy_weights_kappa,
 )
 
 
@@ -315,6 +318,34 @@ def test_generator_twirl_pair_matrix_matches_dense(label):
     assert np.max(np.abs(got - generator_twirl_pair_matrix_dense(label))) < 1e-13
 
 
+@pytest.mark.parametrize("d", range(2, 9))
+@pytest.mark.parametrize("kind", [HAAR, CHAAR, DEPOLARIZE])
+def test_two_copy_weights_equal_kappa_form_exactly(kind, d):
+    for dE in (1, 2, 3, d * d):
+        for traces in ((Fraction(1), Fraction(1)), (Fraction(9, 4), Fraction(5, 8))):
+            got = tw._two_copy_weights(kind, d, dE, *traces)
+            assert got == two_copy_weights_kappa(kind, d, dE, *traces)
+            assert all(type(v) is Fraction for v in got)
+
+
+@pytest.mark.parametrize("dE", [0, -1])
+def test_reference_helpers_reject_a_bad_environment(dE):
+    rho = np.diag([1.0, 0.0]).astype(complex)
+    with pytest.raises(ValueError, match="dE"):
+        tw.reference_purities(2, dE)
+    for ref in (HAAR, CHAAR, DEPOLARIZE):
+        with pytest.raises(ValueError, match="dE"):
+            tw.variance_reference(rho, ch.PAULI_Z, ref, dE=dE)
+
+
+def test_variance_reference_rejects_mismatched_shapes():
+    rho = np.diag([1.0, 0.0]).astype(complex)
+    with pytest.raises(ValueError, match="obs must be 2 x 2"):
+        tw.variance_reference(rho, np.eye(3), HAAR)
+    with pytest.raises(ValueError, match="rho must be 2 x 2"):
+        tw.variance_reference(np.ones((2, 3)), ch.PAULI_Z, HAAR)
+
+
 def test_reference_purities():
     refs = tw.reference_purities(3, dE=64)
     assert refs["depolarize"] == 1 / 64
@@ -358,12 +389,34 @@ def test_evolve_register_noise_placement():
     assert traj_register[-1] < traj_gate[-1]
 
 
-def test_composite_noise_norm_noiseless_is_factorial():
-    model = ch.NoiseModel.uniform(2, 0.0, 0.0)
-    assert abs(tw.composite_noise_norm(tw.HAAR_UNITARIES, model, 2, 1) - 2.0) < 1e-12
-    assert abs(tw.composite_noise_norm(tw.HAAR_UNITARIES, model, 2, 5) - 2.0) < 1e-12
-    model4 = ch.NoiseModel.uniform(4, 0.0, 0.0)
-    assert abs(tw.composite_noise_norm(tw.HAAR_UNITARIES, model4, 2, 1) - 2.0) < 1e-12
+@pytest.mark.parametrize("d", [2, 4, 8, 16])
+def test_composite_noise_norm_noiseless_is_factorial(d):
+    model = ch.NoiseModel.uniform(d, 0.0, 0.0)
+    for t, k in ((1, 1), (1, 4), (2, 1), (2, 5)):
+        got = tw.composite_noise_norm(tw.HAAR_UNITARIES, model, t, k)
+        assert abs(got - factorial(t)) < 1e-12
+
+
+NOISE_PAIRS = [(0.0, 0.0), (0.05, 0.0), (0.1, 0.01), (0.1, 0.02), (0.3, 0.1)]
+
+
+@pytest.mark.parametrize("gamma, eta", NOISE_PAIRS)
+@pytest.mark.parametrize("t", [1, 2])
+@pytest.mark.parametrize("d", [2, 4])
+def test_haar_composite_norm_matches_dense_power(d, t, gamma, eta):
+    model = ch.NoiseModel.uniform(d, gamma, eta)
+    for k in range(1, 7):
+        got = tw.composite_noise_norm(tw.HAAR_UNITARIES, model, t, k)
+        want = haar_composite_norm_dense(model, t, k)
+        assert abs(got - want) <= 1e-12 * want, k
+
+
+@pytest.mark.parametrize("ensemble", [tw.HAAR_UNITARIES, tw.SINGLE_GENERATOR])
+@pytest.mark.parametrize("k", [0, -1])
+def test_composite_noise_norm_rejects_k_below_one(ensemble, k):
+    model = ch.NoiseModel.uniform(2, 0.1, 0.0)
+    with pytest.raises(ValueError, match="k >= 1"):
+        tw.composite_noise_norm(ensemble, model, 2, k, generator="Z")
 
 
 def test_composite_noise_norm_unital_slope():
