@@ -96,8 +96,11 @@ def _emit(args, config: dict, columns: list, rows: list):
             lines.append(",".join(_fmt(v) for v in row))
         text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -199,6 +202,10 @@ def cmd_simulate(args) -> int:
     gammas = [float(g) for g in args.gamma.split(",")]
     if not all(0.0 <= g <= 1.0 for g in gammas):
         raise ValueError(f"gamma must lie in [0, 1], got {args.gamma}")
+    for name, grid in (("ansatz", ansatze), ("noise", noises), ("gamma", gammas)):
+        for i, v in enumerate(grid):
+            if v in grid[:i]:
+                raise ValueError(f"invalid grid: duplicate {name} = {v}")
     # The noiseless trajectory once per ansatz (every noise is the identity
     # at gamma 0), then each noise kind at its nonzero strengths.
     runs = [(None, 0.0)] if not noises or 0.0 in gammas else []

@@ -10,9 +10,12 @@ this pairing:
 - the spectrum equals the spectrum of the modified matrix tau X.
 
 All identities hold in either basis, so exact rational results transport
-between the permutation and localized bases unchanged.  On the exact path
-every product is taken on integer matrices over one common denominator
-(``exactalg.to_integer``); results are reduced to Fractions only at the end.
+between the permutation and localized bases unchanged.  The entries say
+which path a matrix is on: object arrays of Fractions are exact, float64
+arrays are not.  Every product and sum here is taken on the numerators of
+``exactalg.split`` (integers over one common denominator, or the floats
+over 1) and turned back into a value by ``exactalg.join``, so no code in
+this module branches on exactness.
 
 In the permutation basis every reference ensemble has tau = D W with
 D = diag(f[size]) and W = w[cls prod], and X = x[size][prod]; ``_tables``
@@ -40,7 +43,7 @@ import numpy as np
 from . import localized as loc
 from . import symmgroup as sg
 from . import weingarten as wg
-from .exactalg import from_integer, mat_eq, to_integer
+from .exactalg import join, mat_eq, split, split_all
 from .specs import (
     CHAAR,
     DEPOLARIZE,
@@ -87,8 +90,8 @@ def _tables(spec: EnsembleSpec, exact: bool) -> tuple:
     t = spec.t
     x = wg.inverse_powers(spec.d, t, exact)
     if spec.kind == DEPOLARIZE:
-        dtype = object if exact else float
-        f, w = (np.array([Fraction(int(i == 0)) for i in range(n)], dtype=dtype)
+        # Identity indicators in the number type of x, whose entry 0 is 1.
+        f, w = (np.eye(1, n, dtype=x.dtype)[0] * x[0]
                 for n in (t, len(sg.conjugacy_classes(t))))
     else:
         f = wg.inverse_powers(spec.environment_dim, t, exact)
@@ -109,7 +112,7 @@ def transfer(spec: EnsembleSpec, basis: str = PERMUTATION, exact: bool = True) -
     t = spec.t
     f, _, w = _tables(spec, exact)
     m = np.multiply.outer(f, w)[sg.product_table(t).size[:, None], wg._pair_class_table(t)]
-    tm = TransferMatrix(m, PERMUTATION, replace(spec, k=1), exact)
+    tm = TransferMatrix(m, PERMUTATION, replace(spec, k=1))
     if basis == LOCALIZED:
         tm = replace(tm, basis=LOCALIZED) if spec.kind == DEPOLARIZE else loc.to_localized(tm)
     if spec.k > 1:
@@ -124,17 +127,6 @@ def gram(t: int, d: int, basis: str = PERMUTATION, exact: bool = True) -> np.nda
     if basis == LOCALIZED:
         return loc.localized_gram(t, d, exact=exact)
     raise ValueError(f"unknown basis {basis!r}")
-
-
-def _split(a: np.ndarray, exact: bool) -> tuple:
-    """(numerators, denominator): on the exact path an integer array over
-    one common denominator, else the float array over 1."""
-    return to_integer(a) if exact else (a, 1)
-
-
-def _parts(tm: TransferMatrix, gram_matrix: np.ndarray) -> tuple:
-    """(tau, X) as (numerator matrix, denominator) pairs."""
-    return _split(tm.matrix, tm.exact), _split(gram_matrix, tm.exact)
 
 
 def _class_rows(spec: EnsembleSpec, exact: bool) -> tuple:
@@ -155,23 +147,19 @@ def _reference_values(spec: EnsembleSpec, ks, exact: bool) -> dict:
     At k = 1 both are sums over S_t: norm^2 = sum_g q(g) x(g) (f*f)(g)
     with f*f = f F, F = f[prod], and trace = c(e) sum f.  Y_2 = D C D is a
     scaling, and each later Y_k one t! x t! product; each norm at k >= 2
-    takes two.  Intermediates are (numerators, denominator) pairs, as in
-    ``_parts``, so the exact values are Fractions.
+    takes two.  Intermediates are (numerators, denominator) pairs from
+    ``exactalg.split``, so ``join`` makes the exact values Fractions.
     """
     prod = sg.product_table(spec.t).prod
-    (f, df), (x, dx), (w, dw) = (_split(v, exact) for v in _class_rows(spec, exact))
+    (f, df), (x, dx), (w, dw) = split_all(*_class_rows(spec, exact))
     xm = x[prod]
     c, dc = w.dot(xm), dw * dx
     cm = c[prod]
     q, dq = w.dot(cm), dw * dc
-
-    def value(total, denom):
-        return Fraction(total, denom) if exact else total / denom
-
     out = {}
     if 1 in ks:
-        out[1] = (value((q * x * f.dot(f[prod])).sum(), dq * dx * df * df),
-                  value(c[0] * f.sum(), dc * df))
+        out[1] = (join((q * x * f.dot(f[prod])).sum(), dq * dx * df * df),
+                  join(c[0] * f.sum(), dc * df))
     for k in range(2, max(ks) + 1):
         if k == 2:
             y, dy = f[:, None] * cm * f, df * dc * df
@@ -179,8 +167,8 @@ def _reference_values(spec: EnsembleSpec, ks, exact: bool) -> dict:
             y, dy = y.dot(cm), dy * dc * df
             y *= f
         if k in ks:
-            out[k] = (value(np.vdot(y.dot(q[prod]), xm.dot(y)), dy * dq * dy * dx),
-                      value(np.vdot(y, cm), dy * dc))
+            out[k] = (join(np.vdot(y.dot(q[prod]), xm.dot(y)), dy * dq * dy * dx),
+                      join(np.vdot(y, cm), dy * dc))
     return out
 
 
@@ -193,14 +181,13 @@ def concatenate(tm: TransferMatrix, gram_matrix: np.ndarray, k: int) -> Transfer
     """k-fold concatenation tau (X tau)^(k-1) with X the normalized Gram."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    (a, da), (b, db) = _parts(tm, gram_matrix)
+    (a, da), (b, db) = split_all(tm.matrix, gram_matrix)
     out = a
     if k > 1:
         step = b.dot(a)
         for _ in range(k - 1):
             out = out.dot(step)
-    if tm.exact:
-        out = from_integer(out, da * (da * db) ** (k - 1))
+    out = join(out, da * (da * db) ** (k - 1))
     return replace(tm, matrix=out, ensemble=replace(tm.ensemble, k=tm.k * k))
 
 
@@ -223,16 +210,14 @@ def exact_t2_chaar(k: int, d: int, dE: int) -> TransferMatrix:
 
 def norm_squared(tm: TransferMatrix, gram_matrix: np.ndarray):
     """Squared Hilbert-Schmidt norm Tr[tau X tau^T X] = Tr[(tau X)(tau^T X)]."""
-    (a, da), (b, db) = _parts(tm, gram_matrix)
-    total = trace_of_product(a.dot(b), a.T.dot(b))
-    return Fraction(total, (da * db) ** 2) if tm.exact else total
+    (a, da), (b, db) = split_all(tm.matrix, gram_matrix)
+    return join(trace_of_product(a.dot(b), a.T.dot(b)), (da * db) ** 2)
 
 
 def trace(tm: TransferMatrix, gram_matrix: np.ndarray):
     """Trace Tr[tau X] of the represented operator."""
-    (a, da), (b, db) = _parts(tm, gram_matrix)
-    total = trace_of_product(a, b)
-    return Fraction(total, da * db) if tm.exact else total
+    (a, da), (b, db) = split_all(tm.matrix, gram_matrix)
+    return join(trace_of_product(a, b), da * db)
 
 
 @dataclass(frozen=True)
@@ -455,12 +440,12 @@ def invariance_checks(spec_a: EnsembleSpec, spec_b: EnsembleSpec) -> list:
     dep = transfer(depolarize(d, t), basis=PERMUTATION, exact=True)
     ta = transfer(spec_a, basis=PERMUTATION, exact=True)
     tb = transfer(spec_b, basis=PERMUTATION, exact=True)
-    xi, dx = to_integer(x)
+    xi, dx = split(x)
 
     def sandwich(left, right):
         """left X right, exactly."""
-        (li, dl), (ri, dr) = to_integer(left.matrix), to_integer(right.matrix)
-        return from_integer(li.dot(xi).dot(ri), dl * dx * dr)
+        (li, dl), (ri, dr) = split(left.matrix), split(right.matrix)
+        return join(li.dot(xi).dot(ri), dl * dx * dr)
 
     results = []
     for name, tm in (("a", ta), ("b", tb)):
@@ -494,9 +479,9 @@ def invariance_checks(spec_a: EnsembleSpec, spec_b: EnsembleSpec) -> list:
     for tm in (ta, tb):
         if t > 1 and tm.ensemble.environment_dim > 1:
             # mod = tau X = m / dm, and mod^2 - mod = (m^2 - dm m) / dm^2.
-            mi, dt = to_integer(tm.matrix)
+            mi, dt = split(tm.matrix)
             m, dm = mi.dot(xi), dt * dx
-            dev = from_integer(m.dot(m) - dm * m, dm * dm)
+            dev = join(m.dot(m) - dm * m, dm * dm)
             max_dev = max(abs(float(v)) for v in dev.flat)
             results.append(
                 CheckResult(

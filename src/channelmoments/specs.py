@@ -8,6 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .channels import NOISE_KINDS
+from .exactalg import is_exact
 
 PERMUTATION = "permutation"
 LOCALIZED = "localized"
@@ -68,20 +69,26 @@ def depolarize(d: int, t: int, k: int = 1) -> EnsembleSpec:
 class TransferMatrix:
     """t! x t! coefficient matrix of an ensemble's moment operator in a basis.
 
-    ``matrix`` is a numpy array, either dtype=object with Fractions (exact
-    path) or float64.  Rows and columns are indexed by the canonical order
-    of ``symmgroup.symmetric_group(t)``.  ``basis`` is PERMUTATION or
-    LOCALIZED; t, d and the concatenation count k are those of ``ensemble``.
+    ``matrix`` is a numpy array: an object array of Fractions or ints on
+    the exact path, or float64.  Exactness is read from it (``exact``), so
+    it cannot disagree with the numbers.  Rows and columns are indexed by
+    the canonical order of ``symmgroup.symmetric_group(t)``.  ``basis`` is
+    PERMUTATION or LOCALIZED; t, d and the concatenation count k are those
+    of ``ensemble``.
     """
 
     matrix: np.ndarray
     basis: str
     ensemble: EnsembleSpec
-    exact: bool = True
 
     def __post_init__(self):
         if self.basis not in (PERMUTATION, LOCALIZED):
             raise ValueError(f"unknown basis {self.basis!r}")
+
+    @property
+    def exact(self) -> bool:
+        """True when ``matrix`` holds exact numbers (``exactalg.is_exact``)."""
+        return is_exact(self.matrix)
 
     @property
     def t(self) -> int:

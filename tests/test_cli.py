@@ -190,6 +190,30 @@ def test_simulate_bad_noise_fails_before_any_trajectory(capsys, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "flag, value, named",
+    [
+        ("--ansatz", "hea,hea", "duplicate ansatz = hea"),
+        ("--noise", "dephasing,bit_flip,dephasing", "duplicate noise = dephasing"),
+        ("--gamma", "0.1,0.1", "duplicate gamma = 0.1"),
+        ("--gamma", "0.1,0.10", "duplicate gamma = 0.1"),
+    ],
+)
+def test_simulate_duplicate_grid_value_fails_before_any_trajectory(
+    capsys, monkeypatch, flag, value, named
+):
+    calls = counting_evolve(monkeypatch)
+    argv = {"--n": "2", "--layers": "1", "--ansatz": "hea", "--noise": "dephasing",
+            "--gamma": "0.1"}
+    argv[flag] = value
+    code = main(["simulate", *(x for item in argv.items() for x in item)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: invalid grid: {named}\n"
+    assert calls == []
+
+
 @pytest.mark.parametrize("verbose", [False, True])
 def test_simulate_logs_one_line_per_trajectory_at_v(verbose):
     argv = ["-v"] * verbose + ["simulate", "--n", "1", "--layers", "1", "--ansatz", "hea,mat",
@@ -256,10 +280,12 @@ def test_out_file(tmp_path, capsys):
         ("mc", "--ensemble", "chaar", "--t", "2", "--d", "2", "--dE", "2", "--k", "3"),
         ("transfer", "--ensemble", "haar", "--t", "7", "--d", "7"),
         ("weingarten", "--t", "3", "--d", "2"),
+        ("--out", "{tmp}/missing/x.csv", "weingarten", "--t", "2", "--d", "2"),
+        ("--out", "{tmp}", "weingarten", "--t", "2", "--d", "2"),
     ],
 )
-def test_bad_input_is_one_error_line(capsys, argv):
-    code = main(list(argv))
+def test_bad_input_is_one_error_line(capsys, tmp_path, argv):
+    code = main([a.format(tmp=tmp_path) for a in argv])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

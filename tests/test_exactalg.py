@@ -8,8 +8,11 @@ from channelmoments.exactalg import (
     frac_array,
     from_integer,
     identity_exact,
+    join,
     mat_eq,
     product_is_identity,
+    split,
+    split_all,
     to_integer,
 )
 from oracles import invert_bareiss, invert_exact
@@ -94,3 +97,54 @@ def test_integer_round_trip_random():
         ints, denom = to_integer(m)
         assert all(v == Fraction(i, denom) for v, i in zip(m.flat, ints.flat))
         assert mat_eq(from_integer(ints, denom), m)
+
+
+def test_to_integer_reads_every_exact_entry_type_alike():
+    want = [[6, -4, 0], [1, 3, -12]]
+    forms = [
+        frac_array([[Fraction(3, 2), -1, 0], [Fraction(1, 4), Fraction(3, 4), -3]]),
+        np.array(want, dtype=object),
+        np.array(want, dtype=np.int64),
+        np.array([[np.int64(6), Fraction(-4), 0], [1, np.int32(3), Fraction(-12)]],
+                 dtype=object),
+    ]
+    for m, denom in zip(forms, (4, 1, 1, 1)):
+        ints, got = to_integer(m)
+        assert (ints.tolist(), got) == (want, denom)
+        assert type(got) is int and all(type(v) is int for v in ints.flat)
+    # A numpy-int entry times a large scale stays an unbounded Python int.
+    big = np.array([[np.int64(2**62), Fraction(1, 2**70)]], dtype=object)
+    ints, denom = to_integer(big)
+    assert denom == 2**70 and ints.tolist() == [[2**132, 1]]
+
+
+def test_split_join_round_trip_keeps_exact_values_and_entry_types():
+    rng = np.random.default_rng(5)
+    for m in (random_rational_matrix(rng, 4), np.array([[2, -3], [0, 7]], dtype=object)):
+        nums, denom = split(m)
+        assert all(type(v) is int for v in nums.flat)
+        back = join(nums, denom)
+        assert back.dtype == object and mat_eq(back, m)
+        assert all(type(v) is Fraction for v in back.flat)
+    assert join(6, 4) == Fraction(3, 2) and type(join(6, 4)) is Fraction
+    assert type(join(np.int64(6), 4).numerator) is int
+
+
+def test_split_join_pass_floats_through_bit_for_bit():
+    m = np.random.default_rng(3).standard_normal((5, 5))
+    nums, denom = split(m)
+    assert nums is m and denom == 1
+    back = join(nums, denom)
+    assert back.dtype == np.float64 and back.tobytes() == m.tobytes()
+    total = m.sum()
+    assert join(total, 1) == total and type(join(total, 1)) is np.float64
+    assert join(1.5, 1) == 1.5 and type(join(1.5, 1)) is float
+
+
+def test_split_all_rejects_exact_mixed_with_float():
+    exact, approx = frac_array([[Fraction(1, 2)]]), np.array([[0.5]])
+    assert split_all(exact, exact)[0][1] == 2
+    assert split_all(approx, approx)[1][1] == 1
+    for pair in ((exact, approx), (approx, exact)):
+        with pytest.raises(ValueError, match="mix exact"):
+            split_all(*pair)

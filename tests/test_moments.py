@@ -330,6 +330,32 @@ def test_localized_transfer_is_the_transported_permutation_matrix(spec, exact):
     assert (tm.matrix == want.matrix).all()
 
 
+def test_transfer_matrix_exact_follows_the_matrix_dtype():
+    spec = chaar(2, 3, 3)
+    exact, approx = mo.transfer(spec), mo.transfer(spec, exact=False)
+    assert exact.exact and not approx.exact
+    assert not TransferMatrix(exact.matrix.astype(float), PERMUTATION, spec).exact
+    assert TransferMatrix(approx.matrix.astype(object), PERMUTATION, spec).exact
+    with pytest.raises(TypeError):
+        TransferMatrix(exact.matrix, PERMUTATION, spec, True)
+    # A float matrix is on the float path whatever built it.
+    tm = TransferMatrix(approx.matrix, PERMUTATION, spec)
+    got = mo.norm_squared(tm, mo.gram(3, 2, exact=False))
+    assert type(got) is np.float64
+    assert abs(got - float(mo.norm_squared(exact, mo.gram(3, 2)))) < 1e-12
+
+
+@pytest.mark.parametrize("tm_exact", [True, False])
+def test_mixed_exact_and_float_operands_raise(tm_exact):
+    spec = chaar(2, 2, 2)
+    tm = mo.transfer(spec, exact=tm_exact)
+    x = mo.gram(2, 2, exact=not tm_exact)
+    for call in (lambda: mo.norm_squared(tm, x), lambda: mo.trace(tm, x),
+                 lambda: mo.concatenate(tm, x, 1), lambda: mo.concatenate(tm, x, 3)):
+        with pytest.raises(ValueError, match="mix exact"):
+            call()
+
+
 @pytest.mark.parametrize("t", [1, 2, 3])
 def test_invariance_checks(t):
     d = max(2, t)  # the unitary-ensemble transfer needs d >= t
@@ -620,7 +646,7 @@ def test_transfer_equals_oracle_in_value_and_entry_type(spec, basis, exact):
     else:
         want = chaar_transfer_perm(spec.t, spec.d, spec.environment_dim, exact=exact)
         if basis == LOCALIZED:
-            want = loc.to_localized(TransferMatrix(want, PERMUTATION, spec, exact)).matrix
+            want = loc.to_localized(TransferMatrix(want, PERMUTATION, spec)).matrix
     got = mo.transfer(spec, basis=basis, exact=exact).matrix
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
     if exact:
