@@ -5,7 +5,8 @@ A refactor that must not change results is checked by dumping the outputs
 of the old and the new tree and comparing the dumps: exact arrays must
 agree in value and in entry type (Fraction or Python int), float arrays
 bit for bit.  For each output family whose float results differ, the
-comparison also prints the largest relative difference, so that a change
+comparison also prints the largest difference relative to the result's
+largest float entry (a scalar's against itself), so that a change
 that reorders float arithmetic shows how far it drifts.  The grid covers
 the Gram and Weingarten matrices, transfer matrices in both bases, the
 leading right vector and the localized Gram (exact for t <= 5, float for
@@ -134,18 +135,31 @@ def _same(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
+def _float_entries(a):
+    """The float (or complex) entries of a result, flattened into one array,
+    or None when it holds none.  Tuples and lists are searched member by
+    member, so that ints and labels beside the floats are left out."""
+    if isinstance(a, (list, tuple)):
+        parts = [p for p in map(_float_entries, a) if p is not None]
+        return np.concatenate(parts) if parts else None
+    if isinstance(a, (float, complex)) or isinstance(a, np.ndarray) and a.dtype.kind in "fc":
+        return np.ravel(a)
+    return None
+
+
 def _relative_drift(a, b):
-    """Largest relative difference of two float results, or None when either
-    is not a float array of the other's shape."""
-    try:
-        x, y = np.asarray(a), np.asarray(b)
-    except ValueError:
+    """Largest difference of two float results relative to the largest entry
+    of either, or None when they hold no floats of matching shape.
+
+    Measuring against the largest entry keeps rounding noise at an entry
+    that is 0 in exact arithmetic from reading as drift.  A scalar result
+    is its own largest entry, so it keeps the per-entry ratio.
+    """
+    x, y = _float_entries(a), _float_entries(b)
+    if x is None or y is None or x.shape != y.shape:
         return None
-    if x.dtype.kind not in "fc" or y.dtype.kind not in "fc" or x.shape != y.shape:
-        return None
-    scale = np.maximum(np.abs(x), np.abs(y))
-    diff = np.abs(x - y)
-    return float(np.max(diff / np.where(scale > 0, scale, 1.0), initial=0.0))
+    scale = max(np.abs(x).max(initial=0.0), np.abs(y).max(initial=0.0))
+    return float(np.abs(x - y).max(initial=0.0) / scale) if scale > 0 else 0.0
 
 
 def main(argv) -> int:

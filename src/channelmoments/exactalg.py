@@ -25,12 +25,6 @@ class SingularMatrixError(ValueError):
     """Raised when an exact inverse does not exist."""
 
 
-def frac_array(rows) -> np.ndarray:
-    return np.array(
-        [[Fraction(x) for x in row] for row in rows], dtype=object
-    )
-
-
 def is_exact(a) -> bool:
     """True for an object array or a rational scalar, False for floats."""
     return a.dtype == object if isinstance(a, np.ndarray) else isinstance(a, Rational)
@@ -77,9 +71,12 @@ def to_integer(m: np.ndarray) -> tuple:
 
 
 def from_integer(ints: np.ndarray, denom: int) -> np.ndarray:
-    """Fraction object matrix ints / denom, each entry in lowest terms."""
+    """Fraction object matrix ints / denom in lowest terms, reducing each
+    distinct numerator once (transfer matrices hold few distinct values)."""
+    entries = ints.ravel().tolist()
+    value = {x: Fraction(int(x), denom) for x in set(entries)}
     out = np.empty(ints.shape, dtype=object)
-    out.flat[:] = [Fraction(int(x), denom) for x in ints.flat]
+    out.flat[:] = [value[x] for x in entries]
     return out
 
 

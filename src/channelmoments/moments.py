@@ -23,8 +23,11 @@ gives (f, x, w) and is the only place that says what an ensemble is.  W and
 X are convolutions by class functions: each is fixed by its row 0, and so
 are C = W X and Q = W X W.  ``spectrum`` and ``hierarchy_scan`` work from
 these rows and never build a transfer matrix.  tau X = D C, and the k-fold
-norm and trace are Tr[Y_k Q Y_k X] and Tr[Y_k C] with Y_k = D (C D)^(k-1):
-no t! x t! product at k = 1, and k of them at k >= 2 (``_reference_values``).
+norm and trace are Tr[Y_k Q Y_k X] and Tr[Y_k W X] with Y_k = D (C D)^(k-1).
+All these matrices are fixed by simultaneous conjugation, so the traces
+need only the rows at one representative per conjugacy class: 2k - 2
+products of a p(t) x t! block with a t! x t! matrix, none at k = 1
+(``_reference_values``).
 
 The spectrum is real.  For the Haar and dilated ensembles tau X is
 similar to the symmetric matrix D^(-1/2) (tau X) D^(1/2), so one symmetric
@@ -140,35 +143,36 @@ def _class_rows(spec: EnsembleSpec, exact: bool) -> tuple:
 def _reference_values(spec: EnsembleSpec, ks, exact: bool) -> dict:
     """{k: (norm^2, trace)} of the k-fold reference ensemble ``spec``, k in ``ks``.
 
-    W and X are convolutions by class functions, so C = W X = c[prod] and
-    Q = W X W = W C = q[prod] with c = w X and q = w C, each one O(t!^2)
-    mat-vec.  tau_k X = (D C)^k = Y_k C with the symmetric
-    Y_k = D (C D)^(k-1), so norm^2 = Tr[Y_k Q Y_k X] and trace = Tr[Y_k C].
-    At k = 1 both are sums over S_t: norm^2 = sum_g q(g) x(g) (f*f)(g)
-    with f*f = f F, F = f[prod], and trace = c(e) sum f.  Y_2 = D C D is a
-    scaling, and each later Y_k one t! x t! product; each norm at k >= 2
-    takes two.  Intermediates are (numerators, denominator) pairs from
-    ``exactalg.split``, so ``join`` makes the exact values Fractions.
+    C = W X = c[prod] and Q = W C = q[prod] for class functions c = w X and
+    q = w C.  tau_k X = (D C)^k = Y_k C with the symmetric Y_k =
+    D (C D)^(k-1), so norm^2 = Tr[Y_k Q Y_k X] and trace = Tr[X Y_k W].
+    Both products are fixed by simultaneous conjugation, so each trace is
+    sum_r n_r M[r, r] over class representatives r of class size n_r.  The
+    rows there of Y_k (v) and of X Y_k (u, times n_r) follow from
+    (v, u) <- (v, u) C D, p(t) x t! blocks; the rows of Y_1 = D are
+    f_r e_r, so its products are gathers.  Intermediates are (numerators,
+    denominator) pairs from ``exactalg.split``, so ``join`` makes the exact
+    values Fractions.
     """
-    prod = sg.product_table(spec.t).prod
-    (f, df), (x, dx), (w, dw) = split_all(*_class_rows(spec, exact))
-    xm = x[prod]
-    c, dc = w.dot(xm), dw * dx
-    cm = c[prod]
-    q, dq = w.dot(cm), dw * dc
+    tab, pcls = sg.product_table(spec.t), wg._pair_class_table(spec.t)
+    (f, df), (x, dx), (w, dw) = split_all(*_tables(spec, exact))
+    # Rows of X and W at the representatives, f and w over S_t.
+    xr, wr, f, w = x[tab.rep_size], w[tab.rep_cls], f[tab.size], w[tab.cls]
+    c, dc = xr.dot(w), dx * dw  # c and q by class
+    q, dq = c[tab.rep_cls].dot(w), dc * dw
+    cd, qm = c[pcls], q[pcls]
+    cd *= f
+    fr = f[tab.reps, None]
+    u, du, dv = xr * f * tab.class_sizes[:, None], dx * df, df
+    y_rows = lambda m: fr * m.take(tab.reps, 0)  # rows of Y_k m; Y_1 m = D m
     out = {}
-    if 1 in ks:
-        out[1] = (join((q * x * f.dot(f[prod])).sum(), dq * dx * df * df),
-                  join(c[0] * f.sum(), dc * df))
-    for k in range(2, max(ks) + 1):
-        if k == 2:
-            y, dy = f[:, None] * cm * f, df * dc * df
-        else:
-            y, dy = y.dot(cm), dy * dc * df
-            y *= f
+    for k in range(1, max(ks) + 1):
+        if k > 1:
+            v, u = y_rows(cd), u.dot(cd)
+            y_rows = v.dot
+            dv, du = dv * dc * df, du * dc * df
         if k in ks:
-            out[k] = (join(np.vdot(y.dot(q[prod]), xm.dot(y)), dy * dq * dy * dx),
-                      join(np.vdot(y, cm), dy * dc))
+            out[k] = (join(np.vdot(y_rows(qm), u), dv * dq * du), join(np.vdot(u, wr), du * dw))
     return out
 
 

@@ -151,13 +151,6 @@ def relative_size(pi: Permutation, sigma: Permutation) -> int:
     return compose(inverse(pi), sigma).size
 
 
-def is_subpermutation(pi: Permutation, sigma: Permutation) -> bool:
-    """True iff pi lies below sigma in the sub-permutation order."""
-    if pi.t != sigma.t:
-        raise OrderMismatchError(f"order mismatch: {pi.t} != {sigma.t}")
-    return relative_size(pi, sigma) == sigma.size - pi.size
-
-
 def catalan(k: int) -> int:
     return comb(2 * k, k) // (k + 1)
 
@@ -292,7 +285,10 @@ class ProductTable:
     pair table over S_t (Gram, Weingarten, sub-permutation order, Möbius
     matrix, localized Gram) is a per-element vector indexed by ``prod``.
     ``size``, ``cls`` (position in ``conjugacy_classes``), ``mobius`` and
-    ``mask`` (support bitmask) are indexed by canonical position.
+    ``mask`` (support bitmask) are indexed by canonical position.  ``reps``
+    is the first canonical index in each class and ``class_sizes`` the
+    member count, both in ``conjugacy_classes`` order; ``rep_cls`` and
+    ``rep_size`` are the rows of ``cls[prod]`` and ``size[prod]`` there.
     """
 
     prod: np.ndarray
@@ -300,10 +296,14 @@ class ProductTable:
     cls: np.ndarray
     mobius: np.ndarray
     mask: np.ndarray
+    reps: np.ndarray
+    class_sizes: np.ndarray
+    rep_cls: np.ndarray
+    rep_size: np.ndarray
 
     def __post_init__(self):
         # The cached table is shared by every caller.
-        for a in (self.prod, self.size, self.cls, self.mobius, self.mask):
+        for a in vars(self).values():
             a.flags.writeable = False
 
 
@@ -327,17 +327,17 @@ def product_table(t: int) -> ProductTable:
     for i in range(n):
         prod[i] = lookup[inverses[i][images] @ weights]
     kidx = {key: c for c, (key, _) in enumerate(conjugacy_classes(t))}
+    cls = np.array([kidx[p.cycle_type()] for p in group], dtype=np.int8)
+    size = np.array([p.size for p in group], dtype=np.int8)
+    reps = np.unique(cls, return_index=True)[1]
     return ProductTable(
         prod=prod,
-        size=np.array([p.size for p in group], dtype=np.int8),
-        cls=np.array([kidx[p.cycle_type()] for p in group], dtype=np.int8),
+        size=size,
+        cls=cls,
         mobius=np.array([mobius(p) for p in group], dtype=np.int64),
         mask=np.array([canonical_key(p)[1] for p in group], dtype=np.int64),
+        reps=reps,
+        class_sizes=np.bincount(cls),
+        rep_cls=cls[prod[reps]],
+        rep_size=size[prod[reps]],
     )
-
-
-def derangement_count(l: int) -> int:
-    """Number of fixed-point-free permutations of l elements."""
-    from math import factorial
-
-    return sum((-1) ** k * factorial(l) // factorial(k) for k in range(l + 1))

@@ -52,9 +52,8 @@ def weingarten_function(t: int, d: int):
     keys = [k for k, _ in sg.conjugacy_classes(t)]
     n = len(keys)
     tab = sg.product_table(t)
-    reps = np.unique(tab.cls, return_index=True)[1]
-    # counts[r, c, s]: elements u of size s with inv(u) * rep_r in class c.
-    flat = (np.arange(n)[:, None] * n + tab.cls[tab.prod[:, reps]].T) * t + tab.size
+    # counts[r, c, s]: elements u of size s with inv(rep_r) * u in class c.
+    flat = (np.arange(n)[:, None] * n + tab.rep_cls) * t + tab.size
     counts = np.bincount(flat.ravel(), minlength=n * n * t).reshape(n, n, t)
     a = counts.astype(object).dot(inverse_powers(d, t, exact=True))
     rhs = np.array(

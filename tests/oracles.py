@@ -1,10 +1,11 @@
 """Reference implementations that only the tests use.
 
 Each one computes by a route independent of (or more literal than) the
-package code it checks: a quadruple-sum norm, the leading-eigenvector
-overlap, two exact matrix inverses, a reordered two-copy superoperator, an
-explicit depolarizing Kraus set, the dense gate twirls, the single-copy
-input vector, the dense two-copy circuit evolution, the evolution over
+package code it checks: Fraction matrices from rows, the sub-permutation
+order by the size metric, the derangement count, a quadruple-sum norm,
+the leading-eigenvector overlap, two exact matrix inverses, a reordered
+two-copy superoperator, an explicit depolarizing Kraus set, the dense gate
+twirls, the single-copy input vector, the dense two-copy circuit evolution, the evolution over
 all 16^n Pauli-pair coefficients, the dense single-generator and Haar pair
 twirls, the Haar composite norm as a power of the dense Pauli-pair matrix,
 the two-copy weights in closed form, the Monte-Carlo estimators as loops
@@ -15,7 +16,7 @@ products.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import sqrt
+from math import factorial, sqrt
 
 import numpy as np
 
@@ -26,6 +27,24 @@ from channelmoments import weingarten as wg
 from channelmoments.exactalg import SingularMatrixError, identity_exact, solve_exact, to_integer
 from channelmoments.moments import MCEstimate, leading_right_vector
 from channelmoments.specs import CHAAR, DEPOLARIZE, HAAR, ZERO_STATE, CircuitSpec
+
+
+def frac_array(rows) -> np.ndarray:
+    """Object matrix of the entries as Fractions."""
+    return np.array([[Fraction(x) for x in row] for row in rows], dtype=object)
+
+
+def is_subpermutation(pi, sigma) -> bool:
+    """True iff pi lies below sigma in the sub-permutation order: the size
+    metric is additive along pi <= sigma."""
+    if pi.t != sigma.t:
+        raise sg.OrderMismatchError(f"order mismatch: {pi.t} != {sigma.t}")
+    return sg.relative_size(pi, sigma) == sigma.size - pi.size
+
+
+def derangement_count(l: int) -> int:
+    """Number of fixed-point-free permutations of l elements."""
+    return sum((-1) ** k * factorial(l) // factorial(k) for k in range(l + 1))
 
 
 def norm_squared_quad(tm, gram_matrix: np.ndarray):

@@ -5,7 +5,6 @@ import pytest
 
 from channelmoments.exactalg import (
     SingularMatrixError,
-    frac_array,
     from_integer,
     identity_exact,
     join,
@@ -15,7 +14,9 @@ from channelmoments.exactalg import (
     split_all,
     to_integer,
 )
-from oracles import invert_bareiss, invert_exact
+from channelmoments.moments import transfer
+from channelmoments.specs import LOCALIZED, PERMUTATION, chaar
+from oracles import frac_array, invert_bareiss, invert_exact
 
 
 def random_rational_matrix(rng, n):
@@ -88,6 +89,28 @@ def test_from_integer_reduces_to_lowest_terms():
     back = from_integer(np.array([[6, -4, 0]], dtype=object), 8)
     assert back.tolist() == [[Fraction(3, 4), Fraction(-1, 2), Fraction(0)]]
     assert back[0, 1].denominator == 2
+
+
+def from_integer_per_entry(ints, denom):
+    """One Fraction per entry: the reference for the build that reduces
+    each distinct numerator once."""
+    out = np.empty(ints.shape, dtype=object)
+    out.flat[:] = [Fraction(int(x), denom) for x in ints.flat]
+    return out
+
+
+@pytest.mark.parametrize(
+    "ints, denom",
+    [to_integer(transfer(chaar(2, 3, t), basis=b).matrix) for t in (4, 5)
+     for b in (PERMUTATION, LOCALIZED)]
+    + [(np.array([int(v) for v in range(-40, 40)], dtype=object).reshape(8, 10), 12)],
+    ids=["chaar-t4-perm", "chaar-t4-localized", "chaar-t5-perm", "chaar-t5-localized",
+         "all-distinct"],
+)
+def test_from_integer_matches_per_entry_build(ints, denom):
+    got, want = from_integer(ints, denom), from_integer_per_entry(ints, denom)
+    assert got.shape == want.shape
+    assert all(type(g) is Fraction and g == w for g, w in zip(got.flat, want.flat))
 
 
 def test_integer_round_trip_random():

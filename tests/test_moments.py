@@ -628,6 +628,23 @@ def test_dilated_values_float_match_matrix_path(spec):
             assert abs(g - w) <= 1e-12 * abs(w), (k, g, w)
 
 
+def test_reference_values_exact_haar_t6():
+    """Haar at d >= t is a projector of rank t! for every k: norm^2 = trace = 720."""
+    got = mo._reference_values(haar(6, 6), (1, 2, 3), exact=True)
+    assert got == {k: (720, 720) for k in (1, 2, 3)}
+    assert all(type(v) is Fraction for pair in got.values() for v in pair)
+
+
+@pytest.mark.parametrize("d", [6, 7, 8])
+def test_reference_values_float_haar_t6(d):
+    """Within 1e-13 of the exact 720 up to k = 4 (the class-representative
+    traces reach 4.8e-14 at d = 8, k = 4)."""
+    got = mo._reference_values(haar(d, 6), (1, 2, 3, 4), exact=False)
+    for k, pair in got.items():
+        for v in pair:
+            assert abs(v - 720) <= 1e-13 * 720, (k, v)
+
+
 @pytest.mark.parametrize("exact", [True, False])
 @pytest.mark.parametrize("basis", [PERMUTATION, LOCALIZED])
 @pytest.mark.parametrize(

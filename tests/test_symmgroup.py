@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from channelmoments import symmgroup as sg
+from oracles import derangement_count, is_subpermutation
 
 
 def bfs_transposition_distance(t):
@@ -72,11 +73,11 @@ def test_support_examples():
 
 def test_subpermutation_examples():
     for sigma in sg.symmetric_group(4):
-        assert sg.is_subpermutation(sg.identity(4), sigma)
+        assert is_subpermutation(sg.identity(4), sigma)
     three = sg.from_cycles(3, [(0, 1, 2)])
-    assert sg.is_subpermutation(sg.transposition(3, 0, 1), three)
+    assert is_subpermutation(sg.transposition(3, 0, 1), three)
     double = sg.from_cycles(4, [(0, 1), (2, 3)])
-    assert not sg.is_subpermutation(double, sg.transposition(4, 0, 1))
+    assert not is_subpermutation(double, sg.transposition(4, 0, 1))
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
@@ -84,7 +85,7 @@ def test_enumeration_matches_order_definition(t):
     # oracle: scan the whole group with the defining size condition
     group = sg.symmetric_group(t)
     for sigma in group:
-        want = {pi.images for pi in group if sg.is_subpermutation(pi, sigma)}
+        want = {pi.images for pi in group if is_subpermutation(pi, sigma)}
         got = {pi.images for pi in sg.enumerate_subpermutations(sigma)}
         assert got == want
 
@@ -183,4 +184,4 @@ def test_order_cap(monkeypatch):
 
 
 def test_derangement_count():
-    assert [sg.derangement_count(l) for l in range(6)] == [1, 0, 1, 2, 9, 44]
+    assert [derangement_count(l) for l in range(6)] == [1, 0, 1, 2, 9, 44]

@@ -75,6 +75,13 @@ def test_product_table_matches_composition(t):
     assert tab.cls.tolist() == [kidx[p.cycle_type()] for p in group]
     assert tab.mobius.tolist() == [sg.mobius(p) for p in group]
     assert tab.mask.tolist() == [sum(1 << i for i in p.support) for p in group]
+    cls = tab.cls.tolist()
+    assert tab.reps.tolist() == [cls.index(c) for c in range(len(kidx))]
+    assert tab.class_sizes.tolist() == [n for _, n in sg.conjugacy_classes(t)]
+    rows = [rel[r] for r in tab.reps]
+    assert tab.rep_cls.tolist() == [[kidx[p.cycle_type()] for p in row] for row in rows]
+    assert tab.rep_size.tolist() == [[p.size for p in row] for row in rows]
+    assert not any(a.flags.writeable for a in vars(tab).values())
 
 
 @pytest.mark.parametrize("t", ORDERS)
@@ -128,7 +135,7 @@ def test_support_pattern(t):
     assert got_contains.tolist() == contains
 
 
-@pytest.mark.parametrize("t", ORDERS)
+@pytest.mark.parametrize("t", ORDERS + [6])
 @pytest.mark.parametrize("dd", [0, 1])
 def test_weingarten_function(t, dd):
     d = t + dd
