@@ -8,10 +8,11 @@ bit for bit.  For each output family whose float results differ, the
 comparison also prints the largest difference relative to the result's
 largest float entry (a scalar's against itself), so that a change
 that reorders float arithmetic shows how far it drifts.  The grid covers
-the Gram and Weingarten matrices, transfer matrices in both bases, the
-leading right vector and the localized Gram (exact for t <= 5, float for
-t <= 6), float spectra for t <= 6 and k = 1, 2 (eigenvalues sorted by real,
-then imaginary part), two-copy purity trajectories and seeded Monte-Carlo
+the Gram and Weingarten matrices, transfer matrices in both bases for
+k = 1, 2, 3 (so the k-fold ones run ``concatenate``), the leading right
+vector and the localized Gram (exact for t <= 5, float for t <= 6), float
+spectra for t <= 6 and k = 1, 2 (eigenvalues sorted by real, then
+imaginary part), two-copy purity trajectories and seeded Monte-Carlo
 moments for n <= 3 (both ansaetze, all four noises, both placements),
 purity trajectories for n = 4, 5 (both ansaetze, both initial states,
 amplitude damping and local depolarizing, both placements),
@@ -54,8 +55,9 @@ def _grid():
                     name = (spec.label(),) + key
                     out[("leading_right",) + name] = mo.leading_right_vector(spec, exact=exact)
                     for basis in ("permutation", "localized"):
-                        tm = mo.transfer(spec, basis=basis, exact=exact)
-                        out[("transfer", basis) + name] = tm.matrix
+                        for k in (1, 2, 3):
+                            tm = mo.transfer(replace(spec, k=k), basis=basis, exact=exact)
+                            out[("transfer", basis, k) + name] = tm.matrix
                     if not exact:
                         for k in (1, 2):
                             ev = mo.spectrum(replace(spec, k=k)).eigenvalues

@@ -9,9 +9,9 @@ Stinespring-dilated one.  All matrices here are indexed by the canonical
 order of ``symmgroup.symmetric_group(t)``.
 
 Both the transport and the localized Gram matrix are products L M L^T with
-L supported on the sub-permutation order (``_order_product``).  They take
-exact or float input alike: exact values go through ``exactalg.split`` and
-``join``, and only the order product picks its arithmetic by the entries.
+L supported on the sub-permutation order and M fixed by simultaneous
+conjugation of S_t, so ``_order_product`` multiplies only the rows at the class
+representatives, on the exact or float numerators of ``exactalg.split`` alike.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from math import log
 import numpy as np
 
 from . import symmgroup as sg
-from .exactalg import is_exact, join, split
+from .exactalg import join, split
 from .specs import LOCALIZED, PERMUTATION, EnsembleSpec, TransferMatrix
 
 
@@ -44,53 +44,30 @@ def phi_inverse(t: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _order_matrix(t: int, mobius: bool) -> np.ndarray:
+    """L of ``_order_product`` in int64: the Möbius matrix, or zeta^T."""
+    tab, order = sg.product_table(t), _subperm_table(t)
+    out = np.where(order, tab.mobius[tab.prod.T], 0) if mobius else order.T.astype(np.int64)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
 def phi_matrix(t: int) -> np.ndarray:
     """Möbius matrix: entry (sigma, pi) = mobius(inv(pi) sigma) on the order.
 
     Python ints; cached and read-only, since every caller shares it.
     """
-    tab = sg.product_table(t)
-    out = np.where(_subperm_table(t), tab.mobius[tab.prod.T], 0).astype(object)
+    out = _order_matrix(t, True).astype(object)
     out.flags.writeable = False
     return out
-
-
-@lru_cache(maxsize=None)
-def _order_floats(t: int, mobius: bool) -> np.ndarray:
-    """L of ``_order_product`` as float64: the Möbius matrix, or zeta^T."""
-    out = (phi_matrix(t) if mobius else phi_inverse(t).T).astype(float)
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=None)
-def _order_terms(t: int, mobius: bool) -> tuple:
-    """Each row of L as (weight, columns) pairs, one per distinct weight."""
-    terms = []
-    for row in phi_matrix(t) if mobius else phi_inverse(t).T:
-        cols = np.flatnonzero(row)
-        terms.append(tuple((v, cols[row[cols] == v]) for v in set(row[cols])))
-    return tuple(terms)
 
 
 def _order_product(t: int, m: np.ndarray, mobius: bool) -> np.ndarray:
-    """L m L^T with L the Möbius matrix (``mobius``) or zeta^T.
-
-    Row i of L is supported on the sub-permutations (Möbius) or the
-    sup-permutations (zeta^T) of sigma_i, under 6% of the entries at t = 6.
-    A float m takes two BLAS products.  An exact m takes sums of its rows
-    over each support, one per distinct weight, since dense object
-    products are far slower; L m L^T = (L (L m)^T)^T.
-    """
-    if not is_exact(m):
-        lower = _order_floats(t, mobius)
-        return lower.dot(m).dot(lower.T)
-
-    def left(a):
-        return np.array([sum(v * a[c].sum(axis=0) for v, c in row)
-                         for row in _order_terms(t, mobius)])
-
-    return left(left(m).T).T
+    """L m L^T with L the Möbius matrix (``mobius``) or zeta^T, gathered from its
+    rows L[reps] m L^T (L and m are fixed by conjugation) in the number type of m."""
+    lower = _order_matrix(t, mobius)
+    return sg.from_class_rows(t, lower[sg.product_table(t).reps].dot(m).dot(lower.T))
 
 
 def localized_gram(t: int, d: int, exact: bool = True) -> np.ndarray:
@@ -101,6 +78,8 @@ def localized_gram(t: int, d: int, exact: bool = True) -> np.ndarray:
     non-negative power of d by the triangle inequality of the size metric:
     Python ints on the exact path, floats otherwise.
     """
+    if t < 1 or d < 1:
+        raise ValueError("t and d must be >= 1")
     tab = sg.product_table(t)
     expo = tab.size[:, None] + tab.size[None, :] - tab.size[tab.prod]
     raw = np.array([d**e for e in range(2 * t - 1)], dtype=object if exact else float)[expo]
@@ -115,12 +94,14 @@ def to_localized(tm: TransferMatrix) -> TransferMatrix:
     sums the character-weighted permutation coefficients over all pairs of
     sup-permutations.  With tau = A / a (``exactalg.split``) and
     chi = c / d^(t-1), c = d^(t-1-size) integral, this is the matrix
-    zeta^T (c A c) zeta over a d^(2t-2), in the number type of A.
+    zeta^T (c A c) zeta over a d^(2t-2), in the number type of A.  A tau
+    not t! x t! and fixed by simultaneous conjugation raises ValueError.
     """
     if tm.basis != PERMUTATION:
         raise ValueError("input transfer matrix is not in the permutation basis")
     t, d = tm.t, tm.d
     nums, denom = split(tm.matrix)
+    sg.check_conjugation_invariant(t, nums)
     c = np.array([d ** (t - 1 - s) for s in range(t)], dtype=nums.dtype)[sg.product_table(t).size]
     out = _order_product(t, nums * c[:, None] * c[None, :], mobius=False)
     return replace(tm, matrix=join(out, denom * d ** (2 * t - 2)), basis=LOCALIZED)

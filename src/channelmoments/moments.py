@@ -27,7 +27,7 @@ norm and trace are Tr[Y_k Q Y_k X] and Tr[Y_k W X] with Y_k = D (C D)^(k-1).
 All these matrices are fixed by simultaneous conjugation, so the traces
 need only the rows at one representative per conjugacy class: 2k - 2
 products of a p(t) x t! block with a t! x t! matrix, none at k = 1
-(``_reference_values``).
+(``_reference_values``); ``concatenate`` needs this of tau and X, and checks it.
 
 The spectrum is real.  For the Haar and dilated ensembles tau X is
 similar to the symmetric matrix D^(-1/2) (tau X) D^(1/2), so one symmetric
@@ -182,16 +182,16 @@ def trace_of_product(p: np.ndarray, q: np.ndarray):
 
 
 def concatenate(tm: TransferMatrix, gram_matrix: np.ndarray, k: int) -> TransferMatrix:
-    """k-fold concatenation tau (X tau)^(k-1) with X the normalized Gram."""
+    """k-fold concatenation tau (X tau)^(k-1), X the normalized Gram, gathered from its
+    class rows; tau and X must be t! x t! and fixed by simultaneous conjugation."""
     if k < 1:
         raise ValueError("k must be >= 1")
     (a, da), (b, db) = split_all(tm.matrix, gram_matrix)
-    out = a
-    if k > 1:
-        step = b.dot(a)
-        for _ in range(k - 1):
-            out = out.dot(step)
-    out = join(out, da * (da * db) ** (k - 1))
+    sg.check_conjugation_invariant(tm.t, a, b)
+    rows = a[sg.product_table(tm.t).reps]
+    for _ in range(k - 1):
+        rows = rows.dot(b).dot(a)
+    out = join(sg.from_class_rows(tm.t, rows), da * (da * db) ** (k - 1))
     return replace(tm, matrix=out, ensemble=replace(tm.ensemble, k=tm.k * k))
 
 

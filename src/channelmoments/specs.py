@@ -74,7 +74,7 @@ class TransferMatrix:
     it cannot disagree with the numbers.  Rows and columns are indexed by
     the canonical order of ``symmgroup.symmetric_group(t)``.  ``basis`` is
     PERMUTATION or LOCALIZED; t, d and the concatenation count k are those
-    of ``ensemble``.
+    of ``ensemble``; ``matrix`` is fixed by simultaneous conjugation of S_t.
     """
 
     matrix: np.ndarray

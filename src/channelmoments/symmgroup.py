@@ -341,3 +341,30 @@ def product_table(t: int) -> ProductTable:
         rep_cls=cls[prod[reps]],
         rep_size=size[prod[reps]],
     )
+
+
+@lru_cache(maxsize=None)
+def conjugation_table(t: int) -> np.ndarray:
+    """``conj[a, b]``: the index of g^-1 sigma_b g, for one g with g r g^-1 =
+    sigma_a and r the representative of sigma_a's class; gathers on ``prod``."""
+    tab = product_table(t)
+    inv = tab.prod[:, 0]
+    # Row c is g r_c g^-1 over all g; take the first g that gives each a.
+    g = np.unique(tab.prod[inv[tab.prod[inv[:, None], tab.reps].T], inv], return_index=True)[1]
+    g %= len(inv)
+    conj = tab.prod[inv[tab.prod[g]], g[:, None]]
+    conj.flags.writeable = False
+    return conj
+
+
+def from_class_rows(t: int, rows: np.ndarray) -> np.ndarray:
+    """The conjugation-invariant matrix with these rows at ``product_table(t).reps``."""
+    return rows[product_table(t).cls[:, None], conjugation_table(t)]
+
+
+def check_conjugation_invariant(t: int, *matrices) -> None:
+    """Raise ValueError unless each matrix is t! x t! and exactly its own ``from_class_rows``."""
+    reps, n = product_table(t).reps, len(product_table(t).cls)
+    if not all(m.shape == (n, n) and np.array_equal(from_class_rows(t, m[reps]), m)
+               for m in matrices):
+        raise ValueError(f"operand is not a {n} x {n} matrix fixed by simultaneous conjugation")

@@ -356,6 +356,44 @@ def test_mixed_exact_and_float_operands_raise(tm_exact):
             call()
 
 
+@pytest.mark.parametrize("exact", [True, False])
+def test_products_reject_operands_not_fixed_by_conjugation(exact):
+    """The class-row products hold only for t! x t! operands fixed by
+    simultaneous conjugation; one changed entry or a wrong shape raises."""
+    spec = chaar(2, 3, 3)
+    tm = mo.transfer(spec, exact=exact)
+    x = mo.gram(3, 2, exact=exact)
+    bent, bent_x = tm.matrix.copy(), x.copy()
+    bent[1, 2] += 1  # sigma_1, sigma_2 are transpositions: an orbit of 6 pairs
+    bent_x[3, 1] += 1
+    calls = [lambda: loc.to_localized(replace(tm, matrix=bent)),
+             lambda: loc.to_localized(replace(tm, matrix=tm.matrix[:, :5]))]
+    for k in (1, 2):
+        calls += [lambda k=k: mo.concatenate(replace(tm, matrix=bent), x, k),
+                  lambda k=k: mo.concatenate(tm, bent_x, k),
+                  lambda k=k: mo.concatenate(tm, x[:5, :5], k),
+                  lambda k=k: mo.concatenate(replace(tm, matrix=tm.matrix[:5]), x, k)]
+    for call in calls:
+        with pytest.raises(ValueError, match="not a 6 x 6 matrix fixed by simultaneous"):
+            call()
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("basis", [PERMUTATION, LOCALIZED])
+@pytest.mark.parametrize("t,d", [(3, 0), (3, -1), (0, 2)])
+def test_gram_rejects_t_or_d_below_one(t, d, basis, exact):
+    with pytest.raises(ValueError, match="t and d must be >= 1"):
+        mo.gram(t, d, basis=basis, exact=exact)
+
+
+def test_exact_t6_two_fold_trace_equals_reference_values():
+    """The k = 2 matrix of ``concatenate`` at t = 6 against the class-row trace."""
+    spec = chaar(2, 3, 6, k=2)
+    got = mo.trace(mo.transfer(spec), mo.gram(6, 2))
+    assert type(got) is Fraction
+    assert got == mo._reference_values(spec, (2,), exact=True)[2][1]
+
+
 @pytest.mark.parametrize("t", [1, 2, 3])
 def test_invariance_checks(t):
     d = max(2, t)  # the unitary-ensemble transfer needs d >= t

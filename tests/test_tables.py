@@ -85,6 +85,50 @@ def test_product_table_matches_composition(t):
 
 
 @pytest.mark.parametrize("t", ORDERS)
+def test_conjugation_table_is_inner_automorphism_to_representative(t):
+    """Row a is a bijection that keeps classes and relative products (an
+    automorphism, inner for t != 6) and takes sigma_a to its representative."""
+    tab = sg.product_table(t)
+    table = sg.conjugation_table(t)
+    assert sg.conjugation_table(t) is table and not table.flags.writeable
+    conj = table.astype(np.intp)
+    n = len(tab.cls)
+    assert np.array_equal(np.sort(conj, axis=1), np.broadcast_to(np.arange(n), (n, n)))
+    assert np.array_equal(tab.cls[conj], np.broadcast_to(tab.cls, (n, n)))
+    assert np.array_equal(conj[:, tab.prod], tab.prod[conj[:, :, None], conj[:, None, :]])
+    assert np.array_equal(np.diagonal(conj), tab.reps[tab.cls])
+
+
+def conjugation_orbits(t):
+    """Label of each pair (a, b) under simultaneous conjugation: the least
+    (g a g^-1, g b g^-1) over g, by explicit composition."""
+    group = sg.symmetric_group(t)
+    idx = sg.group_index(t)
+    conj = [[idx[sg.compose(sg.compose(g, p), sg.inverse(g)).images] for p in group]
+            for g in group]
+    return [[min((c[a], c[b]) for c in conj) for b in range(len(group))]
+            for a in range(len(group))]
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+@pytest.mark.parametrize("exact", [True, False])
+def test_from_class_rows_rebuilds_conjugation_invariant_matrix(t, exact):
+    rng = np.random.default_rng(t)
+    orbits = conjugation_orbits(t)
+    value = {}
+    for row in orbits:
+        for orbit in row:
+            value.setdefault(orbit, Fraction(int(rng.integers(-99, 99)), int(rng.integers(1, 9))))
+    m = np.array([[value[o] for o in row] for row in orbits], dtype=object if exact else float)
+    got = sg.from_class_rows(t, m[sg.product_table(t).reps])
+    assert got.dtype == m.dtype
+    if exact:
+        assert_same_exact(got, m)
+    else:
+        assert np.array_equal(got, m)
+
+
+@pytest.mark.parametrize("t", ORDERS)
 def test_pair_class_table(t):
     kidx = class_index(t)
     want = [[kidx[r.cycle_type()] for r in row] for row in relative(t)]
