@@ -20,8 +20,11 @@ seeded frame potentials and expectation moments of the haar, chaar and
 depolarize ensembles (more samples than one Monte-Carlo chunk, so that the
 dumps show whether the random stream changed), hierarchy-scan rows, the
 reference purities for n <= 7, reference variances on fixed (rho, O) pairs
-with d = 2, 3, and composite noise norms of both unitary ensembles for
-t = 1, 2, d = 2, 4 and k <= 3.
+with d = 2, 3, composite noise norms of both unitary ensembles for
+t = 1, 2, d = 2, 4 and k <= 3, and the channel layer: Pauli transfer
+matrices of the four standard noises and of their two-qubit krons, their
+superoperators for t <= 3, and the t <= 2 superoperators and transfers of
+two noise models.
 
     PYTHONPATH=src python scripts/compare_outputs.py dump new.pkl
     python scripts/compare_outputs.py compare old.pkl new.pkl
@@ -120,6 +123,20 @@ def _grid():
                     for label in labels:
                         out[("composite_generator", label) + key] = tw.composite_noise_norm(
                             tw.SINGLE_GENERATOR, model, t, k, generator=label)
+    noises = {kind: ch.standard_noise(kind, 0.1) for kind in ch.NOISE_KINDS}
+    for kind, kraus in noises.items():
+        out[("pauli_transfer", kind)] = ch.pauli_transfer(kraus, 1)
+        for t in (1, 2, 3):
+            out[("kraus_to_super", kind, t)] = ch.kraus_to_super(kraus, t)
+        for other, kraus_b in noises.items():
+            pair = [np.kron(a, b) for a in kraus for b in kraus_b]
+            out[("pauli_transfer", kind, other)] = ch.pauli_transfer(pair, 2)
+    # Amplitude damping at gamma = 0.1, and two-qubit depolarizing noise.
+    damping = ch.NoiseModel(2, {"X": 1 - np.sqrt(0.9), "Y": 1 - np.sqrt(0.9), "Z": 0.1},
+                            {"Z": 0.1})
+    for name, model in (("damping", damping), ("uniform4", ch.NoiseModel.uniform(4, 0.1))):
+        for t in (1, 2):
+            out[("noise_model_super", name, t)] = ch.noise_model_super(model, t)
     return out
 
 

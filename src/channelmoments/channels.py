@@ -1,14 +1,20 @@
 """Dense superoperator representations of channels and noise models.
 
-Vectorization is row-major, |a><b| -> |ab>, so a channel with Kraus set {K}
-has superoperator sum_K K (x) conj(K) and <<X|Y>> = Tr[X^dag Y].  Pauli
-transfer matrices use the normalization (1/d^t) Tr[P^dag Lambda(S)] over an
-orthogonal string basis with <<P|S>> = d^t delta_{PS}.
+Vectorization is row-major, |a><b| -> |ab>, so <<X|Y>> = Tr[X^dag Y] and a
+channel with Kraus set {K} has the superoperator S = sum_K K (x) conj(K),
+formed only in ``kraus_to_super``; every other channel form is read from S.
+Its t-fold power is the super-tensor power of S (Wood, Biamonte and Cory,
+"Tensor networks and graphical calculus for open quantum systems", 2015).
+The n-qubit Pauli basis matrix B has the columns vectorize(P) over the
+strings in ``pauli_labels`` order, and B^dag B = d I with d = 2^n.  A Pauli
+transfer matrix is S in that basis, R = B^dag S B / d, with entries
+(1/d) Tr[P^dag Lambda(Q)]; conversely S = B R B^dag / d.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -52,6 +58,8 @@ def unvectorize(v: np.ndarray) -> np.ndarray:
 
 
 def check_completeness(kraus, tol: float = 1e-12):
+    if len(kraus) == 0:
+        raise CompletenessError("the Kraus set is empty")
     d = kraus[0].shape[0]
     acc = sum(k.conj().T @ k for k in kraus)
     if np.max(np.abs(acc - np.eye(d))) > tol:
@@ -61,20 +69,14 @@ def check_completeness(kraus, tol: float = 1e-12):
 def kraus_to_super(kraus, t: int = 1) -> np.ndarray:
     """Superoperator of the t-fold tensor power of a Kraus channel.
 
-    Sums kron(K_tuple, conj(K_tuple)) over all t-tuples of Kraus indices;
-    the result acts on row-major-vectorized operators of B[H^(x t)].
+    Forms S = sum_K kron(K, conj(K)), the one place a Kraus set becomes a
+    channel, and returns its super-tensor power S^(x t), which acts on
+    row-major-vectorized operators of B[H^(x t)].  Raises CompletenessError
+    unless sum_K K^dag K = I.
     """
     kraus = [np.asarray(k, dtype=complex) for k in kraus]
     check_completeness(kraus)
-    d = kraus[0].shape[0]
-    dim = d**t
-    out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for tup in product(kraus, repeat=t):
-        big = tup[0]
-        for k in tup[1:]:
-            big = np.kron(big, k)
-        out += np.kron(big, big.conj())
-    return out
+    return _super_power(sum(np.kron(k, k.conj()) for k in kraus), t)
 
 
 def apply_channel(super_op: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -119,18 +121,18 @@ def pauli_labels(n: int) -> list:
     return ["".join(p) for p in product("IXYZ", repeat=n)]
 
 
+def _pauli_basis(n: int) -> np.ndarray:
+    """B: column j is vectorize(P_j) over the n-qubit strings in
+    ``pauli_labels`` order."""
+    return np.array([vectorize(pauli_string(n, lab)) for lab in pauli_labels(n)]).T
+
+
 def pauli_transfer(kraus, n: int) -> np.ndarray:
-    """Transfer matrix (1/d) Tr[P^dag Lambda(S)] over the n-qubit string basis."""
-    d = 2**n
-    labels = pauli_labels(n)
-    mats = [pauli_string(n, lab) for lab in labels]
-    out = np.zeros((len(labels), len(labels)))
-    for j, s in enumerate(mats):
-        img = sum(k @ s @ k.conj().T for k in kraus)
-        for i, p in enumerate(mats):
-            val = np.trace(p.conj().T @ img) / d
-            out[i, j] = val.real
-    return out
+    """Transfer matrix (1/d) Tr[P^dag Lambda(Q)] over the n-qubit string
+    basis: the superoperator of ``kraus_to_super`` in the Pauli basis,
+    Re(B^dag S B) / d.  Raises CompletenessError like ``kraus_to_super``."""
+    b = _pauli_basis(n)
+    return (b.conj().T @ kraus_to_super(kraus) @ b).real / 2**n
 
 
 @dataclass(frozen=True)
@@ -182,17 +184,9 @@ class NoiseModel:
         return m
 
     def single_copy_super(self) -> np.ndarray:
-        """Dense superoperator (1/d) sum tau(P,S) |P>><<S|."""
-        labels = pauli_labels(self.n_qubits)
-        mats = [pauli_string(self.n_qubits, lab) for lab in labels]
-        tau = self.single_copy_transfer()
-        dim = self.d * self.d
-        out = np.zeros((dim, dim), dtype=complex)
-        for i in range(len(labels)):
-            for j in range(len(labels)):
-                if tau[i, j] != 0:
-                    out += tau[i, j] * np.outer(vectorize(mats[i]), vectorize(mats[j]).conj())
-        return out / self.d
+        """Dense superoperator (1/d) sum tau(P,Q) |P>><<Q| = B tau B^dag / d."""
+        b = _pauli_basis(self.n_qubits)
+        return b @ self.single_copy_transfer() @ b.conj().T / self.d
 
 
 def noise_transfer_tfold(model: NoiseModel, t: int) -> np.ndarray:
@@ -230,10 +224,7 @@ def noise_model_super(model: NoiseModel, t: int, cp_tol: float = 1e-10):
         raise CPViolationError(
             f"noise model is not completely positive (Choi eigenvalue {defect:.3e})"
         )
-    sup_t = s1
-    for _ in range(t - 1):
-        sup_t = _super_tensor(sup_t, s1)
-    return sup_t, noise_transfer_tfold(model, t)
+    return _super_power(s1, t), noise_transfer_tfold(model, t)
 
 
 def _super_tensor(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
@@ -245,6 +236,13 @@ def _super_tensor(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
     big = big.transpose(0, 2, 1, 3, 4, 6, 5, 7)
     dim = da * db
     return big.reshape(dim * dim, dim * dim)
+
+
+def _super_power(s: np.ndarray, t: int) -> np.ndarray:
+    """Super-tensor power S^(x t), t >= 1."""
+    if t < 1:
+        raise ValueError(f"need t >= 1, got t = {t}")
+    return reduce(_super_tensor, [s] * t)
 
 
 def is_trace_preserving(super_op: np.ndarray, tol: float = 1e-12) -> bool:

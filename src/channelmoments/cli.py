@@ -16,6 +16,7 @@ import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -77,9 +78,10 @@ def provenance() -> dict:
     return out
 
 
-def _emit(args, config: dict, columns: list, rows: list):
+def _emit(args, config: dict, columns: list, rows):
+    """Write the output to ``--out`` or stdout.  CSV lines are written as
+    the rows are formatted, so no command holds its output as text."""
     config = {**config, "provenance": provenance()}
-    lines = []
     if args.format == "json":
         payload = {
             "version": __version__,
@@ -87,39 +89,40 @@ def _emit(args, config: dict, columns: list, rows: list):
             "columns": columns,
             "rows": [[_fmt(v) for v in row] for row in rows],
         }
-        text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+        lines = [json.dumps(payload, sort_keys=True, indent=1)]
     else:
-        lines.append(f"# channelmoments {__version__}")
-        lines.append("# config " + json.dumps(config, sort_keys=True))
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        text = "\n".join(lines) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from None
-    else:
-        sys.stdout.write(text)
+        header = [
+            f"# channelmoments {__version__}",
+            "# config " + json.dumps(config, sort_keys=True),
+            ",".join(columns),
+        ]
+        lines = chain(header, (",".join(_fmt(v) for v in row) for row in rows))
+    text = (line + "\n" for line in lines)
+    if not args.out:
+        sys.stdout.writelines(text)
+        return
+    try:
+        with open(args.out, "w") as fh:
+            fh.writelines(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from None
 
 
-def _matrix_rows(matrix: np.ndarray, t: int) -> list:
+def _matrix_rows(matrix: np.ndarray, t: int):
     labels = [p.cycle_label() for p in sg.symmetric_group(t)]
-    return [
-        [i, j, labels[i], labels[j], matrix[i, j]]
-        for i in range(matrix.shape[0])
-        for j in range(matrix.shape[1])
-    ]
+    for i in range(matrix.shape[0]):
+        for j in range(matrix.shape[1]):
+            yield [i, j, labels[i], labels[j], matrix[i, j]]
 
 
 def cmd_weingarten(args) -> int:
     config = {"command": "weingarten", "t": args.t, "d": args.d, "exact": args.exact}
     g = wg.gram_matrix(args.t, args.d, exact=args.exact)
     w = wg.weingarten_matrix(args.t, args.d, exact=args.exact)
-    rows = [["gram"] + r for r in _matrix_rows(g, args.t)]
-    rows += [["weingarten"] + r for r in _matrix_rows(w, args.t)]
+    rows = chain(
+        (["gram"] + r for r in _matrix_rows(g, args.t)),
+        (["weingarten"] + r for r in _matrix_rows(w, args.t)),
+    )
     _emit(args, config, ["matrix", "row", "col", "row_perm", "col_perm", "value"], rows)
     return 0
 
@@ -294,15 +297,12 @@ def _suite_weingarten(seed: int, samples: int) -> list:
 
 
 def _suite_localized(seed: int, samples: int) -> list:
-    from .exactalg import identity_exact, mat_eq
+    from .exactalg import product_is_identity
 
     checks = []
     for t in range(1, 6):
-        phi = loc.phi_matrix(t)
-        zeta = loc.phi_inverse(t)
-        checks.append(
-            (f"phi_inverse_t{t}", mat_eq(phi.dot(zeta), identity_exact(len(phi))), "")
-        )
+        ok = product_is_identity(loc.phi_matrix(t), loc.phi_inverse(t))
+        checks.append((f"phi_inverse_t{t}", ok, ""))
     for t in range(2, 5):
         same, contains = loc.support_pattern(t)
         tm = mo.transfer(EnsembleSpec(HAAR, d=t, t=t), basis=LOCALIZED)

@@ -22,7 +22,9 @@ twirl of a coefficient depends only on which of P and Q anticommute with G:
 
 Single-qubit noise with Pauli transfer matrix R (``channels.pauli_transfer``)
 acts on one leg, a string digit of one copy, as the 4 x 4 matrix R on that
-axis.  The four standard noises have R = (1 + O) D, with D diagonal and O
+axis.  R is the channel's superoperator S (``channels.kraus_to_super``) in
+the Pauli basis; the Monte-Carlo sampler applies the same S in the
+computational basis (``apply_1q_channel``).  The four standard noises have R = (1 + O) D, with D diagonal and O
 nonzero only below the I entry of column I (amplitude damping: I -> Z).
 
 Most of the 16^n coefficients stay zero.  The twirl keeps the Pauli
@@ -124,27 +126,17 @@ def pauli_right(m: np.ndarray, action: tuple) -> np.ndarray:
     return m[..., perm] * phase
 
 
-def _apply_left_1q(m: np.ndarray, k: np.ndarray, leg: int) -> np.ndarray:
-    pre = 1 << leg
-    post = m.shape[-2] // (2 * pre)
-    mr = m.reshape(m.shape[:-2] + (pre, 2, post * m.shape[-1]))
-    return np.einsum("ij,...ajb->...aib", k, mr).reshape(m.shape)
-
-
-def _apply_right_1q(m: np.ndarray, k: np.ndarray, leg: int) -> np.ndarray:
+def apply_1q_channel(m: np.ndarray, kraus: list, leg: int) -> np.ndarray:
+    """sum_j K_j m K_j^dag on one qubit leg (leg 0 is the MSB) of the square
+    matrices on the last two axes of ``m``: the superoperator S of
+    ``channels.kraus_to_super``, as S[(i, a), (j, b)], contracted with the
+    leg's row bit j and column bit b.  Raises CompletenessError like
+    ``kraus_to_super``."""
+    s = ch.kraus_to_super(kraus).reshape(2, 2, 2, 2)
     pre = 1 << leg
     post = m.shape[-1] // (2 * pre)
-    mr = m.reshape(m.shape[:-1] + (pre, 2, post))
-    return np.einsum("...ajb,ji->...aib", mr, k).reshape(m.shape)
-
-
-def apply_1q_channel(m: np.ndarray, kraus: list, leg: int) -> np.ndarray:
-    """sum_j K_j m K_j^dag on one qubit leg of the square matrices on the
-    last two axes of ``m``."""
-    out = np.zeros_like(m)
-    for k in kraus:
-        out += _apply_right_1q(_apply_left_1q(m, k, leg), k.conj().T, leg)
-    return out
+    mr = m.reshape(m.shape[:-2] + (pre, 2, post) * 2)
+    return np.einsum("iajb,...xjyubw->...xiyuaw", s, mr).reshape(m.shape)
 
 
 # -- two-copy evolution in Pauli-pair coordinates ---------------------------

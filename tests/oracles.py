@@ -4,18 +4,21 @@ Each one computes by a route independent of (or more literal than) the
 package code it checks: Fraction matrices from rows, the sub-permutation
 order by the size metric, the derangement count, a quadruple-sum norm,
 the leading-eigenvector overlap, two exact matrix inverses, a reordered
-two-copy superoperator, an explicit depolarizing Kraus set, the dense gate
-twirls, the single-copy input vector, the dense two-copy circuit evolution, the evolution over
-all 16^n Pauli-pair coefficients, the dense single-generator and Haar pair
-twirls, the Haar composite norm as a power of the dense Pauli-pair matrix,
-the two-copy weights in closed form, the Monte-Carlo estimators as loops
-over single draws, and the dilated ensemble's transfer matrix as t!^2
-products.
+two-copy superoperator, the t-fold superoperator as a sum over Kraus
+tuples, the Pauli transfer matrix as a loop of traces, a one-leg channel
+through krons of full-width Kraus operators, an explicit depolarizing
+Kraus set, the dense gate twirls, the single-copy input vector, the dense
+two-copy circuit evolution, the evolution over all 16^n Pauli-pair
+coefficients, the dense single-generator and Haar pair twirls, the Haar
+composite norm as a power of the dense Pauli-pair matrix, the two-copy
+weights in closed form, the Monte-Carlo estimators as loops over single
+draws, and the dilated ensemble's transfer matrix as t!^2 products.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
+from itertools import product
 from math import factorial, sqrt
 
 import numpy as np
@@ -132,6 +135,43 @@ def super_tensor_square(s1: np.ndarray) -> np.ndarray:
     """Two-copy superoperator from a single-copy one, by leg reordering of
     kron(s1, s1) into the (out-kets, out-bras; in-kets, in-bras) layout."""
     return ch._super_tensor(s1, s1)
+
+
+def kraus_to_super_tuples(kraus, t: int) -> np.ndarray:
+    """t-fold superoperator as the sum of kron(K_tuple, conj(K_tuple)) over
+    all t-tuples of Kraus operators; oracle for channels.kraus_to_super."""
+    d = kraus[0].shape[0]
+    dim = d**t
+    out = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for tup in product(kraus, repeat=t):
+        big = reduce(np.kron, tup)
+        out += np.kron(big, big.conj())
+    return out
+
+
+def pauli_transfer_traces(kraus, n: int) -> np.ndarray:
+    """(1/d) Tr[P^dag Lambda(Q)] one string pair at a time; oracle for
+    channels.pauli_transfer."""
+    d = 2**n
+    mats = [ch.pauli_string(n, lab) for lab in ch.pauli_labels(n)]
+    out = np.zeros((len(mats), len(mats)))
+    for j, q in enumerate(mats):
+        img = sum(k @ q @ k.conj().T for k in kraus)
+        for i, p in enumerate(mats):
+            out[i, j] = (np.trace(p.conj().T @ img) / d).real
+    return out
+
+
+def apply_1q_channel_kron(m: np.ndarray, kraus, leg: int) -> np.ndarray:
+    """sum_K (I (x) K (x) I) m (I (x) K (x) I)^dag on the last two axes of
+    ``m``, K on qubit ``leg`` (leg 0 leftmost); oracle for
+    twirlsim.apply_1q_channel."""
+    n = m.shape[-1].bit_length() - 1
+    out = np.zeros_like(m)
+    for k in kraus:
+        big = np.kron(np.kron(np.eye(2**leg), k), np.eye(2 ** (n - 1 - leg)))
+        out += big @ m @ big.conj().T
+    return out
 
 
 def depolarizing_kraus(d: int) -> list:

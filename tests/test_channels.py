@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from channelmoments import channels as ch
-from oracles import depolarizing_kraus, super_tensor_square
+from channelmoments import twirlsim as tw
+from oracles import (
+    apply_1q_channel_kron,
+    depolarizing_kraus,
+    kraus_to_super_tuples,
+    pauli_transfer_traces,
+    super_tensor_square,
+)
 
 
 def test_vectorize_examples():
@@ -168,3 +175,69 @@ def test_random_channel_trace_preserving(seed):
     kind = ch.NOISE_KINDS[seed % 4]
     sup = ch.kraus_to_super(ch.standard_noise(kind, g), t=1)
     assert ch.is_trace_preserving(sup, 1e-11)
+
+
+def test_kraus_to_super_matches_tuple_sum_t3():
+    for kind in ch.NOISE_KINDS:
+        kraus = ch.standard_noise(kind, 0.3)
+        got = ch.kraus_to_super(kraus, t=3)
+        assert got.shape == (64, 64)
+        assert np.max(np.abs(got - kraus_to_super_tuples(kraus, 3))) < 1e-13
+
+
+def test_kraus_to_super_rejects_t_below_one():
+    with pytest.raises(ValueError, match="t >= 1"):
+        ch.kraus_to_super(ch.standard_noise(ch.BIT_FLIP, 0.1), t=0)
+
+
+def test_pauli_transfer_matches_trace_loop():
+    for kind in ch.NOISE_KINDS:
+        kraus = ch.standard_noise(kind, 0.3)
+        got = ch.pauli_transfer(kraus, 1)
+        assert np.max(np.abs(got - pauli_transfer_traces(kraus, 1))) < 1e-13
+    for a, b in ((ch.AMPLITUDE_DAMPING, ch.LOCAL_DEPOLARIZING), (ch.BIT_FLIP, ch.DEPHASING)):
+        kraus = [np.kron(ka, kb) for ka in ch.standard_noise(a, 0.2)
+                 for kb in ch.standard_noise(b, 0.35)]
+        got = ch.pauli_transfer(kraus, 2)
+        assert got.shape == (16, 16)
+        assert np.max(np.abs(got - pauli_transfer_traces(kraus, 2))) < 1e-13
+        # The two-qubit transfer of a product channel is the kron of the factors.
+        want = np.kron(ch.pauli_transfer(ch.standard_noise(a, 0.2), 1),
+                       ch.pauli_transfer(ch.standard_noise(b, 0.35), 1))
+        assert np.max(np.abs(got - want)) < 1e-13
+
+
+def test_pauli_transfer_rejects_incomplete_kraus_set():
+    with pytest.raises(ch.CompletenessError):
+        ch.pauli_transfer([0.5 * np.eye(2)], 1)
+
+
+def test_apply_1q_channel_matches_kron_oracle():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3):
+        m = rng.standard_normal((3, 2**n, 2**n)) + 1j * rng.standard_normal((3, 2**n, 2**n))
+        for kind in ch.NOISE_KINDS:
+            kraus = ch.standard_noise(kind, 0.3)
+            for leg in range(n):
+                got = tw.apply_1q_channel(m, kraus, leg)
+                assert got.shape == m.shape
+                assert np.max(np.abs(got - apply_1q_channel_kron(m, kraus, leg))) < 1e-13
+                # One matrix and the stack agree.
+                assert np.max(np.abs(tw.apply_1q_channel(m[1], kraus, leg) - got[1])) < 1e-13
+
+
+def test_apply_1q_channel_rejects_incomplete_kraus_set():
+    with pytest.raises(ch.CompletenessError):
+        tw.apply_1q_channel(np.eye(4, dtype=complex), [0.5 * np.eye(2)], 0)
+
+
+def test_empty_kraus_set_raises_completeness_error():
+    calls = (
+        lambda: ch.check_completeness([]),
+        lambda: ch.kraus_to_super([]),
+        lambda: ch.pauli_transfer([], 1),
+        lambda: tw.apply_1q_channel(np.eye(4, dtype=complex), [], 1),
+    )
+    for call in calls:
+        with pytest.raises(ch.CompletenessError, match="^the Kraus set is empty$"):
+            call()

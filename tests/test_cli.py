@@ -266,6 +266,20 @@ def test_out_file(tmp_path, capsys):
     assert "4/3" in text
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_out_file_matches_stdout(tmp_path, capsys, fmt):
+    argv = ["--format", fmt, "weingarten", "--t", "3", "--d", "3"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    target = tmp_path / f"w.{fmt}"
+    assert main(["--out", str(target)] + argv) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_text() == printed
+    # Gram then Weingarten, 36 rows each.
+    rows = json.loads(printed)["rows"] if fmt == "json" else printed.splitlines()[3:]
+    assert len(rows) == 72
+
+
 @pytest.mark.parametrize(
     "argv",
     [
