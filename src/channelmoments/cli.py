@@ -78,18 +78,27 @@ def provenance() -> dict:
     return out
 
 
+def _json_text(fields: dict, rows):
+    """The text of ``json.dumps({**fields, "rows": rows}, sort_keys=True,
+    indent=1)`` and a newline, with each row (a non-empty list of scalars)
+    formatted on its own."""
+    head, tail = json.dumps({**fields, "rows": []}, sort_keys=True, indent=1).split(
+        '\n "rows": []', 1)
+    yield head + '\n "rows": ['
+    sep = "\n"
+    for row in rows:
+        yield sep + "  [\n   " + ",\n   ".join(map(json.dumps, row)) + "\n  ]"
+        sep = ",\n"
+    yield ("]" if sep == "\n" else "\n ]") + tail + "\n"
+
+
 def _emit(args, config: dict, columns: list, rows):
-    """Write the output to ``--out`` or stdout.  CSV lines are written as
-    the rows are formatted, so no command holds its output as text."""
+    """Write the output to ``--out`` or stdout.  Each row is written as it
+    is formatted, so no command holds its output as text."""
     config = {**config, "provenance": provenance()}
     if args.format == "json":
-        payload = {
-            "version": __version__,
-            "config": config,
-            "columns": columns,
-            "rows": [[_fmt(v) for v in row] for row in rows],
-        }
-        lines = [json.dumps(payload, sort_keys=True, indent=1)]
+        fields = {"version": __version__, "config": config, "columns": columns}
+        text = _json_text(fields, ([_fmt(v) for v in row] for row in rows))
     else:
         header = [
             f"# channelmoments {__version__}",
@@ -97,7 +106,7 @@ def _emit(args, config: dict, columns: list, rows):
             ",".join(columns),
         ]
         lines = chain(header, (",".join(_fmt(v) for v in row) for row in rows))
-    text = (line + "\n" for line in lines)
+        text = (line + "\n" for line in lines)
     if not args.out:
         sys.stdout.writelines(text)
         return
@@ -321,7 +330,9 @@ def _suite_spectrum(seed: int, samples: int) -> list:
     for t in (2, 3):
         for d, dE in ((2, 2), (3, 4)):
             rep = mo.spectrum(EnsembleSpec(CHAAR, d=d, t=t, dE=dE))
-            ok = rep.residuals["leading_right"] < 1e-10 and rep.residuals["leading_left"] < 1e-10
+            res = rep.residuals
+            ok = (res["leading_right"] < 1e-10 and res["leading_left"] < 1e-10
+                  and res["eigenpairs"] < 1e-8)
             checks.append((f"chaar_leading_pair_t{t}_d{d}_dE{dE}", ok, ""))
     return checks
 

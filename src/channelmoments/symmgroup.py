@@ -368,3 +368,83 @@ def check_conjugation_invariant(t: int, *matrices) -> None:
     if not all(m.shape == (n, n) and np.array_equal(from_class_rows(t, m[reps]), m)
                for m in matrices):
         raise ValueError(f"operand is not a {n} x {n} matrix fixed by simultaneous conjugation")
+
+
+@dataclass(frozen=True, eq=False)
+class SymmetryBlock:
+    """One character block of ``symmetry_blocks``.
+
+    ``reps`` are the orbit representatives r_i whose stabilizer H_i lies in
+    the kernel of the character chi, and ``scale`` is 1 / sqrt(|H_i|).
+    ``weights[i, k, j]`` is the sum of chi(h) over the h in H with
+    r_i^-1 (h r_j) in class k, so M = m[prod], for m a class function with
+    class values m_cls, has block u_i^T M u_j =
+    scale_i scale_j (m_cls @ weights)[i, j].  Basis vector u_i has entry
+    ``coef`` at element ``rows`` for each row with ``pos`` = i.
+    """
+
+    reps: np.ndarray
+    scale: np.ndarray
+    weights: np.ndarray
+    rows: np.ndarray
+    pos: np.ndarray
+    coef: np.ndarray
+
+    def __post_init__(self):
+        for a in vars(self).values():
+            a.flags.writeable = False
+
+
+@lru_cache(maxsize=None)
+def symmetry_blocks(t: int) -> tuple:
+    """The ``SymmetryBlock`` of each character of H, the group generated by
+    inversion J and conjugation Ad_g by each of (0 1), (2 3), ....
+
+    H = Z_2^m with m = 1 + t // 2 fixes size and every class function read
+    over ``prod``, so it commutes with D = diag(f[size]) and C = c[prod].
+    Its characters chi_s(h) = (-1)^popcount(s & h) are real, and the vectors
+    u_i = sum_h chi(h) e_{h r_i} / sqrt(|H| |H_i|), over the orbits whose
+    stabilizer H_i lies in ker chi, form an orthonormal basis of R^(t!)
+    over all chi.  Images are gathers on ``prod``: J = prod[:, 0] and
+    Ad_g(sigma) = prod[inv[prod[g, sigma]], g] (g^-1 = g).
+    """
+    tab = product_table(t)
+    n = len(tab.cls)
+    inv = tab.prod[:, 0].astype(np.intp)
+    gens = [inv]
+    for a in range(0, t - 1, 2):
+        # (a a+1) is the only element with support {a, a+1}.
+        g = np.flatnonzero(tab.mask == 3 << a)[0]
+        gens.append(tab.prod[inv[tab.prod[g]], g].astype(np.intp))
+    # act[h] for h a bitmask over the generators.
+    act = np.empty((1 << len(gens), n), dtype=np.intp)
+    act[0] = np.arange(n)
+    for b, gen in enumerate(gens):
+        act[1 << b:2 << b] = gen[act[:1 << b]]
+    bits = np.arange(len(act))
+    odd = np.bitwise_count(bits[:, None] & bits) & 1  # chi_s(h) = (-1)^odd[s, h]
+    orbit_reps = np.flatnonzero(act.min(axis=0) == act[0])
+    stab = act[:, orbit_reps] == orbit_reps  # (h, orbit)
+    trivial = odd @ stab == 0  # (s, orbit): chi_s is 1 on all of H_i
+    order = np.count_nonzero(stab, axis=0)
+    chi = 1.0 - 2.0 * odd
+    classes = np.arange(len(tab.reps))[:, None, None, None]
+    blocks = []
+    for s in range(len(act)):
+        keep = np.flatnonzero(trivial[s])
+        if not len(keep):
+            continue
+        reps = orbit_reps[keep]
+        elems = act[:, reps]  # (h, i): h r_i
+        rows, first = np.unique(elems, return_index=True)
+        h, pos = np.divmod(first, len(reps))
+        cls = tab.cls[tab.prod[reps[:, None], elems[:, None, :]]]  # (h, i, j)
+        blocks.append(SymmetryBlock(
+            reps=reps,
+            scale=1.0 / np.sqrt(order[keep]),
+            weights=np.einsum("khij,h->ikj", cls == classes, chi[s]).astype(np.int8),
+            rows=rows,
+            pos=pos,
+            coef=chi[s, h] * np.sqrt(order[keep][pos] / len(act)),
+        ))
+    return tuple(blocks)

@@ -12,7 +12,8 @@ two-copy circuit evolution, the evolution over all 16^n Pauli-pair
 coefficients, the dense single-generator and Haar pair twirls, the Haar
 composite norm as a power of the dense Pauli-pair matrix, the two-copy
 weights in closed form, the Monte-Carlo estimators as loops over single
-draws, and the dilated ensemble's transfer matrix as t!^2 products.
+draws, the dilated ensemble's transfer matrix as t!^2 products, and the
+right eigenpairs of tau X from one dense t! x t! eigensolve.
 """
 
 from dataclasses import dataclass
@@ -493,3 +494,24 @@ def mc_expectation_moments_loop(spec, rho, obs, samples: int, seed: int = 0) -> 
     m4 = float(np.mean((vals - mean) ** 4))
     var_se = sqrt(max(m4 - var**2, 0.0) / samples)
     return tw.MCMoments(mean, sqrt(var / samples), var, var_se, samples)
+
+
+def right_eigenpairs_dense(spec, f: np.ndarray, c: np.ndarray) -> tuple:
+    """Eigenvalues and column-normalized right eigenvectors of tau X = D C
+    (``moments._right_eigenpairs``) from one dense ``eigh`` of
+    D^(1/2) C D^(1/2) over all of S_t; the rank-one reference in closed form."""
+    n = len(f)
+    if spec.kind == DEPOLARIZE:
+        evals = np.zeros(n)
+        evals[0] = 1.0
+        evecs = np.eye(n)
+        evecs[0, 1:] = -c[1:]
+    else:
+        half = np.sqrt(f)
+        sym = c[sg.product_table(spec.t).prod]
+        sym *= half[:, None]
+        sym *= half
+        evals, evecs = np.linalg.eigh(sym)
+        evecs *= half[:, None]
+    evecs /= np.linalg.norm(evecs, axis=0)
+    return evals, evecs

@@ -94,6 +94,13 @@ def test_json_format(capsys):
     assert any("9/8" in row for row in ["".join(r) for r in payload["rows"]])
 
 
+@pytest.mark.parametrize("rows", [[], [["0"]], [["1/2", "x"], ["a\nb\u00e9", "3"]]])
+def test_json_text_matches_one_dump(rows):
+    fields = {"version": "v", "config": {"rows": [], "a": {"b": [1]}}, "columns": ["p", "q"]}
+    got = "".join(cli._json_text(fields, iter(rows)))
+    assert got == json.dumps({**fields, "rows": rows}, sort_keys=True, indent=1) + "\n"
+
+
 def test_hierarchy_command(capsys):
     code, out = run_cli(
         capsys,

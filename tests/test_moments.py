@@ -26,6 +26,7 @@ from oracles import (
     frame_potential_mc_loop,
     leading_overlap,
     norm_squared_quad,
+    right_eigenpairs_dense,
     sample_haar_unitary_once,
 )
 
@@ -162,6 +163,17 @@ def test_spectrum_matches_dense_eig(t):
             assert rep.residuals["eigenpairs"] < 1e-8, rep.residuals
             assert rep.residuals["leading_right"] < 1e-10, rep.residuals
             assert rep.residuals["leading_left"] < 1e-10, rep.residuals
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+def test_blocked_eigenvalues_match_dense_eigh(t):
+    prod = sg.product_table(t).prod
+    for spec in [haar(t, t)] + [chaar(max(2, -(-t // dE)), dE, t) for dE in (1, 2, 3)]:
+        f, x, w = mo._class_rows(spec, exact=False)
+        c = w.dot(x[prod])
+        got = mo._right_eigenpairs(spec, f, c)[0]
+        want = right_eigenpairs_dense(spec, f, c)[0]
+        assert np.abs(np.sort(got) - want).max() < 1e-12, spec.label()
 
 
 def test_spectrum_unique_leading_eigenvalue():

@@ -1,6 +1,8 @@
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -185,3 +187,44 @@ def test_order_cap(monkeypatch):
 
 def test_derangement_count():
     assert [derangement_count(l) for l in range(6)] == [1, 0, 1, 2, 9, 44]
+
+
+def symmetry_group_images(t):
+    """Index images of every element of H (inversion and conjugation by
+    (0 1), (2 3), ...) over S_t, composed from ``Permutation`` objects."""
+    group, index = sg.symmetric_group(t), sg.group_index(t)
+    gens = [sg.inverse]
+    for a in range(0, t - 1, 2):
+        g = sg.transposition(t, a, a + 1)
+        gens.append(lambda p, g=g: sg.compose(g, sg.compose(p, g)))
+    images = [list(range(len(group)))]
+    for gen in gens:
+        images += [[index[gen(group[i]).images] for i in img] for img in images]
+    return np.array(images)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 6])
+def test_symmetry_blocks_orthonormal_basis(t):
+    blocks = sg.symmetry_blocks(t)
+    n = factorial(t)
+    assert sum(len(b.reps) for b in blocks) == n
+    u = np.zeros((n, n))
+    start = 0
+    for b in blocks:
+        u[b.rows, start + b.pos] = b.coef
+        start += len(b.reps)
+    assert np.abs(u.T @ u - np.eye(n)).max() < 1e-13
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 6])
+def test_symmetry_group_fixes_class_function_matrices(t):
+    rng = np.random.default_rng(t)
+    tab = sg.product_table(t)
+    images = symmetry_group_images(t)
+    assert len(images) == 2 ** (1 + t // 2)
+    for _ in range(3):
+        f = rng.standard_normal(t)[tab.size]
+        c = rng.standard_normal(len(tab.reps))[tab.cls[tab.prod]]
+        for img in images:
+            assert np.array_equal(f[img], f)
+            assert np.array_equal(c[img[:, None], img], c)
