@@ -218,6 +218,9 @@ def cmd_simulate(args) -> int:
         for i, v in enumerate(grid):
             if v in grid[:i]:
                 raise ValueError(f"invalid grid: duplicate {name} = {v}")
+    # Each noise name, also one that no gamma > 0 puts in a trajectory.
+    for noise in noises:
+        CircuitSpec(n=args.n, noise=noise)
     # The noiseless trajectory once per ansatz (every noise is the identity
     # at gamma 0), then each noise kind at its nonzero strengths.
     runs = [(None, 0.0)] if not noises or 0.0 in gammas else []
@@ -242,17 +245,25 @@ def cmd_simulate(args) -> int:
     log = logging.getLogger(__name__)
     rows = []
     refs = tw.reference_purities(args.n, dE=4**args.n)
+    traces, purities = [], []
     start = time.perf_counter()
     for ansatz in ansatze:
         for name, value in refs.items():
             rows.append([ansatz, f"ref_{name}", 0.0, args.n, -1, value])
         for spec in specs[ansatz]:
-            traj = tw.evolve(spec, max_qubits=args.max_qubits)
+            traj = tw.evolve(spec, max_qubits=args.max_qubits, traces=traces)
+            purities += traj
             noise = spec.noise or "none"
             for li, val in enumerate(traj, start=1):
                 rows.append([ansatz, noise, spec.gamma, args.n, li, val])
             log.info("%s %s gamma=%s done (%.1f s elapsed)",
                      ansatz, noise, spec.gamma, time.perf_counter() - start)
+    # The worst residuals over every trajectory and layer (null without layers)
+    # of 4^n c[I, I] = 1 and of 1/d^2 <= purity <= 1 (negative when a bound fails).
+    config["max_trace_residual"] = max((abs(x - 1) for x in traces), default=None)
+    config["min_purity_slack"] = min(
+        (min(p - 1 / 4**args.n, 1 - p) for p in purities), default=None
+    )
     _emit(args, config, ["ansatz", "noise", "gamma", "n", "L_index", "purity"], rows)
     return 0
 

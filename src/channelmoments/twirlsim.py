@@ -30,16 +30,24 @@ nonzero only below the I entry of column I (amplitude damping: I -> Z).
 Most of the 16^n coefficients stay zero.  The twirl keeps the Pauli
 difference P (+) Q (the string product up to phase), diagonal noise keeps P
 and Q, and amplitude damping only adds Z digits to the difference; from
-|0...0> the difference stays in {I, Z}^n.  So only the live coefficients
-are stored, as int64 keys P 4^n + Q with float64 values, in no fixed order.
+|0...0> the difference stays in {I, Z}^n.  M is also symmetric under the
+copy swap, c[P, Q] = c[Q, P].  So only the live coefficients of one
+triangle are stored, as int64 keys P 4^n + Q with P <= Q and float64
+values, in no fixed order.  Each value is the orbit sum over the copy
+swap, v = c[P, Q] + c[Q, P] = 2 c[P, Q] for P < Q and v = c[P, P] on the
+diagonal, so c = c^T holds by construction and the purity is
+4^n (sum_{P=Q} v^2 + sum_{P<Q} v^2 / 2).  Every step of a gate (the lift as
+the product over all the gate's noisy legs) is linear and commutes with the
+copy swap, so it acts on a stored key in its own orientation, and the
+images are folded back to (min, max) and summed.
 Per gate, the twirl merges the entries where both strings anticommute with
 their partners; the diagonals D of all noisy legs form one factor table over
 the strings, applied as one product (which drops the entries that a zero of
 D kills); and each noisy leg with O != 0 adds its lifted entries and merges
-once more.  A merge sorts, so a gate costs O(m log m) for m live
-coefficients.  Over 10 HEA layers at n = 7 from |0...0> with amplitude
-damping on the gate qubits, m peaks at 0.28 M of the 268 M pairs; with a
-unital noise it stays at 16 k.
+once more, after which one more merge folds the keys.  A merge sorts, so a
+gate costs O(m log m) for m live coefficients.  Over 10 HEA layers at n = 7
+from |0...0> with amplitude damping on the gate qubits, m peaks at 0.15 M of
+the 134 M unordered pairs; with a unital noise it stays at 16 k.
 
 The reference purities, variances and Haar composite norms read the t = 1, 2
 transfer matrices of ``moments.transfer``; no Weingarten value is derived here.
@@ -191,10 +199,6 @@ def noise_qubits(spec: CircuitSpec, qubits: tuple) -> tuple:
     return tuple(range(spec.n)) if spec.noise_placement == NOISE_ON_REGISTER else qubits
 
 
-def purity(m: np.ndarray) -> float:
-    return float(np.vdot(m, m).real)
-
-
 def _merge(keys: np.ndarray, vals: np.ndarray) -> tuple:
     """Sorted unique keys with the values of equal keys summed, dropping the
     sums that cancel to exactly 0; no key may occur more than twice."""
@@ -207,8 +211,20 @@ def _merge(keys: np.ndarray, vals: np.ndarray) -> tuple:
     return keys[keep], vals[keep]
 
 
+def _pair_key(p: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
+    """The key min(P, Q) 4^n + max(P, Q) of each unordered pair {P, Q};
+    overwrites ``p``."""
+    key = np.minimum(p, q)
+    key <<= 2 * n
+    key |= np.maximum(p, q, out=p)
+    return key
+
+
 def _twirl_sparse(keys: np.ndarray, vals: np.ndarray, table: tuple, n: int) -> tuple:
-    """``twirl_pairs`` on the live coefficients, keyed P 4^n + Q."""
+    """``twirl_pairs`` on the half-stored orbit sums of ``_pair_states``,
+    keyed P 4^n + Q with P <= Q.  The partner pair is stored as
+    (min(pi P, pi Q), max(pi P, pi Q)); pi P = pi Q only when P = Q, so each
+    key meets at most one partner image."""
     anti, partner, sign = table
     p, q = keys >> 2 * n, keys & (4**n - 1)
     ap, aq = anti[p], anti[q]
@@ -218,15 +234,18 @@ def _twirl_sparse(keys: np.ndarray, vals: np.ndarray, table: tuple, n: int) -> t
     half = 0.5 * vals[both]
     # The partner pair also anticommutes on both sides, so only this subset merges.
     bk, bv = _merge(
-        np.concatenate((keys[both], partner[p] << 2 * n | partner[q])),
+        np.concatenate((keys[both], _pair_key(partner[p], partner[q], n))),
         np.concatenate((half, sign[p] * sign[q] * half)),
     )
     return np.concatenate((keys[neither], bk)), np.concatenate((vals[neither], bv))
 
 
 def _pair_states(spec: CircuitSpec):
-    """The live coefficients (keys, vals) after each gate, layer by layer."""
+    """The live orbit sums (keys, vals) after each gate, layer by layer: each
+    unordered pair of strings once, keyed P 4^n + Q with P <= Q, with value
+    c[P, Q] + c[Q, P] (c[P, P] on the diagonal)."""
     n = spec.n
+    mask = 4**n - 1
     r = ch.pauli_transfer(ch.standard_noise(spec.noise, spec.gamma), 1) if spec.noise else np.eye(4)
     # R = (1 + O) D: the diagonal D first, then O adds lift times the I digit's
     # coefficient to the Z digit's (its one nonzero entry, amplitude damping only).
@@ -242,37 +261,56 @@ def _pair_states(spec: CircuitSpec):
     one = [0.5, 0.0, 0.0, 0.5] if spec.state == ZERO_STATE else [0.5, 0.5, 0.0, 0.0]
     c1 = reduce(np.kron, [one] * n, np.ones(1))
     live = np.flatnonzero(c1)
-    keys = (live[:, None] << 2 * n | live).ravel()
-    vals = np.outer(c1[live], c1[live]).ravel()
+    i, j = np.triu_indices(len(live))
+    keys = live[i] << 2 * n | live[j]
+    vals = np.where(i == j, 1.0, 2.0) * c1[live[i]] * c1[live[j]]
     for _ in range(spec.layers):
         for table, factor, shifts in gates:
             keys, vals = _twirl_sparse(keys, vals, table, n)
-            vals *= factor[keys >> 2 * n] * factor[keys & (4**n - 1)]
+            vals *= factor[keys >> 2 * n] * factor[keys & mask]
             # A zero of D (e.g. dephasing at gamma = 1/2) makes exact zeros;
             # dropping them keeps later gates from carrying them.
             live = vals != 0
             keys, vals = keys[live], vals[live]
+            # One leg's lift does not commute with the copy swap; the product
+            # over all legs does.  So the legs act on the keys as ordered
+            # pairs, and one merge after the last folds them back to P <= Q.
             for shift in shifts:
                 src = (keys >> shift) & 3 == 0
                 keys, vals = _merge(
                     np.concatenate((keys, keys[src] | 3 << shift)),
                     np.concatenate((vals, lift * vals[src])),
                 )
+            if shifts:
+                keys, vals = _merge(_pair_key(keys >> 2 * n, keys & mask, n), vals)
             yield keys, vals
 
 
-def evolve(spec: CircuitSpec, max_qubits: int = DEFAULT_QUBIT_CAP) -> list:
-    """Purity of the averaged two-copy state after each layer."""
+def evolve(
+    spec: CircuitSpec, max_qubits: int = DEFAULT_QUBIT_CAP, traces: list | None = None
+) -> list:
+    """Purity of the averaged two-copy state after each layer.
+
+    The purity is 4^n (sum_{P=Q} v^2 + sum_{P<Q} v^2 / 2) over the orbit
+    sums v of ``_pair_states``; c = c^T holds by construction of that
+    storage.  A list passed as ``traces`` gets 4^n c[I, I] (1 for a
+    trace-preserving evolution) appended after each layer.
+    """
     if spec.n > max_qubits:
         raise ResourceCapError(
-            f"n={spec.n} exceeds cap {max_qubits}; pass max_qubits to override"
+            f"n={spec.n} exceeds cap {max_qubits}; pass max_qubits (--max-qubits on the "
+            "command line) to override"
         )
+    size = 4**spec.n
     per_layer = len(generators(spec))
-    return [
-        4**spec.n * purity(vals)
-        for step, (_, vals) in enumerate(_pair_states(spec), start=1)
-        if step % per_layer == 0
-    ]
+    out = []
+    for step, (keys, vals) in enumerate(_pair_states(spec), start=1):
+        if step % per_layer == 0:
+            diag = vals[keys >> 2 * spec.n == keys & (size - 1)]
+            out.append(size * float(vals @ vals + diag @ diag) / 2)
+            if traces is not None:
+                traces.append(size * float(vals[keys == 0].sum()))
+    return out
 
 
 def _two_copy_weights(kind: str, d: int, dE: int, tr_a_tr_b, tr_ab) -> tuple:

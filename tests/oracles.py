@@ -9,7 +9,8 @@ tuples, the Pauli transfer matrix as a loop of traces, a one-leg channel
 through krons of full-width Kraus operators, an explicit depolarizing
 Kraus set, the dense gate twirls, the single-copy input vector, the dense
 two-copy circuit evolution, the evolution over all 16^n Pauli-pair
-coefficients, the dense single-generator and Haar pair twirls, the Haar
+coefficients, the sparse pair evolution that stores both triangles, the
+dense single-generator and Haar pair twirls, the Haar
 composite norm as a power of the dense Pauli-pair matrix, the two-copy
 weights in closed form, the Monte-Carlo estimators as loops over single
 draws, the dilated ensemble's transfer matrix as t!^2 products, and the
@@ -267,6 +268,11 @@ def swap_copies(m: np.ndarray, n: int) -> np.ndarray:
     )
 
 
+def purity(m: np.ndarray) -> float:
+    """Tr[m^2] of a Hermitian m, or sum c^2 of real coefficients."""
+    return float(np.vdot(m, m).real)
+
+
 def evolve_dense(spec) -> list:
     """Purity after each layer from the dense two-copy state; oracle for evolve."""
     n = spec.n
@@ -297,7 +303,7 @@ def evolve_dense(spec) -> list:
             for q in tw.noise_qubits(spec, ga.qubits):
                 m = channel(m, leg=q)
                 m = channel(m, leg=q + n)
-        out.append(tw.purity(m))
+        out.append(purity(m))
     return out
 
 
@@ -328,8 +334,68 @@ def evolve_pairs_dense(spec) -> list:
             for q in tw.noise_qubits(spec, qubits):
                 c = pauli_channel_leg(c, r, q)
                 c = pauli_channel_leg(c, r, q + n)
-        out.append(4**n * tw.purity(c))
+        out.append(4**n * purity(c))
     return out
+
+
+def _twirl_full(keys: np.ndarray, vals: np.ndarray, table: tuple, n: int) -> tuple:
+    """``twirl_pairs`` on live coefficients of both triangles, keyed P 4^n + Q."""
+    anti, partner, sign = table
+    p, q = keys >> 2 * n, keys & (4**n - 1)
+    ap, aq = anti[p], anti[q]
+    both = ap & aq
+    neither = ~(ap | aq)
+    p, q = p[both], q[both]
+    half = 0.5 * vals[both]
+    bk, bv = tw._merge(
+        np.concatenate((keys[both], partner[p] << 2 * n | partner[q])),
+        np.concatenate((half, sign[p] * sign[q] * half)),
+    )
+    return np.concatenate((keys[neither], bk)), np.concatenate((vals[neither], bv))
+
+
+def pair_states_full(spec):
+    """The live coefficients c[P, Q] of both triangles (keys P 4^n + Q,
+    values) after each gate; oracle for the half storage of
+    ``twirlsim._pair_states``."""
+    n = spec.n
+    r = ch.pauli_transfer(ch.standard_noise(spec.noise, spec.gamma), 1) if spec.noise else np.eye(4)
+    diag = np.diag(r)
+    lift = r[3, 0] / r[0, 0]
+    gates = []
+    for _, labels in tw.generators(spec):
+        targets = tw.noise_qubits(spec, tuple(sorted(labels)))
+        factor = reduce(np.kron, [diag if q in targets else np.ones(4) for q in range(n)], np.ones(1))
+        shifts = [2 * (n - 1 - q) + copy for q in targets for copy in (2 * n, 0)] if lift else []
+        gates.append((tw.generator_table(n, labels), factor, shifts))
+    one = [0.5, 0.0, 0.0, 0.5] if spec.state == ZERO_STATE else [0.5, 0.5, 0.0, 0.0]
+    c1 = reduce(np.kron, [one] * n, np.ones(1))
+    live = np.flatnonzero(c1)
+    keys = (live[:, None] << 2 * n | live).ravel()
+    vals = np.outer(c1[live], c1[live]).ravel()
+    for _ in range(spec.layers):
+        for table, factor, shifts in gates:
+            keys, vals = _twirl_full(keys, vals, table, n)
+            vals *= factor[keys >> 2 * n] * factor[keys & (4**n - 1)]
+            live = vals != 0
+            keys, vals = keys[live], vals[live]
+            for shift in shifts:
+                src = (keys >> shift) & 3 == 0
+                keys, vals = tw._merge(
+                    np.concatenate((keys, keys[src] | 3 << shift)),
+                    np.concatenate((vals, lift * vals[src])),
+                )
+            yield keys, vals
+
+
+def expand_half_pairs(keys: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
+    """The dense 4^n x 4^n coefficients c of a half-stored pair state: v / 2
+    at (P, Q) and at (Q, P) for P < Q, and v at (P, P)."""
+    c = np.zeros((4**n, 4**n))
+    p, q = np.divmod(keys, 4**n)
+    np.add.at(c, (p, q), np.where(p == q, vals, vals / 2))
+    np.add.at(c, (q, p), np.where(p == q, 0.0, vals / 2))
+    return c
 
 
 def generator_twirl_pair_matrix_dense(g_labels: str) -> np.ndarray:

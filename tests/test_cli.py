@@ -197,6 +197,27 @@ def test_simulate_bad_noise_fails_before_any_trajectory(capsys, monkeypatch):
     assert calls == []
 
 
+def test_simulate_qubit_cap_names_the_flag(capsys):
+    code = main(["simulate", "--n", "8", "--layers", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (
+        "error: n=8 exceeds cap 7; pass max_qubits (--max-qubits on the command line) "
+        "to override\n"
+    )
+
+
+def test_simulate_config_records_invariant_residuals(capsys):
+    code, out = run_cli(capsys, "simulate", "--n", "2", "--layers", "3", "--ansatz", "hea,mat",
+                        "--noise", "amplitude_damping,dephasing", "--gamma", "0.0,0.3")
+    assert code == 0
+    config = json.loads(out.splitlines()[1].removeprefix("# config "))
+    assert 0 <= config["max_trace_residual"] < 1e-12
+    purities = [float(l.split(",")[5]) for l in out.splitlines()[3:] if ",-1," not in l]
+    assert config["min_purity_slack"] == min(min(p - 1 / 16, 1 - p) for p in purities)
+    assert config["min_purity_slack"] > 0
+
+
 @pytest.mark.parametrize(
     "flag, value, named",
     [
@@ -293,6 +314,7 @@ def test_out_file_matches_stdout(tmp_path, capsys, fmt):
         ("spectrum", "--ensemble", "haar", "--t", "3", "--d", "2"),
         ("mc", "--ensemble", "haar", "--t", "3", "--d", "2"),
         ("simulate", "--n", "2", "--layers", "1", "--noise", "foo", "--gamma", "0.1"),
+        ("simulate", "--n", "2", "--layers", "1", "--noise", "foo"),
         ("simulate", "--n", "2", "--layers", "1", "--noise", "dephasing", "--gamma", "1.5"),
         ("simulate", "--n", "2", "--layers", "1", "--gamma", "1.5"),
         ("simulate", "--n", "0", "--layers", "1"),

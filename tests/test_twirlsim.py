@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import factorial, log
 
 import numpy as np
@@ -25,6 +26,7 @@ from oracles import (
     _twirl_state,
     evolve_dense,
     evolve_pairs_dense,
+    expand_half_pairs,
     gate_twirl_t1,
     gate_twirl_t2,
     generator_twirl_pair_matrix_dense,
@@ -32,6 +34,7 @@ from oracles import (
     initial_two_copy_state,
     initial_vector,
     mc_expectation_moments_loop,
+    pair_states_full,
     pauli_channel_leg,
     swap_copies,
     two_copy_weights_kappa,
@@ -257,18 +260,44 @@ def test_pair_states_invariants(n, state, placement):
     for keys, vals in tw._pair_states(spec):
         steps += 1
         assert np.all(vals != 0)  # sums that cancel exactly are dropped
-        order = np.argsort(keys)
-        assert np.all(np.diff(keys[order]) > 0)  # each pair stored once
+        assert np.all(np.diff(np.sort(keys)) > 0)  # each pair stored once
+        p, q = np.divmod(keys, size)
+        assert np.all(p <= q)  # one key per unordered pair; c = c^T by construction
         # trace: c[I, I] = 4^-n
         assert vals[keys == 0] == pytest.approx([1 / size], rel=1e-12)
-        # copy swap: c[P, Q] = c[Q, P]
-        p, q = np.divmod(keys, size)
-        swapped = q * size + p
-        back = np.argsort(swapped)
-        assert np.array_equal(keys[order], swapped[back])
-        np.testing.assert_allclose(vals[back], vals[order], rtol=1e-12, atol=1e-15 / size)
-        purity = size * float(np.sum(vals**2))
+        # orbit sums: c[P, P] on the diagonal, c[P, Q] + c[Q, P] off it
+        purity = size * float(np.sum(vals[p == q] ** 2) + np.sum(vals[p < q] ** 2) / 2)
         assert 1 / size - 1e-12 <= purity <= 1 + 1e-12
+    assert steps == spec.layers * len(tw.generators(spec))
+
+
+def _pair_state_cases():
+    for n, ansatz, state, placement, noise in product(
+        (2, 3, 4), (HEA, MAT), (ZERO_STATE, PLUS_STATE),
+        (NOISE_ON_GATE_SUPPORT, NOISE_ON_REGISTER), ch.NOISE_KINDS,
+    ):
+        yield n, ansatz, state, placement, noise, 0.1
+    # The singular-diagonal gammas of the test below.
+    for n, placement, (noise, gamma) in product(
+        (2, 3), (NOISE_ON_GATE_SUPPORT, NOISE_ON_REGISTER),
+        ((ch.LOCAL_DEPOLARIZING, 0.75), (ch.DEPHASING, 0.5), (ch.BIT_FLIP, 0.5)),
+    ):
+        yield n, HEA, PLUS_STATE, placement, noise, gamma
+
+
+@pytest.mark.parametrize("n, ansatz, state, placement, noise, gamma", _pair_state_cases())
+def test_pair_states_expand_to_the_full_storage_oracle(n, ansatz, state, placement, noise, gamma):
+    spec = CircuitSpec(n=n, ansatz=ansatz, layers=3, noise=noise, gamma=gamma,
+                       initial_state=state, noise_placement=placement)
+    steps = 0
+    for (keys, vals), (full_keys, full_vals) in zip(
+        tw._pair_states(spec), pair_states_full(spec), strict=True
+    ):
+        steps += 1
+        want = np.zeros((4**n, 4**n))
+        want[np.divmod(full_keys, 4**n)] = full_vals
+        got = expand_half_pairs(keys, vals, n)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), steps
     assert steps == spec.layers * len(tw.generators(spec))
 
 
