@@ -326,12 +326,7 @@ def _suite_localized(seed: int, samples: int) -> list:
     for t in range(2, 5):
         same, contains = loc.support_pattern(t)
         tm = mo.transfer(EnsembleSpec(HAAR, d=t, t=t), basis=LOCALIZED)
-        zero_ok = all(
-            tm.matrix[i, j] == 0
-            for i in range(len(same))
-            for j in range(len(same))
-            if not same[i, j]
-        )
+        zero_ok = bool((tm.matrix[~same] == 0).all())
         checks.append((f"haar_block_diagonal_t{t}", zero_ok, ""))
     return checks
 
@@ -421,6 +416,10 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+# Commands that never read ``args.exact``.
+NO_EXACT_COMMANDS = ("spectrum", "simulate", "mc", "verify")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="channel-moments",
@@ -428,8 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
     mode = parser.add_mutually_exclusive_group()
-    # None until a flag is given: the exact path is the default of every
-    # command except ``hierarchy``, whose sweeps default to the float path.
+    # None until a flag is given: the exact path is the default of
+    # ``weingarten`` and ``transfer``, the float path of ``hierarchy``;
+    # ``NO_EXACT_COMMANDS`` do not read the flag and reject an explicit --exact.
     mode.add_argument("--exact", dest="exact", action="store_true", default=None)
     mode.add_argument("--float", dest="exact", action="store_false")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
@@ -499,9 +499,11 @@ def main(argv=None) -> int:
         import logging
 
         logging.basicConfig(level=logging.INFO, format="%(message)s")
-    if args.exact is None:
-        args.exact = args.command != "hierarchy"
     try:
+        if args.exact and args.command in NO_EXACT_COMMANDS:
+            raise ValueError(f"--exact does not apply to the {args.command} command")
+        if args.exact is None:
+            args.exact = args.command != "hierarchy"
         return args.func(args)
     except ValueError as exc:
         print("error: " + " ".join(str(exc).split()), file=sys.stderr)

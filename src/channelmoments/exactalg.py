@@ -112,19 +112,10 @@ def solve_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def mat_eq(a: np.ndarray, b: np.ndarray) -> bool:
     """Exact entrywise equality of two object matrices."""
-    return a.shape == b.shape and all(
-        a[i, j] == b[i, j] for i in range(a.shape[0]) for j in range(a.shape[1])
-    )
+    return np.array_equal(a, b)
 
 
 def product_is_identity(a: np.ndarray, b: np.ndarray) -> bool:
     """Exact check that a @ b == I, done over cleared-denominator integers."""
-    n = a.shape[0]
     (ai, da), (bi, db) = to_integer(a), to_integer(b)
-    prod = ai.dot(bi)
-    scale = da * db
-    return all(
-        prod[i, j] == (scale if i == j else 0)
-        for i in range(n)
-        for j in range(n)
-    )
+    return np.array_equal(ai.dot(bi), np.eye(a.shape[0], dtype=object) * (da * db))

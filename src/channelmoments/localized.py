@@ -174,25 +174,12 @@ def scaling_exponents(
         spec = EnsembleSpec(ensemble_kind, d=d, t=t, dE=_resolve_dE(dE_rule, d))
         tm = moments.transfer(spec, basis=basis, exact=True)
         mats.append(tm.matrix)
-    m1, m2 = mats
-    n = m1.shape[0]
-    expo = np.zeros((n, n), dtype=int)
-    structural = np.zeros((n, n), dtype=bool)
-    mixed = np.zeros((n, n), dtype=bool)
-    ratio_base = log(d2 / d1)
-    for i in range(n):
-        for j in range(n):
-            v1, v2 = m1[i, j], m2[i, j]
-            if v1 == 0 and v2 == 0:
-                structural[i, j] = True
-                continue
-            if v1 == 0 or v2 == 0:
-                mixed[i, j] = True
-                continue
-            est = log(abs(v1) / abs(v2)) / ratio_base
-            rounded = round(est)
-            if abs(est - rounded) < 0.1:
-                expo[i, j] = rounded
-            else:
-                mixed[i, j] = True
-    return ExponentReport(expo, structural, mixed, (d1, d2))
+    zero1, zero2 = mats[0] == 0, mats[1] == 0
+    live = ~(zero1 | zero2)
+    est = np.zeros(zero1.shape)
+    est[live] = np.log((np.abs(mats[0][live]) / np.abs(mats[1][live])).astype(float))
+    est /= log(d2 / d1)
+    rounded = np.rint(est)
+    near = np.abs(est - rounded) < 0.1
+    expo = np.where(live & near, rounded, 0).astype(int)
+    return ExponentReport(expo, zero1 & zero2, (zero1 ^ zero2) | (live & ~near), (d1, d2))

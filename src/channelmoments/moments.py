@@ -21,8 +21,10 @@ In the permutation basis every reference ensemble has tau = D W with
 D = diag(f[size]) and W = w[cls prod], and X = x[size][prod]; ``_tables``
 gives (f, x, w) and is the only place that says what an ensemble is.  W and
 X are convolutions by class functions: each is fixed by its row 0, and so
-are C = W X and Q = W X W.  ``spectrum`` and ``hierarchy_scan`` work from
-these rows and never build a transfer matrix.  tau X = D C, and the k-fold
+are C = W X and Q = W X W.  ``_class_rows`` reads the rows of X and W at
+the class representatives and the class values of c = w X, as pairwise
+sums; ``spectrum`` and ``hierarchy_scan`` work from these and never build
+a transfer matrix, X or W.  tau X = D C, and the k-fold
 norm and trace are Tr[Y_k Q Y_k X] and Tr[Y_k W X] with Y_k = D (C D)^(k-1).
 All these matrices are fixed by simultaneous conjugation, so the traces
 need only the rows at one representative per conjugacy class: 2k - 2
@@ -35,7 +37,8 @@ which commutes with inversion and with conjugation by (0 1), (2 3), ...; in
 the basis of ``symmgroup.symmetry_blocks`` it splits into one small
 symmetric block per character of that group, each with its own eigensolve.
 The rank-one reference has eigenvalues 1 and 0 in closed form.  The k-fold
-spectrum is the k-th power of the single one.
+spectrum is the k-th power of the single one.  Row 0 of the dual matrix
+(X tau)^k is a class function too, so its residual is taken on class values.
 """
 
 from __future__ import annotations
@@ -135,20 +138,31 @@ def gram(t: int, d: int, basis: str = PERMUTATION, exact: bool = True) -> np.nda
     raise ValueError(f"unknown basis {basis!r}")
 
 
-def _class_rows(spec: EnsembleSpec, exact: bool) -> tuple:
-    """The ``_tables`` read over S_t: (f, x, w) with tau = diag(f) w[prod] and
-    X = x[prod], so x is row 0 of X and w row 0 of W."""
-    tab = sg.product_table(spec.t)
-    f, x, w = _tables(spec, exact)
-    return f[tab.size], x[tab.size], w[tab.cls]
+def _class_rows(t: int, f: np.ndarray, x: np.ndarray, w: np.ndarray) -> tuple:
+    """(f[size], X[reps], W[reps], c) of the ``_tables`` values (f, x, w):
+    f over S_t, the rows of X = x[size][prod] and W = w[cls][prod] at the
+    class representatives, and c = w X by class, c_r = (W X)[r, 0].
+
+    The values may be Fractions, ``exactalg.split`` numerators or floats.
+    c is numpy's pairwise sum of the products, not a BLAS dot: the eigensolve
+    weights each class value by its class size (up to 144 at t = 6), and the
+    pairwise sum keeps the Haar eigenvalues at t = d = 6 within 2.1e-14 of 1,
+    where the dot leaves 2.9e-13.
+    """
+    tab = sg.product_table(t)
+    xr = x[tab.rep_size]
+    return f[tab.size], xr, w[tab.rep_cls], (xr * w[tab.cls]).sum(axis=1)
 
 
 def _reference_values(spec: EnsembleSpec, ks, exact: bool) -> dict:
     """{k: (norm^2, trace)} of the k-fold reference ensemble ``spec``, k in ``ks``.
 
-    C = W X = c[prod] and Q = W C = q[prod] for class functions c = w X and
-    q = w C.  tau_k X = (D C)^k = Y_k C with the symmetric Y_k =
-    D (C D)^(k-1), so norm^2 = Tr[Y_k Q Y_k X] and trace = Tr[X Y_k W].
+    C = W X = c[prod] and Q = W C = q[prod] for the class functions c of
+    ``_class_rows`` and q = w C, both pairwise sums as there (a BLAS dot
+    puts the float Haar norm^2 at t = d = 6, k = 3 off by 9.3e-12, the
+    pairwise sums by 2.3e-13).  tau_k X = (D C)^k =
+    Y_k C with the symmetric Y_k = D (C D)^(k-1), so norm^2 =
+    Tr[Y_k Q Y_k X] and trace = Tr[X Y_k W].
     Both products are fixed by simultaneous conjugation, so each trace is
     sum_r n_r M[r, r] over class representatives r of class size n_r.  The
     rows there of Y_k (v) and of X Y_k (u, times n_r) follow from
@@ -159,10 +173,9 @@ def _reference_values(spec: EnsembleSpec, ks, exact: bool) -> dict:
     """
     tab, pcls = sg.product_table(spec.t), wg._pair_class_table(spec.t)
     (f, df), (x, dx), (w, dw) = split_all(*_tables(spec, exact))
-    # Rows of X and W at the representatives, f and w over S_t.
-    xr, wr, f, w = x[tab.rep_size], w[tab.rep_cls], f[tab.size], w[tab.cls]
-    c, dc = xr.dot(w), dx * dw  # c and q by class
-    q, dq = c[tab.rep_cls].dot(w), dc * dw
+    f, xr, wr, c = _class_rows(spec.t, f, x, w)
+    dc = dx * dw
+    q, dq = (wr * c[tab.cls]).sum(axis=1), dc * dw
     cd, qm = c[pcls], q[pcls]
     cd *= f
     fr = f[tab.reps, None]
@@ -256,7 +269,8 @@ def leading_right_vector(spec: EnsembleSpec, exact: bool = False) -> np.ndarray:
 
 def _right_eigenpairs(spec: EnsembleSpec, f: np.ndarray, c: np.ndarray) -> tuple:
     """Real eigenvalues and column-normalized right eigenvectors of
-    tau X = D C, with D = diag(f) and C = c[prod] (see ``_class_rows``).
+    tau X = D C, with D = diag(f) and C = c[pcls] for c by class (see
+    ``_class_rows``).
 
     The dilated ensemble has f = dE^(-size).  W and X are symmetric right
     multiplications by central elements, so they commute, C = W X is
@@ -269,22 +283,21 @@ def _right_eigenpairs(spec: EnsembleSpec, f: np.ndarray, c: np.ndarray) -> tuple
     rows at t = 6), and its eigenvectors v give the right eigenvectors
     D^(1/2) U v.
     Haar is dE = 1.  The rank-one reference tau X = e_0 x_0^T, with
-    x_0 = c, has eigenvalue 1 on e_0 and 0 on e_j - x_0[j] e_0.
+    x_0 = c over S_t, has eigenvalue 1 on e_0 and 0 on e_j - x_0[j] e_0.
     """
     n = len(f)
     if spec.kind == DEPOLARIZE:
         evals = np.zeros(n)
         evals[0] = 1.0
         evecs = np.eye(n)
-        evecs[0, 1:] = -c[1:]
+        evecs[0, 1:] = -c[sg.product_table(spec.t).cls[1:]]
     else:
         half = np.sqrt(f)
-        by_class = c[sg.product_table(spec.t).reps]
         evals, evecs = np.empty(n), np.zeros((n, n))
         start = 0
         for b in sg.symmetry_blocks(spec.t):
             hs = half[b.reps] * b.scale
-            block = by_class @ b.weights
+            block = c @ b.weights
             block *= hs[:, None]
             block *= hs
             cols = slice(start, start + len(hs))
@@ -299,38 +312,40 @@ def spectrum(spec: EnsembleSpec) -> SpectralReport:
     """Eigenvalues and leading eigenpair of the k-concatenated ensemble.
 
     Since (tau X)^k = tau_k X, the k-fold eigenvalues are the k-th powers
-    of those of tau X, with the same eigenvectors.  tau X = D C comes
-    from the class rows of ``_class_rows`` (see ``_reference_values``),
-    without a t! x t! product.
+    of those of tau X, with the same eigenvectors.  Everything comes from
+    ``_class_rows``, as the norms of ``_reference_values`` do: tau X = D C
+    is one gather of c, and no X or W is built.  x, f[size] and w are class
+    functions, and so is a convolution of class functions, so row 0 of the
+    dual k-fold matrix (X tau)^k = (X D W)^k is one: k steps of two
+    p(t) x t! mat-vecs with the rows of X and W on its class values.
+    The eigenpair and ``leading_right`` residuals are taken against the
+    dense (tau X)^k.
     """
-    f, x, w = _class_rows(spec, exact=False)
-    prod = sg.product_table(spec.t).prod
-    xm, wm = x[prod], w[prod]
-    e_ind = np.zeros(len(x))
-    e_ind[0] = 1.0
-    # Row 0 of the dual k-fold matrix (X tau)^k, with X tau = X D W.
-    row = e_ind
+    t = spec.t
+    tab = sg.product_table(t)
+    f, xr, wr, c = _class_rows(t, *_tables(spec, exact=False))
+    fr, e_cls = f[tab.reps], np.eye(1, len(c))[0]
+    # Row 0 of (X D W)^k by class, from the identity indicator e_cls.
+    row = e_cls
     for _ in range(spec.k):
-        row = (row @ xm * f) @ wm
-    left_residual = float(np.linalg.norm(row - e_ind, np.inf))
-    c = w.dot(xm)
-    del wm, xm  # only the eigensolve's own matrices are held through it
+        row = wr.dot((xr.dot(row[tab.cls]) * fr)[tab.cls])
+    left_residual = float(np.abs(row - e_cls).max())
     evals, evecs = _right_eigenpairs(spec, f, c)
     evals = evals**spec.k
     order = np.argsort(-np.abs(evals))
     evals = evals[order]
     evecs = evecs[:, order]
-    modified = c[prod]
+    modified = c[wg._pair_class_table(t)]
     modified *= f[:, None]
     power = np.linalg.matrix_power(modified, spec.k)
     del modified
     pair = power @ evecs
     pair -= evecs * evals
-    psi = f * x  # the invariant operator, as in leading_right_vector
+    psi = leading_right_vector(spec)
     return SpectralReport(
         eigenvalues=evals,
         leading_right=psi / np.linalg.norm(psi),
-        leading_left=e_ind,
+        leading_left=e_cls[tab.cls],
         residuals={
             "eigenpairs": float(np.linalg.norm(pair, axis=0).max()),
             "leading_right": float(np.linalg.norm(power @ psi - psi, np.inf)),
@@ -446,8 +461,7 @@ class CheckResult:
 def is_unital_transfer(tm: TransferMatrix, gram_matrix: np.ndarray) -> bool:
     """Exact test that the identity operator is a fixed point."""
     v = tm.matrix.dot(gram_matrix[:, 0])
-    want = [1 if i == 0 else 0 for i in range(len(v))]
-    return all(v[i] == want[i] for i in range(len(v)))
+    return np.array_equal(v, np.eye(1, len(v), dtype=object)[0])
 
 
 def invariance_checks(spec_a: EnsembleSpec, spec_b: EnsembleSpec) -> list:

@@ -46,27 +46,24 @@ def inverse_powers(base: int, count: int, exact: bool) -> np.ndarray:
 def weingarten_function(t: int, d: int):
     """Class function w with sum_u d^(-|u|) w(class(inv(u) g)) = delta_{g,e}.
 
-    Returns a dict mapping cycle type -> Fraction.  Raises SingularGramError
-    when the overlap form is degenerate.
+    Returns a read-only vector of Fractions in ``conjugacy_classes`` order.
+    Raises SingularGramError when the overlap form is degenerate.
     """
-    keys = [k for k, _ in sg.conjugacy_classes(t)]
-    n = len(keys)
+    n = len(sg.conjugacy_classes(t))
     tab = sg.product_table(t)
     # counts[r, c, s]: elements u of size s with inv(rep_r) * u in class c.
     flat = (np.arange(n)[:, None] * n + tab.rep_cls) * t + tab.size
     counts = np.bincount(flat.ravel(), minlength=n * n * t).reshape(n, n, t)
     a = counts.astype(object).dot(inverse_powers(d, t, exact=True))
-    rhs = np.array(
-        [[Fraction(1) if key == (1,) * t else Fraction(0)] for key in keys],
-        dtype=object,
-    )
     try:
-        sol = solve_exact(a, rhs)
+        # Right-hand side e_0: class 0 is the identity.
+        sol = solve_exact(a, np.eye(n, 1, dtype=object))[:, 0]
     except SingularMatrixError as exc:
         raise SingularGramError(
             f"Gram matrix of S_{t} overlaps is singular at d={d} (need d >= t)"
         ) from exc
-    return {key: sol[i, 0] for i, key in enumerate(keys)}
+    sol.flags.writeable = False
+    return sol
 
 
 def gram_matrix(t: int, d: int, exact: bool = True) -> np.ndarray:
@@ -78,10 +75,8 @@ def gram_matrix(t: int, d: int, exact: bool = True) -> np.ndarray:
 
 
 def weingarten_values(t: int, d: int, exact: bool = True) -> np.ndarray:
-    """``weingarten_function(t, d)`` as a vector over the conjugacy classes,
-    in ``conjugacy_classes`` order: Fractions, or floats."""
-    w = weingarten_function(t, d)
-    return np.array([w[k] for k, _ in sg.conjugacy_classes(t)], dtype=object if exact else float)
+    """A writable copy of ``weingarten_function(t, d)``: Fractions, or floats."""
+    return weingarten_function(t, d).astype(object if exact else float)
 
 
 def weingarten_matrix(t: int, d: int, exact: bool = True) -> np.ndarray:

@@ -13,15 +13,16 @@ coefficients, the sparse pair evolution that stores both triangles, the
 dense single-generator and Haar pair twirls, the Haar
 composite norm as a power of the dense Pauli-pair matrix, the two-copy
 weights in closed form, the Monte-Carlo estimators as loops over single
-draws, the dilated ensemble's transfer matrix as t!^2 products, and the
-right eigenpairs of tau X from one dense t! x t! eigensolve.
+draws, the dilated ensemble's transfer matrix as t!^2 products, the
+right eigenpairs of tau X from one dense t! x t! eigensolve, and the
+scaling exponents as a loop over matrix entries.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import product
-from math import factorial, sqrt
+from math import factorial, log, sqrt
 
 import numpy as np
 
@@ -581,3 +582,30 @@ def right_eigenpairs_dense(spec, f: np.ndarray, c: np.ndarray) -> tuple:
         evecs *= half[:, None]
     evecs /= np.linalg.norm(evecs, axis=0)
     return evals, evecs
+
+
+def scaling_exponents_loop(m1: np.ndarray, m2: np.ndarray, d_pair: tuple) -> tuple:
+    """(exponents, structural_zero, mixed_order) of ``localized.scaling_exponents``
+    from the exact matrices at the two probe dimensions, one entry at a time."""
+    d1, d2 = d_pair
+    n = m1.shape[0]
+    expo = np.zeros((n, n), dtype=int)
+    structural = np.zeros((n, n), dtype=bool)
+    mixed = np.zeros((n, n), dtype=bool)
+    ratio_base = log(d2 / d1)
+    for i in range(n):
+        for j in range(n):
+            v1, v2 = m1[i, j], m2[i, j]
+            if v1 == 0 and v2 == 0:
+                structural[i, j] = True
+                continue
+            if v1 == 0 or v2 == 0:
+                mixed[i, j] = True
+                continue
+            est = log(abs(v1) / abs(v2)) / ratio_base
+            rounded = round(est)
+            if abs(est - rounded) < 0.1:
+                expo[i, j] = rounded
+            else:
+                mixed[i, j] = True
+    return expo, structural, mixed

@@ -325,6 +325,10 @@ def test_out_file_matches_stdout(tmp_path, capsys, fmt):
         ("weingarten", "--t", "3", "--d", "2"),
         ("--out", "{tmp}/missing/x.csv", "weingarten", "--t", "2", "--d", "2"),
         ("--out", "{tmp}", "weingarten", "--t", "2", "--d", "2"),
+        ("--exact", "spectrum", "--ensemble", "haar", "--t", "2", "--d", "2"),
+        ("--exact", "simulate", "--n", "1", "--layers", "1"),
+        ("--exact", "mc", "--ensemble", "haar", "--t", "2", "--d", "2", "--samples", "100"),
+        ("--exact", "verify", "--suite", "mobius"),
     ],
 )
 def test_bad_input_is_one_error_line(capsys, tmp_path, argv):

@@ -9,7 +9,7 @@ from channelmoments import moments as mo
 from channelmoments import symmgroup as sg
 from channelmoments.exactalg import identity_exact, mat_eq
 from channelmoments.specs import CHAAR, DEPOLARIZE, HAAR, LOCALIZED, EnsembleSpec
-from oracles import derangement_count
+from oracles import derangement_count, scaling_exponents_loop
 
 
 def test_phi_t2():
@@ -176,6 +176,21 @@ def test_scaling_exponents_chaar_lebesgue():
     assert rep.exponents[1, 1] == 4
     assert rep.structural_zero[0, 1]
     assert not rep.mixed_order.any()
+
+
+@pytest.mark.parametrize("rule", ["1", "d", "d2"])
+@pytest.mark.parametrize("kind", [HAAR, CHAAR])
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_scaling_exponents_match_entrywise_loop(t, kind, rule):
+    d_pair = (8, 16)
+    rep = loc.scaling_exponents(kind, t, d_pair, dE_rule=rule)
+    m1, m2 = (
+        mo.transfer(EnsembleSpec(kind, d=d, t=t, dE=loc._resolve_dE(rule, d)), basis=LOCALIZED).matrix
+        for d in d_pair
+    )
+    want = scaling_exponents_loop(m1, m2, d_pair)
+    for got, ref in zip((rep.exponents, rep.structural_zero, rep.mixed_order), want):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
 def test_to_localized_requires_permutation_basis():

@@ -8,6 +8,7 @@ import pytest
 from channelmoments import localized as loc
 from channelmoments import moments as mo
 from channelmoments import symmgroup as sg
+from channelmoments import weingarten as wg
 from channelmoments.exactalg import mat_eq
 from channelmoments.specs import (
     CHAAR,
@@ -167,13 +168,61 @@ def test_spectrum_matches_dense_eig(t):
 
 @pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
 def test_blocked_eigenvalues_match_dense_eigh(t):
-    prod = sg.product_table(t).prod
+    cls = sg.product_table(t).cls
     for spec in [haar(t, t)] + [chaar(max(2, -(-t // dE)), dE, t) for dE in (1, 2, 3)]:
-        f, x, w = mo._class_rows(spec, exact=False)
-        c = w.dot(x[prod])
+        f, _, _, c = mo._class_rows(t, *mo._tables(spec, exact=False))
         got = mo._right_eigenpairs(spec, f, c)[0]
-        want = right_eigenpairs_dense(spec, f, c)[0]
+        want = right_eigenpairs_dense(spec, f, c[cls])[0]
         assert np.abs(np.sort(got) - want).max() < 1e-12, spec.label()
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_class_rows_exact_equal_matrix_rows(t):
+    tab, pcls = sg.product_table(t), wg._pair_class_table(t)
+    for spec in (haar(max(2, t), t), chaar(2, 2, t), depolarize(2, t)):
+        f, x, w = mo._tables(spec, exact=True)
+        f_all, xr, wr, c = mo._class_rows(t, f, x, w)
+        big_x, big_w = mo.gram(t, spec.d), w[pcls]
+        assert np.array_equal(f_all, f[tab.size])
+        assert mat_eq(xr, big_x[tab.reps]) and mat_eq(wr, big_w[tab.reps])
+        assert np.array_equal(c, big_w.dot(big_x)[tab.reps, 0]), spec.label()
+        assert all(type(v) is Fraction for v in c)
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+def test_spectrum_leading_residuals_scale_with_w(monkeypatch, t):
+    """w scaled by s scales tau, so tau X and X tau, by s.  psi and e_0 are
+    fixed by the unscaled matrices and have infinity norm 1, so both
+    leading residuals are s^k - 1: a dual row that is skipped or wrong fails."""
+    s, tables = 1 + 1e-3, mo._tables
+
+    def scaled(spec, exact):
+        f, x, w = tables(spec, exact)
+        return f, x, w * s
+
+    monkeypatch.setattr(mo, "_tables", scaled)
+    for spec in (haar(t, t), chaar(2, 3, t)):
+        for k in (1, 2, 3):
+            res = mo.spectrum(replace(spec, k=k)).residuals
+            want = s**k - 1
+            for key in ("leading_left", "leading_right"):
+                assert abs(res[key] - want) <= 1e-9 * want, (spec.label(), k, key, res[key])
+
+
+def test_float_haar_t6_norm_within_3e12():
+    """Haar at d = t = 6 has norm^2 = 720 for every k.  The class values of
+    c and q are pairwise sums; a BLAS dot puts k = 3 off by 9.3e-12."""
+    got = mo._reference_values(haar(6, 6), (1, 2, 3), exact=False)
+    for k, (n2, _) in got.items():
+        assert abs(n2 - 720) <= 3e-12, (k, n2)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_spectrum_haar_t6_eigenvalues_at_one(k):
+    """Haar at d = t = 6 is a projector: every eigenvalue is 1.  A BLAS dot
+    for c leaves 2.9e-13 at k = 1; the pairwise sum 2.1e-14."""
+    ev = mo.spectrum(haar(6, 6, k=k)).eigenvalues
+    assert np.abs(ev - 1).max() <= 2e-13, k
 
 
 def test_spectrum_unique_leading_eigenvalue():

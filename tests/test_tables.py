@@ -196,7 +196,9 @@ def test_weingarten_function(t, dd):
             a[r, c] += Fraction(1, d**u.size)
     rhs = np.array([[Fraction(int(key == (1,) * t))] for key in keys], dtype=object)
     sol = solve_exact(a, rhs)
-    assert wg.weingarten_function(t, d) == {key: sol[i, 0] for i, key in enumerate(keys)}
+    got = wg.weingarten_function(t, d)
+    assert not got.flags.writeable
+    assert np.array_equal(got, sol[:, 0])
 
 
 @pytest.mark.parametrize("spec", [chaar(2, 2, 4, k=2), chaar(3, 2, 4), haar(4, 4)])
