@@ -32,6 +32,11 @@ AMPLITUDE_DAMPING = "amplitude_damping"
 NOISE_KINDS = (BIT_FLIP, DEPHASING, LOCAL_DEPOLARIZING, AMPLITUDE_DAMPING)
 UNITAL_NOISE_KINDS = (BIT_FLIP, DEPHASING, LOCAL_DEPOLARIZING)
 
+# Largest entry of sum_K K^dag K - I that a Kraus set may leave.
+COMPLETENESS_TOL = 1e-12
+# Most negative Choi eigenvalue that a noise model may have.
+CP_TOL = 1e-10
+
 
 class CPViolationError(ValueError):
     """A claimed channel is not completely positive."""
@@ -49,20 +54,12 @@ def vectorize(x: np.ndarray) -> np.ndarray:
     return x.reshape(-1)
 
 
-def unvectorize(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v)
-    d = round(len(v) ** 0.5)
-    if d * d != len(v):
-        raise ValueError("vector length is not a perfect square")
-    return v.reshape(d, d)
-
-
-def check_completeness(kraus, tol: float = 1e-12):
+def check_completeness(kraus):
     if len(kraus) == 0:
         raise CompletenessError("the Kraus set is empty")
     d = kraus[0].shape[0]
     acc = sum(k.conj().T @ k for k in kraus)
-    if np.max(np.abs(acc - np.eye(d))) > tol:
+    if np.max(np.abs(acc - np.eye(d))) > COMPLETENESS_TOL:
         raise CompletenessError("Kraus operators do not sum to the identity")
 
 
@@ -77,10 +74,6 @@ def kraus_to_super(kraus, t: int = 1) -> np.ndarray:
     kraus = [np.asarray(k, dtype=complex) for k in kraus]
     check_completeness(kraus)
     return _super_power(sum(np.kron(k, k.conj()) for k in kraus), t)
-
-
-def apply_channel(super_op: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return unvectorize(super_op @ vectorize(x))
 
 
 def standard_noise(kind: str, gamma: float) -> list:
@@ -157,6 +150,11 @@ class NoiseModel:
         for label in list(self.gamma) + list(self.eta):
             if label not in valid:
                 raise ValueError(f"unknown basis label {label!r}")
+        defect = cp_defect(self.single_copy_super())
+        if defect < -CP_TOL:
+            raise CPViolationError(
+                f"noise model is not completely positive (Choi eigenvalue {defect:.3e})"
+            )
 
     @property
     def n_qubits(self) -> int:
@@ -168,35 +166,19 @@ class NoiseModel:
         labels = [lab for lab in pauli_labels(n) if lab != "I" * n]
         return cls(d, {lab: gamma for lab in labels}, {lab: eta for lab in labels})
 
-    def gamma_of(self, label: str) -> float:
-        return self.gamma.get(label, 0.0)
-
-    def eta_of(self, label: str) -> float:
-        return self.eta.get(label, 0.0)
-
     def single_copy_transfer(self) -> np.ndarray:
         labels = pauli_labels(self.n_qubits)
         m = np.zeros((len(labels), len(labels)))
         m[0, 0] = 1.0
         for i, lab in enumerate(labels[1:], start=1):
-            m[i, 0] = self.eta_of(lab)
-            m[i, i] = 1.0 - self.gamma_of(lab)
+            m[i, 0] = self.eta.get(lab, 0.0)
+            m[i, i] = 1.0 - self.gamma.get(lab, 0.0)
         return m
 
     def single_copy_super(self) -> np.ndarray:
         """Dense superoperator (1/d) sum tau(P,Q) |P>><<Q| = B tau B^dag / d."""
         b = _pauli_basis(self.n_qubits)
         return b @ self.single_copy_transfer() @ b.conj().T / self.d
-
-
-def noise_transfer_tfold(model: NoiseModel, t: int) -> np.ndarray:
-    """t-fold transfer over string pairs: diagonal damping products on the
-    common support, eta factors on support-increasing entries."""
-    single = model.single_copy_transfer()
-    out = single
-    for _ in range(t - 1):
-        out = np.kron(out, single)
-    return out
 
 
 def choi_matrix(super_op: np.ndarray) -> np.ndarray:
@@ -212,19 +194,15 @@ def cp_defect(super_op: np.ndarray) -> float:
     return float(min(ev.min(), 0.0))
 
 
-def noise_model_super(model: NoiseModel, t: int, cp_tol: float = 1e-10):
+def noise_model_super(model: NoiseModel, t: int):
     """Dense t-fold superoperator and string-basis transfer of a noise model.
 
-    Raises CPViolationError when the single-copy Choi matrix has an
-    eigenvalue below -cp_tol.
+    The t-fold transfer over string pairs is the t-fold kron of the single
+    copy's: diagonal damping products on the common support, eta factors on
+    support-increasing entries.
     """
-    s1 = model.single_copy_super()
-    defect = cp_defect(s1)
-    if defect < -cp_tol:
-        raise CPViolationError(
-            f"noise model is not completely positive (Choi eigenvalue {defect:.3e})"
-        )
-    return _super_power(s1, t), noise_transfer_tfold(model, t)
+    single = model.single_copy_transfer()
+    return _super_power(model.single_copy_super(), t), reduce(np.kron, [single] * t)
 
 
 def _super_tensor(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
@@ -243,17 +221,3 @@ def _super_power(s: np.ndarray, t: int) -> np.ndarray:
     if t < 1:
         raise ValueError(f"need t >= 1, got t = {t}")
     return reduce(_super_tensor, [s] * t)
-
-
-def is_trace_preserving(super_op: np.ndarray, tol: float = 1e-12) -> bool:
-    dim = super_op.shape[0]
-    d = round(dim**0.5)
-    bra_i = vectorize(np.eye(d)).conj()
-    return bool(np.max(np.abs(bra_i @ super_op - bra_i)) <= tol)
-
-
-def is_unital(super_op: np.ndarray, tol: float = 1e-12) -> bool:
-    dim = super_op.shape[0]
-    d = round(dim**0.5)
-    ket_i = vectorize(np.eye(d))
-    return bool(np.max(np.abs(super_op @ ket_i - ket_i)) <= tol)

@@ -491,7 +491,8 @@ def main(argv=None) -> int:
     """Run one command; bad input of any kind exits 2 with one stderr line.
 
     Every package error subclasses ValueError, so this is the single error
-    boundary of the command line.
+    boundary of the command line.  A dimension too large for a float
+    overflows where it is raised to a negative power, and is bad input too.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -505,7 +506,7 @@ def main(argv=None) -> int:
         if args.exact is None:
             args.exact = args.command != "hierarchy"
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print("error: " + " ".join(str(exc).split()), file=sys.stderr)
         return 2
 

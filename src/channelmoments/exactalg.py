@@ -80,13 +80,6 @@ def from_integer(ints: np.ndarray, denom: int) -> np.ndarray:
     return out
 
 
-def identity_exact(n: int) -> np.ndarray:
-    out = np.full((n, n), Fraction(0), dtype=object)
-    for i in range(n):
-        out[i, i] = Fraction(1)
-    return out
-
-
 def solve_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a x = b over Fractions by Gauss-Jordan with row pivoting."""
     n = a.shape[0]

@@ -38,7 +38,9 @@ the basis of ``symmgroup.symmetry_blocks`` it splits into one small
 symmetric block per character of that group, each with its own eigensolve.
 The rank-one reference has eigenvalues 1 and 0 in closed form.  The k-fold
 spectrum is the k-th power of the single one.  Row 0 of the dual matrix
-(X tau)^k is a class function too, so its residual is taken on class values.
+(X tau)^k and the leading vector (tau X)^k psi are class functions too, so
+their residuals are taken on class values; the eigenpair residual takes k
+products of tau X with the eigenvector matrix.
 """
 
 from __future__ import annotations
@@ -249,8 +251,10 @@ class SpectralReport:
     ``leading_right`` is the coefficient vector of the invariant operator,
     (d dE)^(-size(sigma)) for the dilated ensemble; ``leading_left`` is the
     identity-permutation indicator, i.e. trace preservation, and is checked
-    against the dual modified matrix X tau.  ``residuals`` are checked
-    against the unsymmetrized k-fold matrix (tau X)^k.
+    against the dual modified matrix X tau.  ``residuals`` are infinity
+    norms of (tau X)^k psi - psi and of e_0^T ((X tau)^k - I), and the
+    largest column norm of (tau X)^k V - V Lambda^k, all of the
+    unsymmetrized k-fold operators.
     """
 
     eigenvalues: np.ndarray
@@ -316,40 +320,38 @@ def spectrum(spec: EnsembleSpec) -> SpectralReport:
     ``_class_rows``, as the norms of ``_reference_values`` do: tau X = D C
     is one gather of c, and no X or W is built.  x, f[size] and w are class
     functions, and so is a convolution of class functions, so row 0 of the
-    dual k-fold matrix (X tau)^k = (X D W)^k is one: k steps of two
-    p(t) x t! mat-vecs with the rows of X and W on its class values.
-    The eigenpair and ``leading_right`` residuals are taken against the
-    dense (tau X)^k.
+    dual k-fold matrix (X tau)^k = (X D W)^k is one, and so is
+    (D C)^k psi for the class function psi = f x.  One loop of k steps
+    applies the k-fold operators: p(t) x t! mat-vecs on the class values of
+    the dual row and of psi, and one product of tau X with the eigenvector
+    matrix V, so the eigenpair residual is (tau X)^k V - V Lambda^k
+    without forming (tau X)^k.
     """
     t = spec.t
     tab = sg.product_table(t)
     f, xr, wr, c = _class_rows(t, *_tables(spec, exact=False))
-    fr, e_cls = f[tab.reps], np.eye(1, len(c))[0]
-    # Row 0 of (X D W)^k by class, from the identity indicator e_cls.
-    row = e_cls
-    for _ in range(spec.k):
-        row = wr.dot((xr.dot(row[tab.cls]) * fr)[tab.cls])
-    left_residual = float(np.abs(row - e_cls).max())
+    fr, e_cls, c_rows = f[tab.reps], np.eye(1, len(c))[0], c[tab.rep_cls]
+    psi = leading_right_vector(spec)
     evals, evecs = _right_eigenpairs(spec, f, c)
     evals = evals**spec.k
-    order = np.argsort(-np.abs(evals))
-    evals = evals[order]
-    evecs = evecs[:, order]
-    modified = c[wg._pair_class_table(t)]
-    modified *= f[:, None]
-    power = np.linalg.matrix_power(modified, spec.k)
-    del modified
-    pair = power @ evecs
+    tau_x = c[wg._pair_class_table(t)]
+    tau_x *= f[:, None]
+    # Row 0 of (X D W)^k and (D C)^k psi by class, and (tau X)^k V.
+    row, right, pair = e_cls, psi[tab.reps], evecs
+    for _ in range(spec.k):
+        row = wr.dot((xr.dot(row[tab.cls]) * fr)[tab.cls])
+        right = fr * c_rows.dot(right[tab.cls])
+        pair = tau_x @ pair
+    del tau_x
     pair -= evecs * evals
-    psi = leading_right_vector(spec)
     return SpectralReport(
-        eigenvalues=evals,
+        eigenvalues=evals[np.argsort(-np.abs(evals))],
         leading_right=psi / np.linalg.norm(psi),
         leading_left=e_cls[tab.cls],
         residuals={
             "eigenpairs": float(np.linalg.norm(pair, axis=0).max()),
-            "leading_right": float(np.linalg.norm(power @ psi - psi, np.inf)),
-            "leading_left": left_residual,
+            "leading_right": float(np.abs(right - psi[tab.reps]).max()),
+            "leading_left": float(np.abs(row - e_cls).max()),
         },
     )
 
@@ -369,8 +371,8 @@ class ScanRow:
     k: int
     d: int
     dE: int
-    norm2: float
-    trace: float
+    norm2: float | Fraction
+    trace: float | Fraction
     eps_dep: float
     flags: tuple = ()
 
@@ -389,7 +391,8 @@ def hierarchy_scan(
     exact: bool = False,
     rel_tol: float = 1e-9,
 ) -> ScanResult:
-    """Norm and trace over a (t, k, d, dE) grid, with hierarchy checks.
+    """Norm and trace over a (t, k, d, dE) grid, with hierarchy checks;
+    exact values stay Fractions.
 
     Checks recorded as violations rather than raised: norm^2 outside
     [1, t!], growth in environment dimension at fixed (t, k, d), and growth
@@ -422,7 +425,8 @@ def hierarchy_scan(
     values = {}
     for (t, d, dE), ks in ks_by_pair.items():
         for k, (n2, tr) in _reference_values(chaar(d, dE, t), ks, exact).items():
-            values[t, k, d, dE] = float(n2), float(tr)
+            # Exact values stay Fractions; float ones become Python floats.
+            values[t, k, d, dE] = (n2, tr) if exact else (float(n2), float(tr))
 
     # One flag list per point, filled by the bounds check, then by the
     # monotonicity passes in dE at fixed (t, k, d) and in k at fixed (t, d, dE).

@@ -262,12 +262,6 @@ def symmetric_group(t: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def group_index(t: int) -> dict:
-    """images tuple -> position in the canonical order."""
-    return {p.images: i for i, p in enumerate(symmetric_group(t))}
-
-
-@lru_cache(maxsize=None)
 def conjugacy_classes(t: int) -> tuple:
     """Cycle types in sorted order, paired with member counts."""
     counts: dict = {}

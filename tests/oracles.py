@@ -1,7 +1,10 @@
 """Reference implementations that only the tests use.
 
 Each one computes by a route independent of (or more literal than) the
-package code it checks: Fraction matrices from rows, the sub-permutation
+package code it checks, or is a helper that only the tests call: the index
+of each element of S_t, the inverse of ``channels.vectorize``, a channel
+applied through its superoperator, the trace-preservation and unitality
+tests of a superoperator, Fraction matrices from rows, the sub-permutation
 order by the size metric, the derangement count, a quadruple-sum norm,
 the leading-eigenvector overlap, two exact matrix inverses, a reordered
 two-copy superoperator, the t-fold superoperator as a sum over Kraus
@@ -14,25 +17,61 @@ dense single-generator and Haar pair twirls, the Haar
 composite norm as a power of the dense Pauli-pair matrix, the two-copy
 weights in closed form, the Monte-Carlo estimators as loops over single
 draws, the dilated ensemble's transfer matrix as t!^2 products, the
-right eigenpairs of tau X from one dense t! x t! eigensolve, and the
-scaling exponents as a loop over matrix entries.
+right eigenpairs of tau X from one dense t! x t! eigensolve, the
+spectral residuals from dense matrix powers, and the scaling exponents
+as a loop over matrix entries.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from itertools import product
 from math import factorial, log, sqrt
 
 import numpy as np
 
 from channelmoments import channels as ch
+from channelmoments import moments as mo
 from channelmoments import symmgroup as sg
 from channelmoments import twirlsim as tw
 from channelmoments import weingarten as wg
-from channelmoments.exactalg import SingularMatrixError, identity_exact, solve_exact, to_integer
+from channelmoments.exactalg import SingularMatrixError, solve_exact, to_integer
 from channelmoments.moments import MCEstimate, leading_right_vector
 from channelmoments.specs import CHAAR, DEPOLARIZE, HAAR, ZERO_STATE, CircuitSpec
+
+
+@lru_cache(maxsize=None)
+def group_index(t: int) -> dict:
+    """images tuple -> position in the canonical order of S_t."""
+    return {p.images: i for i, p in enumerate(sg.symmetric_group(t))}
+
+
+def unvectorize(v: np.ndarray) -> np.ndarray:
+    """Square operator of a row-major vectorization (``channels.vectorize``)."""
+    v = np.asarray(v)
+    d = round(len(v) ** 0.5)
+    if d * d != len(v):
+        raise ValueError("vector length is not a perfect square")
+    return v.reshape(d, d)
+
+
+def apply_channel(super_op: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The channel of a superoperator applied to the operator x."""
+    return unvectorize(super_op @ ch.vectorize(x))
+
+
+def is_trace_preserving(super_op: np.ndarray, tol: float = 1e-12) -> bool:
+    """<<I| S = <<I| up to tol."""
+    d = round(super_op.shape[0] ** 0.5)
+    bra_i = ch.vectorize(np.eye(d)).conj()
+    return bool(np.max(np.abs(bra_i @ super_op - bra_i)) <= tol)
+
+
+def is_unital(super_op: np.ndarray, tol: float = 1e-12) -> bool:
+    """S |I>> = |I>> up to tol."""
+    d = round(super_op.shape[0] ** 0.5)
+    ket_i = ch.vectorize(np.eye(d))
+    return bool(np.max(np.abs(super_op @ ket_i - ket_i)) <= tol)
 
 
 def frac_array(rows) -> np.ndarray:
@@ -89,7 +128,7 @@ def chaar_transfer_perm(t: int, d: int, dE: int, exact: bool = True) -> np.ndarr
 
 
 def invert_exact(a: np.ndarray) -> np.ndarray:
-    return solve_exact(a, identity_exact(a.shape[0]))
+    return solve_exact(a, np.eye(a.shape[0], dtype=object))
 
 
 def invert_bareiss(a: np.ndarray) -> np.ndarray:
@@ -582,6 +621,26 @@ def right_eigenpairs_dense(spec, f: np.ndarray, c: np.ndarray) -> tuple:
         evecs *= half[:, None]
     evecs /= np.linalg.norm(evecs, axis=0)
     return evals, evecs
+
+
+def spectrum_residuals_dense(spec) -> dict:
+    """The residuals of ``moments.spectrum`` from the dense k-fold matrices
+    (tau X)^k and (X tau)^k of ``np.linalg.matrix_power``, applied to the
+    eigenpairs of ``moments._right_eigenpairs``, to psi = f x and to e_0."""
+    t, k = spec.t, spec.k
+    tab, pcls = sg.product_table(t), wg._pair_class_table(t)
+    f_s, x, w = mo._tables(spec, exact=False)
+    f, _, _, c = mo._class_rows(t, f_s, x, w)
+    power = np.linalg.matrix_power(c[pcls] * f[:, None], k)
+    evals, evecs = mo._right_eigenpairs(spec, f, c)
+    pair = power @ evecs - evecs * evals**k
+    psi = leading_right_vector(spec)
+    dual = np.linalg.matrix_power(x[tab.size][tab.prod] @ (f[:, None] * w[pcls]), k)
+    return {
+        "eigenpairs": float(np.linalg.norm(pair, axis=0).max()),
+        "leading_right": float(np.abs(power @ psi - psi).max()),
+        "leading_left": float(np.abs(dual[0] - np.eye(1, len(f))[0]).max()),
+    }
 
 
 def scaling_exponents_loop(m1: np.ndarray, m2: np.ndarray, d_pair: tuple) -> tuple:

@@ -31,7 +31,7 @@ from channelmoments.specs import (
     depolarize,
     haar,
 )
-from oracles import gate_twirl_t2
+from oracles import gate_twirl_t2, group_index, unvectorize
 
 
 def _report(num, name):
@@ -141,7 +141,7 @@ def test_acceptance_07_block_structure_and_exponents():
     # mixed-order flag at probes (8, 16) and must resolve at (16, 32)
     for t in (2, 3, 4):
         group = sg.symmetric_group(t)
-        idx = sg.group_index(t)
+        idx = group_index(t)
         taus = [idx[p.images] for p in group if p.size == 1]
         for kind, rule, pattern_sel, tau_checks in (
             (HAAR, "1", 0, {(i, i): 2 for i in taus}),
@@ -187,7 +187,7 @@ def test_acceptance_08_gate_twirl_quadrature():
                     (dim2, dim2)
                 )
                 x = x + x.conj().T
-                want = ch.unvectorize(acc @ ch.vectorize(x))
+                want = unvectorize(acc @ ch.vectorize(x))
                 got = gate_twirl_t2(x, g)
                 assert np.max(np.abs(got - want)) < 1e-10, (labels, npts)
     _report(8, "closed-form gate twirl matches quadrature")

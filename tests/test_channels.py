@@ -7,10 +7,14 @@ from channelmoments import channels as ch
 from channelmoments import twirlsim as tw
 from oracles import (
     apply_1q_channel_kron,
+    apply_channel,
     depolarizing_kraus,
+    is_trace_preserving,
+    is_unital,
     kraus_to_super_tuples,
     pauli_transfer_traces,
     super_tensor_square,
+    unvectorize,
 )
 
 
@@ -36,7 +40,7 @@ def test_vectorize_inner_product_is_trace():
 def test_unvectorize_roundtrip():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((3, 3))
-    assert np.array_equal(ch.unvectorize(ch.vectorize(x)), x)
+    assert np.array_equal(unvectorize(ch.vectorize(x)), x)
 
 
 def test_kraus_to_super_identity_channel():
@@ -59,7 +63,7 @@ def test_amplitude_damping_full_strength():
         psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         rho = np.outer(psi, psi.conj())
         rho /= np.trace(rho)
-        out = ch.apply_channel(sup, rho)
+        out = apply_channel(sup, rho)
         assert abs(out[0, 0] - 1) < 1e-12 and abs(out[1, 1]) < 1e-12
 
 
@@ -82,15 +86,15 @@ def test_standard_noise_gamma_zero_is_identity():
 def test_bit_flip_half_strength_mixes_z_eigenstate():
     sup = ch.kraus_to_super(ch.standard_noise(ch.BIT_FLIP, 0.5))
     rho = np.diag([1.0, 0.0]).astype(complex)
-    out = ch.apply_channel(sup, rho)
+    out = apply_channel(sup, rho)
     assert np.max(np.abs(out - np.eye(2) / 2)) < 1e-12
 
 
 def test_unitality_by_kind():
     for kind in ch.NOISE_KINDS:
         sup = ch.kraus_to_super(ch.standard_noise(kind, 0.25))
-        assert ch.is_trace_preserving(sup)
-        assert ch.is_unital(sup) == (kind in ch.UNITAL_NOISE_KINDS)
+        assert is_trace_preserving(sup)
+        assert is_unital(sup) == (kind in ch.UNITAL_NOISE_KINDS)
 
 
 def test_pauli_string_orthogonality():
@@ -127,7 +131,7 @@ def test_noise_model_diagonal_case():
             row, col = i * 4 + j, i * 4 + j
             weight = sum(1 for lab in (a, b) if lab != "I")
             assert abs(tau[row, col] - (1 - g) ** weight) < 1e-14
-    assert ch.is_trace_preserving(sup, 1e-10)
+    assert is_trace_preserving(sup, 1e-10)
 
 
 def test_noise_model_zero_is_identity():
@@ -153,6 +157,16 @@ def test_noise_model_cp_violation():
         ch.noise_model_super(ch.NoiseModel(2, {}, {"Z": 0.4}), 1)
 
 
+def test_noise_model_rejects_non_cp_at_construction():
+    """A model that is not CP fails when it is built, so neither composite
+    ensemble (Haar unitaries, a single generator) can read its transfer."""
+    for gamma, eta in ((0.1, 0.5), (0.0, 0.4)):
+        with pytest.raises(ch.CPViolationError, match="not completely positive"):
+            ch.NoiseModel.uniform(2, gamma, eta)
+    with pytest.raises(ch.CPViolationError):
+        ch.NoiseModel(2, {}, {"Z": 0.4})
+
+
 def test_noise_model_cp_valid_grid():
     for g in (0.05, 0.2, 0.5):
         for eta in (0.0, g / 2):
@@ -174,7 +188,7 @@ def test_random_channel_trace_preserving(seed):
     g = rng.uniform(0, 1)
     kind = ch.NOISE_KINDS[seed % 4]
     sup = ch.kraus_to_super(ch.standard_noise(kind, g), t=1)
-    assert ch.is_trace_preserving(sup, 1e-11)
+    assert is_trace_preserving(sup, 1e-11)
 
 
 def test_kraus_to_super_matches_tuple_sum_t3():

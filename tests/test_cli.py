@@ -3,6 +3,8 @@ import os
 import platform
 import subprocess
 import sys
+from fractions import Fraction
+from math import sqrt
 
 import pytest
 
@@ -10,9 +12,10 @@ import channelmoments
 import numpy as np
 
 from channelmoments import cli
+from channelmoments import moments as mo
 from channelmoments import twirlsim as tw
 from channelmoments.cli import main
-from channelmoments.specs import CircuitSpec
+from channelmoments.specs import CircuitSpec, chaar
 
 
 def run_cli(capsys, *argv):
@@ -130,6 +133,23 @@ def test_hierarchy_exact_flag(capsys, flags, exact):
     assert code == 0
     config = json.loads(out.splitlines()[1].removeprefix("# config "))
     assert config["exact"] is exact
+
+
+def test_exact_hierarchy_rows_are_fractions(capsys):
+    """Exact rows are written as p/q: each parses back to the exact
+    reference value, and eps_dep stays a float."""
+    code, out = run_cli(
+        capsys, "--exact", "hierarchy", "--t-list", "2,3", "--k-list", "1,2", "--d-list", "2",
+        "--dE-rules", "1,2",
+    )
+    assert code == 0
+    rows = [l.split(",") for l in out.splitlines() if not l.startswith("#")][1:]
+    assert len(rows) == 6
+    for t, k, d, de, norm2, trace, eps_dep, _ in rows:
+        spec = chaar(int(d), int(de), int(t))
+        want = mo._reference_values(spec, (int(k),), exact=True)[int(k)]
+        assert (Fraction(norm2), Fraction(trace)) == want
+        assert float(eps_dep) == sqrt(max(float(want[0]) - 1.0, 0.0))
 
 
 def test_simulate_noiseless_rows_carry_gamma_zero(capsys):
@@ -329,6 +349,10 @@ def test_out_file_matches_stdout(tmp_path, capsys, fmt):
         ("--exact", "simulate", "--n", "1", "--layers", "1"),
         ("--exact", "mc", "--ensemble", "haar", "--t", "2", "--d", "2", "--samples", "100"),
         ("--exact", "verify", "--suite", "mobius"),
+        # A dimension too large for a float.
+        ("hierarchy", "--t-list", "2", "--k-list", "1", "--d-list", str(10**400)),
+        ("spectrum", "--ensemble", "chaar", "--t", "2", "--d", str(10**400), "--dE", "2"),
+        ("--float", "transfer", "--ensemble", "haar", "--t", "2", "--d", str(10**400)),
     ],
 )
 def test_bad_input_is_one_error_line(capsys, tmp_path, argv):

@@ -29,6 +29,7 @@ from oracles import (
     norm_squared_quad,
     right_eigenpairs_dense,
     sample_haar_unitary_once,
+    spectrum_residuals_dense,
 )
 
 
@@ -207,6 +208,45 @@ def test_spectrum_leading_residuals_scale_with_w(monkeypatch, t):
             want = s**k - 1
             for key in ("leading_left", "leading_right"):
                 assert abs(res[key] - want) <= 1e-9 * want, (spec.label(), k, key, res[key])
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+def test_spectrum_residuals_match_dense_powers(t):
+    """The k-step residuals of ``spectrum`` against (tau X)^k and (X tau)^k
+    from dense matrix powers."""
+    for spec in (haar(t, t), haar(t + 1, t), chaar(2, 3, t), chaar(3, 2, t), depolarize(2, t)):
+        for k in (1, 2, 3):
+            got = mo.spectrum(replace(spec, k=k)).residuals
+            want = spectrum_residuals_dense(replace(spec, k=k))
+            for key in want:
+                assert abs(got[key] - want[key]) <= 5e-14, (spec.label(), k, key, got, want)
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+def test_spectrum_eigenpair_residual_sees_wrong_pairs(monkeypatch, t):
+    """The eigenpair residual exceeds 1e-8 when the largest eigenvalue is
+    scaled by 1 + 1e-3, or when the eigenvectors of the smallest and the
+    largest eigenvalue swap columns.  The swap is a defect only where those
+    eigenvalues differ, so it runs on chaar: Haar at d = t is a projector."""
+    eigenpairs = mo._right_eigenpairs
+
+    def scaled(spec, f, c):
+        evals, evecs = eigenpairs(spec, f, c)
+        evals[np.argmax(evals)] *= 1 + 1e-3
+        return evals, evecs
+
+    def swapped(spec, f, c):
+        evals, evecs = eigenpairs(spec, f, c)
+        lo, hi = np.argmin(evals), np.argmax(evals)
+        evecs[:, [lo, hi]] = evecs[:, [hi, lo]]
+        return evals, evecs
+
+    cases = [(scaled, haar(t, t)), (scaled, chaar(2, 3, t)), (swapped, chaar(2, 3, t))]
+    for defect, spec in cases:
+        monkeypatch.setattr(mo, "_right_eigenpairs", defect)
+        for k in (1, 2, 3):
+            res = mo.spectrum(replace(spec, k=k)).residuals["eigenpairs"]
+            assert res > 1e-8, (defect.__name__, spec.label(), k, res)
 
 
 def test_float_haar_t6_norm_within_3e12():

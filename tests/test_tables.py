@@ -14,6 +14,7 @@ from channelmoments import symmgroup as sg
 from channelmoments import weingarten as wg
 from channelmoments.exactalg import solve_exact
 from channelmoments.specs import chaar, haar
+from oracles import group_index
 
 ORDERS = [1, 2, 3, 4, 5]
 
@@ -31,7 +32,7 @@ def class_index(t):
 
 def phi_oracle(t):
     group = sg.symmetric_group(t)
-    idx = sg.group_index(t)
+    idx = group_index(t)
     n = len(group)
     out = np.full((n, n), 0, dtype=object)
     for i, sigma in enumerate(group):
@@ -67,7 +68,7 @@ def test_product_table_matches_composition(t):
     group = sg.symmetric_group(t)
     tab = sg.product_table(t)
     rel = relative(t)
-    idx = sg.group_index(t)
+    idx = group_index(t)
     want = [[idx[rel[i][j].images] for j in range(len(group))] for i in range(len(group))]
     assert tab.prod.tolist() == want
     kidx = class_index(t)
@@ -103,7 +104,7 @@ def conjugation_orbits(t):
     """Label of each pair (a, b) under simultaneous conjugation: the least
     (g a g^-1, g b g^-1) over g, by explicit composition."""
     group = sg.symmetric_group(t)
-    idx = sg.group_index(t)
+    idx = group_index(t)
     conj = [[idx[sg.compose(sg.compose(g, p), sg.inverse(g)).images] for p in group]
             for g in group]
     return [[min((c[a], c[b]) for c in conj) for b in range(len(group))]
@@ -138,7 +139,7 @@ def test_pair_class_table(t):
 @pytest.mark.parametrize("t", ORDERS)
 def test_subperm_table(t):
     group = sg.symmetric_group(t)
-    idx = sg.group_index(t)
+    idx = group_index(t)
     want = np.zeros((len(group), len(group)), dtype=bool)
     for i, sigma in enumerate(group):
         for pi in sg.enumerate_subpermutations(sigma):
