@@ -272,7 +272,7 @@ def cmd_mc(args) -> int:
     spec, config = _spec_and_config(args, samples=args.samples, seed=args.seed)
     # The exact value first: it rejects d < t before any sampling.  The
     # sampler draws single channels, so only the k = 1 norm is taken.
-    norm2 = float(mo._reference_values(spec, (1,), exact=False)[1][0])
+    norm2 = mo._reference_values(spec, (1,), exact=False)[1][0]
     est = mo.frame_potential_mc(spec, args.samples, seed=args.seed)
     rows = [
         ["frame_potential", est.value, est.stderr, est.samples, args.seed],
@@ -491,8 +491,9 @@ def main(argv=None) -> int:
     """Run one command; bad input of any kind exits 2 with one stderr line.
 
     Every package error subclasses ValueError, so this is the single error
-    boundary of the command line.  A dimension too large for a float
-    overflows where it is raised to a negative power, and is bad input too.
+    boundary of the command line; a dimension too large for a float is one
+    too (``weingarten.inverse_powers``), and any other number too large for
+    a float or a machine integer overflows, which is bad input as well.
     """
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -44,9 +44,11 @@ def split_all(*arrays) -> list:
 
 def join(nums, denom: int):
     """nums / denom for a scalar or array: reduced Fractions when ``nums``
-    holds exact integers, else a float division."""
+    holds exact integers, else a float division (a Python float for a
+    scalar)."""
     if not is_exact(nums):
-        return nums / denom
+        q = nums / denom
+        return q if isinstance(q, np.ndarray) else float(q)
     if isinstance(nums, np.ndarray):
         return from_integer(nums, denom)
     return Fraction(int(nums), denom)

@@ -35,19 +35,23 @@ The spectrum is real.  For the Haar and dilated ensembles tau X is
 similar to the symmetric matrix D^(-1/2) (tau X) D^(1/2) = D^(1/2) C D^(1/2),
 which commutes with inversion and with conjugation by (0 1), (2 3), ...; in
 the basis of ``symmgroup.symmetry_blocks`` it splits into one small
-symmetric block per character of that group, each with its own eigensolve.
+symmetric block per character of that group, with one stacked eigensolve
+per block size.
 The rank-one reference has eigenvalues 1 and 0 in closed form.  The k-fold
 spectrum is the k-th power of the single one.  Row 0 of the dual matrix
 (X tau)^k and the leading vector (tau X)^k psi are class functions too, so
-their residuals are taken on class values; the eigenpair residual takes k
-products of tau X with the eigenvector matrix.
+their residuals are taken on class values; the eigenpair residual is
+taken block by block and on a few seeded probe columns, and neither it nor
+anything else here forms the eigenvector matrix or tau X in full.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -252,9 +256,11 @@ class SpectralReport:
     (d dE)^(-size(sigma)) for the dilated ensemble; ``leading_left`` is the
     identity-permutation indicator, i.e. trace preservation, and is checked
     against the dual modified matrix X tau.  ``residuals`` are infinity
-    norms of (tau X)^k psi - psi and of e_0^T ((X tau)^k - I), and the
-    largest column norm of (tau X)^k V - V Lambda^k, all of the
-    unsymmetrized k-fold operators.
+    norms of (tau X)^k psi - psi and of e_0^T ((X tau)^k - I), and for the
+    unit eigenvector matrix V the larger of the largest column norm of
+    (tau X)^k V - V Lambda^k, taken in block coordinates, and of
+    |(tau X)^k V z - V Lambda^k z| over ``PROBES`` seeded unit probes z,
+    all of the unsymmetrized k-fold operators.
     """
 
     eigenvalues: np.ndarray
@@ -271,45 +277,117 @@ def leading_right_vector(spec: EnsembleSpec, exact: bool = False) -> np.ndarray:
     return (f * x)[sg.product_table(spec.t).size]
 
 
-def _right_eigenpairs(spec: EnsembleSpec, f: np.ndarray, c: np.ndarray) -> tuple:
-    """Real eigenvalues and column-normalized right eigenvectors of
-    tau X = D C, with D = diag(f) and C = c[pcls] for c by class (see
-    ``_class_rows``).
+# Seeded probe columns of the eigenpair residual, and the entries of one row
+# chunk of a gathered t! x t! matrix (1 MB of float64).
+PROBES = 4
+GATHER_CHUNK = 1 << 17
 
+
+class BlockLayout(NamedTuple):
+    """Where the pairs of each ``SymmetryBlock`` sit among the t! columns.
+
+    Block b's pairs are the columns start_b, ..., start_b + m_b - 1, in
+    block order.  ``groups`` holds, per block size m, the g blocks of that
+    size and their (g, m) columns, reps and scales, and the (g, m, PROBES)
+    rows there of the probes: standard normal draws seeded by t!, each
+    column of unit norm.  ``lift_cols``, ``lift_coef`` and ``row_starts``
+    are the basis U over all blocks, as (column, coef) entries sorted by row
+    and the first entry of each row (every row lies in the trivial block).
+    """
+
+    groups: tuple
+    lift_cols: np.ndarray
+    lift_coef: np.ndarray
+    row_starts: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _block_layout(blocks: tuple) -> BlockLayout:
+    """The ``BlockLayout`` of a tuple of ``SymmetryBlock``s."""
+    sizes = [len(b.reps) for b in blocks]
+    starts = np.cumsum([0] + sizes)
+    z = np.random.default_rng(int(starts[-1])).standard_normal((starts[-1], PROBES))
+    z /= np.sqrt((z * z).sum(axis=0))
+    groups = []
+    for m in sorted(set(sizes)):
+        group = [(b, s) for b, s, size in zip(blocks, starts, sizes) if size == m]
+        cols = np.array([s for _, s in group])[:, None] + np.arange(m)
+        groups.append((tuple(b for b, _ in group), cols, np.array([b.reps for b, _ in group]),
+                       np.array([b.scale for b, _ in group]), z[cols]))
+    rows = np.concatenate([b.rows for b in blocks])
+    order = np.argsort(rows, kind="stable")
+    cols = np.concatenate([s + b.pos for s, b in zip(starts, blocks)])[order]
+    coef = np.concatenate([b.coef for b in blocks])[order, None]
+    return BlockLayout(tuple(groups), cols, coef, np.searchsorted(rows[order], np.arange(starts[-1])))
+
+
+class BlockPairs(NamedTuple):
+    """Right eigenpairs of tau X on g ``SymmetryBlock``s of m rows each.
+
+    In the orthonormal basis U_b of block b = ``blocks[i]``,
+    tau X U_b = U_b T_b with ``mats[i]`` = T_b = U_b^T (tau X) U_b.
+    ``vecs[i]`` holds unit right eigenvectors y of T_b as columns, with
+    eigenvalues ``evals[i]``, so U_b y are unit right eigenvectors of tau X.
+    ``cols[i]`` are block b's columns in ``BlockLayout`` order: the
+    positions of its eigenvalues among the t!, and of its coordinates in U.
+    """
+
+    blocks: tuple
+    cols: np.ndarray
+    mats: np.ndarray
+    evals: np.ndarray
+    vecs: np.ndarray
+
+
+def _right_eigenpairs(spec: EnsembleSpec, f: np.ndarray, c: np.ndarray) -> tuple:
+    """The ``BlockPairs`` of tau X = D C, one per block size of
+    ``sg.symmetry_blocks``, with D = diag(f) and C = c[pcls] for c by class
+    (see ``_class_rows``).
+
+    D and C commute with the group H of ``sg.symmetry_blocks``, so tau X is
+    block diagonal in its basis, and T_b = F_b C_b with F_b = f[reps] and
+    C_b[i, j] = scale_i scale_j (c @ weights)[i, j], the class values of c
+    times the block's int8 ``weights``.
     The dilated ensemble has f = dE^(-size).  W and X are symmetric right
     multiplications by central elements, so they commute, C = W X is
-    symmetric, and so is D^(-1/2) (tau X) D^(1/2) = D^(1/2) C D^(1/2).
-    D and C commute with the group H of ``sg.symmetry_blocks``, so in its
-    orthonormal basis U that matrix is block diagonal, one block per
-    character: B[i, j] = half_i half_j sum_h chi(h) c(r_i^-1 h r_j) /
-    sqrt(|H_i| |H_j|), the class values of c times the block's int8
-    ``weights``.  Each block has its own ``eigh`` (16 blocks of at most 98
-    rows at t = 6), and its eigenvectors v give the right eigenvectors
-    D^(1/2) U v.
-    Haar is dE = 1.  The rank-one reference tau X = e_0 x_0^T, with
-    x_0 = c over S_t, has eigenvalue 1 on e_0 and 0 on e_j - x_0[j] e_0.
+    symmetric, and so is F^(1/2) C_b F^(1/2), similar to T_b.  Its
+    eigenvectors v, from one stacked ``eigh`` per block size (12 of the 16
+    blocks at t = 6 have 44 rows), give y = F^(1/2) v, i.e. the right
+    eigenvectors D^(1/2) U_b v of tau X.  Haar is dE = 1.
+    The rank-one reference has D = diag(e_0), so T_b is 0 except for row 0
+    of the trivial block, whose first rep is the identity; there T_b has
+    eigenvalue 1 on e_0 and 0 on e_j - T_b[0, j] e_0, and elsewhere every
+    eigenvalue is 0 on the unit vectors.
     """
-    n = len(f)
-    if spec.kind == DEPOLARIZE:
-        evals = np.zeros(n)
-        evals[0] = 1.0
-        evecs = np.eye(n)
-        evecs[0, 1:] = -c[sg.product_table(spec.t).cls[1:]]
-    else:
-        half = np.sqrt(f)
-        evals, evecs = np.empty(n), np.zeros((n, n))
-        start = 0
-        for b in sg.symmetry_blocks(spec.t):
-            hs = half[b.reps] * b.scale
-            block = c @ b.weights
-            block *= hs[:, None]
-            block *= hs
-            cols = slice(start, start + len(hs))
-            evals[cols], v = np.linalg.eigh(block)
-            evecs[b.rows, cols] = (half[b.rows] * b.coef)[:, None] * v[b.pos]
-            start += len(hs)
-    evecs /= np.linalg.norm(evecs, axis=0)
-    return evals, evecs
+    blocks = sg.symmetry_blocks(spec.t)
+    half = np.sqrt(f)
+    out = []
+    for group, cols, reps, scale, _ in _block_layout(blocks).groups:
+        sym = np.array([c @ b.weights for b in group])
+        mats = sym * (f[reps] * scale)[:, :, None]
+        mats *= scale[:, None, :]
+        if spec.kind == DEPOLARIZE:
+            evals, vecs = np.zeros(cols.shape), np.zeros(mats.shape) + np.eye(cols.shape[1])
+            first = reps[:, 0] == 0
+            evals[first, 0] = 1.0
+            vecs[first, 0, 1:] = -mats[first, 0, 1:]
+        else:
+            hs = half[reps] * scale
+            sym *= hs[:, :, None]
+            sym *= hs[:, None, :]
+            evals, vecs = np.linalg.eigh(sym)
+            vecs *= half[reps][:, :, None]
+        vecs /= np.sqrt((vecs * vecs).sum(axis=1))[:, None, :]
+        out.append(BlockPairs(group, cols, mats, evals, vecs))
+    return tuple(out)
+
+
+def _class_product(c: np.ndarray, pcls: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """c[pcls] @ x, gathered in row chunks of at most ``GATHER_CHUNK`` entries."""
+    rows, out = max(1, GATHER_CHUNK // len(pcls)), np.empty_like(x)
+    for i in range(0, len(pcls), rows):
+        np.matmul(c[pcls[i:i + rows]], x, out=out[i:i + rows])
+    return out
 
 
 def spectrum(spec: EnsembleSpec) -> SpectralReport:
@@ -318,38 +396,59 @@ def spectrum(spec: EnsembleSpec) -> SpectralReport:
     Since (tau X)^k = tau_k X, the k-fold eigenvalues are the k-th powers
     of those of tau X, with the same eigenvectors.  Everything comes from
     ``_class_rows``, as the norms of ``_reference_values`` do: tau X = D C
-    is one gather of c, and no X or W is built.  x, f[size] and w are class
+    is read from the class values of c, and no X or W is built.  x, f[size] and w are class
     functions, and so is a convolution of class functions, so row 0 of the
     dual k-fold matrix (X tau)^k = (X D W)^k is one, and so is
     (D C)^k psi for the class function psi = f x.  One loop of k steps
     applies the k-fold operators: p(t) x t! mat-vecs on the class values of
-    the dual row and of psi, and one product of tau X with the eigenvector
-    matrix V, so the eigenpair residual is (tau X)^k V - V Lambda^k
-    without forming (tau X)^k.
+    the dual row and of psi, and D C on ``PROBES`` seeded probe columns.
+
+    The eigenpair residual is the larger of two parts, and neither forms
+    the eigenvector matrix V or tau X.  The block part is the largest
+    column norm of T_b^k y - y lambda^k over the unit y of
+    ``_right_eigenpairs``; U_b is orthonormal, so that is the column norm
+    of (tau X)^k V - V Lambda^k.  The probe part checks the block
+    reduction itself (Freivalds' check of a matrix product): V z and
+    V Lambda^k z, lifted through the blocks' (rows, pos, coef), and the
+    largest |(tau X)^k V z - V Lambda^k z| over the unit probes z, with
+    tau X gathered in row chunks of ``GATHER_CHUNK`` entries.
     """
-    t = spec.t
-    tab = sg.product_table(t)
-    f, xr, wr, c = _class_rows(t, *_tables(spec, exact=False))
+    t, k = spec.t, spec.k
+    tab, pcls = sg.product_table(t), wg._pair_class_table(t)
+    f_s, x, w = _tables(spec, exact=False)
+    f, xr, wr, c = _class_rows(t, f_s, x, w)
     fr, e_cls, c_rows = f[tab.reps], np.eye(1, len(c))[0], c[tab.rep_cls]
-    psi = leading_right_vector(spec)
-    evals, evecs = _right_eigenpairs(spec, f, c)
-    evals = evals**spec.k
-    tau_x = c[wg._pair_class_table(t)]
-    tau_x *= f[:, None]
-    # Row 0 of (X D W)^k and (D C)^k psi by class, and (tau X)^k V.
-    row, right, pair = e_cls, psi[tab.reps], evecs
-    for _ in range(spec.k):
+    psi = (f_s * x)[tab.size]  # ``leading_right_vector``, from the same tables
+    layout = _block_layout(sg.symmetry_blocks(t))
+    evals, blocked = np.empty(len(f)), np.empty(len(f))
+    coords = np.empty((2, len(f), PROBES))
+    for p, (*_, z) in zip(_right_eigenpairs(spec, f, c), layout.groups):
+        lam = p.evals**k
+        evals[p.cols] = lam
+        r, vl = p.vecs, p.vecs * lam[:, None, :]
+        for _ in range(k):
+            r = p.mats @ r
+        r -= vl
+        blocked[p.cols] = (r * r).sum(axis=1)
+        coords[0, p.cols] = p.vecs @ z
+        coords[1, p.cols] = vl @ z
+    # V z and V Lambda^k z: U applied to the block coordinates.
+    vz, vlz = np.add.reduceat(layout.lift_coef * coords[:, layout.lift_cols],
+                              layout.row_starts, axis=1)
+    # Row 0 of (X D W)^k and (D C)^k psi by class, and (tau X)^k V z.
+    row, right = e_cls, psi[tab.reps]
+    for _ in range(k):
         row = wr.dot((xr.dot(row[tab.cls]) * fr)[tab.cls])
         right = fr * c_rows.dot(right[tab.cls])
-        pair = tau_x @ pair
-    del tau_x
-    pair -= evecs * evals
+        vz = _class_product(c, pcls, vz)
+        vz *= f[:, None]
+    vz -= vlz
     return SpectralReport(
         eigenvalues=evals[np.argsort(-np.abs(evals))],
-        leading_right=psi / np.linalg.norm(psi),
+        leading_right=psi / np.sqrt(psi.dot(psi)),
         leading_left=e_cls[tab.cls],
         residuals={
-            "eigenpairs": float(np.linalg.norm(pair, axis=0).max()),
+            "eigenpairs": sqrt(max(blocked.max(), (vz * vz).sum(axis=0).max())),
             "leading_right": float(np.abs(right - psi[tab.reps]).max()),
             "leading_left": float(np.abs(row - e_cls).max()),
         },
@@ -358,7 +457,7 @@ def spectrum(spec: EnsembleSpec) -> SpectralReport:
 
 def design_distance_depolarize(spec: EnsembleSpec) -> float:
     """HS distance to the rank-one trace-preserving reference: sqrt(norm^2 - 1)."""
-    n2 = float(_reference_values(spec, (spec.k,), exact=False)[spec.k][0])
+    n2 = _reference_values(spec, (spec.k,), exact=False)[spec.k][0]
     radicand = n2 - 1.0
     if radicand < -1e-9:
         raise ArithmeticError(f"norm^2 = {n2} below 1: inconsistent norm computation")
@@ -424,9 +523,8 @@ def hierarchy_scan(
         ks_by_pair.setdefault((t, d, dE), []).append(k)
     values = {}
     for (t, d, dE), ks in ks_by_pair.items():
-        for k, (n2, tr) in _reference_values(chaar(d, dE, t), ks, exact).items():
-            # Exact values stay Fractions; float ones become Python floats.
-            values[t, k, d, dE] = (n2, tr) if exact else (float(n2), float(tr))
+        for k, pair in _reference_values(chaar(d, dE, t), ks, exact).items():
+            values[t, k, d, dE] = pair
 
     # One flag list per point, filled by the bounds check, then by the
     # monotonicity passes in dE at fixed (t, k, d) and in k at fixed (t, d, dE).

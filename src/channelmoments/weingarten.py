@@ -35,11 +35,16 @@ def inverse_powers(base: int, count: int, exact: bool) -> np.ndarray:
     """[base^0, base^-1, ..., base^-(count-1)]: Fractions, or floats.
 
     Indexed by ``symmgroup.product_table(t).size`` (with count = t) it is
-    the vector base^(-size(sigma)) over S_t.
+    the vector base^(-size(sigma)) over S_t.  A dimension beyond the float
+    range raises ValueError on the float path.
     """
     if exact:
         return np.array([Fraction(1, base**s) for s in range(count)], dtype=object)
-    return np.array([float(base) ** -s for s in range(count)])
+    try:
+        b = float(base)
+    except OverflowError:
+        raise ValueError(f"dimension {base} exceeds the float path's range") from None
+    return np.array([b**-s for s in range(count)])
 
 
 @lru_cache(maxsize=None)

@@ -17,8 +17,9 @@ dense single-generator and Haar pair twirls, the Haar
 composite norm as a power of the dense Pauli-pair matrix, the two-copy
 weights in closed form, the Monte-Carlo estimators as loops over single
 draws, the dilated ensemble's transfer matrix as t!^2 products, the
-right eigenpairs of tau X from one dense t! x t! eigensolve, the
-spectral residuals from dense matrix powers, and the scaling exponents
+right eigenpairs of tau X from one dense t! x t! eigensolve, the block
+eigenpairs lifted to a dense eigenvector matrix, the spectral residuals
+from dense matrix powers, and the scaling exponents
 as a loop over matrix entries.
 """
 
@@ -623,16 +624,32 @@ def right_eigenpairs_dense(spec, f: np.ndarray, c: np.ndarray) -> tuple:
     return evals, evecs
 
 
+def lifted_eigenpairs(pairs) -> tuple:
+    """The eigenvalues and the t! x t! eigenvector matrix V of the
+    ``moments.BlockPairs`` of ``moments._right_eigenpairs``: column j of V
+    is U_b y for the block b and the block vector y at position j, with U_b
+    from the block's (rows, pos, coef) and no normalization."""
+    n = sum(p.evals.size for p in pairs)
+    evals, evecs = np.empty(n), np.zeros((n, n))
+    for p in pairs:
+        for b, cols, lam, y in zip(p.blocks, p.cols, p.evals, p.vecs):
+            evals[cols] = lam
+            evecs[b.rows[:, None], cols] = b.coef[:, None] * y[b.pos]
+    return evals, evecs
+
+
 def spectrum_residuals_dense(spec) -> dict:
     """The residuals of ``moments.spectrum`` from the dense k-fold matrices
     (tau X)^k and (X tau)^k of ``np.linalg.matrix_power``, applied to the
-    eigenpairs of ``moments._right_eigenpairs``, to psi = f x and to e_0."""
+    column-normalized lifted eigenpairs of ``moments._right_eigenpairs``,
+    to psi = f x and to e_0."""
     t, k = spec.t, spec.k
     tab, pcls = sg.product_table(t), wg._pair_class_table(t)
     f_s, x, w = mo._tables(spec, exact=False)
     f, _, _, c = mo._class_rows(t, f_s, x, w)
     power = np.linalg.matrix_power(c[pcls] * f[:, None], k)
-    evals, evecs = mo._right_eigenpairs(spec, f, c)
+    evals, evecs = lifted_eigenpairs(mo._right_eigenpairs(spec, f, c))
+    evecs /= np.linalg.norm(evecs, axis=0)
     pair = power @ evecs - evecs * evals**k
     psi = leading_right_vector(spec)
     dual = np.linalg.matrix_power(x[tab.size][tab.prod] @ (f[:, None] * w[pcls]), k)

@@ -365,6 +365,21 @@ def test_bad_input_is_one_error_line(capsys, tmp_path, argv):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hierarchy", "--t-list", "2", "--k-list", "1", "--d-list", "{big}"),
+        ("spectrum", "--ensemble", "chaar", "--t", "2", "--d", "{big}", "--dE", "2"),
+        ("spectrum", "--ensemble", "chaar", "--t", "2", "--d", "2", "--dE", "{big}"),
+        ("--float", "transfer", "--ensemble", "haar", "--t", "2", "--d", "{big}"),
+    ],
+)
+def test_float_overflow_error_names_the_dimension(capsys, argv):
+    big = str(10**400 + 7)
+    assert main([a.format(big=big) for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: dimension {big} exceeds the float path's range\n"
+
+
 def test_mc_k_fold_fails_without_concatenating(capsys, monkeypatch):
     from channelmoments import moments as mo
 

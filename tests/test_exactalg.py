@@ -159,7 +159,7 @@ def test_split_join_pass_floats_through_bit_for_bit():
     back = join(nums, denom)
     assert back.dtype == np.float64 and back.tobytes() == m.tobytes()
     total = m.sum()
-    assert join(total, 1) == total and type(join(total, 1)) is np.float64
+    assert join(total, 1) == total and type(join(total, 1)) is float
     assert join(1.5, 1) == 1.5 and type(join(1.5, 1)) is float
 
 

@@ -26,6 +26,7 @@ from oracles import (
     chaar_transfer_perm,
     frame_potential_mc_loop,
     leading_overlap,
+    lifted_eigenpairs,
     norm_squared_quad,
     right_eigenpairs_dense,
     sample_haar_unitary_once,
@@ -172,7 +173,7 @@ def test_blocked_eigenvalues_match_dense_eigh(t):
     cls = sg.product_table(t).cls
     for spec in [haar(t, t)] + [chaar(max(2, -(-t // dE)), dE, t) for dE in (1, 2, 3)]:
         f, _, _, c = mo._class_rows(t, *mo._tables(spec, exact=False))
-        got = mo._right_eigenpairs(spec, f, c)[0]
+        got = lifted_eigenpairs(mo._right_eigenpairs(spec, f, c))[0]
         want = right_eigenpairs_dense(spec, f, c[cls])[0]
         assert np.abs(np.sort(got) - want).max() < 1e-12, spec.label()
 
@@ -224,29 +225,58 @@ def test_spectrum_residuals_match_dense_powers(t):
 
 @pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
 def test_spectrum_eigenpair_residual_sees_wrong_pairs(monkeypatch, t):
-    """The eigenpair residual exceeds 1e-8 when the largest eigenvalue is
-    scaled by 1 + 1e-3, or when the eigenvectors of the smallest and the
-    largest eigenvalue swap columns.  The swap is a defect only where those
-    eigenvalues differ, so it runs on chaar: Haar at d = t is a projector."""
-    eigenpairs = mo._right_eigenpairs
+    """The eigenpair residual of chaar(2, 3, t) exceeds 1e-8 for each defect:
+    a ``weights`` entry of the largest block off by 1 at the class of the
+    largest |c| (its eigenpairs solve the wrong block exactly, so only the
+    probe part sees it), two eigenvector columns of one block swapped, the
+    leading eigenvalue (in the largest, trivial block) swapped with the
+    largest one of another block, i.e. the eigenvalues of two lifted columns
+    in different blocks (t = 2 has a single block), one eigenvalue squared,
+    i.e. raised to the wrong power in the k-fold spectrum, and the leading
+    eigenvalue scaled by 1 + 1e-3, also on haar(t, t), a projector."""
+    spec = chaar(2, 3, t)
+    blocks, eigenpairs = sg.symmetry_blocks(t), mo._right_eigenpairs
+    c = mo._class_rows(t, *mo._tables(spec, exact=False))[3]
+    big = max(blocks, key=lambda b: len(b.reps))
+    weights = big.weights.copy()
+    weights[0, np.argmax(np.abs(c)), 0] += 1
+    bad = tuple(replace(b, weights=weights) if b is big else b for b in blocks)
 
-    def scaled(spec, f, c):
-        evals, evecs = eigenpairs(spec, f, c)
-        evals[np.argmax(evals)] *= 1 + 1e-3
-        return evals, evecs
+    def swap_within(pairs):
+        vecs, lam = pairs[-1].vecs[0], pairs[-1].evals[0]
+        lo, hi = np.argmin(lam), np.argmax(lam)
+        vecs[:, [lo, hi]] = vecs[:, [hi, lo]]
 
-    def swapped(spec, f, c):
-        evals, evecs = eigenpairs(spec, f, c)
-        lo, hi = np.argmin(evals), np.argmax(evals)
-        evecs[:, [lo, hi]] = evecs[:, [hi, lo]]
-        return evals, evecs
+    def swap_across(pairs):
+        lead, other = pairs[-1].evals[0], pairs[0].evals[-1]
+        i, j = np.argmax(lead), np.argmax(other)
+        lead[i], other[j] = other[j], lead[i]
 
-    cases = [(scaled, haar(t, t)), (scaled, chaar(2, 3, t)), (swapped, chaar(2, 3, t))]
-    for defect, spec in cases:
-        monkeypatch.setattr(mo, "_right_eigenpairs", defect)
+    def wrong_power(pairs):
+        lam = pairs[-1].evals[0]
+        lam[np.argmax(np.abs(lam - lam**2))] **= 2
+
+    def scaled(pairs):
+        lam = pairs[-1].evals[0]
+        lam[np.argmax(lam)] *= 1 + 1e-3
+
+    def edited(edit):
+        def defect(spec, f, c):
+            pairs = eigenpairs(spec, f, c)
+            edit(pairs)
+            return pairs
+        return defect
+
+    cases = [("weights", sg, "symmetry_blocks", lambda t: bad, spec)]
+    cases += [(e.__name__, mo, "_right_eigenpairs", edited(e), spec)
+              for e in (swap_within, wrong_power, scaled) + ((swap_across,) if t > 2 else ())]
+    cases.append(("scaled", mo, "_right_eigenpairs", edited(scaled), haar(t, t)))
+    for name, module, attr, value, base in cases:
+        monkeypatch.setattr(module, attr, value)
         for k in (1, 2, 3):
-            res = mo.spectrum(replace(spec, k=k)).residuals["eigenpairs"]
-            assert res > 1e-8, (defect.__name__, spec.label(), k, res)
+            res = mo.spectrum(replace(base, k=k)).residuals["eigenpairs"]
+            assert res > 1e-8, (name, base.label(), k, res)
+        monkeypatch.undo()
 
 
 def test_float_haar_t6_norm_within_3e12():
@@ -442,7 +472,7 @@ def test_transfer_matrix_exact_follows_the_matrix_dtype():
     # A float matrix is on the float path whatever built it.
     tm = TransferMatrix(approx.matrix, PERMUTATION, spec)
     got = mo.norm_squared(tm, mo.gram(3, 2, exact=False))
-    assert type(got) is np.float64
+    assert type(got) is float
     assert abs(got - float(mo.norm_squared(exact, mo.gram(3, 2)))) < 1e-12
 
 
@@ -705,7 +735,7 @@ def test_float_norm_and_trace_match_exact():
         for f in (mo.norm_squared, mo.trace):
             want = float(f(te, xe))
             got = f(tf, xf)
-            assert isinstance(got, np.floating)
+            assert type(got) is float
             assert abs(got - want) <= 1e-12 * abs(want)
 
 
