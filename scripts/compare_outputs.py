@@ -12,8 +12,9 @@ the Gram and Weingarten matrices, transfer matrices in both bases for
 k = 1, 2, 3 (so the k-fold ones run ``concatenate``), the leading right
 vector and the localized Gram (exact for t <= 5, float for t <= 6), float
 spectra for t <= 6 and k = 1, 2 (eigenvalues sorted by real, then
-imaginary part), two-copy purity trajectories and seeded Monte-Carlo
-moments for n <= 3 (both ansaetze, all four noises, both placements),
+imaginary part, and the three residuals), two-copy purity trajectories
+and seeded Monte-Carlo moments for n <= 3 (both ansaetze, all four
+noises, both placements),
 purity trajectories for n = 4, 5 (both ansaetze, both initial states,
 amplitude damping and local depolarizing, both placements),
 seeded frame potentials and expectation moments of the haar, chaar and
@@ -63,8 +64,11 @@ def _grid():
                             out[("transfer", basis, k) + name] = tm.matrix
                     if not exact:
                         for k in (1, 2):
-                            ev = mo.spectrum(replace(spec, k=k)).eigenvalues
-                            out[("spectrum", k) + name] = np.sort_complex(ev)
+                            rep = mo.spectrum(replace(spec, k=k))
+                            res = rep.residuals
+                            out[("spectrum", k) + name] = (
+                                np.sort_complex(rep.eigenvalues), res["eigenpairs"],
+                                res["leading_right"], res["leading_left"])
     for n in (1, 2, 3):
         for ansatz in ("hea", "mat"):
             for noise in ch.NOISE_KINDS:

@@ -36,6 +36,7 @@ from .specs import (
     PERMUTATION,
     CircuitSpec,
     EnsembleSpec,
+    check_grid,
 )
 
 
@@ -215,9 +216,7 @@ def cmd_simulate(args) -> int:
     if not all(0.0 <= g <= 1.0 for g in gammas):
         raise ValueError(f"gamma must lie in [0, 1], got {args.gamma}")
     for name, grid in (("ansatz", ansatze), ("noise", noises), ("gamma", gammas)):
-        for i, v in enumerate(grid):
-            if v in grid[:i]:
-                raise ValueError(f"invalid grid: duplicate {name} = {v}")
+        check_grid(name, grid)
     # Each noise name, also one that no gamma > 0 puts in a trajectory.
     for noise in noises:
         CircuitSpec(n=args.n, noise=noise)

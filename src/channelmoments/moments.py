@@ -34,9 +34,10 @@ products of a p(t) x t! block with a t! x t! matrix, none at k = 1
 The spectrum is real.  For the Haar and dilated ensembles tau X is
 similar to the symmetric matrix D^(-1/2) (tau X) D^(1/2) = D^(1/2) C D^(1/2),
 which commutes with inversion and with conjugation by (0 1), (2 3), ...; in
-the basis of ``symmgroup.symmetry_blocks`` it splits into one small
-symmetric block per character of that group, with one stacked eigensolve
-per block size.
+the basis U of ``symmgroup.symmetry_blocks`` it splits into one small
+symmetric block per character of that group.  The blocks come in groups of
+one size, each with one stacked product for its blocks and one stacked
+eigensolve, and the lift of U there takes block coordinates back to S_t.
 The rank-one reference has eigenvalues 1 and 0 in closed form.  The k-fold
 spectrum is the k-th power of the single one.  Row 0 of the dual matrix
 (X tau)^k and the leading vector (tau X)^k psi are class functions too, so
@@ -68,6 +69,7 @@ from .specs import (
     EnsembleSpec,
     TransferMatrix,
     chaar,
+    check_grid,
     depolarize,
     haar,
 )
@@ -258,9 +260,10 @@ class SpectralReport:
     against the dual modified matrix X tau.  ``residuals`` are infinity
     norms of (tau X)^k psi - psi and of e_0^T ((X tau)^k - I), and for the
     unit eigenvector matrix V the larger of the largest column norm of
-    (tau X)^k V - V Lambda^k, taken in block coordinates, and of
-    |(tau X)^k V z - V Lambda^k z| over ``PROBES`` seeded unit probes z,
-    all of the unsymmetrized k-fold operators.
+    (tau X)^k V - V Lambda^k, taken in the coordinates of the symmetry
+    blocks, and of |(tau X)^k V z - V Lambda^k z| over ``PROBES`` seeded
+    unit probes z, lifted to S_t; all of the unsymmetrized k-fold
+    operators.
     """
 
     eigenvalues: np.ndarray
@@ -277,62 +280,35 @@ def leading_right_vector(spec: EnsembleSpec, exact: bool = False) -> np.ndarray:
     return (f * x)[sg.product_table(spec.t).size]
 
 
-# Seeded probe columns of the eigenpair residual, and the entries of one row
-# chunk of a gathered t! x t! matrix (1 MB of float64).
+# Seeded probe columns of the eigenpair residual, and the entries of one
+# chunk of a gathered or cast float64 temporary (1 MB).
 PROBES = 4
 GATHER_CHUNK = 1 << 17
 
 
-class BlockLayout(NamedTuple):
-    """Where the pairs of each ``SymmetryBlock`` sit among the t! columns.
-
-    Block b's pairs are the columns start_b, ..., start_b + m_b - 1, in
-    block order.  ``groups`` holds, per block size m, the g blocks of that
-    size and their (g, m) columns, reps and scales, and the (g, m, PROBES)
-    rows there of the probes: standard normal draws seeded by t!, each
-    column of unit norm.  ``lift_cols``, ``lift_coef`` and ``row_starts``
-    are the basis U over all blocks, as (column, coef) entries sorted by row
-    and the first entry of each row (every row lies in the trivial block).
-    """
-
-    groups: tuple
-    lift_cols: np.ndarray
-    lift_coef: np.ndarray
-    row_starts: np.ndarray
-
-
 @lru_cache(maxsize=None)
-def _block_layout(blocks: tuple) -> BlockLayout:
-    """The ``BlockLayout`` of a tuple of ``SymmetryBlock``s."""
-    sizes = [len(b.reps) for b in blocks]
-    starts = np.cumsum([0] + sizes)
-    z = np.random.default_rng(int(starts[-1])).standard_normal((starts[-1], PROBES))
+def _probes(t: int) -> tuple:
+    """The rows at each ``sg.symmetry_blocks`` group's (g, m) columns of the
+    ``PROBES`` probe columns: standard normal draws seeded by t!, each column
+    of unit norm, as (g, m, PROBES) arrays."""
+    n = factorial(t)
+    z = np.random.default_rng(n).standard_normal((n, PROBES))
     z /= np.sqrt((z * z).sum(axis=0))
-    groups = []
-    for m in sorted(set(sizes)):
-        group = [(b, s) for b, s, size in zip(blocks, starts, sizes) if size == m]
-        cols = np.array([s for _, s in group])[:, None] + np.arange(m)
-        groups.append((tuple(b for b, _ in group), cols, np.array([b.reps for b, _ in group]),
-                       np.array([b.scale for b, _ in group]), z[cols]))
-    rows = np.concatenate([b.rows for b in blocks])
-    order = np.argsort(rows, kind="stable")
-    cols = np.concatenate([s + b.pos for s, b in zip(starts, blocks)])[order]
-    coef = np.concatenate([b.coef for b in blocks])[order, None]
-    return BlockLayout(tuple(groups), cols, coef, np.searchsorted(rows[order], np.arange(starts[-1])))
+    return tuple(z[cols] for cols, *_ in sg.symmetry_blocks(t).groups)
 
 
 class BlockPairs(NamedTuple):
-    """Right eigenpairs of tau X on g ``SymmetryBlock``s of m rows each.
+    """Right eigenpairs of tau X on the g blocks of m rows each of one
+    ``sg.symmetry_blocks`` group.
 
-    In the orthonormal basis U_b of block b = ``blocks[i]``,
+    In the orthonormal basis U_b of block b = i of the group,
     tau X U_b = U_b T_b with ``mats[i]`` = T_b = U_b^T (tau X) U_b.
     ``vecs[i]`` holds unit right eigenvectors y of T_b as columns, with
     eigenvalues ``evals[i]``, so U_b y are unit right eigenvectors of tau X.
-    ``cols[i]`` are block b's columns in ``BlockLayout`` order: the
-    positions of its eigenvalues among the t!, and of its coordinates in U.
+    ``cols[i]`` are the group's columns of block b: the positions of its
+    eigenvalues among the t!, and of its coordinates in U.
     """
 
-    blocks: tuple
     cols: np.ndarray
     mats: np.ndarray
     evals: np.ndarray
@@ -340,18 +316,19 @@ class BlockPairs(NamedTuple):
 
 
 def _right_eigenpairs(spec: EnsembleSpec, f: np.ndarray, c: np.ndarray) -> tuple:
-    """The ``BlockPairs`` of tau X = D C, one per block size of
+    """The ``BlockPairs`` of tau X = D C, one per group of
     ``sg.symmetry_blocks``, with D = diag(f) and C = c[pcls] for c by class
     (see ``_class_rows``).
 
     D and C commute with the group H of ``sg.symmetry_blocks``, so tau X is
     block diagonal in its basis, and T_b = F_b C_b with F_b = f[reps] and
     C_b[i, j] = scale_i scale_j (c @ weights)[i, j], the class values of c
-    times the block's int8 ``weights``.
+    times the block's int8 ``weights``, taken for all of a group's blocks
+    at once (in chunks of ``GATHER_CHUNK`` weights, one at t <= 5).
     The dilated ensemble has f = dE^(-size).  W and X are symmetric right
     multiplications by central elements, so they commute, C = W X is
     symmetric, and so is F^(1/2) C_b F^(1/2), similar to T_b.  Its
-    eigenvectors v, from one stacked ``eigh`` per block size (12 of the 16
+    eigenvectors v, from one stacked ``eigh`` per group (12 of the 16
     blocks at t = 6 have 44 rows), give y = F^(1/2) v, i.e. the right
     eigenvectors D^(1/2) U_b v of tau X.  Haar is dE = 1.
     The rank-one reference has D = diag(e_0), so T_b is 0 except for row 0
@@ -359,11 +336,16 @@ def _right_eigenpairs(spec: EnsembleSpec, f: np.ndarray, c: np.ndarray) -> tuple
     eigenvalue 1 on e_0 and 0 on e_j - T_b[0, j] e_0, and elsewhere every
     eigenvalue is 0 on the unit vectors.
     """
-    blocks = sg.symmetry_blocks(spec.t)
     half = np.sqrt(f)
     out = []
-    for group, cols, reps, scale, _ in _block_layout(blocks).groups:
-        sym = np.array([c @ b.weights for b in group])
+    for cols, reps, scale, weights in sg.symmetry_blocks(spec.t).groups:
+        # sym = c @ weights.  matmul casts all of its int8 operand to float64,
+        # so the (block, row) pairs go in chunks of at most GATHER_CHUNK weights.
+        rows = weights.reshape(-1, *weights.shape[2:])  # (g m, p(t), m)
+        sym = np.empty(reps.shape + reps.shape[1:])
+        step = max(1, GATHER_CHUNK // rows[0].size)
+        for i in range(0, len(rows), step):
+            np.matmul(c, rows[i:i + step], out=sym.reshape(len(rows), -1)[i:i + step])
         mats = sym * (f[reps] * scale)[:, :, None]
         mats *= scale[:, None, :]
         if spec.kind == DEPOLARIZE:
@@ -378,7 +360,7 @@ def _right_eigenpairs(spec: EnsembleSpec, f: np.ndarray, c: np.ndarray) -> tuple
             evals, vecs = np.linalg.eigh(sym)
             vecs *= half[reps][:, :, None]
         vecs /= np.sqrt((vecs * vecs).sum(axis=1))[:, None, :]
-        out.append(BlockPairs(group, cols, mats, evals, vecs))
+        out.append(BlockPairs(cols, mats, evals, vecs))
     return tuple(out)
 
 
@@ -409,9 +391,10 @@ def spectrum(spec: EnsembleSpec) -> SpectralReport:
     ``_right_eigenpairs``; U_b is orthonormal, so that is the column norm
     of (tau X)^k V - V Lambda^k.  The probe part checks the block
     reduction itself (Freivalds' check of a matrix product): V z and
-    V Lambda^k z, lifted through the blocks' (rows, pos, coef), and the
-    largest |(tau X)^k V z - V Lambda^k z| over the unit probes z, with
-    tau X gathered in row chunks of ``GATHER_CHUNK`` entries.
+    V Lambda^k z, from the block coordinates by the lift of U in
+    ``sg.symmetry_blocks``, and the largest |(tau X)^k V z - V Lambda^k z|
+    over the unit probes z, with tau X gathered in row chunks of
+    ``GATHER_CHUNK`` entries.
     """
     t, k = spec.t, spec.k
     tab, pcls = sg.product_table(t), wg._pair_class_table(t)
@@ -419,10 +402,10 @@ def spectrum(spec: EnsembleSpec) -> SpectralReport:
     f, xr, wr, c = _class_rows(t, f_s, x, w)
     fr, e_cls, c_rows = f[tab.reps], np.eye(1, len(c))[0], c[tab.rep_cls]
     psi = (f_s * x)[tab.size]  # ``leading_right_vector``, from the same tables
-    layout = _block_layout(sg.symmetry_blocks(t))
+    blocks = sg.symmetry_blocks(t)
     evals, blocked = np.empty(len(f)), np.empty(len(f))
     coords = np.empty((2, len(f), PROBES))
-    for p, (*_, z) in zip(_right_eigenpairs(spec, f, c), layout.groups):
+    for p, z in zip(_right_eigenpairs(spec, f, c), _probes(t)):
         lam = p.evals**k
         evals[p.cols] = lam
         r, vl = p.vecs, p.vecs * lam[:, None, :]
@@ -433,8 +416,8 @@ def spectrum(spec: EnsembleSpec) -> SpectralReport:
         coords[0, p.cols] = p.vecs @ z
         coords[1, p.cols] = vl @ z
     # V z and V Lambda^k z: U applied to the block coordinates.
-    vz, vlz = np.add.reduceat(layout.lift_coef * coords[:, layout.lift_cols],
-                              layout.row_starts, axis=1)
+    vz, vlz = np.add.reduceat(blocks.lift_coef[:, None] * coords[:, blocks.lift_cols],
+                              blocks.row_starts, axis=1)
     # Row 0 of (X D W)^k and (D C)^k psi by class, and (tau X)^k V z.
     row, right = e_cls, psi[tab.reps]
     for _ in range(k):
@@ -499,11 +482,7 @@ def hierarchy_scan(
     before any matrix is built; points with d * dE < t are left out.
     """
     for name, grid, low in (("t", t_list, 1), ("k", k_list, 1), ("d", d_list, 2)):
-        for i, v in enumerate(grid):
-            if v < low:
-                raise ValueError(f"invalid grid: need {name} >= {low}, got {name} = {v}")
-            if v in grid[:i]:
-                raise ValueError(f"invalid grid: duplicate {name} = {v}")
+        check_grid(name, grid, low)
     for t in t_list:
         if t > sg.max_order():
             raise ValueError(f"invalid grid: t = {t} exceeds the cap {sg.max_order()} "

@@ -65,6 +65,16 @@ def depolarize(d: int, t: int, k: int = 1) -> EnsembleSpec:
     return EnsembleSpec(DEPOLARIZE, d=d, t=t, k=k)
 
 
+def check_grid(name: str, grid, low=None) -> None:
+    """Raise ValueError at the first value of the list ``grid`` that is
+    below ``low`` (when given) or repeats an earlier one."""
+    for i, v in enumerate(grid):
+        if low is not None and v < low:
+            raise ValueError(f"invalid grid: need {name} >= {low}, got {name} = {v}")
+        if v in grid[:i]:
+            raise ValueError(f"invalid grid: duplicate {name} = {v}")
+
+
 @dataclass(frozen=True)
 class TransferMatrix:
     """t! x t! coefficient matrix of an ensemble's moment operator in a basis.

@@ -23,6 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -364,43 +365,42 @@ def check_conjugation_invariant(t: int, *matrices) -> None:
         raise ValueError(f"operand is not a {n} x {n} matrix fixed by simultaneous conjugation")
 
 
-@dataclass(frozen=True, eq=False)
-class SymmetryBlock:
-    """One character block of ``symmetry_blocks``.
+class SymmetryBlocks(NamedTuple):
+    """The blocks of ``symmetry_blocks``, one per character chi, and their
+    orthonormal basis U.
 
-    ``reps`` are the orbit representatives r_i whose stabilizer H_i lies in
-    the kernel of the character chi, and ``scale`` is 1 / sqrt(|H_i|).
-    ``weights[i, k, j]`` is the sum of chi(h) over the h in H with
-    r_i^-1 (h r_j) in class k, so M = m[prod], for m a class function with
-    class values m_cls, has block u_i^T M u_j =
-    scale_i scale_j (m_cls @ weights)[i, j].  Basis vector u_i has entry
-    ``coef`` at element ``rows`` for each row with ``pos`` = i.
+    ``groups`` holds, by block size m, a tuple (cols, reps, scale, weights)
+    for the g blocks of that size.  Block i has the basis vectors u_a at the
+    columns ``cols[i, a]`` of U, for the orbit representatives
+    r_a = ``reps[i, a]`` whose stabilizers H_a lie in the kernel of chi, and
+    ``scale[i, a]`` = 1 / sqrt(|H_a|).  ``weights[i, a, k, b]`` (int8) is the
+    sum of chi(h) over the h in H with r_a^-1 (h r_b) in class k, so
+    M = m[prod], for m a class function with class values m_cls, has block
+    u_a^T M u_b = scale[i, a] scale[i, b] (m_cls @ weights)[i, a, b].
+    Row r of U, the lift of block coordinates to S_t, has entry
+    ``lift_coef[e]`` in column ``lift_cols[e]`` for
+    ``row_starts[r]`` <= e < ``row_starts[r + 1]``, in block order.
     """
 
-    reps: np.ndarray
-    scale: np.ndarray
-    weights: np.ndarray
-    rows: np.ndarray
-    pos: np.ndarray
-    coef: np.ndarray
-
-    def __post_init__(self):
-        for a in vars(self).values():
-            a.flags.writeable = False
+    groups: tuple
+    lift_cols: np.ndarray
+    lift_coef: np.ndarray
+    row_starts: np.ndarray
 
 
 @lru_cache(maxsize=None)
-def symmetry_blocks(t: int) -> tuple:
-    """The ``SymmetryBlock`` of each character of H, the group generated by
-    inversion J and conjugation Ad_g by each of (0 1), (2 3), ....
+def symmetry_blocks(t: int) -> SymmetryBlocks:
+    """The ``SymmetryBlocks`` of H, the group generated by inversion J and
+    conjugation Ad_g by each of (0 1), (2 3), ....
 
     H = Z_2^m with m = 1 + t // 2 fixes size and every class function read
     over ``prod``, so it commutes with D = diag(f[size]) and C = c[prod].
     Its characters chi_s(h) = (-1)^popcount(s & h) are real, and the vectors
     u_i = sum_h chi(h) e_{h r_i} / sqrt(|H| |H_i|), over the orbits whose
     stabilizer H_i lies in ker chi, form an orthonormal basis of R^(t!)
-    over all chi.  Images are gathers on ``prod``: J = prod[:, 0] and
-    Ad_g(sigma) = prod[inv[prod[g, sigma]], g] (g^-1 = g).
+    over all chi.  The blocks take the columns in character order.  Images
+    are gathers on ``prod``: J = prod[:, 0] and Ad_g(sigma) =
+    prod[inv[prod[g, sigma]], g] (g^-1 = g).
     """
     tab = product_table(t)
     n = len(tab.cls)
@@ -423,7 +423,7 @@ def symmetry_blocks(t: int) -> tuple:
     order = np.count_nonzero(stab, axis=0)
     chi = 1.0 - 2.0 * odd
     classes = np.arange(len(tab.reps))[:, None, None, None]
-    blocks = []
+    blocks, lift, start = [], [], 0
     for s in range(len(act)):
         keep = np.flatnonzero(trivial[s])
         if not len(keep):
@@ -433,12 +433,18 @@ def symmetry_blocks(t: int) -> tuple:
         rows, first = np.unique(elems, return_index=True)
         h, pos = np.divmod(first, len(reps))
         cls = tab.cls[tab.prod[reps[:, None], elems[:, None, :]]]  # (h, i, j)
-        blocks.append(SymmetryBlock(
-            reps=reps,
-            scale=1.0 / np.sqrt(order[keep]),
-            weights=np.einsum("khij,h->ikj", cls == classes, chi[s]).astype(np.int8),
-            rows=rows,
-            pos=pos,
-            coef=chi[s, h] * np.sqrt(order[keep][pos] / len(act)),
-        ))
-    return tuple(blocks)
+        weights = np.einsum("khij,h->ikj", cls == classes, chi[s]).astype(np.int8)
+        blocks.append((start + np.arange(len(reps)), reps, 1.0 / np.sqrt(order[keep]), weights))
+        lift.append((rows, start + pos, chi[s, h] * np.sqrt(order[keep][pos] / len(act))))
+        start += len(reps)
+    groups = []
+    for m in sorted({len(b[0]) for b in blocks}):
+        # (cols, reps, scale, weights), each stacked over the blocks of size m.
+        groups.append(tuple(map(np.array, zip(*(b for b in blocks if len(b[0]) == m)))))
+    rows, cols, coef = map(np.concatenate, zip(*lift))
+    by_row = np.argsort(rows, kind="stable")
+    out = SymmetryBlocks(tuple(groups), cols[by_row], coef[by_row],
+                         np.searchsorted(rows[by_row], np.arange(n)))
+    for a in (*out[1:], *(a for g in groups for a in g)):
+        a.flags.writeable = False
+    return out

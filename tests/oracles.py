@@ -17,8 +17,9 @@ dense single-generator and Haar pair twirls, the Haar
 composite norm as a power of the dense Pauli-pair matrix, the two-copy
 weights in closed form, the Monte-Carlo estimators as loops over single
 draws, the dilated ensemble's transfer matrix as t!^2 products, the
-right eigenpairs of tau X from one dense t! x t! eigensolve, the block
-eigenpairs lifted to a dense eigenvector matrix, the spectral residuals
+right eigenpairs of tau X from one dense t! x t! eigensolve, the dense
+symmetry-block basis from its lift and the block eigenpairs lifted to a
+dense eigenvector matrix with it, the spectral residuals
 from dense matrix powers, and the scaling exponents
 as a loop over matrix entries.
 """
@@ -624,18 +625,27 @@ def right_eigenpairs_dense(spec, f: np.ndarray, c: np.ndarray) -> tuple:
     return evals, evecs
 
 
-def lifted_eigenpairs(pairs) -> tuple:
-    """The eigenvalues and the t! x t! eigenvector matrix V of the
-    ``moments.BlockPairs`` of ``moments._right_eigenpairs``: column j of V
-    is U_b y for the block b and the block vector y at position j, with U_b
-    from the block's (rows, pos, coef) and no normalization."""
-    n = sum(p.evals.size for p in pairs)
-    evals, evecs = np.empty(n), np.zeros((n, n))
+def symmetry_basis(t: int) -> np.ndarray:
+    """The t! x t! orthonormal basis U of ``symmgroup.symmetry_blocks(t)``,
+    read from its lift as ``moments.spectrum`` reads it: the lift of the
+    identity matrix of block coordinates."""
+    blocks = sg.symmetry_blocks(t)
+    eye = np.eye(len(blocks.row_starts))
+    return np.add.reduceat(blocks.lift_coef[:, None] * eye[blocks.lift_cols], blocks.row_starts)
+
+
+def lifted_eigenpairs(t: int, pairs) -> tuple:
+    """The eigenvalues and the t! x t! eigenvector matrix V = U Y of the
+    ``moments.BlockPairs`` of ``moments._right_eigenpairs``: Y holds each
+    block vector y at its block's columns ``cols``, U is
+    ``symmetry_basis(t)``, and there is no normalization."""
+    n = factorial(t)
+    evals, y = np.empty(n), np.zeros((n, n))
     for p in pairs:
-        for b, cols, lam, y in zip(p.blocks, p.cols, p.evals, p.vecs):
+        for cols, lam, vecs in zip(p.cols, p.evals, p.vecs):
             evals[cols] = lam
-            evecs[b.rows[:, None], cols] = b.coef[:, None] * y[b.pos]
-    return evals, evecs
+            y[cols[:, None], cols] = vecs
+    return evals, symmetry_basis(t) @ y
 
 
 def spectrum_residuals_dense(spec) -> dict:
@@ -648,7 +658,7 @@ def spectrum_residuals_dense(spec) -> dict:
     f_s, x, w = mo._tables(spec, exact=False)
     f, _, _, c = mo._class_rows(t, f_s, x, w)
     power = np.linalg.matrix_power(c[pcls] * f[:, None], k)
-    evals, evecs = lifted_eigenpairs(mo._right_eigenpairs(spec, f, c))
+    evals, evecs = lifted_eigenpairs(t, mo._right_eigenpairs(spec, f, c))
     evecs /= np.linalg.norm(evecs, axis=0)
     pair = power @ evecs - evecs * evals**k
     psi = leading_right_vector(spec)

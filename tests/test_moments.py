@@ -173,7 +173,7 @@ def test_blocked_eigenvalues_match_dense_eigh(t):
     cls = sg.product_table(t).cls
     for spec in [haar(t, t)] + [chaar(max(2, -(-t // dE)), dE, t) for dE in (1, 2, 3)]:
         f, _, _, c = mo._class_rows(t, *mo._tables(spec, exact=False))
-        got = lifted_eigenpairs(mo._right_eigenpairs(spec, f, c))[0]
+        got = lifted_eigenpairs(t, mo._right_eigenpairs(spec, f, c))[0]
         want = right_eigenpairs_dense(spec, f, c[cls])[0]
         assert np.abs(np.sort(got) - want).max() < 1e-12, spec.label()
 
@@ -237,10 +237,10 @@ def test_spectrum_eigenpair_residual_sees_wrong_pairs(monkeypatch, t):
     spec = chaar(2, 3, t)
     blocks, eigenpairs = sg.symmetry_blocks(t), mo._right_eigenpairs
     c = mo._class_rows(t, *mo._tables(spec, exact=False))[3]
-    big = max(blocks, key=lambda b: len(b.reps))
-    weights = big.weights.copy()
-    weights[0, np.argmax(np.abs(c)), 0] += 1
-    bad = tuple(replace(b, weights=weights) if b is big else b for b in blocks)
+    *big, weights = blocks.groups[-1]  # its block 0 is the first of the largest size
+    weights = weights.copy()
+    weights[0, 0, np.argmax(np.abs(c)), 0] += 1
+    bad = blocks._replace(groups=blocks.groups[:-1] + ((*big, weights),))
 
     def swap_within(pairs):
         vecs, lam = pairs[-1].vecs[0], pairs[-1].evals[0]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from channelmoments import symmgroup as sg
-from oracles import derangement_count, group_index, is_subpermutation
+from oracles import derangement_count, group_index, is_subpermutation, symmetry_basis
 
 
 def bfs_transposition_distance(t):
@@ -205,14 +205,17 @@ def symmetry_group_images(t):
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 6])
 def test_symmetry_blocks_orthonormal_basis(t):
-    blocks = sg.symmetry_blocks(t)
-    n = factorial(t)
-    assert sum(len(b.reps) for b in blocks) == n
-    u = np.zeros((n, n))
-    start = 0
-    for b in blocks:
-        u[b.rows, start + b.pos] = b.coef
-        start += len(b.reps)
+    """The group columns partition the t!, each group's arrays agree in
+    (g, m), and the lift's U is orthonormal."""
+    blocks, n, p = sg.symmetry_blocks(t), factorial(t), len(sg.product_table(t).reps)
+    cols = np.concatenate([g[0].ravel() for g in blocks.groups])
+    assert np.array_equal(np.sort(cols), np.arange(n))
+    sizes = [g[0].shape[1] for g in blocks.groups]
+    assert sizes == sorted(set(sizes))
+    for cols, reps, scale, weights in blocks.groups:
+        assert reps.shape == scale.shape == cols.shape
+        assert weights.shape == cols.shape + (p, cols.shape[1]) and weights.dtype == np.int8
+    u = symmetry_basis(t)
     assert np.abs(u.T @ u - np.eye(n)).max() < 1e-13
 
 
