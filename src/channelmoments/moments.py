@@ -25,11 +25,15 @@ are C = W X and Q = W X W.  ``_class_rows`` reads the rows of X and W at
 the class representatives and the class values of c = w X, as pairwise
 sums; ``spectrum`` and ``hierarchy_scan`` work from these and never build
 a transfer matrix, X or W.  tau X = D C, and the k-fold
-norm and trace are Tr[Y_k Q Y_k X] and Tr[Y_k W X] with Y_k = D (C D)^(k-1).
-All these matrices are fixed by simultaneous conjugation, so the traces
-need only the rows at one representative per conjugacy class: 2k - 2
-products of a p(t) x t! block with a t! x t! matrix, none at k = 1
-(``_reference_values``); ``concatenate`` needs this of tau and X, and checks it.
+norm and trace are Tr[Y_k Q Y_k X] and Tr[Y_k C] with Y_k = D (C D)^(k-1).
+D and the class-function matrices commute with the group H of
+``symmgroup.symmetry_blocks``, so the traces are sums over its small
+blocks, read from the class values and the blocks' integer weights by
+``_class_blocks``: at k = 1, 3 three stacked block products and no t! x t!
+array (``_reference_values``), on Fractions' integer numerators too.
+All these matrices are also fixed by simultaneous conjugation, so a
+product of two is fixed by its rows at one representative per conjugacy
+class; ``concatenate`` needs this of tau and X, and checks it.
 
 The spectrum is real.  For the Haar and dilated ensembles tau X is
 similar to the symmetric matrix D^(-1/2) (tau X) D^(1/2) = D^(1/2) C D^(1/2),
@@ -48,6 +52,7 @@ anything else here forms the eigenvector matrix or tau X in full.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -163,41 +168,53 @@ def _class_rows(t: int, f: np.ndarray, x: np.ndarray, w: np.ndarray) -> tuple:
 
 
 def _reference_values(spec: EnsembleSpec, ks, exact: bool) -> dict:
-    """{k: (norm^2, trace)} of the k-fold reference ensemble ``spec``, k in ``ks``.
+    """{k: (norm^2, trace)} of the k-fold reference ensemble ``spec``, k in ``ks``,
+    from the blocks of ``sg.symmetry_blocks``.
 
     C = W X = c[prod] and Q = W C = q[prod] for the class functions c of
     ``_class_rows`` and q = w C, both pairwise sums as there (a BLAS dot
     puts the float Haar norm^2 at t = d = 6, k = 3 off by 9.3e-12, the
-    pairwise sums by 2.3e-13).  tau_k X = (D C)^k =
-    Y_k C with the symmetric Y_k = D (C D)^(k-1), so norm^2 =
-    Tr[Y_k Q Y_k X] and trace = Tr[X Y_k W].
-    Both products are fixed by simultaneous conjugation, so each trace is
-    sum_r n_r M[r, r] over class representatives r of class size n_r.  The
-    rows there of Y_k (v) and of X Y_k (u, times n_r) follow from
-    (v, u) <- (v, u) C D, p(t) x t! blocks; the rows of Y_1 = D are
-    f_r e_r, so its products are gathers.  Intermediates are (numerators,
+    pairwise sums by 2.3e-13).  tau_k X = (D C)^k = Y_k C with the
+    symmetric Y_k = D (C D)^(k-1), so norm^2 = Tr[Y_k Q Y_k X] and
+    trace = Tr[Y_k C].  D, C, Q and X commute with the group H of the
+    blocks, so each trace is a sum over blocks.  A class function's block
+    is S m S with S = diag(|H_a|^(-1/2)) and m = m_cls @ weights
+    (``_class_blocks``), and D's is diag(f[reps]); in each trace a D sits
+    between any two class factors, so S^2 folds into
+    D~ = diag(f[reps] |H| / |H_a|) / |H|, integers over |H|.  Then
+    norm^2 = sum_b Tr[Y~ q Y~ x] and trace = sum_b Tr[Y~ c] with the
+    symmetric Y~_k = D~ (c D~)^(k-1); the first is the sum of (Y~ q) times
+    (Y~ x)^T = x Y~ entry by entry.
+    Y~_1 = D~ and Y~_2 = D~ c D~ are scalings, so the chain Y~_k <-
+    Y~_(k-1) (c D~) takes k - 2 stacked block products and each k > 1 in
+    ``ks`` two more: three for ks = (1, 3).  Intermediates are (numerators,
     denominator) pairs from ``exactalg.split``, so ``join`` makes the exact
-    values Fractions.
+    values Fractions, with no square root.
     """
-    tab, pcls = sg.product_table(spec.t), wg._pair_class_table(spec.t)
+    t, kmax = spec.t, max(ks)
+    blocks = sg.symmetry_blocks(t)
     (f, df), (x, dx), (w, dw) = split_all(*_tables(spec, exact))
-    f, xr, wr, c = _class_rows(spec.t, f, x, w)
-    dc = dx * dw
-    q, dq = (wr * c[tab.cls]).sum(axis=1), dc * dw
-    cd, qm = c[pcls], q[pcls]
-    cd *= f
-    fr = f[tab.reps, None]
-    u, du, dv = xr * f * tab.class_sizes[:, None], dx * df, df
-    y_rows = lambda m: fr * m.take(tab.reps, 0)  # rows of Y_k m; Y_1 m = D m
-    out = {}
-    for k in range(1, max(ks) + 1):
-        if k > 1:
-            v, u = y_rows(cd), u.dot(cd)
-            y_rows = v.dot
-            dv, du = dv * dc * df, du * dc * df
-        if k in ks:
-            out[k] = (join(np.vdot(y_rows(qm), u), dv * dq * du), join(np.vdot(u, wr), du * dw))
-    return out
+    f, xr, wr, c = _class_rows(t, f, x, w)
+    q = (wr * c[sg.product_table(t).cls]).sum(axis=1)
+    dc, dd = dx * dw, df * blocks.order
+    dq, dcd = dc * dw, dc * dd
+    values = np.array((c, q, xr[:, 0]))  # xr[:, 0]: x by class
+    n2, tr = dict.fromkeys(ks, 0), dict.fromkeys(ks, 0)
+    for _, reps, stab, weights in blocks.groups:
+        blk = _class_blocks(values, weights)
+        cb, qx = blk[0], blk[1:]
+        dt = (f[reps] * (blocks.order // stab))[:, :, None]  # D~ numerators, (g, m, 1)
+        cd = cb * dt.mT  # c D~
+        y = dt * np.eye(reps.shape[1], dtype=np.int64)  # Y~_1 = D~
+        for k in range(1, kmax + 1):
+            if k > 1:
+                y = dt * cd if k == 2 else y @ cd  # Y~_k = Y~_(k-1) c D~
+            if k in n2:
+                yq, yx = dt * qx if k == 1 else y @ qx
+                n2[k] += np.vdot(yq, yx.mT)  # Tr[Y~ q Y~ x]
+                tr[k] += np.vdot(y, cb)
+    return {k: (join(n2[k], dd * dd * dcd ** (2 * k - 2) * dq * dx),
+                join(tr[k], dd * dcd ** (k - 1) * dc)) for k in ks}
 
 
 def trace_of_product(p: np.ndarray, q: np.ndarray):
@@ -315,6 +332,21 @@ class BlockPairs(NamedTuple):
     vecs: np.ndarray
 
 
+def _class_blocks(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """values @ weights for one ``sg.symmetry_blocks`` group: the (r, p(t))
+    class values of r class functions times the group's (g, m, p(t), m)
+    int8 weights, as (r, g, m, m) blocks, unscaled (see ``SymmetryBlocks``).
+    matmul casts all of its int8 operand to the values' type, so the
+    (block, row) pairs go in chunks of at most ``GATHER_CHUNK`` weights
+    (one chunk per group at t <= 5)."""
+    g, m, p, _ = weights.shape
+    rows, out = weights.reshape(g * m, p, m), np.empty((len(values), g * m, m), values.dtype)
+    step = max(1, GATHER_CHUNK // (p * m))
+    for i in range(0, g * m, step):
+        np.matmul(values, rows[i:i + step], out=out[:, i:i + step].transpose(1, 0, 2))
+    return out.reshape(-1, g, m, m)
+
+
 def _right_eigenpairs(spec: EnsembleSpec, f: np.ndarray, c: np.ndarray) -> tuple:
     """The ``BlockPairs`` of tau X = D C, one per group of
     ``sg.symmetry_blocks``, with D = diag(f) and C = c[pcls] for c by class
@@ -322,9 +354,9 @@ def _right_eigenpairs(spec: EnsembleSpec, f: np.ndarray, c: np.ndarray) -> tuple
 
     D and C commute with the group H of ``sg.symmetry_blocks``, so tau X is
     block diagonal in its basis, and T_b = F_b C_b with F_b = f[reps] and
-    C_b[i, j] = scale_i scale_j (c @ weights)[i, j], the class values of c
-    times the block's int8 ``weights``, taken for all of a group's blocks
-    at once (in chunks of ``GATHER_CHUNK`` weights, one at t <= 5).
+    C_b[i, j] = s_i s_j (c @ weights)[i, j], s = 1 / sqrt(stab): the class
+    values of c times the block's int8 ``weights``, taken for all of a
+    group's blocks at once by ``_class_blocks``.
     The dilated ensemble has f = dE^(-size).  W and X are symmetric right
     multiplications by central elements, so they commute, C = W X is
     symmetric, and so is F^(1/2) C_b F^(1/2), similar to T_b.  Its
@@ -338,14 +370,8 @@ def _right_eigenpairs(spec: EnsembleSpec, f: np.ndarray, c: np.ndarray) -> tuple
     """
     half = np.sqrt(f)
     out = []
-    for cols, reps, scale, weights in sg.symmetry_blocks(spec.t).groups:
-        # sym = c @ weights.  matmul casts all of its int8 operand to float64,
-        # so the (block, row) pairs go in chunks of at most GATHER_CHUNK weights.
-        rows = weights.reshape(-1, *weights.shape[2:])  # (g m, p(t), m)
-        sym = np.empty(reps.shape + reps.shape[1:])
-        step = max(1, GATHER_CHUNK // rows[0].size)
-        for i in range(0, len(rows), step):
-            np.matmul(c, rows[i:i + step], out=sym.reshape(len(rows), -1)[i:i + step])
+    for cols, reps, stab, weights in sg.symmetry_blocks(spec.t).groups:
+        sym, scale = _class_blocks(c[None], weights)[0], 1.0 / np.sqrt(stab)
         mats = sym * (f[reps] * scale)[:, :, None]
         mats *= scale[:, None, :]
         if spec.kind == DEPOLARIZE:
@@ -479,8 +505,11 @@ def hierarchy_scan(
     Checks recorded as violations rather than raised: norm^2 outside
     [1, t!], growth in environment dimension at fixed (t, k, d), and growth
     in concatenation count at fixed (t, d, dE).  The whole grid is checked
-    before any matrix is built; points with d * dE < t are left out.
+    before any matrix is built; points with d * dE < t are left out.  Each
+    finished (t, d, dE) group is logged at INFO level.
     """
+    import logging
+
     for name, grid, low in (("t", t_list, 1), ("k", k_list, 1), ("d", d_list, 2)):
         check_grid(name, grid, low)
     for t in t_list:
@@ -496,14 +525,18 @@ def hierarchy_scan(
         for t in t_list for k in k_list for d in d_list for dE in des[d] if d * dE >= t
     ]
 
-    # All k of one (t, d, dE) from one set of class rows.
+    # All k of one (t, d, dE) from one chain of block products.
     ks_by_pair: dict = {}
     for t, k, d, dE in points:
         ks_by_pair.setdefault((t, d, dE), []).append(k)
+    log = logging.getLogger(__name__)
     values = {}
-    for (t, d, dE), ks in ks_by_pair.items():
+    start = time.perf_counter()
+    for i, ((t, d, dE), ks) in enumerate(ks_by_pair.items(), start=1):
         for k, pair in _reference_values(chaar(d, dE, t), ks, exact).items():
             values[t, k, d, dE] = pair
+        log.info("t=%d d=%d dE=%d done, %d of %d (%.1f s elapsed)",
+                 t, d, dE, i, len(ks_by_pair), time.perf_counter() - start)
 
     # One flag list per point, filled by the bounds check, then by the
     # monotonicity passes in dE at fixed (t, k, d) and in k at fixed (t, d, dE).

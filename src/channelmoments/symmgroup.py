@@ -369,14 +369,15 @@ class SymmetryBlocks(NamedTuple):
     """The blocks of ``symmetry_blocks``, one per character chi, and their
     orthonormal basis U.
 
-    ``groups`` holds, by block size m, a tuple (cols, reps, scale, weights)
+    ``groups`` holds, by block size m, a tuple (cols, reps, stab, weights)
     for the g blocks of that size.  Block i has the basis vectors u_a at the
     columns ``cols[i, a]`` of U, for the orbit representatives
     r_a = ``reps[i, a]`` whose stabilizers H_a lie in the kernel of chi, and
-    ``scale[i, a]`` = 1 / sqrt(|H_a|).  ``weights[i, a, k, b]`` (int8) is the
-    sum of chi(h) over the h in H with r_a^-1 (h r_b) in class k, so
-    M = m[prod], for m a class function with class values m_cls, has block
-    u_a^T M u_b = scale[i, a] scale[i, b] (m_cls @ weights)[i, a, b].
+    ``stab[i, a]`` = |H_a| (int64), a divisor of ``order`` = |H|.
+    ``weights[i, a, k, b]`` (int8) is the sum of chi(h) over the h in H with
+    r_a^-1 (h r_b) in class k, so M = m[prod], for m a class function with
+    class values m_cls, has block u_a^T M u_b = s_a s_b (m_cls @ weights)[i, a, b]
+    with the scales s_a = 1 / sqrt(|H_a|).
     Row r of U, the lift of block coordinates to S_t, has entry
     ``lift_coef[e]`` in column ``lift_cols[e]`` for
     ``row_starts[r]`` <= e < ``row_starts[r + 1]``, in block order.
@@ -386,6 +387,7 @@ class SymmetryBlocks(NamedTuple):
     lift_cols: np.ndarray
     lift_coef: np.ndarray
     row_starts: np.ndarray
+    order: int
 
 
 @lru_cache(maxsize=None)
@@ -420,7 +422,7 @@ def symmetry_blocks(t: int) -> SymmetryBlocks:
     orbit_reps = np.flatnonzero(act.min(axis=0) == act[0])
     stab = act[:, orbit_reps] == orbit_reps  # (h, orbit)
     trivial = odd @ stab == 0  # (s, orbit): chi_s is 1 on all of H_i
-    order = np.count_nonzero(stab, axis=0)
+    stab_order = np.count_nonzero(stab, axis=0)
     chi = 1.0 - 2.0 * odd
     classes = np.arange(len(tab.reps))[:, None, None, None]
     blocks, lift, start = [], [], 0
@@ -434,17 +436,17 @@ def symmetry_blocks(t: int) -> SymmetryBlocks:
         h, pos = np.divmod(first, len(reps))
         cls = tab.cls[tab.prod[reps[:, None], elems[:, None, :]]]  # (h, i, j)
         weights = np.einsum("khij,h->ikj", cls == classes, chi[s]).astype(np.int8)
-        blocks.append((start + np.arange(len(reps)), reps, 1.0 / np.sqrt(order[keep]), weights))
-        lift.append((rows, start + pos, chi[s, h] * np.sqrt(order[keep][pos] / len(act))))
+        blocks.append((start + np.arange(len(reps)), reps, stab_order[keep], weights))
+        lift.append((rows, start + pos, chi[s, h] * np.sqrt(stab_order[keep][pos] / len(act))))
         start += len(reps)
     groups = []
     for m in sorted({len(b[0]) for b in blocks}):
-        # (cols, reps, scale, weights), each stacked over the blocks of size m.
+        # (cols, reps, stab, weights), each stacked over the blocks of size m.
         groups.append(tuple(map(np.array, zip(*(b for b in blocks if len(b[0]) == m)))))
     rows, cols, coef = map(np.concatenate, zip(*lift))
     by_row = np.argsort(rows, kind="stable")
     out = SymmetryBlocks(tuple(groups), cols[by_row], coef[by_row],
-                         np.searchsorted(rows[by_row], np.arange(n)))
-    for a in (*out[1:], *(a for g in groups for a in g)):
+                         np.searchsorted(rows[by_row], np.arange(n)), len(act))
+    for a in (*out[1:4], *(a for g in groups for a in g)):
         a.flags.writeable = False
     return out

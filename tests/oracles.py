@@ -17,7 +17,9 @@ dense single-generator and Haar pair twirls, the Haar
 composite norm as a power of the dense Pauli-pair matrix, the two-copy
 weights in closed form, the Monte-Carlo estimators as loops over single
 draws, the dilated ensemble's transfer matrix as t!^2 products, the
-right eigenpairs of tau X from one dense t! x t! eigensolve, the dense
+right eigenpairs of tau X from one dense t! x t! eigensolve, the
+reference norms and traces from the rows at the class representatives,
+the dense
 symmetry-block basis from its lift and the block eigenpairs lifted to a
 dense eigenvector matrix with it, the spectral residuals
 from dense matrix powers, and the scaling exponents
@@ -37,7 +39,7 @@ from channelmoments import moments as mo
 from channelmoments import symmgroup as sg
 from channelmoments import twirlsim as tw
 from channelmoments import weingarten as wg
-from channelmoments.exactalg import SingularMatrixError, solve_exact, to_integer
+from channelmoments.exactalg import SingularMatrixError, join, solve_exact, split_all, to_integer
 from channelmoments.moments import MCEstimate, leading_right_vector
 from channelmoments.specs import CHAAR, DEPOLARIZE, HAAR, ZERO_STATE, CircuitSpec
 
@@ -623,6 +625,38 @@ def right_eigenpairs_dense(spec, f: np.ndarray, c: np.ndarray) -> tuple:
         evecs *= half[:, None]
     evecs /= np.linalg.norm(evecs, axis=0)
     return evals, evecs
+
+
+def reference_values_rows(spec, ks, exact: bool) -> dict:
+    """{k: (norm^2, trace)} of ``moments._reference_values`` by the rows of
+    the t! x t! matrices at the class representatives.
+
+    With C = c[pcls] and Q = q[pcls] gathered in full, tau_k X = Y_k C for
+    Y_k = D (C D)^(k-1), norm^2 = Tr[Y_k Q Y_k X] and trace = Tr[X Y_k W].
+    Both products are fixed by simultaneous conjugation, so each trace is
+    sum_r n_r M[r, r] over representatives r of class size n_r; the rows
+    there of Y_k (v) and of X Y_k (u, times n_r) follow from
+    (v, u) <- (v, u) C D, p(t) x t! by t! x t! products.
+    """
+    tab, pcls = sg.product_table(spec.t), wg._pair_class_table(spec.t)
+    (f, df), (x, dx), (w, dw) = split_all(*mo._tables(spec, exact))
+    f, xr, wr, c = mo._class_rows(spec.t, f, x, w)
+    dc = dx * dw
+    q, dq = (wr * c[tab.cls]).sum(axis=1), dc * dw
+    cd, qm = c[pcls], q[pcls]
+    cd *= f
+    fr = f[tab.reps, None]
+    u, du, dv = xr * f * tab.class_sizes[:, None], dx * df, df
+    y_rows = lambda m: fr * m.take(tab.reps, 0)  # rows of Y_k m; Y_1 m = D m
+    out = {}
+    for k in range(1, max(ks) + 1):
+        if k > 1:
+            v, u = y_rows(cd), u.dot(cd)
+            y_rows = v.dot
+            dv, du = dv * dc * df, du * dc * df
+        if k in ks:
+            out[k] = (join(np.vdot(y_rows(qm), u), dv * dq * du), join(np.vdot(u, wr), du * dw))
+    return out
 
 
 def symmetry_basis(t: int) -> np.ndarray:

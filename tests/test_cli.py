@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import platform
 import subprocess
@@ -133,6 +134,18 @@ def test_hierarchy_exact_flag(capsys, flags, exact):
     assert code == 0
     config = json.loads(out.splitlines()[1].removeprefix("# config "))
     assert config["exact"] is exact
+
+
+def test_hierarchy_verbose_logs_each_group(capsys, caplog):
+    """-v logs one line per finished (t, d, dE) group, in scan order."""
+    caplog.set_level(logging.INFO)
+    code, _ = run_cli(capsys, "-v", "--exact", "hierarchy", "--t-list", "2,3", "--k-list", "1,3",
+                      "--d-list", "2", "--dE-rules", "1,2")
+    assert code == 0
+    lines = [r.getMessage() for r in caplog.records if r.name == "channelmoments.moments"]
+    assert [l.split(" done")[0] for l in lines] == [
+        "t=2 d=2 dE=1", "t=2 d=2 dE=2", "t=3 d=2 dE=2"]
+    assert all(f"{i} of 3 (" in l and l.endswith(" s elapsed)") for i, l in enumerate(lines, 1))
 
 
 def test_exact_hierarchy_rows_are_fractions(capsys):

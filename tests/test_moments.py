@@ -28,6 +28,7 @@ from oracles import (
     leading_overlap,
     lifted_eigenpairs,
     norm_squared_quad,
+    reference_values_rows,
     right_eigenpairs_dense,
     sample_haar_unitary_once,
     spectrum_residuals_dense,
@@ -812,6 +813,28 @@ def test_reference_values_float_haar_t6(d):
     for k, pair in got.items():
         for v in pair:
             assert abs(v - 720) <= 1e-13 * 720, (k, v)
+
+
+@pytest.mark.parametrize("d", [6, 7])
+def test_reference_values_blocks_match_rows_t6(d):
+    """The symmetry-block route against the rows at the class
+    representatives at t = 6, for every dE rule and k = 1..4."""
+    ks = (1, 2, 3, 4)
+    for rule in ("1", "2", "d", "d2"):
+        spec = chaar(d, loc._resolve_dE(rule, d), 6)
+        got = mo._reference_values(spec, ks, exact=False)
+        want = reference_values_rows(spec, ks, exact=False)
+        assert sorted(got) == list(ks)
+        for k in ks:
+            for g, w in zip(got[k], want[k]):
+                assert type(g) is float and abs(g - w) <= 1e-12 * abs(w), (rule, k, g, w)
+
+
+def test_reference_values_blocks_match_rows_exact_t6():
+    got = mo._reference_values(haar(7, 6), (1, 3), exact=True)
+    want = reference_values_rows(haar(7, 6), (1, 3), exact=True)
+    assert got == want
+    assert all(type(v) is Fraction for pair in got.values() for v in pair)
 
 
 @pytest.mark.parametrize("exact", [True, False])

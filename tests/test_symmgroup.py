@@ -212,11 +212,24 @@ def test_symmetry_blocks_orthonormal_basis(t):
     assert np.array_equal(np.sort(cols), np.arange(n))
     sizes = [g[0].shape[1] for g in blocks.groups]
     assert sizes == sorted(set(sizes))
-    for cols, reps, scale, weights in blocks.groups:
-        assert reps.shape == scale.shape == cols.shape
+    for cols, reps, stab, weights in blocks.groups:
+        assert reps.shape == stab.shape == cols.shape
         assert weights.shape == cols.shape + (p, cols.shape[1]) and weights.dtype == np.int8
     u = symmetry_basis(t)
     assert np.abs(u.T @ u - np.eye(n)).max() < 1e-13
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 6])
+def test_symmetry_blocks_stabilizer_orders(t):
+    """|H_a| divides |H|, |H| / |H_a| is the size of the orbit on which
+    column c of U is nonzero, and the identity is fixed by all of H."""
+    blocks = sg.symmetry_blocks(t)
+    orbit = np.bincount(blocks.lift_cols)
+    assert blocks.order == 2 ** (1 + t // 2)
+    for cols, reps, stab, _ in blocks.groups:
+        assert stab.dtype == np.int64 and np.all(blocks.order % stab == 0)
+        assert np.array_equal(blocks.order // stab, orbit[cols])
+        assert np.all(stab[reps == 0] == blocks.order)
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 6])
