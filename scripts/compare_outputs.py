@@ -9,8 +9,9 @@ comparison also prints the largest difference relative to the result's
 largest float entry (a scalar's against itself), so that a change
 that reorders float arithmetic shows how far it drifts.  The grid covers
 the Gram and Weingarten matrices, transfer matrices in both bases for
-k = 1, 2, 3 (so the k-fold ones run ``concatenate``), the leading right
-vector and the localized Gram (exact for t <= 5, float for t <= 6), float
+k = 1, 2, 3 (so the k-fold ones run ``concatenate``) with the norm and
+trace of each, the leading right vector and the localized Gram (exact for
+t <= 5, float for t <= 6), the exact invariance checks for t <= 4, float
 spectra for t <= 6 and k = 1, 2 (eigenvalues sorted by real, then
 imaginary part, and the three residuals), two-copy purity trajectories
 and seeded Monte-Carlo moments for n <= 3 (both ansaetze, all four
@@ -59,9 +60,12 @@ def _grid():
                     name = (spec.label(),) + key
                     out[("leading_right",) + name] = mo.leading_right_vector(spec, exact=exact)
                     for basis in ("permutation", "localized"):
+                        x = mo.gram(t, d, basis=basis, exact=exact)
                         for k in (1, 2, 3):
                             tm = mo.transfer(replace(spec, k=k), basis=basis, exact=exact)
                             out[("transfer", basis, k) + name] = tm.matrix
+                            out[("norm_squared", basis, k) + name] = mo.norm_squared(tm, x)
+                            out[("trace", basis, k) + name] = mo.trace(tm, x)
                     if not exact:
                         for k in (1, 2):
                             rep = mo.spectrum(replace(spec, k=k))
@@ -69,6 +73,11 @@ def _grid():
                             out[("spectrum", k) + name] = (
                                 np.sort_complex(rep.eigenvalues), res["eigenpairs"],
                                 res["leading_right"], res["leading_left"])
+                if exact and t <= 4:
+                    for pair in ((haar(d, t), chaar(d, 2, t)), (chaar(d, 3, t), depolarize(d, t)),
+                                 (chaar(d, 1, t), haar(d, t))):
+                        out[("invariance_checks",) + tuple(s.label() for s in pair) + key] = [
+                            (r.name, r.passed, r.detail) for r in mo.invariance_checks(*pair)]
     for n in (1, 2, 3):
         for ansatz in ("hea", "mat"):
             for noise in ch.NOISE_KINDS:

@@ -9,9 +9,9 @@ Stinespring-dilated one.  All matrices here are indexed by the canonical
 order of ``symmgroup.symmetric_group(t)``.
 
 Both the transport and the localized Gram matrix are products L M L^T with
-L supported on the sub-permutation order and M fixed by simultaneous
-conjugation of S_t, so ``_order_product`` multiplies only the rows at the class
-representatives, on the exact or float numerators of ``exactalg.split`` alike.
+L supported on the sub-permutation order and L and M fixed by simultaneous
+conjugation of S_t, so ``symmgroup.class_product`` takes them, on the exact
+or float numerators of ``exactalg.split`` alike.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def phi_inverse(t: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _order_matrix(t: int, mobius: bool) -> np.ndarray:
-    """L of ``_order_product`` in int64: the Möbius matrix, or zeta^T."""
+    """L of the products L m L^T in int64: the Möbius matrix, or zeta^T."""
     tab, order = sg.product_table(t), _subperm_table(t)
     out = np.where(order, tab.mobius[tab.prod.T], 0) if mobius else order.T.astype(np.int64)
     out.flags.writeable = False
@@ -63,13 +63,6 @@ def phi_matrix(t: int) -> np.ndarray:
     return out
 
 
-def _order_product(t: int, m: np.ndarray, mobius: bool) -> np.ndarray:
-    """L m L^T with L the Möbius matrix (``mobius``) or zeta^T, gathered from its
-    rows L[reps] m L^T (L and m are fixed by conjugation) in the number type of m."""
-    lower = _order_matrix(t, mobius)
-    return sg.from_class_rows(t, lower[sg.product_table(t).reps].dot(m).dot(lower.T))
-
-
 def localized_gram(t: int, d: int, exact: bool = True) -> np.ndarray:
     """Normalized overlaps of the localized operators; block-diagonal in support.
 
@@ -83,7 +76,8 @@ def localized_gram(t: int, d: int, exact: bool = True) -> np.ndarray:
     tab = sg.product_table(t)
     expo = tab.size[:, None] + tab.size[None, :] - tab.size[tab.prod]
     raw = np.array([d**e for e in range(2 * t - 1)], dtype=object if exact else float)[expo]
-    return _order_product(t, raw, mobius=True)
+    lower = _order_matrix(t, mobius=True)
+    return sg.class_product(t, lower, raw, lower.T)
 
 
 def to_localized(tm: TransferMatrix) -> TransferMatrix:
@@ -103,7 +97,8 @@ def to_localized(tm: TransferMatrix) -> TransferMatrix:
     nums, denom = split(tm.matrix)
     sg.check_conjugation_invariant(t, nums)
     c = np.array([d ** (t - 1 - s) for s in range(t)], dtype=nums.dtype)[sg.product_table(t).size]
-    out = _order_product(t, nums * c[:, None] * c[None, :], mobius=False)
+    lower = _order_matrix(t, mobius=False)
+    out = sg.class_product(t, lower, nums * c[:, None] * c[None, :], lower.T)
     return replace(tm, matrix=join(out, denom * d ** (2 * t - 2)), basis=LOCALIZED)
 
 

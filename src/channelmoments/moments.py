@@ -32,8 +32,10 @@ blocks, read from the class values and the blocks' integer weights by
 ``_class_blocks``: at k = 1, 3 three stacked block products and no t! x t!
 array (``_reference_values``), on Fractions' integer numerators too.
 All these matrices are also fixed by simultaneous conjugation, so a
-product of two is fixed by its rows at one representative per conjugacy
-class; ``concatenate`` needs this of tau and X, and checks it.
+product of them is fixed by its rows at one representative per conjugacy
+class, and ``symmgroup.class_product`` takes every product here from those
+rows: ``concatenate``, ``norm_squared`` and ``invariance_checks``.  The
+first two need this of tau and X, and check it.
 
 The spectrum is real.  For the Haar and dilated ensembles tau X is
 similar to the symmetric matrix D^(-1/2) (tau X) D^(1/2) = D^(1/2) C D^(1/2),
@@ -229,10 +231,7 @@ def concatenate(tm: TransferMatrix, gram_matrix: np.ndarray, k: int) -> Transfer
         raise ValueError("k must be >= 1")
     (a, da), (b, db) = split_all(tm.matrix, gram_matrix)
     sg.check_conjugation_invariant(tm.t, a, b)
-    rows = a[sg.product_table(tm.t).reps]
-    for _ in range(k - 1):
-        rows = rows.dot(b).dot(a)
-    out = join(sg.from_class_rows(tm.t, rows), da * (da * db) ** (k - 1))
+    out = join(sg.class_product(tm.t, a, *(b, a) * (k - 1)), da * (da * db) ** (k - 1))
     return replace(tm, matrix=out, ensemble=replace(tm.ensemble, k=tm.k * k))
 
 
@@ -254,9 +253,12 @@ def exact_t2_chaar(k: int, d: int, dE: int) -> TransferMatrix:
 
 
 def norm_squared(tm: TransferMatrix, gram_matrix: np.ndarray):
-    """Squared Hilbert-Schmidt norm Tr[tau X tau^T X] = Tr[(tau X)(tau^T X)]."""
+    """Squared Hilbert-Schmidt norm Tr[tau X tau^T X], with tau X tau^T taken
+    from its class rows; tau and X must be t! x t! and fixed by simultaneous
+    conjugation."""
     (a, da), (b, db) = split_all(tm.matrix, gram_matrix)
-    return join(trace_of_product(a.dot(b), a.T.dot(b)), (da * db) ** 2)
+    sg.check_conjugation_invariant(tm.t, a, b)
+    return join(trace_of_product(sg.class_product(tm.t, a, b, a.T), b), (da * db) ** 2)
 
 
 def trace(tm: TransferMatrix, gram_matrix: np.ndarray):
@@ -390,7 +392,7 @@ def _right_eigenpairs(spec: EnsembleSpec, f: np.ndarray, c: np.ndarray) -> tuple
     return tuple(out)
 
 
-def _class_product(c: np.ndarray, pcls: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _class_matvec(c: np.ndarray, pcls: np.ndarray, x: np.ndarray) -> np.ndarray:
     """c[pcls] @ x, gathered in row chunks of at most ``GATHER_CHUNK`` entries."""
     rows, out = max(1, GATHER_CHUNK // len(pcls)), np.empty_like(x)
     for i in range(0, len(pcls), rows):
@@ -449,7 +451,7 @@ def spectrum(spec: EnsembleSpec) -> SpectralReport:
     for _ in range(k):
         row = wr.dot((xr.dot(row[tab.cls]) * fr)[tab.cls])
         right = fr * c_rows.dot(right[tab.cls])
-        vz = _class_product(c, pcls, vz)
+        vz = _class_matvec(c, pcls, vz)
         vz *= f[:, None]
     vz -= vlz
     return SpectralReport(
@@ -589,11 +591,13 @@ def invariance_checks(spec_a: EnsembleSpec, spec_b: EnsembleSpec) -> list:
     ta = transfer(spec_a, basis=PERMUTATION, exact=True)
     tb = transfer(spec_b, basis=PERMUTATION, exact=True)
     xi, dx = split(x)
+    # One split each: at t = 6 a split takes most of a second.
+    nums = {id(tm): split(tm.matrix) for tm in (dep, ta, tb)}
 
     def sandwich(left, right):
         """left X right, exactly."""
-        (li, dl), (ri, dr) = split(left.matrix), split(right.matrix)
-        return join(li.dot(xi).dot(ri), dl * dx * dr)
+        (li, dl), (ri, dr) = nums[id(left)], nums[id(right)]
+        return join(sg.class_product(t, li, xi, ri), dl * dx * dr)
 
     results = []
     for name, tm in (("a", ta), ("b", tb)):
@@ -627,9 +631,9 @@ def invariance_checks(spec_a: EnsembleSpec, spec_b: EnsembleSpec) -> list:
     for tm in (ta, tb):
         if t > 1 and tm.ensemble.environment_dim > 1:
             # mod = tau X = m / dm, and mod^2 - mod = (m^2 - dm m) / dm^2.
-            mi, dt = split(tm.matrix)
-            m, dm = mi.dot(xi), dt * dx
-            dev = join(m.dot(m) - dm * m, dm * dm)
+            mi, dt = nums[id(tm)]
+            m, dm = sg.class_product(t, mi, xi), dt * dx
+            dev = join(sg.class_product(t, m, m) - dm * m, dm * dm)
             max_dev = max(abs(float(v)) for v in dev.flat)
             results.append(
                 CheckResult(

@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, product
 from math import comb
 from typing import NamedTuple
@@ -355,6 +355,14 @@ def conjugation_table(t: int) -> np.ndarray:
 def from_class_rows(t: int, rows: np.ndarray) -> np.ndarray:
     """The conjugation-invariant matrix with these rows at ``product_table(t).reps``."""
     return rows[product_table(t).cls[:, None], conjugation_table(t)]
+
+
+def class_product(t: int, first: np.ndarray, *rest) -> np.ndarray:
+    """first @ rest[0] @ ... of t! x t! matrices fixed by simultaneous
+    conjugation, in the number type of the operands: the product of the rows
+    of ``first`` at the class representatives, left to right, then
+    ``from_class_rows``.  The operands are not checked."""
+    return from_class_rows(t, reduce(np.dot, rest, first[product_table(t).reps]))
 
 
 def check_conjugation_invariant(t: int, *matrices) -> None:

@@ -505,6 +505,9 @@ def test_products_reject_operands_not_fixed_by_conjugation(exact):
                   lambda k=k: mo.concatenate(tm, bent_x, k),
                   lambda k=k: mo.concatenate(tm, x[:5, :5], k),
                   lambda k=k: mo.concatenate(replace(tm, matrix=tm.matrix[:5]), x, k)]
+    calls += [lambda: mo.norm_squared(replace(tm, matrix=bent), x),
+              lambda: mo.norm_squared(tm, bent_x),
+              lambda: mo.norm_squared(tm, x[:5, :5])]
     for call in calls:
         with pytest.raises(ValueError, match="not a 6 x 6 matrix fixed by simultaneous"):
             call()
@@ -526,7 +529,15 @@ def test_exact_t6_two_fold_trace_equals_reference_values():
     assert got == mo._reference_values(spec, (2,), exact=True)[2][1]
 
 
-@pytest.mark.parametrize("t", [1, 2, 3])
+def test_exact_t6_norm_squared_equals_reference_values():
+    """The class-row norm of a t = 6 transfer matrix against the block route."""
+    spec = chaar(2, 3, 6)
+    got = mo.norm_squared(mo.transfer(spec), mo.gram(6, 2))
+    assert type(got) is Fraction
+    assert got == mo._reference_values(spec, (1,), exact=True)[1][0]
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 5])
 def test_invariance_checks(t):
     d = max(2, t)  # the unitary-ensemble transfer needs d >= t
     results = mo.invariance_checks(
