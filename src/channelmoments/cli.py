@@ -118,11 +118,14 @@ def _emit(args, config: dict, columns: list, rows):
         raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from None
 
 
-def _matrix_rows(matrix: np.ndarray, t: int):
+def _matrix_rows(matrix, t: int):
+    """[row, col, row label, col label, value] for each entry of a t! x t!
+    matrix, read one row at a time from ``matrix`` (an array or an iterable
+    of rows)."""
     labels = [p.cycle_label() for p in sg.symmetric_group(t)]
-    for i in range(matrix.shape[0]):
-        for j in range(matrix.shape[1]):
-            yield [i, j, labels[i], labels[j], matrix[i, j]]
+    for i, row in enumerate(matrix):
+        for j, value in enumerate(row):
+            yield [i, j, labels[i], labels[j], value]
 
 
 def cmd_weingarten(args) -> int:
@@ -159,7 +162,9 @@ def cmd_transfer(args) -> int:
         args,
         config,
         ["row", "col", "row_perm", "col_perm", "value"],
-        _matrix_rows(tm.matrix, spec.t),
+        # One row of the matrix gathered from its class rows at a time.
+        _matrix_rows((sg.from_class_rows(spec.t, tm.rows, i) for i in range(tm.rows.shape[1])),
+                     spec.t),
     )
     return 0
 

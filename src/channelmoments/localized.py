@@ -10,8 +10,10 @@ order of ``symmgroup.symmetric_group(t)``.
 
 Both the transport and the localized Gram matrix are products L M L^T with
 L supported on the sub-permutation order and L and M fixed by simultaneous
-conjugation of S_t, so ``symmgroup.class_product`` takes them, on the exact
-or float numerators of ``exactalg.split`` alike.
+conjugation of S_t, so ``symmgroup.class_product`` takes them from the
+class rows of L, on the exact or float numerators of ``exactalg.split``
+alike.  The transport reads and writes the class rows of
+``specs.TransferMatrix``; only the right operand M is gathered in full.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ def localized_gram(t: int, d: int, exact: bool = True) -> np.ndarray:
     expo = tab.size[:, None] + tab.size[None, :] - tab.size[tab.prod]
     raw = np.array([d**e for e in range(2 * t - 1)], dtype=object if exact else float)[expo]
     lower = _order_matrix(t, mobius=True)
-    return sg.class_product(t, lower, raw, lower.T)
+    return sg.from_class_rows(t, sg.class_product(lower[tab.reps], raw, lower.T))
 
 
 def to_localized(tm: TransferMatrix) -> TransferMatrix:
@@ -88,18 +90,19 @@ def to_localized(tm: TransferMatrix) -> TransferMatrix:
     sums the character-weighted permutation coefficients over all pairs of
     sup-permutations.  With tau = A / a (``exactalg.split``) and
     chi = c / d^(t-1), c = d^(t-1-size) integral, this is the matrix
-    zeta^T (c A c) zeta over a d^(2t-2), in the number type of A.  A tau
-    not t! x t! and fixed by simultaneous conjugation raises ValueError.
+    zeta^T (c A c) zeta over a d^(2t-2), in the number type of A, split and
+    joined on the class rows; c A c is gathered in full from its rows.
     """
     if tm.basis != PERMUTATION:
         raise ValueError("input transfer matrix is not in the permutation basis")
     t, d = tm.t, tm.d
-    nums, denom = split(tm.matrix)
-    sg.check_conjugation_invariant(t, nums)
-    c = np.array([d ** (t - 1 - s) for s in range(t)], dtype=nums.dtype)[sg.product_table(t).size]
+    tab = sg.product_table(t)
+    nums, denom = split(tm.rows)
+    c = np.array([d ** (t - 1 - s) for s in range(t)], dtype=nums.dtype)[tab.size]
     lower = _order_matrix(t, mobius=False)
-    out = sg.class_product(t, lower, nums * c[:, None] * c[None, :], lower.T)
-    return replace(tm, matrix=join(out, denom * d ** (2 * t - 2)), basis=LOCALIZED)
+    cac = sg.from_class_rows(t, nums * c[tab.reps][:, None] * c[None, :])
+    out = sg.class_product(lower[tab.reps], cac, lower.T)
+    return replace(tm, rows=join(out, denom * d ** (2 * t - 2)), basis=LOCALIZED)
 
 
 def support_pattern(t: int):

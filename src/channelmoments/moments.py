@@ -31,11 +31,17 @@ D and the class-function matrices commute with the group H of
 blocks, read from the class values and the blocks' integer weights by
 ``_class_blocks``: at k = 1, 3 three stacked block products and no t! x t!
 array (``_reference_values``), on Fractions' integer numerators too.
-All these matrices are also fixed by simultaneous conjugation, so a
-product of them is fixed by its rows at one representative per conjugacy
-class, and ``symmgroup.class_product`` takes every product here from those
-rows: ``concatenate``, ``norm_squared`` and ``invariance_checks``.  The
-first two need this of tau and X, and check it.
+All these matrices are also fixed by simultaneous conjugation, so each is
+fixed by its rows at one representative per conjugacy class, p(t) x t!
+entries, and so is a product of them.  ``specs.TransferMatrix`` stores only
+those rows, and ``symmgroup.class_product`` takes every product here from
+them: ``concatenate``, ``norm_squared``, ``trace`` and ``invariance_checks``
+split and join rows, and gather integer numerators in full only for a right
+operand of a product.  The trace of such a product P Q is
+sum_r |K_r| P[r] . Q[:, r] over the class representatives r.  A full Gram
+matrix handed in by a caller enters through ``_operands`` only, where
+``symmgroup.check_conjugation_invariant`` checks it and gives its rows; a
+full transfer matrix enters through ``TransferMatrix.from_matrix`` only.
 
 The spectrum is real.  For the Haar and dilated ensembles tau X is
 similar to the symmetric matrix D^(-1/2) (tau X) D^(1/2) = D^(1/2) C D^(1/2),
@@ -126,17 +132,17 @@ def _tables(spec: EnsembleSpec, exact: bool) -> tuple:
 def transfer(spec: EnsembleSpec, basis: str = PERMUTATION, exact: bool = True) -> TransferMatrix:
     """Transfer matrix of a reference ensemble, concatenated ``spec.k`` times.
 
-    The permutation-basis matrix diag(f[size]) w[cls prod] is gathered from
-    the t p(t) products of the ensemble's ``_tables``.  The localized matrix
-    is transported from it, except for the rank-one reference e_0 e_0^T,
-    which is the same in both bases (zeta[0, j] = delta_j0).
+    The class rows of the permutation-basis matrix diag(f[size]) w[cls prod]
+    are gathered from the t p(t) products of the ensemble's ``_tables``.  The
+    localized matrix is transported from it, except for the rank-one
+    reference e_0 e_0^T, which is the same in both bases (zeta[0, j] = delta_j0).
     """
     if basis not in (PERMUTATION, LOCALIZED):
         raise ValueError(f"unknown basis {basis!r}")
-    t = spec.t
+    t, tab = spec.t, sg.product_table(spec.t)
     f, _, w = _tables(spec, exact)
-    m = np.multiply.outer(f, w)[sg.product_table(t).size[:, None], wg._pair_class_table(t)]
-    tm = TransferMatrix(m, PERMUTATION, replace(spec, k=1))
+    rows = np.multiply.outer(f, w)[tab.size[tab.reps][:, None], tab.rep_cls]
+    tm = TransferMatrix(rows, PERMUTATION, replace(spec, k=1))
     if basis == LOCALIZED:
         tm = replace(tm, basis=LOCALIZED) if spec.kind == DEPOLARIZE else loc.to_localized(tm)
     if spec.k > 1:
@@ -219,20 +225,31 @@ def _reference_values(spec: EnsembleSpec, ks, exact: bool) -> dict:
                 join(tr[k], dd * dcd ** (k - 1) * dc)) for k in ks}
 
 
-def trace_of_product(p: np.ndarray, q: np.ndarray):
-    """Tr[P Q] as the O(n^2) sum of P * Q^T, without forming P Q."""
-    return (p * q.T).sum()
+def _operands(tm: TransferMatrix, gram_matrix: np.ndarray) -> tuple:
+    """(a, da, b, db): the split class rows of tau, and the split Gram matrix
+    X gathered in full from its rows, which ``sg.check_conjugation_invariant``
+    takes and checks."""
+    (a, da), (b, db) = split_all(tm.rows, sg.check_conjugation_invariant(tm.t, gram_matrix))
+    return a, da, sg.from_class_rows(tm.t, b), db
+
+
+def _class_trace(t: int, rows: np.ndarray, right: np.ndarray):
+    """Tr[P Q] for t! x t! matrices P and Q fixed by simultaneous
+    conjugation, from the class rows of P and Q in full: the diagonal of P Q
+    is a class function, so this is sum_r |K_r| P[r] . Q[:, r]."""
+    tab = sg.product_table(t)
+    return tab.class_sizes.dot((rows * right[:, tab.reps].T).sum(axis=1))
 
 
 def concatenate(tm: TransferMatrix, gram_matrix: np.ndarray, k: int) -> TransferMatrix:
-    """k-fold concatenation tau (X tau)^(k-1), X the normalized Gram, gathered from its
-    class rows; tau and X must be t! x t! and fixed by simultaneous conjugation."""
+    """k-fold concatenation tau (X tau)^(k-1), X the normalized Gram, from the
+    class rows of tau; X must be t! x t! and fixed by simultaneous conjugation."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    (a, da), (b, db) = split_all(tm.matrix, gram_matrix)
-    sg.check_conjugation_invariant(tm.t, a, b)
-    out = join(sg.class_product(tm.t, a, *(b, a) * (k - 1)), da * (da * db) ** (k - 1))
-    return replace(tm, matrix=out, ensemble=replace(tm.ensemble, k=tm.k * k))
+    a, da, b, db = _operands(tm, gram_matrix)
+    full = sg.from_class_rows(tm.t, a) if k > 1 else None
+    out = join(sg.class_product(a, *(b, full) * (k - 1)), da * (da * db) ** (k - 1))
+    return replace(tm, rows=out, ensemble=replace(tm.ensemble, k=tm.k * k))
 
 
 def exact_t2_chaar(k: int, d: int, dE: int) -> TransferMatrix:
@@ -249,22 +266,22 @@ def exact_t2_chaar(k: int, d: int, dE: int) -> TransferMatrix:
     off = Fraction(dE - 1, den) * sum((r**s for s in range(k)), Fraction(0))
     diag = Fraction(1, d * d - 1) * r**k
     m = np.array([[Fraction(1), Fraction(0)], [off, diag]], dtype=object)
-    return TransferMatrix(m, LOCALIZED, chaar(d, dE, 2, k=k))
+    return TransferMatrix.from_matrix(m, LOCALIZED, chaar(d, dE, 2, k=k))
 
 
 def norm_squared(tm: TransferMatrix, gram_matrix: np.ndarray):
-    """Squared Hilbert-Schmidt norm Tr[tau X tau^T X], with tau X tau^T taken
-    from its class rows; tau and X must be t! x t! and fixed by simultaneous
-    conjugation."""
-    (a, da), (b, db) = split_all(tm.matrix, gram_matrix)
-    sg.check_conjugation_invariant(tm.t, a, b)
-    return join(trace_of_product(sg.class_product(tm.t, a, b, a.T), b), (da * db) ** 2)
+    """Squared Hilbert-Schmidt norm Tr[tau X tau^T X], from the class rows of
+    tau X tau^T; X must be t! x t! and fixed by simultaneous conjugation."""
+    a, da, b, db = _operands(tm, gram_matrix)
+    rows = sg.class_product(a, b, sg.from_class_rows(tm.t, a).T)
+    return join(_class_trace(tm.t, rows, b), (da * db) ** 2)
 
 
 def trace(tm: TransferMatrix, gram_matrix: np.ndarray):
-    """Trace Tr[tau X] of the represented operator."""
-    (a, da), (b, db) = split_all(tm.matrix, gram_matrix)
-    return join(trace_of_product(a, b), da * db)
+    """Trace Tr[tau X] of the represented operator, from the class rows of
+    tau; X must be t! x t! and fixed by simultaneous conjugation."""
+    a, da, b, db = _operands(tm, gram_matrix)
+    return join(_class_trace(tm.t, a, b), da * db)
 
 
 @dataclass(frozen=True)
@@ -575,14 +592,25 @@ class CheckResult:
 
 
 def is_unital_transfer(tm: TransferMatrix, gram_matrix: np.ndarray) -> bool:
-    """Exact test that the identity operator is a fixed point."""
-    v = tm.matrix.dot(gram_matrix[:, 0])
-    return np.array_equal(v, np.eye(1, len(v), dtype=object)[0])
+    """Exact test that the identity operator is a fixed point: column 0 of
+    tau X is e_0.  That column is a class function, so it is decided at the
+    class representatives, by a p(t) x t! mat-vec on the numerators of the
+    class rows of tau and of column 0 of X; X must be t! x t! and fixed by
+    simultaneous conjugation."""
+    a, da, b, db = _operands(tm, gram_matrix)
+    v = a.dot(b[:, 0])
+    return v[0] == da * db and not v[1:].any()
 
 
 def invariance_checks(spec_a: EnsembleSpec, spec_b: EnsembleSpec) -> list:
     """Exact composition identities between two ensembles and the
-    rank-one reference on the shared (t, d)."""
+    rank-one reference on the shared (t, d).
+
+    Each identity is checked on integer numerators of class rows: with
+    left = L / dl, X = x / dx, right = R / dr and want = W / dw, left X right
+    equals want exactly when the class rows of (L x R) dw and of
+    W (dl dx dr) are equal.
+    """
     if (spec_a.t, spec_a.d) != (spec_b.t, spec_b.d):
         raise ValueError("specs must share (t, d)")
     t, d = spec_a.t, spec_a.d
@@ -590,27 +618,31 @@ def invariance_checks(spec_a: EnsembleSpec, spec_b: EnsembleSpec) -> list:
     dep = transfer(depolarize(d, t), basis=PERMUTATION, exact=True)
     ta = transfer(spec_a, basis=PERMUTATION, exact=True)
     tb = transfer(spec_b, basis=PERMUTATION, exact=True)
-    xi, dx = split(x)
-    # One split each: at t = 6 a split takes most of a second.
-    nums = {id(tm): split(tm.matrix) for tm in (dep, ta, tb)}
+    xi, dx = split(x[sg.product_table(t).reps])
+    xi = sg.from_class_rows(t, xi)
+    # Split rows, the numerators gathered in full as right operands, and the
+    # class rows of each left factor times X.
+    nums = {id(tm): split(tm.rows) for tm in (dep, ta, tb)}
+    full = {key: sg.from_class_rows(t, ints) for key, (ints, _) in nums.items()}
+    lx = {key: sg.class_product(ints, xi) for key, (ints, _) in nums.items()}
 
-    def sandwich(left, right):
-        """left X right, exactly."""
-        (li, dl), (ri, dr) = nums[id(left)], nums[id(right)]
-        return join(sg.class_product(t, li, xi, ri), dl * dx * dr)
+    def sandwich_is(left, right, want):
+        """left X right == want, exactly."""
+        (_, dl), (_, dr), (wi, dw) = nums[id(left)], nums[id(right)], nums[id(want)]
+        return mat_eq(sg.class_product(lx[id(left)], full[id(right)]) * dw, wi * (dl * dx * dr))
 
     results = []
     for name, tm in (("a", ta), ("b", tb)):
         results.append(
             CheckResult(
                 f"depolarize_right_invariant_under_{name}",
-                mat_eq(sandwich(dep, tm), dep.matrix),
+                sandwich_is(dep, tm, dep),
                 f"ensemble {tm.ensemble.label()}",
             )
         )
     for name, tm in (("a", ta), ("b", tb)):
         unital = is_unital_transfer(tm, x)
-        left_ok = mat_eq(sandwich(tm, dep), dep.matrix)
+        left_ok = sandwich_is(tm, dep, dep)
         results.append(
             CheckResult(
                 f"depolarize_left_invariance_matches_unitality_{name}",
@@ -622,18 +654,13 @@ def invariance_checks(spec_a: EnsembleSpec, spec_b: EnsembleSpec) -> list:
     if pair == {HAAR, CHAAR}:
         th = ta if spec_a.kind == HAAR else tb
         tc = tb if spec_a.kind == HAAR else ta
-        results.append(
-            CheckResult("chaar_left_invariant_under_haar", mat_eq(sandwich(th, tc), tc.matrix))
-        )
-        results.append(
-            CheckResult("chaar_right_invariant_under_haar", mat_eq(sandwich(tc, th), tc.matrix))
-        )
+        results.append(CheckResult("chaar_left_invariant_under_haar", sandwich_is(th, tc, tc)))
+        results.append(CheckResult("chaar_right_invariant_under_haar", sandwich_is(tc, th, tc)))
     for tm in (ta, tb):
         if t > 1 and tm.ensemble.environment_dim > 1:
-            # mod = tau X = m / dm, and mod^2 - mod = (m^2 - dm m) / dm^2.
-            mi, dt = nums[id(tm)]
-            m, dm = sg.class_product(t, mi, xi), dt * dx
-            dev = join(sg.class_product(t, m, m) - dm * m, dm * dm)
+            # mod = tau X = m / dm, and mod^2 - mod = (m^2 - dm m) / dm^2, by class rows.
+            m, dm = lx[id(tm)], nums[id(tm)][1] * dx
+            dev = join(sg.class_product(m, sg.from_class_rows(t, m)) - dm * m, dm * dm)
             max_dev = max(abs(float(v)) for v in dev.flat)
             results.append(
                 CheckResult(

@@ -7,6 +7,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import symmgroup as sg
 from .channels import NOISE_KINDS
 from .exactalg import is_exact
 
@@ -77,28 +78,50 @@ def check_grid(name: str, grid, low=None) -> None:
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    """t! x t! coefficient matrix of an ensemble's moment operator in a basis.
+    """t! x t! coefficient matrix of an ensemble's moment operator in a basis,
+    stored as its class rows.
 
-    ``matrix`` is a numpy array: an object array of Fractions or ints on
-    the exact path, or float64.  Exactness is read from it (``exact``), so
-    it cannot disagree with the numbers.  Rows and columns are indexed by
-    the canonical order of ``symmgroup.symmetric_group(t)``.  ``basis`` is
-    PERMUTATION or LOCALIZED; t, d and the concatenation count k are those
-    of ``ensemble``; ``matrix`` is fixed by simultaneous conjugation of S_t.
+    The matrix is fixed by simultaneous conjugation of S_t, so its rows at
+    the class representatives ``symmgroup.product_table(t).reps`` fix it.
+    ``rows`` holds them, a (p(t), t!) numpy array: an object array of
+    Fractions or ints on the exact path, or float64.  Exactness is read from
+    it (``exact``), so it cannot disagree with the numbers.  ``matrix``
+    gathers the full matrix from ``rows`` on each access
+    (``symmgroup.from_class_rows``); its rows and columns are indexed by the
+    canonical order of ``symmgroup.symmetric_group(t)``.  A full matrix
+    enters only through ``from_matrix``, which checks its invariance.
+    ``basis`` is PERMUTATION or LOCALIZED; t, d and the concatenation count
+    k are those of ``ensemble``.
     """
 
-    matrix: np.ndarray
+    rows: np.ndarray
     basis: str
     ensemble: EnsembleSpec
 
     def __post_init__(self):
         if self.basis not in (PERMUTATION, LOCALIZED):
             raise ValueError(f"unknown basis {self.basis!r}")
+        tab = sg.product_table(self.t)
+        if self.rows.shape != (len(tab.reps), len(tab.cls)):
+            raise ValueError(f"class rows of shape {self.rows.shape}, "
+                             f"need {(len(tab.reps), len(tab.cls))} at t = {self.t}")
+
+    @classmethod
+    def from_matrix(cls, matrix: np.ndarray, basis: str, ensemble: EnsembleSpec):
+        """The transfer matrix of a full t! x t! ``matrix``; raises ValueError
+        unless it is fixed by simultaneous conjugation
+        (``symmgroup.check_conjugation_invariant``)."""
+        return cls(sg.check_conjugation_invariant(ensemble.t, matrix), basis, ensemble)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The full t! x t! matrix, gathered from ``rows``."""
+        return sg.from_class_rows(self.t, self.rows)
 
     @property
     def exact(self) -> bool:
-        """True when ``matrix`` holds exact numbers (``exactalg.is_exact``)."""
-        return is_exact(self.matrix)
+        """True when ``rows`` holds exact numbers (``exactalg.is_exact``)."""
+        return is_exact(self.rows)
 
     @property
     def t(self) -> int:

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations, product
 from math import comb
 from typing import NamedTuple
 
 import numpy as np
+
+from .exactalg import mat_eq
 
 DEFAULT_MAX_ORDER = 6
 MAX_ORDER_ENV = "CHANNEL_MOMENTS_MAX_T"
@@ -147,11 +148,6 @@ def support(sigma: Permutation) -> frozenset:
     return sigma.support
 
 
-def relative_size(pi: Permutation, sigma: Permutation) -> int:
-    """size(inv(pi) * sigma), the transposition distance from pi to sigma."""
-    return compose(inverse(pi), sigma).size
-
-
 def catalan(k: int) -> int:
     return comb(2 * k, k) // (k + 1)
 
@@ -223,14 +219,6 @@ def mobius(sigma: Permutation) -> int:
         k = len(cyc) - 1
         m *= (-1) ** k * catalan(k)
     return m
-
-
-def character(sigma: Permutation, d: int, pi: Permutation | None = None):
-    """Normalized overlap d^(-size); two-argument form uses inv(sigma)*pi."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    k = sigma.size if pi is None else relative_size(sigma, pi)
-    return Fraction(1, d**k)
 
 
 def canonical_key(sigma: Permutation):
@@ -352,25 +340,28 @@ def conjugation_table(t: int) -> np.ndarray:
     return conj
 
 
-def from_class_rows(t: int, rows: np.ndarray) -> np.ndarray:
-    """The conjugation-invariant matrix with these rows at ``product_table(t).reps``."""
-    return rows[product_table(t).cls[:, None], conjugation_table(t)]
+def from_class_rows(t: int, rows: np.ndarray, at=slice(None)) -> np.ndarray:
+    """The conjugation-invariant matrix with these rows at ``product_table(t).reps``,
+    or its rows ``at`` (an int gives one row)."""
+    return rows[product_table(t).cls[at, None], conjugation_table(t)[at]]
 
 
-def class_product(t: int, first: np.ndarray, *rest) -> np.ndarray:
-    """first @ rest[0] @ ... of t! x t! matrices fixed by simultaneous
-    conjugation, in the number type of the operands: the product of the rows
-    of ``first`` at the class representatives, left to right, then
-    ``from_class_rows``.  The operands are not checked."""
-    return from_class_rows(t, reduce(np.dot, rest, first[product_table(t).reps]))
+def class_product(rows: np.ndarray, *rest) -> np.ndarray:
+    """The class rows of F @ rest[0] @ ... for t! x t! matrices fixed by
+    simultaneous conjugation, F given by its ``rows`` at the class
+    representatives and the right operands in full, in the number type of
+    the operands: p(t) x t! by t! x t! products, left to right.  The
+    operands are not checked."""
+    return reduce(np.dot, rest, rows)
 
 
-def check_conjugation_invariant(t: int, *matrices) -> None:
-    """Raise ValueError unless each matrix is t! x t! and exactly its own ``from_class_rows``."""
+def check_conjugation_invariant(t: int, matrix: np.ndarray) -> np.ndarray:
+    """The rows at ``product_table(t).reps`` of ``matrix``; raise ValueError
+    unless it is t! x t! and exactly its own ``from_class_rows``."""
     reps, n = product_table(t).reps, len(product_table(t).cls)
-    if not all(m.shape == (n, n) and np.array_equal(from_class_rows(t, m[reps]), m)
-               for m in matrices):
+    if not (matrix.shape == (n, n) and mat_eq(from_class_rows(t, matrix[reps]), matrix)):
         raise ValueError(f"operand is not a {n} x {n} matrix fixed by simultaneous conjugation")
+    return matrix[reps]
 
 
 class SymmetryBlocks(NamedTuple):

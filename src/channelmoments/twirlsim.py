@@ -358,7 +358,7 @@ def _haar_composite_norm(m: np.ndarray, d: int, t: int, k: int) -> float:
         noisy = m @ perms @ m.T
     perms, noisy = perms.reshape(len(perms), -1), noisy.reshape(len(perms), -1)
     r = mo.concatenate(mo.transfer(mo.haar(d, t), exact=False), perms @ noisy.T, k).matrix
-    return float(mo.trace_of_product(r.T @ (noisy @ noisy.T) @ r, mo.gram(t, d, exact=False)))
+    return float(((r.T @ (noisy @ noisy.T) @ r) * mo.gram(t, d, exact=False).T).sum())
 
 
 def _generator_twirl_pair_matrix(g_labels: str) -> np.ndarray:

@@ -4,8 +4,9 @@ Each one computes by a route independent of (or more literal than) the
 package code it checks, or is a helper that only the tests call: the index
 of each element of S_t, the inverse of ``channels.vectorize``, a channel
 applied through its superoperator, the trace-preservation and unitality
-tests of a superoperator, Fraction matrices from rows, the sub-permutation
-order by the size metric, the derangement count, a quadruple-sum norm,
+tests of a superoperator, Fraction matrices from rows, the relative size
+and the normalized character of permutations, the sub-permutation order by
+the size metric, the derangement count, a quadruple-sum norm,
 the leading-eigenvector overlap, two exact matrix inverses, a reordered
 two-copy superoperator, the t-fold superoperator as a sum over Kraus
 tuples, the Pauli transfer matrix as a loop of traces, a one-leg channel
@@ -16,7 +17,8 @@ coefficients, the sparse pair evolution that stores both triangles, the
 dense single-generator and Haar pair twirls, the Haar
 composite norm as a power of the dense Pauli-pair matrix, the two-copy
 weights in closed form, the Monte-Carlo estimators as loops over single
-draws, the dilated ensemble's transfer matrix as t!^2 products, the
+draws, the dilated ensemble's transfer matrix as t!^2 products, every
+reference transfer matrix built and carried in full, the
 right eigenpairs of tau X from one dense t! x t! eigensolve, the
 reference norms and traces from the rows at the class representatives,
 the dense
@@ -35,13 +37,14 @@ from math import factorial, log, sqrt
 import numpy as np
 
 from channelmoments import channels as ch
+from channelmoments import localized as loc
 from channelmoments import moments as mo
 from channelmoments import symmgroup as sg
 from channelmoments import twirlsim as tw
 from channelmoments import weingarten as wg
 from channelmoments.exactalg import SingularMatrixError, join, solve_exact, split_all, to_integer
 from channelmoments.moments import MCEstimate, leading_right_vector
-from channelmoments.specs import CHAAR, DEPOLARIZE, HAAR, ZERO_STATE, CircuitSpec
+from channelmoments.specs import CHAAR, DEPOLARIZE, HAAR, LOCALIZED, ZERO_STATE, CircuitSpec
 
 
 @lru_cache(maxsize=None)
@@ -83,12 +86,24 @@ def frac_array(rows) -> np.ndarray:
     return np.array([[Fraction(x) for x in row] for row in rows], dtype=object)
 
 
+def relative_size(pi, sigma) -> int:
+    """size(inv(pi) * sigma), the transposition distance from pi to sigma."""
+    return sg.compose(sg.inverse(pi), sigma).size
+
+
+def character(sigma, d: int, pi=None) -> Fraction:
+    """Normalized overlap d^(-size); two-argument form uses inv(sigma)*pi."""
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    return Fraction(1, d ** (sigma.size if pi is None else relative_size(sigma, pi)))
+
+
 def is_subpermutation(pi, sigma) -> bool:
     """True iff pi lies below sigma in the sub-permutation order: the size
     metric is additive along pi <= sigma."""
     if pi.t != sigma.t:
         raise sg.OrderMismatchError(f"order mismatch: {pi.t} != {sigma.t}")
-    return sg.relative_size(pi, sigma) == sigma.size - pi.size
+    return relative_size(pi, sigma) == sigma.size - pi.size
 
 
 def derangement_count(l: int) -> int:
@@ -129,6 +144,30 @@ def chaar_transfer_perm(t: int, d: int, dE: int, exact: bool = True) -> np.ndarr
     moments.transfer."""
     scale = wg.inverse_powers(dE, t, exact)[sg.product_table(t).size]
     return scale[:, None] * wg.weingarten_matrix(t, d * dE, exact=exact)
+
+
+def transfer_full(spec, basis: str, exact: bool) -> np.ndarray:
+    """The t! x t! matrix of ``moments.transfer(spec, basis, exact)`` built
+    and carried in full: the gather np.multiply.outer(f, w)[size, cls prod],
+    then the localized transport zeta^T (c tau c) zeta on the split full
+    matrix and the concatenation tau (X tau)^(k-1) with the full Gram matrix,
+    each product taken from the rows of its full left operand and gathered
+    by ``symmgroup.from_class_rows``.  Oracle for the class-row storage."""
+    t, d = spec.t, spec.d
+    tab = sg.product_table(t)
+    f, _, w = mo._tables(spec, exact)
+    m = np.multiply.outer(f, w)[tab.size[:, None], wg._pair_class_table(t)]
+    if basis == LOCALIZED and spec.kind != DEPOLARIZE:
+        (a, da), = split_all(m)
+        c = np.array([d ** (t - 1 - s) for s in range(t)], dtype=a.dtype)[tab.size]
+        lower = loc._order_matrix(t, mobius=False)
+        rows = sg.class_product(lower[tab.reps], a * c[:, None] * c[None, :], lower.T)
+        m = join(sg.from_class_rows(t, rows), da * d ** (2 * t - 2))
+    if spec.k > 1:
+        (a, da), (b, db) = split_all(m, mo.gram(t, d, basis=basis, exact=exact))
+        rows = sg.class_product(a[tab.reps], *(b, a) * (spec.k - 1))
+        m = join(sg.from_class_rows(t, rows), da * (da * db) ** (spec.k - 1))
+    return m
 
 
 def invert_exact(a: np.ndarray) -> np.ndarray:

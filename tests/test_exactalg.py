@@ -170,3 +170,22 @@ def test_split_all_rejects_exact_mixed_with_float():
     for pair in ((exact, approx), (approx, exact)):
         with pytest.raises(ValueError, match="mix exact"):
             split_all(*pair)
+
+
+def test_mat_eq_shared_and_distinct_entries():
+    """Object arrays are equal whether their entries are the same objects or
+    distinct equal ones; a bent entry, a shape change or a float difference
+    makes them unequal."""
+    m = transfer(chaar(2, 3, 4)).matrix
+    distinct = np.array([[Fraction(x.numerator, x.denominator) for x in row] for row in m],
+                        dtype=object)
+    assert distinct[1, 2] is not m[1, 2] and mat_eq(m, distinct) and mat_eq(distinct, m)
+    bent = distinct.copy()
+    bent[3, 5] += Fraction(1, 10**9)
+    assert not mat_eq(m, bent)
+    assert not mat_eq(m, m[:, :-1]) and not mat_eq(m[:1], m[0])
+    f = m.astype(float)
+    assert mat_eq(f, f.copy())
+    g = f.copy()
+    g[0, 0] = np.nextafter(g[0, 0], 2.0)
+    assert not mat_eq(f, g)

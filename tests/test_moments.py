@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial, sqrt
 
 import numpy as np
@@ -9,7 +10,7 @@ from channelmoments import localized as loc
 from channelmoments import moments as mo
 from channelmoments import symmgroup as sg
 from channelmoments import weingarten as wg
-from channelmoments.exactalg import mat_eq
+from channelmoments.exactalg import join, mat_eq, split_all
 from channelmoments.specs import (
     CHAAR,
     DEPOLARIZE,
@@ -32,6 +33,7 @@ from oracles import (
     right_eigenpairs_dense,
     sample_haar_unitary_once,
     spectrum_residuals_dense,
+    transfer_full,
 )
 
 
@@ -450,7 +452,7 @@ def test_transfer_rejects_unknown_basis(spec):
     with pytest.raises(ValueError, match="unknown basis 'bogus'"):
         mo.transfer(spec, basis="bogus")
     with pytest.raises(ValueError, match="unknown basis 'bogus'"):
-        mo.TransferMatrix(mo.transfer(spec).matrix, "bogus", spec)
+        mo.TransferMatrix.from_matrix(mo.transfer(spec).matrix, "bogus", spec)
 
 
 @pytest.mark.parametrize("exact", [True, False])
@@ -466,12 +468,15 @@ def test_transfer_matrix_exact_follows_the_matrix_dtype():
     spec = chaar(2, 3, 3)
     exact, approx = mo.transfer(spec), mo.transfer(spec, exact=False)
     assert exact.exact and not approx.exact
-    assert not TransferMatrix(exact.matrix.astype(float), PERMUTATION, spec).exact
-    assert TransferMatrix(approx.matrix.astype(object), PERMUTATION, spec).exact
+    assert not TransferMatrix(exact.rows.astype(float), PERMUTATION, spec).exact
+    assert TransferMatrix(approx.rows.astype(object), PERMUTATION, spec).exact
+    assert not TransferMatrix.from_matrix(exact.matrix.astype(float), PERMUTATION, spec).exact
     with pytest.raises(TypeError):
-        TransferMatrix(exact.matrix, PERMUTATION, spec, True)
+        TransferMatrix(exact.rows, PERMUTATION, spec, True)
+    with pytest.raises(ValueError, match=r"class rows of shape \(6, 6\), need \(3, 6\)"):
+        TransferMatrix(exact.matrix, PERMUTATION, spec)
     # A float matrix is on the float path whatever built it.
-    tm = TransferMatrix(approx.matrix, PERMUTATION, spec)
+    tm = TransferMatrix.from_matrix(approx.matrix, PERMUTATION, spec)
     got = mo.norm_squared(tm, mo.gram(3, 2, exact=False))
     assert type(got) is float
     assert abs(got - float(mo.norm_squared(exact, mo.gram(3, 2)))) < 1e-12
@@ -491,23 +496,28 @@ def test_mixed_exact_and_float_operands_raise(tm_exact):
 @pytest.mark.parametrize("exact", [True, False])
 def test_products_reject_operands_not_fixed_by_conjugation(exact):
     """The class-row products hold only for t! x t! operands fixed by
-    simultaneous conjugation; one changed entry or a wrong shape raises."""
+    simultaneous conjugation; one changed entry or a wrong shape raises
+    where the full matrix enters: ``TransferMatrix.from_matrix`` for tau,
+    the product itself for X."""
     spec = chaar(2, 3, 3)
     tm = mo.transfer(spec, exact=exact)
     x = mo.gram(3, 2, exact=exact)
     bent, bent_x = tm.matrix.copy(), x.copy()
     bent[1, 2] += 1  # sigma_1, sigma_2 are transpositions: an orbit of 6 pairs
     bent_x[3, 1] += 1
-    calls = [lambda: loc.to_localized(replace(tm, matrix=bent)),
-             lambda: loc.to_localized(replace(tm, matrix=tm.matrix[:, :5]))]
+    enter = partial(TransferMatrix.from_matrix, basis=PERMUTATION, ensemble=spec)
+    calls = [lambda: loc.to_localized(enter(bent)),
+             lambda: loc.to_localized(enter(tm.matrix[:, :5]))]
     for k in (1, 2):
-        calls += [lambda k=k: mo.concatenate(replace(tm, matrix=bent), x, k),
+        calls += [lambda k=k: mo.concatenate(enter(bent), x, k),
                   lambda k=k: mo.concatenate(tm, bent_x, k),
                   lambda k=k: mo.concatenate(tm, x[:5, :5], k),
-                  lambda k=k: mo.concatenate(replace(tm, matrix=tm.matrix[:5]), x, k)]
-    calls += [lambda: mo.norm_squared(replace(tm, matrix=bent), x),
+                  lambda k=k: mo.concatenate(enter(tm.matrix[:5]), x, k)]
+    calls += [lambda: mo.norm_squared(enter(bent), x),
               lambda: mo.norm_squared(tm, bent_x),
-              lambda: mo.norm_squared(tm, x[:5, :5])]
+              lambda: mo.norm_squared(tm, x[:5, :5]),
+              lambda: mo.trace(tm, bent_x),
+              lambda: mo.is_unital_transfer(tm, bent_x)]
     for call in calls:
         with pytest.raises(ValueError, match="not a 6 x 6 matrix fixed by simultaneous"):
             call()
@@ -866,13 +876,42 @@ def test_transfer_equals_oracle_in_value_and_entry_type(spec, basis, exact):
     else:
         want = chaar_transfer_perm(spec.t, spec.d, spec.environment_dim, exact=exact)
         if basis == LOCALIZED:
-            want = loc.to_localized(TransferMatrix(want, PERMUTATION, spec)).matrix
+            want = loc.to_localized(TransferMatrix.from_matrix(want, PERMUTATION, spec)).matrix
     got = mo.transfer(spec, basis=basis, exact=exact).matrix
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
     if exact:
         assert all(type(g) is type(w) and g == w for g, w in zip(got.flat, want.flat))
     else:
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("basis", [PERMUTATION, LOCALIZED])
+@pytest.mark.parametrize(
+    "spec",
+    [s for t in (1, 2, 3, 4, 5) for s in (haar(max(t, 2), t), chaar(2, 3, t), depolarize(2, t))],
+    ids=lambda s: f"{s.label()}-t{s.t}",
+)
+def test_class_row_transfer_matches_full_builder(spec, basis, k, exact):
+    """The matrix gathered from the stored class rows against the same
+    matrix built and carried in full: exact values and entry types equal,
+    floats bit for bit, and the float norm within 1e-12."""
+    spec = replace(spec, k=k)
+    tm = mo.transfer(spec, basis=basis, exact=exact)
+    got, want = tm.matrix, transfer_full(spec, basis, exact)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    x = mo.gram(spec.t, spec.d, basis=basis, exact=exact)
+    (a, da), (b, db) = split_all(want, x)
+    rows = sg.class_product(a[sg.product_table(spec.t).reps], b, a.T)
+    n2, want_n2 = mo.norm_squared(tm, x), join((sg.from_class_rows(spec.t, rows) * b.T).sum(),
+                                               (da * db) ** 2)
+    if exact:
+        assert all(type(g) is type(w) and g == w for g, w in zip(got.flat, want.flat))
+        assert type(n2) is Fraction and n2 == want_n2
+    else:
+        assert got.tobytes() == want.tobytes()
+        assert type(n2) is float and abs(n2 - want_n2) <= 1e-12 * abs(want_n2)
 
 
 @pytest.mark.parametrize("exact", [False, True])

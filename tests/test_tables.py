@@ -129,6 +129,20 @@ def test_from_class_rows_rebuilds_conjugation_invariant_matrix(t, exact):
         assert np.array_equal(got, m)
 
 
+@pytest.mark.parametrize("t", [3, 4])
+def test_check_conjugation_invariant_compares_values_not_objects(t):
+    """A copy of a Gram matrix with distinct but equal Fractions passes and
+    gives the class rows; one bent entry raises."""
+    x = mo.gram(t, 2)
+    distinct = np.array([[Fraction(v.numerator, v.denominator) for v in row] for row in x],
+                        dtype=object)
+    rows = sg.check_conjugation_invariant(t, distinct)
+    assert rows.tolist() == x[sg.product_table(t).reps].tolist()
+    distinct[2, 1] = Fraction(distinct[2, 1].numerator + 1, distinct[2, 1].denominator)
+    with pytest.raises(ValueError, match="fixed by simultaneous conjugation"):
+        sg.check_conjugation_invariant(t, distinct)
+
+
 @pytest.mark.parametrize("t", ORDERS)
 def test_pair_class_table(t):
     kidx = class_index(t)
