@@ -26,17 +26,77 @@ with d = 2, 3, composite noise norms of both unitary ensembles for
 t = 1, 2, d = 2, 4 and k <= 3, and the channel layer: Pauli transfer
 matrices of the four standard noises and of their two-qubit krons, their
 superoperators for t <= 3, and the t <= 2 superoperators and transfers of
-two noise models.
+two noise models.  It also holds the text that ``cli.main`` writes, in CSV
+and in JSON, for the seven README commands at small sizes, exact transfer
+matrices for t <= 4 in both bases with k = 1, 2, a float transfer matrix,
+exact Weingarten matrices at t = d = 4 and an exact hierarchy scan at
+t = 2, 3; the config fields ``provenance`` and ``suite_seconds`` are taken
+out first, because they differ between trees and between runs.
 
     PYTHONPATH=src python scripts/compare_outputs.py dump new.pkl
     python scripts/compare_outputs.py compare old.pkl new.pkl
 """
 
+import json
 import pickle
 import sys
+import tempfile
 from dataclasses import astuple, replace
 
 import numpy as np
+
+
+CLI_COMMANDS = [
+    "weingarten --t 3 --d 4",
+    "transfer --ensemble chaar --t 2 --d 2 --dE 4 --basis localized",
+    "hierarchy --t-list 2,3 --k-list 1,3 --d-list 2,3,4",
+    "spectrum --ensemble chaar --t 3 --d 2 --dE 2",
+    "simulate --n 2 --layers 5 --noise local_depolarizing --gamma 0.1,0.2",
+    "mc --ensemble chaar --t 2 --d 2 --dE 2 --samples 1000",
+    "verify --suite all",
+    *(f"--exact transfer --ensemble chaar --t {t} --d 2 --dE 3 --k {k} --basis {basis}"
+      for t in range(1, 5) for k in (1, 2) for basis in ("permutation", "localized")),
+    "--float transfer --ensemble chaar --t 3 --d 2 --dE 3",
+    "--exact weingarten --t 4 --d 4",
+    "--exact hierarchy --t-list 2,3",
+]
+
+
+def _without_run_fields(text: str, fmt: str) -> str:
+    """A command's output without the config fields that differ between
+    trees and runs.  JSON is dumped again as ``cli`` dumps it, unless the
+    text was not dumped that way, which is kept whole so that it shows."""
+    def strip(config):
+        return {k: v for k, v in config.items() if k not in ("provenance", "suite_seconds")}
+
+    if fmt == "json":
+        payload = json.loads(text)
+        if json.dumps(payload, sort_keys=True, indent=1) + "\n" != text:
+            return text
+        return json.dumps({**payload, "config": strip(payload["config"])}, sort_keys=True,
+                          indent=1) + "\n"
+    version, config, rest = text.split("\n", 2)
+    config = strip(json.loads(config.removeprefix("# config ")))
+    return "\n".join([version, "# config " + json.dumps(config, sort_keys=True), rest])
+
+
+def _cli_text() -> dict:
+    """(exit code, text) of each command of ``CLI_COMMANDS`` in both formats."""
+    from channelmoments import cli
+
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for command in CLI_COMMANDS:
+            for fmt in ("csv", "json"):
+                path = f"{tmp}/{len(out)}"
+                code = cli.main(["--format", fmt, "--out", path] + command.split())
+                try:
+                    with open(path) as fh:
+                        text = _without_run_fields(fh.read(), fmt)
+                except FileNotFoundError:  # the command failed before writing
+                    text = None
+                out[("cli", fmt, command)] = (code, text)
+    return out
 
 
 def _grid():
@@ -150,6 +210,7 @@ def _grid():
     for name, model in (("damping", damping), ("uniform4", ch.NoiseModel.uniform(4, 0.1))):
         for t in (1, 2):
             out[("noise_model_super", name, t)] = ch.noise_model_super(model, t)
+    out.update(_cli_text())
     return out
 
 

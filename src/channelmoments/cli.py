@@ -14,7 +14,6 @@ import json
 import platform
 import sys
 import time
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from pathlib import Path
@@ -38,16 +37,6 @@ from .specs import (
     EnsembleSpec,
     check_grid,
 )
-
-
-def _fmt(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
 
 
 def git_sha(git_dir: Path):
@@ -94,19 +83,20 @@ def _json_text(fields: dict, rows):
 
 
 def _emit(args, config: dict, columns: list, rows):
-    """Write the output to ``--out`` or stdout.  Each row is written as it
-    is formatted, so no command holds its output as text."""
+    """Write the output to ``--out`` or stdout, each value as its ``str``
+    (a ``Fraction`` as p/q, a float as its shortest repr).  Each row is
+    written as it is formatted, so no command holds its output as text."""
     config = {**config, "provenance": provenance()}
     if args.format == "json":
         fields = {"version": __version__, "config": config, "columns": columns}
-        text = _json_text(fields, ([_fmt(v) for v in row] for row in rows))
+        text = _json_text(fields, (list(map(str, row)) for row in rows))
     else:
         header = [
             f"# channelmoments {__version__}",
             "# config " + json.dumps(config, sort_keys=True),
             ",".join(columns),
         ]
-        lines = chain(header, (",".join(_fmt(v) for v in row) for row in rows))
+        lines = chain(header, (",".join(map(str, row)) for row in rows))
         text = (line + "\n" for line in lines)
     if not args.out:
         sys.stdout.writelines(text)
@@ -121,11 +111,12 @@ def _emit(args, config: dict, columns: list, rows):
 def _matrix_rows(matrix, t: int):
     """[row, col, row label, col label, value] for each entry of a t! x t!
     matrix, read one row at a time from ``matrix`` (an array or an iterable
-    of rows)."""
+    of row arrays); the indices and labels are formatted once."""
     labels = [p.cycle_label() for p in sg.symmetric_group(t)]
+    index = [str(i) for i in range(len(labels))]
     for i, row in enumerate(matrix):
-        for j, value in enumerate(row):
-            yield [i, j, labels[i], labels[j], value]
+        for j, label, value in zip(index, labels, row.tolist()):
+            yield [index[i], j, labels[i], label, value]
 
 
 def cmd_weingarten(args) -> int:
@@ -169,18 +160,20 @@ def cmd_transfer(args) -> int:
     return 0
 
 
-def _int_list(text: str, flag: str) -> list:
+def _number_list(text: str, flag: str, number=int) -> list:
+    """The comma-separated values of ``flag``, each read as a ``number``."""
     try:
-        return [int(x) for x in text.split(",")]
+        return [number(x) for x in text.split(",")]
     except ValueError:
-        raise ValueError(f"invalid grid: {flag} {text!r} is not a list of integers") from None
+        kind = "integers" if number is int else "numbers"
+        raise ValueError(f"invalid grid: {flag} {text!r} is not a list of {kind}") from None
 
 
 def cmd_hierarchy(args) -> int:
     # hierarchy_scan checks the values of the whole grid before any work.
-    t_list = _int_list(args.t_list, "--t-list")
-    k_list = _int_list(args.k_list, "--k-list")
-    d_list = _int_list(args.d_list, "--d-list")
+    t_list = _number_list(args.t_list, "--t-list")
+    k_list = _number_list(args.k_list, "--k-list")
+    d_list = _number_list(args.d_list, "--d-list")
     de_rules = args.dE_rules.split(",")
     config = {
         "command": "hierarchy",
@@ -217,7 +210,7 @@ def cmd_simulate(args) -> int:
 
     ansatze = args.ansatz.split(",")
     noises = args.noise.split(",") if args.noise else []
-    gammas = [float(g) for g in args.gamma.split(",")]
+    gammas = _number_list(args.gamma, "--gamma", float)
     if not all(0.0 <= g <= 1.0 for g in gammas):
         raise ValueError(f"gamma must lie in [0, 1], got {args.gamma}")
     for name, grid in (("ansatz", ansatze), ("noise", noises), ("gamma", gammas)):

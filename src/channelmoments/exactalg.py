@@ -59,16 +59,21 @@ def to_integer(m: np.ndarray) -> tuple:
 
     The denominator is the least common multiple of the distinct entry
     denominators, so ``m == ints / denom`` entrywise with every entry a
-    Python int.  Ints, numpy ints and Fractions all have ``numerator`` and
-    ``denominator``.
+    Python int.  Each entry is read once: a ``Fraction`` by
+    ``as_integer_ratio``, any other rational (an int or a numpy int) by its
+    ``numerator`` and ``denominator``.
     """
-    entries = m.ravel().tolist()
-    dens = {x.denominator for x in entries}
-    denom = lcm(*map(int, dens))
-    scale = {q: denom // int(q) for q in dens}
+    # Two lists, not a list of (p, q) tuples, which would add 0.6 MB to the
+    # split of a 120 x 120 matrix.  int() makes numpy integers Python ints.
+    nums, dens = [], []
+    for x in m.ravel().tolist():
+        p, q = (x.as_integer_ratio() if type(x) is Fraction
+                else (int(x.numerator), int(x.denominator)))
+        nums.append(p)
+        dens.append(q)
+    denom = lcm(*set(dens))
     ints = np.empty(m.shape, dtype=object)
-    # int() turns numpy integers into unbounded Python ints.
-    ints.flat[:] = [int(x.numerator) * scale[x.denominator] for x in entries]
+    ints.flat[:] = [p * (denom // q) for p, q in zip(nums, dens)]
     return ints, denom
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import logging
 import os
@@ -103,6 +104,24 @@ def test_json_text_matches_one_dump(rows):
     fields = {"version": "v", "config": {"rows": [], "a": {"b": [1]}}, "columns": ["p", "q"]}
     got = "".join(cli._json_text(fields, iter(rows)))
     assert got == json.dumps({**fields, "rows": rows}, sort_keys=True, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_writes_each_value_type(capsys, fmt):
+    # Every type a command emits; numpy scalars must print as Python's.
+    values = [Fraction(-7, 3), Fraction(4), 3, np.int64(-5), 0.1 + 0.2, np.float64(1e16),
+              np.float64(1e-05), -0.0, np.float64(5e-324), np.float64(np.inf),
+              np.float64(np.nan), "a b"]
+    text = ["-7/3", "4", "3", "-5", "0.30000000000000004", "1e+16", "1e-05", "-0.0",
+            "5e-324", "inf", "nan", "a b"]
+    args = argparse.Namespace(format=fmt, out=None)
+    columns = [f"c{i}" for i in range(len(values))]
+    cli._emit(args, {"command": "test"}, columns, [values, values[::-1]])
+    out = capsys.readouterr().out
+    if fmt == "json":
+        assert json.loads(out)["rows"] == [text, text[::-1]]
+    else:
+        assert out.splitlines()[3:] == [",".join(text), ",".join(text[::-1])]
 
 
 def test_hierarchy_command(capsys):
@@ -258,6 +277,7 @@ def test_simulate_config_records_invariant_residuals(capsys):
         ("--noise", "dephasing,bit_flip,dephasing", "duplicate noise = dephasing"),
         ("--gamma", "0.1,0.1", "duplicate gamma = 0.1"),
         ("--gamma", "0.1,0.10", "duplicate gamma = 0.1"),
+        ("--gamma", "0.1,abc", "--gamma '0.1,abc' is not a list of numbers"),
     ],
 )
 def test_simulate_duplicate_grid_value_fails_before_any_trajectory(
