@@ -70,14 +70,15 @@ def provenance() -> dict:
 
 def _json_text(fields: dict, rows):
     """The text of ``json.dumps({**fields, "rows": rows}, sort_keys=True,
-    indent=1)`` and a newline, with each row (a non-empty list of scalars)
-    formatted on its own."""
+    indent=1)`` and a newline, with each row (a non-empty list of ``str``)
+    formatted on its own by the string encoder ``json.dumps`` uses."""
     head, tail = json.dumps({**fields, "rows": []}, sort_keys=True, indent=1).split(
         '\n "rows": []', 1)
     yield head + '\n "rows": ['
+    encode = json.encoder.encode_basestring_ascii
     sep = "\n"
     for row in rows:
-        yield sep + "  [\n   " + ",\n   ".join(map(json.dumps, row)) + "\n  ]"
+        yield sep + "  [\n   " + ",\n   ".join(map(encode, row)) + "\n  ]"
         sep = ",\n"
     yield ("]" if sep == "\n" else "\n ]") + tail + "\n"
 

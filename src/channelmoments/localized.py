@@ -12,7 +12,10 @@ Both the transport and the localized Gram matrix are products L M L^T with
 L supported on the sub-permutation order and L and M fixed by simultaneous
 conjugation of S_t, so ``symmgroup.class_product`` takes them from the
 class rows of L, on the exact or float numerators of ``exactalg.split``
-alike.  The transport reads and writes the class rows of
+alike.  L is read from one cached table each: for the transport, zeta^T
+from the boolean ``_subperm_table``; for the Gram, the int16 Möbius matrix
+of ``_order_matrix``.  numpy's dot casts either to the number type of M.
+The transport reads and writes the class rows of
 ``specs.TransferMatrix``; only the right operand M is gathered in full.
 """
 
@@ -46,10 +49,10 @@ def phi_inverse(t: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _order_matrix(t: int, mobius: bool) -> np.ndarray:
-    """L of the products L m L^T in int64: the Möbius matrix, or zeta^T."""
-    tab, order = sg.product_table(t), _subperm_table(t)
-    out = np.where(order, tab.mobius[tab.prod.T], 0) if mobius else order.T.astype(np.int64)
+def _order_matrix(t: int) -> np.ndarray:
+    """The Möbius matrix L of the localized Gram L R L^T, in int16."""
+    tab = sg.product_table(t)
+    out = np.where(_subperm_table(t), tab.mobius[tab.prod.T], 0)
     out.flags.writeable = False
     return out
 
@@ -60,7 +63,7 @@ def phi_matrix(t: int) -> np.ndarray:
 
     Python ints; cached and read-only, since every caller shares it.
     """
-    out = _order_matrix(t, True).astype(object)
+    out = _order_matrix(t).astype(object)
     out.flags.writeable = False
     return out
 
@@ -78,7 +81,7 @@ def localized_gram(t: int, d: int, exact: bool = True) -> np.ndarray:
     tab = sg.product_table(t)
     expo = tab.size[:, None] + tab.size[None, :] - tab.size[tab.prod]
     raw = np.array([d**e for e in range(2 * t - 1)], dtype=object if exact else float)[expo]
-    lower = _order_matrix(t, mobius=True)
+    lower = _order_matrix(t)
     return sg.from_class_rows(t, sg.class_product(lower[tab.reps], raw, lower.T))
 
 
@@ -99,9 +102,9 @@ def to_localized(tm: TransferMatrix) -> TransferMatrix:
     tab = sg.product_table(t)
     nums, denom = split(tm.rows)
     c = np.array([d ** (t - 1 - s) for s in range(t)], dtype=nums.dtype)[tab.size]
-    lower = _order_matrix(t, mobius=False)
+    order = _subperm_table(t)
     cac = sg.from_class_rows(t, nums * c[tab.reps][:, None] * c[None, :])
-    out = sg.class_product(lower[tab.reps], cac, lower.T)
+    out = sg.class_product(order[:, tab.reps].T, cac, order)
     return replace(tm, rows=join(out, denom * d ** (2 * t - 2)), basis=LOCALIZED)
 
 

@@ -368,8 +368,8 @@ def _class_blocks(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def _right_eigenpairs(spec: EnsembleSpec, f: np.ndarray, c: np.ndarray) -> tuple:
     """The ``BlockPairs`` of tau X = D C, one per group of
-    ``sg.symmetry_blocks``, with D = diag(f) and C = c[pcls] for c by class
-    (see ``_class_rows``).
+    ``sg.symmetry_blocks``, with D = diag(f) and C = c[cls][prod] for c by
+    class (see ``_class_rows``).
 
     D and C commute with the group H of ``sg.symmetry_blocks``, so tau X is
     block diagonal in its basis, and T_b = F_b C_b with F_b = f[reps] and
@@ -409,11 +409,12 @@ def _right_eigenpairs(spec: EnsembleSpec, f: np.ndarray, c: np.ndarray) -> tuple
     return tuple(out)
 
 
-def _class_matvec(c: np.ndarray, pcls: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """c[pcls] @ x, gathered in row chunks of at most ``GATHER_CHUNK`` entries."""
-    rows, out = max(1, GATHER_CHUNK // len(pcls)), np.empty_like(x)
-    for i in range(0, len(pcls), rows):
-        np.matmul(c[pcls[i:i + rows]], x, out=out[i:i + rows])
+def _class_matvec(v: np.ndarray, prod: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """v[prod] @ x for v over S_t and ``prod`` of ``sg.product_table``,
+    gathered in row chunks of at most ``GATHER_CHUNK`` entries."""
+    rows, out = max(1, GATHER_CHUNK // len(prod)), np.empty_like(x)
+    for i in range(0, len(prod), rows):
+        np.matmul(v[prod[i:i + rows]], x, out=out[i:i + rows])
     return out
 
 
@@ -442,7 +443,7 @@ def spectrum(spec: EnsembleSpec) -> SpectralReport:
     ``GATHER_CHUNK`` entries.
     """
     t, k = spec.t, spec.k
-    tab, pcls = sg.product_table(t), wg._pair_class_table(t)
+    tab = sg.product_table(t)
     f_s, x, w = _tables(spec, exact=False)
     f, xr, wr, c = _class_rows(t, f_s, x, w)
     fr, e_cls, c_rows = f[tab.reps], np.eye(1, len(c))[0], c[tab.rep_cls]
@@ -468,7 +469,7 @@ def spectrum(spec: EnsembleSpec) -> SpectralReport:
     for _ in range(k):
         row = wr.dot((xr.dot(row[tab.cls]) * fr)[tab.cls])
         right = fr * c_rows.dot(right[tab.cls])
-        vz = _class_matvec(c, pcls, vz)
+        vz = _class_matvec(c[tab.cls], tab.prod, vz)
         vz *= f[:, None]
     vz -= vlz
     return SpectralReport(
@@ -524,8 +525,9 @@ def hierarchy_scan(
     Checks recorded as violations rather than raised: norm^2 outside
     [1, t!], growth in environment dimension at fixed (t, k, d), and growth
     in concatenation count at fixed (t, d, dE).  The whole grid is checked
-    before any matrix is built; points with d * dE < t are left out.  Each
-    finished (t, d, dE) group is logged at INFO level.
+    before any matrix is built; points with d * dE < t are left out, and
+    their (t, d, dE) are logged in one line at INFO level.  Each finished
+    (t, d, dE) group is logged at INFO level.
     """
     import logging
 
@@ -543,12 +545,16 @@ def hierarchy_scan(
         (t, k, d, dE)
         for t in t_list for k in k_list for d in d_list for dE in des[d] if d * dE >= t
     ]
+    log = logging.getLogger(__name__)
+    left_out = [(t, d, dE) for t in t_list for d in d_list for dE in des[d] if d * dE < t]
+    if left_out:
+        log.info("left out %d (t, d, dE) with d*dE < t: %s", len(left_out),
+                 "; ".join("t=%d d=%d dE=%d" % p for p in left_out))
 
     # All k of one (t, d, dE) from one chain of block products.
     ks_by_pair: dict = {}
     for t, k, d, dE in points:
         ks_by_pair.setdefault((t, d, dE), []).append(k)
-    log = logging.getLogger(__name__)
     values = {}
     start = time.perf_counter()
     for i, ((t, d, dE), ks) in enumerate(ks_by_pair.items(), start=1):

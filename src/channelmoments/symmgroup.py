@@ -317,7 +317,7 @@ def product_table(t: int) -> ProductTable:
         prod=prod,
         size=size,
         cls=cls,
-        mobius=np.array([mobius(p) for p in group], dtype=np.int64),
+        mobius=np.array([mobius(p) for p in group], dtype=np.int16),
         mask=np.array([canonical_key(p)[1] for p in group], dtype=np.int64),
         reps=reps,
         class_sizes=np.bincount(cls),
@@ -328,22 +328,28 @@ def product_table(t: int) -> ProductTable:
 
 @lru_cache(maxsize=None)
 def conjugation_table(t: int) -> np.ndarray:
-    """``conj[a, b]``: the index of g^-1 sigma_b g, for one g with g r g^-1 =
-    sigma_a and r the representative of sigma_a's class; gathers on ``prod``."""
+    """``flat[a, b]``: the index into the raveled class rows of the entry at
+    (a, b), ``cls[a] * t! + conj[a, b]``, with ``conj[a, b]`` the index of
+    g^-1 sigma_b g for one g with g r g^-1 = sigma_a and r the
+    representative of sigma_a's class; int16 while p(t) t! < 2^15 (t <= 6),
+    else int32.  Gathers on ``prod``."""
     tab = product_table(t)
-    inv = tab.prod[:, 0]
+    inv, n = tab.prod[:, 0], len(tab.cls)
     # Row c is g r_c g^-1 over all g; take the first g that gives each a.
     g = np.unique(tab.prod[inv[tab.prod[inv[:, None], tab.reps].T], inv], return_index=True)[1]
-    g %= len(inv)
-    conj = tab.prod[inv[tab.prod[g]], g[:, None]]
-    conj.flags.writeable = False
-    return conj
+    g %= n
+    dtype = np.int16 if len(tab.reps) * n < 2**15 else np.int32
+    flat = tab.prod[inv[tab.prod[g]], g[:, None]].astype(dtype)
+    flat += n * tab.cls[:, None].astype(dtype)
+    flat.flags.writeable = False
+    return flat
 
 
 def from_class_rows(t: int, rows: np.ndarray, at=slice(None)) -> np.ndarray:
     """The conjugation-invariant matrix with these rows at ``product_table(t).reps``,
-    or its rows ``at`` (an int gives one row)."""
-    return rows[product_table(t).cls[at, None], conjugation_table(t)[at]]
+    or its rows ``at`` (an int gives one row): one gather of the raveled
+    rows through ``conjugation_table(t)``."""
+    return rows.ravel()[conjugation_table(t)[at]]
 
 
 def class_product(rows: np.ndarray, *rest) -> np.ndarray:

@@ -160,7 +160,7 @@ def transfer_full(spec, basis: str, exact: bool) -> np.ndarray:
     if basis == LOCALIZED and spec.kind != DEPOLARIZE:
         (a, da), = split_all(m)
         c = np.array([d ** (t - 1 - s) for s in range(t)], dtype=a.dtype)[tab.size]
-        lower = loc._order_matrix(t, mobius=False)
+        lower = loc._subperm_table(t).T
         rows = sg.class_product(lower[tab.reps], a * c[:, None] * c[None, :], lower.T)
         m = join(sg.from_class_rows(t, rows), da * d ** (2 * t - 2))
     if spec.k > 1:

@@ -99,7 +99,8 @@ def test_json_format(capsys):
     assert any("9/8" in row for row in ["".join(r) for r in payload["rows"]])
 
 
-@pytest.mark.parametrize("rows", [[], [["0"]], [["1/2", "x"], ["a\nb\u00e9", "3"]]])
+@pytest.mark.parametrize("rows", [[], [["0"]], [["1/2", "x"], ["a\nb\u00e9", "3"]],
+                                  [['say "q"', "back\\slash"], ["\u00e9t\u00e9", "\x01"]]])
 def test_json_text_matches_one_dump(rows):
     fields = {"version": "v", "config": {"rows": [], "a": {"b": [1]}}, "columns": ["p", "q"]}
     got = "".join(cli._json_text(fields, iter(rows)))
@@ -162,9 +163,27 @@ def test_hierarchy_verbose_logs_each_group(capsys, caplog):
                       "--d-list", "2", "--dE-rules", "1,2")
     assert code == 0
     lines = [r.getMessage() for r in caplog.records if r.name == "channelmoments.moments"]
+    assert lines[0] == "left out 1 (t, d, dE) with d*dE < t: t=3 d=2 dE=1"
+    lines = lines[1:]
     assert [l.split(" done")[0] for l in lines] == [
         "t=2 d=2 dE=1", "t=2 d=2 dE=2", "t=3 d=2 dE=2"]
     assert all(f"{i} of 3 (" in l and l.endswith(" s elapsed)") for i, l in enumerate(lines, 1))
+
+
+def test_hierarchy_verbose_names_the_points_it_leaves_out(capsys, caplog):
+    """A scan whose every point has d*dE < t writes a header and no row;
+    -v says which (t, d, dE) it left out, in one line, and logs no group.
+    The output is the same with and without -v."""
+    argv = ["hierarchy", "--t-list", "4,5", "--k-list", "1,2", "--d-list", "2", "--dE-rules", "1"]
+    code, quiet = run_cli(capsys, *argv)
+    assert code == 0 and quiet.splitlines()[-1] == "t,k,d,dE,norm2,trace,eps_dep,flags"
+    assert not [r for r in caplog.records if r.name == "channelmoments.moments"]
+    caplog.set_level(logging.INFO)
+    code, out = run_cli(capsys, "-v", *argv)
+    assert code == 0
+    assert out == quiet
+    lines = [r.getMessage() for r in caplog.records if r.name == "channelmoments.moments"]
+    assert lines == ["left out 2 (t, d, dE) with d*dE < t: t=4 d=2 dE=1; t=5 d=2 dE=1"]
 
 
 def test_exact_hierarchy_rows_are_fractions(capsys):

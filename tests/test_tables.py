@@ -92,8 +92,8 @@ def test_conjugation_table_is_inner_automorphism_to_representative(t):
     tab = sg.product_table(t)
     table = sg.conjugation_table(t)
     assert sg.conjugation_table(t) is table and not table.flags.writeable
-    conj = table.astype(np.intp)
     n = len(tab.cls)
+    conj = table - n * tab.cls.astype(np.intp)[:, None]
     assert np.array_equal(np.sort(conj, axis=1), np.broadcast_to(np.arange(n), (n, n)))
     assert np.array_equal(tab.cls[conj], np.broadcast_to(tab.cls, (n, n)))
     assert np.array_equal(conj[:, tab.prod], tab.prod[conj[:, :, None], conj[:, None, :]])
@@ -127,6 +127,28 @@ def test_from_class_rows_rebuilds_conjugation_invariant_matrix(t, exact):
         assert_same_exact(got, m)
     else:
         assert np.array_equal(got, m)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("exact", [True, False])
+def test_from_class_rows_reads_the_two_index_gather(t, exact):
+    """The one flat index reads what the class vector and the conjugation
+    columns read together, ``rows[cls[:, None], conj]``: in full, for one
+    row and for a slice of rows."""
+    tab, rng = sg.product_table(t), np.random.default_rng(t)
+    n = len(tab.cls)
+    cls = tab.cls.astype(np.intp)
+    conj = sg.conjugation_table(t) - n * cls[:, None]
+    rows = rng.normal(size=(len(tab.reps), n))
+    if exact:
+        rows = np.array([[Fraction(int(v * 99), 7) for v in row] for row in rows], dtype=object)
+    last = n - 1
+    for at, want in ((slice(None), rows[cls[:, None], conj]),
+                     (last, rows[cls[last], conj[last]]),
+                     (slice(1, n, 2), rows[cls[1::2, None], conj[1::2]])):
+        got = sg.from_class_rows(t, rows, at)
+        assert got.dtype == rows.dtype and got.shape == want.shape
+        assert got.tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("t", [3, 4])
