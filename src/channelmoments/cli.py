@@ -141,7 +141,7 @@ def _spec_and_config(args, **extra) -> tuple:
         "ensemble": spec.kind,
         "t": spec.t,
         "d": spec.d,
-        "dE": spec.environment_dim,
+        "dE": spec.dE,
         **extra,
     }
     return spec, config

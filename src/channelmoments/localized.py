@@ -80,9 +80,11 @@ def localized_gram(t: int, d: int, exact: bool = True) -> np.ndarray:
         raise ValueError("t and d must be >= 1")
     tab = sg.product_table(t)
     expo = tab.size[:, None] + tab.size[None, :] - tab.size[tab.prod]
-    raw = np.array([d**e for e in range(2 * t - 1)], dtype=object if exact else float)[expo]
     lower = _order_matrix(t)
-    return sg.from_class_rows(t, sg.class_product(lower[tab.reps], raw, lower.T))
+    # The class rows of L R first, so that R is freed before L^T is cast.
+    rows = lower[tab.reps].dot(
+        np.array([d**e for e in range(2 * t - 1)], dtype=object if exact else float)[expo])
+    return sg.from_class_rows(t, sg.class_product(rows, lower.T))
 
 
 def to_localized(tm: TransferMatrix) -> TransferMatrix:

@@ -124,8 +124,8 @@ def _tables(spec: EnsembleSpec, exact: bool) -> tuple:
         f, w = (np.eye(1, n, dtype=x.dtype)[0] * x[0]
                 for n in (t, len(sg.conjugacy_classes(t))))
     else:
-        f = wg.inverse_powers(spec.environment_dim, t, exact)
-        w = wg.weingarten_values(t, spec.d * spec.environment_dim, exact)
+        f = wg.inverse_powers(spec.dE, t, exact)
+        w = wg.weingarten_values(t, spec.d * spec.dE, exact)
     return f, x, w
 
 
@@ -531,7 +531,9 @@ def hierarchy_scan(
     """
     import logging
 
-    for name, grid, low in (("t", t_list, 1), ("k", k_list, 1), ("d", d_list, 2)):
+    # A repeated rule is an error; distinct rules that give one dE merge below.
+    for name, grid, low in (("t", t_list, 1), ("k", k_list, 1), ("d", d_list, 2),
+                            ("dE rule", dE_rules, None)):
         check_grid(name, grid, low)
     for t in t_list:
         if t > sg.max_order():
@@ -663,7 +665,7 @@ def invariance_checks(spec_a: EnsembleSpec, spec_b: EnsembleSpec) -> list:
         results.append(CheckResult("chaar_left_invariant_under_haar", sandwich_is(th, tc, tc)))
         results.append(CheckResult("chaar_right_invariant_under_haar", sandwich_is(tc, th, tc)))
     for tm in (ta, tb):
-        if t > 1 and tm.ensemble.environment_dim > 1:
+        if t > 1 and tm.ensemble.dE > 1:
             # mod = tau X = m / dm, and mod^2 - mod = (m^2 - dm m) / dm^2, by class rows.
             m, dm = lx[id(tm)], nums[id(tm)][1] * dx
             dev = join(sg.class_product(m, sg.from_class_rows(t, m)) - dm * m, dm * dm)
@@ -730,7 +732,7 @@ def frame_potential_mc(spec: EnsembleSpec, samples: int, seed: int = 0) -> MCEst
     if spec.k != 1:
         raise ValueError(f"the sampler draws single channels; k = {spec.k} is not supported")
     rng = np.random.default_rng(seed)
-    d, dE = spec.d, spec.environment_dim
+    d, dE = spec.d, spec.dE
 
     def draw(m):
         pairs = sample_stinespring_kraus(d, dE, rng, 2 * m).reshape(m, 2, dE, d, d)

@@ -23,9 +23,10 @@ DEPOLARIZE = "depolarize"
 class EnsembleSpec:
     """One of the reference channel ensembles at fixed dimensions.
 
-    ``d`` is the system dimension, ``dE`` the environment dimension (only
-    meaningful for the Stinespring-dilated ensemble), ``t`` the copy count
-    and ``k`` the requested number of concatenations.
+    ``d`` is the system dimension, ``dE`` the environment dimension of the
+    Stinespring dilation (set to 1 outside the dilated ensemble: Haar is the
+    trivial dilation), ``t`` the copy count and ``k`` the requested number
+    of concatenations.
     """
 
     kind: str
@@ -41,12 +42,8 @@ class EnsembleSpec:
             raise ValueError("system dimension must be >= 2")
         if self.dE < 1 or self.t < 1 or self.k < 1:
             raise ValueError("dE, t and k must be positive")
-
-    @property
-    def environment_dim(self) -> int:
-        """Environment dimension of the Stinespring dilation: ``dE`` for
-        the dilated ensemble, 1 otherwise (Haar is the trivial dilation)."""
-        return self.dE if self.kind == CHAAR else 1
+        if self.kind != CHAAR:
+            object.__setattr__(self, "dE", 1)
 
     def label(self) -> str:
         if self.kind == CHAAR:

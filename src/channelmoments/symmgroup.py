@@ -5,7 +5,7 @@ Conventions used throughout the package:
 - a permutation is stored by its image tuple, ``sigma(i) = images[i]``;
 - ``compose(a, b)`` applies ``b`` first, i.e. ``compose(a, b)(i) = a(b(i))``;
 - a cycle ``(c0, c1, ..., ck)`` maps ``c0 -> c1 -> ... -> ck -> c0``;
-- ``size(sigma)`` is the minimal number of transpositions in a factorization
+- ``sigma.size`` is the minimal number of transpositions in a factorization
   of ``sigma``, equal to ``t`` minus the number of orbits (fixed points count
   as orbits).
 
@@ -88,10 +88,7 @@ class Permutation:
         return self._hash
 
     def __repr__(self):
-        if not self.cycles:
-            return f"Perm(e, t={self.t})"
-        body = "".join("(" + " ".join(map(str, c)) + ")" for c in self.cycles)
-        return f"Perm({body}, t={self.t})"
+        return f"Perm({self.cycle_label()}, t={self.t})"
 
     def cycle_type(self):
         """Partition of t listing all orbit lengths, fixed points included."""
@@ -137,11 +134,6 @@ def inverse(a: Permutation) -> Permutation:
     for i, x in enumerate(a.images):
         inv[x] = i
     return Permutation(inv)
-
-
-def size(sigma: Permutation) -> int:
-    """Minimal transposition count: t minus the number of orbits."""
-    return sigma.size
 
 
 def support(sigma: Permutation) -> frozenset:

@@ -160,8 +160,8 @@ def generator_table(n: int, labels: dict) -> tuple:
 
     anti[P] says whether string P anticommutes with G; where it does,
     iPG = sign[P] * (string partner[P]).  Elsewhere partner[P] = P and
-    sign[P] = 1, so that ``twirl_pairs`` keeps c[P, Q] when neither
-    string anticommutes.
+    sign[P] = 1, so that the twirl rule of the module docstring keeps
+    c[P, Q] when neither string anticommutes.
     """
     idx = np.arange(4**n)
     partner = idx.copy()
@@ -173,22 +173,6 @@ def generator_table(n: int, labels: dict) -> tuple:
         partner ^= g << shift
     anti = phase.imag != 0
     return anti, np.where(anti, partner, idx), np.where(anti, (1j * phase).real, 1.0)
-
-
-def twirl_pairs(c: np.ndarray, table: tuple) -> np.ndarray:
-    """Uniform-angle gate average of Pauli-pair coefficients (module docstring).
-
-    Acts on the last two axes, so a stack of coefficient matrices is
-    twirled in one call.
-    """
-    anti, partner, sign = table
-    out = c[..., partner[:, None], partner]
-    out *= sign[:, None]
-    out *= sign
-    out += c
-    out *= 0.5
-    out *= anti[:, None] == anti
-    return out
 
 
 def noise_qubits(spec: CircuitSpec, qubits: tuple) -> tuple:
@@ -221,10 +205,10 @@ def _pair_key(p: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
 
 
 def _twirl_sparse(keys: np.ndarray, vals: np.ndarray, table: tuple, n: int) -> tuple:
-    """``twirl_pairs`` on the half-stored orbit sums of ``_pair_states``,
-    keyed P 4^n + Q with P <= Q.  The partner pair is stored as
-    (min(pi P, pi Q), max(pi P, pi Q)); pi P = pi Q only when P = Q, so each
-    key meets at most one partner image."""
+    """The twirl rule of the module docstring on the half-stored orbit sums
+    of ``_pair_states``, keyed P 4^n + Q with P <= Q.  The partner pair is
+    stored as (min(pi P, pi Q), max(pi P, pi Q)); pi P = pi Q only when
+    P = Q, so each key meets at most one partner image."""
     anti, partner, sign = table
     p, q = keys >> 2 * n, keys & (4**n - 1)
     ap, aq = anti[p], anti[q]
@@ -361,13 +345,25 @@ def _haar_composite_norm(m: np.ndarray, d: int, t: int, k: int) -> float:
     return float(((r.T @ (noisy @ noisy.T) @ r) * mo.gram(t, d, exact=False).T).sum())
 
 
-def _generator_twirl_pair_matrix(g_labels: str) -> np.ndarray:
-    """Two-copy single-generator twirl in the Pauli-pair basis: column
-    (a, b) is the pair twirl of the unit coefficient matrix at (a, b)."""
-    nb = 4 ** len(g_labels)
-    units = np.eye(nb * nb).reshape(nb * nb, nb, nb)
-    table = generator_table(len(g_labels), dict(enumerate(g_labels)))
-    return twirl_pairs(units, table).reshape(nb * nb, nb * nb).T
+def _generator_twirl(labels: str, t: int) -> np.ndarray:
+    """The twirl of the generator with Pauli letters ``labels`` over Pauli
+    strings (t = 1) or string pairs (t = 2), from (anti, partner, sign) =
+    ``generator_table``: T1 = diag(1 - anti), and T2 at row (P, Q) is
+    [anti(P) = anti(Q)] (I + F (x) F) / 2 for the signed partner map
+    F[P, partner(P)] = sign(P), the twirl rule of the module docstring."""
+    if not set(labels) <= set("IXYZ"):
+        raise ValueError(f"generator label {labels!r} has a letter outside IXYZ")
+    anti, partner, sign = generator_table(len(labels), dict(enumerate(labels)))
+    if t == 1:
+        return np.diag(1.0 - anti)
+    nb = len(anti)
+    pairs = np.arange(nb * nb)
+    out = np.zeros((nb * nb, nb * nb))
+    # Row (P, Q) of F (x) F holds sign(P) sign(Q) at (partner P, partner Q).
+    out[pairs, (partner[:, None] * nb + partner).ravel()] = np.outer(sign, sign).ravel()
+    out[pairs, pairs] += 1.0
+    out *= 0.5 * (anti[:, None] == anti).reshape(-1, 1)
+    return out
 
 
 def composite_noise_norm(
@@ -380,9 +376,10 @@ def composite_noise_norm(
     """Squared HS norm of k concatenations of (noise after random unitary).
 
     Supported for t in {1, 2}; Haar unitaries via ``_haar_composite_norm``.
-    The single-generator ensemble needs an involutory Pauli ``generator``
-    label string and works in the orthonormalized Pauli-string basis, where
-    concatenation is a matrix power and the squared HS norm a Frobenius norm.
+    The single-generator ensemble needs a Pauli ``generator`` label string
+    over IXYZ and works in the orthonormalized Pauli-string basis, with the
+    closed-form twirl matrix of ``_generator_twirl``: concatenation is a
+    matrix power and the squared HS norm a Frobenius norm.
     """
     if t not in (1, 2):
         raise ValueError("composite norms implemented for t = 1, 2 only")
@@ -397,13 +394,9 @@ def composite_noise_norm(
         raise ValueError("single-generator ensemble needs a generator label")
     if 2 ** len(generator) != noise.d:
         raise ValueError("generator label length must match the noise dimension")
-    if t == 1:
-        # the first-order twirl keeps the commuting strings and kills the rest
-        anti = generator_table(len(generator), dict(enumerate(generator)))[0]
-        m_uni = np.diag(1.0 - anti)
-    else:
+    m_uni = _generator_twirl(generator, t)
+    if t == 2:
         m_noise = np.kron(m_noise, m_noise)
-        m_uni = _generator_twirl_pair_matrix(generator)
     power = np.linalg.matrix_power(m_noise @ m_uni, k)
     return float(np.sum(power * power))
 
@@ -490,7 +483,7 @@ def mc_expectation_moments(spec, rho: np.ndarray, obs: np.ndarray, samples: int,
     else:
 
         def draw(m):
-            kraus = mo.sample_stinespring_kraus(d, spec.environment_dim, rng, m)
+            kraus = mo.sample_stinespring_kraus(d, spec.dE, rng, m)
             out = (kraus @ rho @ kraus.conj().swapaxes(-1, -2)).sum(axis=1)
             return np.trace(out @ obs, axis1=1, axis2=2).real
 

@@ -12,13 +12,15 @@ two-copy superoperator, the t-fold superoperator as a sum over Kraus
 tuples, the Pauli transfer matrix as a loop of traces, a one-leg channel
 through krons of full-width Kraus operators, an explicit depolarizing
 Kraus set, the dense gate twirls, the single-copy input vector, the dense
-two-copy circuit evolution, the evolution over all 16^n Pauli-pair
+two-copy circuit evolution, the Pauli-pair twirl of dense coefficient
+matrices (a stack of them at once), the evolution over all 16^n Pauli-pair
 coefficients, the sparse pair evolution that stores both triangles, the
-dense single-generator and Haar pair twirls, the Haar
-composite norm as a power of the dense Pauli-pair matrix, the two-copy
-weights in closed form, the Monte-Carlo estimators as loops over single
-draws, the dilated ensemble's transfer matrix as t!^2 products, every
-reference transfer matrix built and carried in full, the
+dense single-generator twirls over strings and string pairs, the dense
+Haar pair twirl, the Haar and single-generator composite norms as powers
+of dense matrices, the two-copy weights in closed form, the Monte-Carlo
+estimators as loops over single draws, the dilated ensemble's transfer
+matrix as t!^2 products, every reference transfer matrix built and
+carried in full, the
 right eigenpairs of tau X from one dense t! x t! eigensolve, the
 reference norms and traces from the rows at the class representatives,
 the dense
@@ -398,6 +400,24 @@ def pauli_channel_leg(c: np.ndarray, r: np.ndarray, leg: int) -> np.ndarray:
     return np.matmul(r, c.reshape(4**leg, 4, -1)).reshape(c.shape)
 
 
+def twirl_pairs(c: np.ndarray, table: tuple) -> np.ndarray:
+    """Uniform-angle gate average of Pauli-pair coefficients (the
+    ``twirlsim`` module docstring) on dense coefficient matrices, from a
+    ``twirlsim.generator_table``.
+
+    Acts on the last two axes, so a stack of coefficient matrices is
+    twirled in one call.
+    """
+    anti, partner, sign = table
+    out = c[..., partner[:, None], partner]
+    out *= sign[:, None]
+    out *= sign
+    out += c
+    out *= 0.5
+    out *= anti[:, None] == anti
+    return out
+
+
 def evolve_pairs_dense(spec) -> list:
     """Purity after each layer from all 16^n Pauli-pair coefficients c[P, Q]
     (the ``twirlsim`` module docstring); oracle for the sparse evolve."""
@@ -413,7 +433,7 @@ def evolve_pairs_dense(spec) -> list:
     out = []
     for _ in range(spec.layers):
         for qubits, table in gates:
-            c = tw.twirl_pairs(c, table)
+            c = twirl_pairs(c, table)
             for q in tw.noise_qubits(spec, qubits):
                 c = pauli_channel_leg(c, r, q)
                 c = pauli_channel_leg(c, r, q + n)
@@ -481,10 +501,23 @@ def expand_half_pairs(keys: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
     return c
 
 
+def generator_twirl_matrix_dense(g_labels: str) -> np.ndarray:
+    """Single-copy single-generator twirl in the Pauli-string basis: each
+    string P_a is twirled as a dense matrix and expanded back by its
+    Hilbert-Schmidt overlaps with every string P_c."""
+    n = len(g_labels)
+    g = ch.pauli_string(n, g_labels)
+    mats = [ch.pauli_string(n, lab) for lab in ch.pauli_labels(n)]
+    overlap = np.array([p.conj().ravel() for p in mats]) / 2**n
+    return np.array([overlap @ gate_twirl_t1(p, g).ravel() for p in mats]).T.real
+
+
+@lru_cache(maxsize=None)
 def generator_twirl_pair_matrix_dense(g_labels: str) -> np.ndarray:
     """Two-copy single-generator twirl in the Pauli-pair basis: each string
     pair P_a (x) P_b is twirled as a dense matrix and expanded back by its
-    Hilbert-Schmidt overlaps with every pair P_c (x) P_e."""
+    Hilbert-Schmidt overlaps with every pair P_c (x) P_e.  Cached and
+    read-only, since the composite-norm tests share it."""
     n = len(g_labels)
     d = 2**n
     g = ch.pauli_string(n, g_labels)
@@ -492,7 +525,9 @@ def generator_twirl_pair_matrix_dense(g_labels: str) -> np.ndarray:
     pairs = [np.kron(pa, pb) for pa in mats for pb in mats]
     overlap = np.array([p.conj().ravel() for p in pairs]) / (d * d)
     cols = [overlap @ gate_twirl_t2(p, g).ravel() for p in pairs]
-    return np.array(cols).T.real
+    out = np.array(cols).T.real
+    out.flags.writeable = False
+    return out
 
 
 def haar_twirl_pair_matrix_dense(d: int) -> np.ndarray:
@@ -529,6 +564,22 @@ def haar_composite_norm_dense(noise: ch.NoiseModel, t: int, k: int) -> float:
     else:
         m_noise = np.kron(m_noise, m_noise)
         m_uni = haar_twirl_pair_matrix_dense(noise.d)
+    power = np.linalg.matrix_power(m_noise @ m_uni, k)
+    return float(np.sum(power * power))
+
+
+def generator_composite_norm_dense(noise: ch.NoiseModel, t: int, k: int, g_labels: str) -> float:
+    """Squared HS norm of k concatenations of (noise after a uniform-angle
+    gate with generator ``g_labels``) as the Frobenius norm of the k-th
+    power of the dense matrix over Pauli strings (t = 1) or string pairs
+    (t = 2); oracle for the single-generator branch of
+    twirlsim.composite_noise_norm."""
+    m_noise = noise.single_copy_transfer()
+    if t == 1:
+        m_uni = generator_twirl_matrix_dense(g_labels)
+    else:
+        m_noise = np.kron(m_noise, m_noise)
+        m_uni = generator_twirl_pair_matrix_dense(g_labels)
     power = np.linalg.matrix_power(m_noise @ m_uni, k)
     return float(np.sum(power * power))
 

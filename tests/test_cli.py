@@ -186,6 +186,14 @@ def test_hierarchy_verbose_names_the_points_it_leaves_out(capsys, caplog):
     assert lines == ["left out 2 (t, d, dE) with d*dE < t: t=4 d=2 dE=1; t=5 d=2 dE=1"]
 
 
+def test_hierarchy_rules_that_resolve_to_one_dE_write_one_row(capsys):
+    code, out = run_cli(capsys, "hierarchy", "--t-list", "2", "--k-list", "1", "--d-list", "2",
+                        "--dE-rules", "2,d")
+    assert code == 0
+    rows = [l.split(",") for l in out.splitlines() if not l.startswith("#")][1:]
+    assert [(row[2], row[3]) for row in rows] == [("2", "2")]
+
+
 def test_exact_hierarchy_rows_are_fractions(capsys):
     """Exact rows are written as p/q: each parses back to the exact
     reference value, and eps_dep stays a float."""
@@ -457,6 +465,7 @@ def test_mc_k_fold_fails_without_concatenating(capsys, monkeypatch):
         ("--t-list", "2,2", "duplicate t = 2"),
         ("--k-list", "1,1", "duplicate k = 1"),
         ("--d-list", "2,3,2", "duplicate d = 2"),
+        ("--dE-rules", "1,1", "duplicate dE rule = 1"),
     ],
 )
 def test_hierarchy_bad_grid_is_one_error_line(capsys, flag, value, named):

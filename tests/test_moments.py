@@ -411,6 +411,7 @@ def test_hierarchy_scan_exact_path_agrees():
         (([2], [1], [2], ("1", "foo")), "'foo'"),
         (([2, 3, 7], [1], [8], ("1",)), "t = 7"),
         (([2], [1, 1], [2, 2], ("1", "d")), "duplicate k = 1"),
+        (([2], [1], [2], ("1", "d", "1")), "duplicate dE rule = 1"),
     ],
 )
 def test_hierarchy_scan_checks_grid_before_any_matrix(grid, bad, monkeypatch):
@@ -625,10 +626,11 @@ def test_frame_potential_matches_single_draw_loop(spec, samples):
 
 
 def test_environment_dim_is_one_outside_the_dilation():
-    assert chaar(2, 3, 2).environment_dim == 3
+    assert chaar(2, 3, 2).dE == 3
+    assert EnsembleSpec(HAAR, d=2, t=3, dE=5) == haar(2, 3)
     for kind in (HAAR, DEPOLARIZE):
         spec = EnsembleSpec(kind, d=2, t=2, dE=3)
-        assert spec.environment_dim == 1
+        assert spec.dE == 1
         assert np.array_equal(mo.leading_right_vector(spec),
                               mo.leading_right_vector(replace(spec, dE=1)))
 
@@ -786,7 +788,7 @@ def grid_id(spec):
     rank-one reference."""
     if spec.kind == DEPOLARIZE:
         return f"depolarize-{spec.t}-{spec.d}"
-    return f"{spec.t}-{spec.d}-{spec.environment_dim}"
+    return f"{spec.t}-{spec.d}-{spec.dE}"
 
 
 @pytest.mark.parametrize(
@@ -874,7 +876,7 @@ def test_transfer_equals_oracle_in_value_and_entry_type(spec, basis, exact):
         want = np.full((n, n), zero, dtype=object if exact else float)
         want[0, 0] = one
     else:
-        want = chaar_transfer_perm(spec.t, spec.d, spec.environment_dim, exact=exact)
+        want = chaar_transfer_perm(spec.t, spec.d, spec.dE, exact=exact)
         if basis == LOCALIZED:
             want = loc.to_localized(TransferMatrix.from_matrix(want, PERMUTATION, spec)).matrix
     got = mo.transfer(spec, basis=basis, exact=exact).matrix

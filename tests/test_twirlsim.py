@@ -29,6 +29,8 @@ from oracles import (
     expand_half_pairs,
     gate_twirl_t1,
     gate_twirl_t2,
+    generator_composite_norm_dense,
+    generator_twirl_matrix_dense,
     generator_twirl_pair_matrix_dense,
     haar_composite_norm_dense,
     initial_two_copy_state,
@@ -343,8 +345,22 @@ def test_generator_table_matches_pauli_products(n):
 
 @pytest.mark.parametrize("label", ch.pauli_labels(1) + ch.pauli_labels(2))
 def test_generator_twirl_pair_matrix_matches_dense(label):
-    got = tw._generator_twirl_pair_matrix(label)
+    got = tw._generator_twirl(label, 2)
     assert np.max(np.abs(got - generator_twirl_pair_matrix_dense(label))) < 1e-13
+
+
+@pytest.mark.parametrize("label", ch.pauli_labels(1) + ch.pauli_labels(2))
+def test_generator_twirl_matrix_matches_dense(label):
+    got = tw._generator_twirl(label, 1)
+    assert np.max(np.abs(got - generator_twirl_matrix_dense(label))) < 1e-13
+
+
+@pytest.mark.parametrize("label", ["xyz", "XA", "Z "])
+def test_generator_twirl_rejects_a_letter_outside_ixyz(label):
+    model = ch.NoiseModel.uniform(2 ** len(label), 0.1, 0.0)
+    for t in (1, 2):
+        with pytest.raises(ValueError, match=f"generator label {label!r} has a letter"):
+            tw.composite_noise_norm(tw.SINGLE_GENERATOR, model, t, 1, generator=label)
 
 
 @pytest.mark.parametrize("d", range(2, 9))
@@ -437,6 +453,17 @@ def test_haar_composite_norm_matches_dense_power(d, t, gamma, eta):
     for k in range(1, 7):
         got = tw.composite_noise_norm(tw.HAAR_UNITARIES, model, t, k)
         want = haar_composite_norm_dense(model, t, k)
+        assert abs(got - want) <= 1e-12 * want, k
+
+
+@pytest.mark.parametrize("gamma, eta", NOISE_PAIRS)
+@pytest.mark.parametrize("t", [1, 2])
+@pytest.mark.parametrize("label", ch.pauli_labels(1) + ch.pauli_labels(2))
+def test_generator_composite_norm_matches_dense_power(label, t, gamma, eta):
+    model = ch.NoiseModel.uniform(2 ** len(label), gamma, eta)
+    for k in range(1, 5):
+        got = tw.composite_noise_norm(tw.SINGLE_GENERATOR, model, t, k, generator=label)
+        want = generator_composite_norm_dense(model, t, k, label)
         assert abs(got - want) <= 1e-12 * want, k
 
 
