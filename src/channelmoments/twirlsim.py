@@ -47,7 +47,12 @@ D kills); and each noisy leg with O != 0 adds its lifted entries and merges
 once more, after which one more merge folds the keys.  A merge sorts, so a
 gate costs O(m log m) for m live coefficients.  Over 10 HEA layers at n = 7
 from |0...0> with amplitude damping on the gate qubits, m peaks at 0.15 M of
-the 134 M unordered pairs; with a unital noise it stays at 16 k.
+the 134 M unordered pairs; with a unital noise it stays at 16 k.  The first
+layer runs its gates in the commuting order of ``first_layer_order``, so a
+ZZ gate thins the state between the X gates whose amplitude damping adds Z
+digits: over 10 matchgate layers at n = 7 from |+...+>, m peaks at 0.45 M
+instead of the listed order's 2.39 M, and peak memory at about 90 MB
+instead of 330 MB.
 
 The reference purities, variances and Haar composite norms read the t = 1, 2
 transfer matrices of ``moments.transfer``; no Weingarten value is derived here.
@@ -89,6 +94,32 @@ def generators(spec: CircuitSpec) -> list:
         gens += [(f"Y{i}", {i: "Y"}) for i in range(n)]
     gens += [(f"Z{i}Z{i+1}", {i: "Z", i + 1: "Z"}) for i in range(n - 1)]
     return gens
+
+
+def first_layer_order(spec: CircuitSpec) -> list:
+    """Positions in ``generators(spec)`` in the order ``_pair_states`` runs
+    the first layer.
+
+    Under gate-support noise placement, gates on disjoint qubits commute:
+    their angles are independent and each gate's noise acts on its own
+    qubits.  So each single-qubit gate is held back until the first later
+    gate that shares its qubit (X0, X1, Z0Z1, X2, Z1Z2, ... for the
+    matchgate layer), and the gates still held go last in listed order.
+    Two gates that share a qubit keep their listed order.  Register
+    placement keeps the listed order, since its noise acts on every qubit.
+    """
+    gens = generators(spec)
+    if spec.noise_placement == NOISE_ON_REGISTER:
+        return list(range(len(gens)))
+    order, held = [], {}
+    for i, (_, labels) in enumerate(gens):
+        order += sorted(held.pop(q) for q in labels if q in held)
+        if len(labels) == 1:
+            (q,) = labels
+            held[q] = i
+        else:
+            order.append(i)
+    return order + sorted(held.values())
 
 
 # -- signed-permutation Pauli actions ---------------------------------------
@@ -225,9 +256,10 @@ def _twirl_sparse(keys: np.ndarray, vals: np.ndarray, table: tuple, n: int) -> t
 
 
 def _pair_states(spec: CircuitSpec):
-    """The live orbit sums (keys, vals) after each gate, layer by layer: each
-    unordered pair of strings once, keyed P 4^n + Q with P <= Q, with value
-    c[P, Q] + c[Q, P] (c[P, P] on the diagonal)."""
+    """The live orbit sums (keys, vals) after each gate, layer by layer, the
+    first layer in the order of ``first_layer_order``: each unordered pair of
+    strings once, keyed P 4^n + Q with P <= Q, with value c[P, Q] + c[Q, P]
+    (c[P, P] on the diagonal)."""
     n = spec.n
     mask = 4**n - 1
     r = ch.pauli_transfer(ch.standard_noise(spec.noise, spec.gamma), 1) if spec.noise else np.eye(4)
@@ -248,8 +280,9 @@ def _pair_states(spec: CircuitSpec):
     i, j = np.triu_indices(len(live))
     keys = live[i] << 2 * n | live[j]
     vals = np.where(i == j, 1.0, 2.0) * c1[live[i]] * c1[live[j]]
-    for _ in range(spec.layers):
-        for table, factor, shifts in gates:
+    first = [gates[g] for g in first_layer_order(spec)]
+    for layer in range(spec.layers):
+        for table, factor, shifts in first if layer == 0 else gates:
             keys, vals = _twirl_sparse(keys, vals, table, n)
             vals *= factor[keys >> 2 * n] * factor[keys & mask]
             # A zero of D (e.g. dephasing at gamma = 1/2) makes exact zeros;
@@ -345,27 +378,6 @@ def _haar_composite_norm(m: np.ndarray, d: int, t: int, k: int) -> float:
     return float(((r.T @ (noisy @ noisy.T) @ r) * mo.gram(t, d, exact=False).T).sum())
 
 
-def _generator_twirl(labels: str, t: int) -> np.ndarray:
-    """The twirl of the generator with Pauli letters ``labels`` over Pauli
-    strings (t = 1) or string pairs (t = 2), from (anti, partner, sign) =
-    ``generator_table``: T1 = diag(1 - anti), and T2 at row (P, Q) is
-    [anti(P) = anti(Q)] (I + F (x) F) / 2 for the signed partner map
-    F[P, partner(P)] = sign(P), the twirl rule of the module docstring."""
-    if not set(labels) <= set("IXYZ"):
-        raise ValueError(f"generator label {labels!r} has a letter outside IXYZ")
-    anti, partner, sign = generator_table(len(labels), dict(enumerate(labels)))
-    if t == 1:
-        return np.diag(1.0 - anti)
-    nb = len(anti)
-    pairs = np.arange(nb * nb)
-    out = np.zeros((nb * nb, nb * nb))
-    # Row (P, Q) of F (x) F holds sign(P) sign(Q) at (partner P, partner Q).
-    out[pairs, (partner[:, None] * nb + partner).ravel()] = np.outer(sign, sign).ravel()
-    out[pairs, pairs] += 1.0
-    out *= 0.5 * (anti[:, None] == anti).reshape(-1, 1)
-    return out
-
-
 def composite_noise_norm(
     ensemble: str,
     noise: ch.NoiseModel,
@@ -377,9 +389,14 @@ def composite_noise_norm(
 
     Supported for t in {1, 2}; Haar unitaries via ``_haar_composite_norm``.
     The single-generator ensemble needs a Pauli ``generator`` label string
-    over IXYZ and works in the orthonormalized Pauli-string basis, with the
-    closed-form twirl matrix of ``_generator_twirl``: concatenation is a
-    matrix power and the squared HS norm a Frobenius norm.
+    over IXYZ and works in the orthonormalized Pauli-string basis, where
+    concatenation is a matrix power and the squared HS norm a Frobenius
+    norm.  From (anti, partner, sign) = ``generator_table``, the twirl is
+    T1 = diag(1 - anti) over strings, and over string pairs T2 at row
+    (P, Q) is [anti(P) = anti(Q)] (I + F (x) F) / 2 for the signed partner
+    map F[P, partner(P)] = sign(P), the twirl rule of the module docstring.
+    Each row of T2 has at most two nonzeros, so the noise N times T2 is a
+    gather of the columns of N.
     """
     if t not in (1, 2):
         raise ValueError("composite norms implemented for t = 1, 2 only")
@@ -394,10 +411,25 @@ def composite_noise_norm(
         raise ValueError("single-generator ensemble needs a generator label")
     if 2 ** len(generator) != noise.d:
         raise ValueError("generator label length must match the noise dimension")
-    m_uni = _generator_twirl(generator, t)
-    if t == 2:
+    if not set(generator) <= set("IXYZ"):
+        raise ValueError(f"generator label {generator!r} has a letter outside IXYZ")
+    anti, partner, sign = generator_table(len(generator), dict(enumerate(generator)))
+    if t == 1:
+        step = m_noise * (1.0 - anti)
+    else:
+        # Column (P, Q) of N T2 is (N[:, (P, Q)] mask[P, Q] + N[:, pp] (mask s)[pp]) / 2
+        # over the pair partner pp = (partner P, partner Q), an involution,
+        # with mask = [anti(P) = anti(Q)] and s = sign(P) sign(Q).
+        nb = len(anti)
+        mask = (anti[:, None] == anti).ravel()
+        pp = (partner[:, None] * nb + partner).ravel()
         m_noise = np.kron(m_noise, m_noise)
-    power = np.linalg.matrix_power(m_noise @ m_uni, k)
+        step = m_noise[:, pp]
+        step *= (mask * np.outer(sign, sign).ravel())[pp]
+        m_noise *= mask
+        step += m_noise
+        step *= 0.5
+    power = np.linalg.matrix_power(step, k)
     return float(np.sum(power * power))
 
 

@@ -15,8 +15,8 @@ Kraus set, the dense gate twirls, the single-copy input vector, the dense
 two-copy circuit evolution, the Pauli-pair twirl of dense coefficient
 matrices (a stack of them at once), the evolution over all 16^n Pauli-pair
 coefficients, the sparse pair evolution that stores both triangles, the
-dense single-generator twirls over strings and string pairs, the dense
-Haar pair twirl, the Haar and single-generator composite norms as powers
+dense single-generator twirls over strings and string pairs (by Pauli
+overlaps and in closed form), the dense Haar pair twirl, the Haar and single-generator composite norms as powers
 of dense matrices, the two-copy weights in closed form, the Monte-Carlo
 estimators as loops over single draws, the dilated ensemble's transfer
 matrix as t!^2 products, every reference transfer matrix built and
@@ -457,10 +457,13 @@ def _twirl_full(keys: np.ndarray, vals: np.ndarray, table: tuple, n: int) -> tup
     return np.concatenate((keys[neither], bk)), np.concatenate((vals[neither], bv))
 
 
-def pair_states_full(spec):
+def pair_states_full(spec, first_order=None):
     """The live coefficients c[P, Q] of both triangles (keys P 4^n + Q,
     values) after each gate; oracle for the half storage of
-    ``twirlsim._pair_states``."""
+    ``twirlsim._pair_states``.  The first layer runs the gates of
+    ``twirlsim.generators`` at the positions ``first_order`` (by default
+    ``twirlsim.first_layer_order``, the schedule of ``_pair_states``), and
+    later layers in their listed order."""
     n = spec.n
     r = ch.pauli_transfer(ch.standard_noise(spec.noise, spec.gamma), 1) if spec.noise else np.eye(4)
     diag = np.diag(r)
@@ -476,8 +479,11 @@ def pair_states_full(spec):
     live = np.flatnonzero(c1)
     keys = (live[:, None] << 2 * n | live).ravel()
     vals = np.outer(c1[live], c1[live]).ravel()
-    for _ in range(spec.layers):
-        for table, factor, shifts in gates:
+    if first_order is None:
+        first_order = tw.first_layer_order(spec)
+    first = [gates[g] for g in first_order]
+    for layer in range(spec.layers):
+        for table, factor, shifts in first if layer == 0 else gates:
             keys, vals = _twirl_full(keys, vals, table, n)
             vals *= factor[keys >> 2 * n] * factor[keys & (4**n - 1)]
             live = vals != 0
@@ -527,6 +533,26 @@ def generator_twirl_pair_matrix_dense(g_labels: str) -> np.ndarray:
     cols = [overlap @ gate_twirl_t2(p, g).ravel() for p in pairs]
     out = np.array(cols).T.real
     out.flags.writeable = False
+    return out
+
+
+def generator_twirl_closed_form(labels: str, t: int) -> np.ndarray:
+    """The dense twirl of the generator with Pauli letters ``labels`` over
+    Pauli strings (t = 1) or string pairs (t = 2), from (anti, partner,
+    sign) = ``twirlsim.generator_table``: T1 = diag(1 - anti), and T2 at row
+    (P, Q) is [anti(P) = anti(Q)] (I + F (x) F) / 2 for the signed partner
+    map F[P, partner(P)] = sign(P).  The single-generator branch of
+    ``twirlsim.composite_noise_norm`` gathers N T2 instead of forming T2."""
+    anti, partner, sign = tw.generator_table(len(labels), dict(enumerate(labels)))
+    if t == 1:
+        return np.diag(1.0 - anti)
+    nb = len(anti)
+    pairs = np.arange(nb * nb)
+    out = np.zeros((nb * nb, nb * nb))
+    # Row (P, Q) of F (x) F holds sign(P) sign(Q) at (partner P, partner Q).
+    out[pairs, (partner[:, None] * nb + partner).ravel()] = np.outer(sign, sign).ravel()
+    out[pairs, pairs] += 1.0
+    out *= 0.5 * (anti[:, None] == anti).reshape(-1, 1)
     return out
 
 

@@ -30,6 +30,7 @@ from oracles import (
     gate_twirl_t1,
     gate_twirl_t2,
     generator_composite_norm_dense,
+    generator_twirl_closed_form,
     generator_twirl_matrix_dense,
     generator_twirl_pair_matrix_dense,
     haar_composite_norm_dense,
@@ -230,10 +231,13 @@ def test_evolve_matches_dense_oracle_n4(ansatz, noise, placement):
 
 
 @pytest.mark.parametrize("placement", [NOISE_ON_GATE_SUPPORT, NOISE_ON_REGISTER])
-@pytest.mark.parametrize("noise", [ch.AMPLITUDE_DAMPING, ch.LOCAL_DEPOLARIZING])
+@pytest.mark.parametrize("noise", ch.NOISE_KINDS)
 @pytest.mark.parametrize("state", [ZERO_STATE, PLUS_STATE])
-@pytest.mark.parametrize("n, ansatz", [(4, HEA), (4, MAT), (5, MAT)])
+@pytest.mark.parametrize(
+    "n, ansatz", [(2, HEA), (2, MAT), (3, HEA), (3, MAT), (4, HEA), (4, MAT), (5, MAT)]
+)
 def test_evolve_matches_dense_pair_oracle(n, ansatz, state, noise, placement):
+    # The oracle runs every layer in the listed order.
     spec = CircuitSpec(n=n, ansatz=ansatz, layers=3, noise=noise, gamma=0.1,
                        initial_state=state, noise_placement=placement)
     want = np.array(evolve_pairs_dense(spec))
@@ -304,6 +308,82 @@ def test_pair_states_expand_to_the_full_storage_oracle(n, ansatz, state, placeme
 
 
 @pytest.mark.parametrize("placement", [NOISE_ON_GATE_SUPPORT, NOISE_ON_REGISTER])
+@pytest.mark.parametrize("ansatz", [HEA, MAT])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_first_layer_order_keeps_gates_that_share_a_qubit_in_order(n, ansatz, placement):
+    spec = CircuitSpec(n=n, ansatz=ansatz, layers=2, noise=ch.AMPLITUDE_DAMPING, gamma=0.1,
+                       noise_placement=placement)
+    gens = tw.generators(spec)
+    order = tw.first_layer_order(spec)
+    assert sorted(order) == list(range(len(gens)))
+    if placement == NOISE_ON_REGISTER:
+        assert order == list(range(len(gens)))
+    at = {g: i for i, g in enumerate(order)}
+    for a, b in product(range(len(gens)), repeat=2):
+        if a < b and set(gens[a][1]) & set(gens[b][1]):
+            assert at[a] < at[b], (gens[a][0], gens[b][0])
+
+
+@pytest.mark.parametrize(
+    "ansatz, names",
+    [
+        (MAT, "X0 X1 Z0Z1 X2 Z1Z2 X3 Z2Z3"),
+        (HEA, "X0 X1 X2 X3 Y0 Y1 Z0Z1 Y2 Z1Z2 Y3 Z2Z3"),
+    ],
+)
+def test_first_layer_order_holds_single_qubit_gates_back(ansatz, names):
+    spec = CircuitSpec(n=4, ansatz=ansatz, layers=1)
+    gens = tw.generators(spec)
+    assert [gens[g][0] for g in tw.first_layer_order(spec)] == names.split()
+
+
+def _schedule_cases():
+    # Every case at n = 5; at n = 6 the densest one, from |+...+> with
+    # amplitude damping, under gate-support placement.
+    for ansatz, state, placement, noise in product(
+        (HEA, MAT), (ZERO_STATE, PLUS_STATE), (NOISE_ON_GATE_SUPPORT, NOISE_ON_REGISTER),
+        ch.NOISE_KINDS,
+    ):
+        yield 5, ansatz, state, placement, noise
+    for ansatz in (HEA, MAT):
+        yield 6, ansatz, PLUS_STATE, NOISE_ON_GATE_SUPPORT, ch.AMPLITUDE_DAMPING
+
+
+def _on_common_keys(keys, vals, other_keys, other_vals):
+    """Two sparse states as dense vectors over the union of their keys."""
+    union = np.union1d(keys, other_keys)
+    a, b = np.zeros(len(union)), np.zeros(len(union))
+    a[np.searchsorted(union, keys)] = vals
+    b[np.searchsorted(union, other_keys)] = other_vals
+    return a, b
+
+
+@pytest.mark.parametrize("n, ansatz, state, placement, noise", _schedule_cases())
+def test_later_layers_run_in_listed_order(n, ansatz, state, placement, noise):
+    # From the end of the first layer on, _pair_states visits the states of
+    # the listed-order oracle at every gate.
+    spec = CircuitSpec(n=n, ansatz=ansatz, layers=2, noise=noise, gamma=0.1,
+                       initial_state=state, noise_placement=placement)
+    per_layer = len(tw.generators(spec))
+    purities = []
+    for step, ((keys, vals), (full_keys, full_vals)) in enumerate(
+        zip(tw._pair_states(spec), pair_states_full(spec, range(per_layer)), strict=True),
+        start=1,
+    ):
+        if step % per_layer == 0:
+            purities.append(4**n * float(full_vals @ full_vals))
+        if step >= per_layer:
+            # The orbit sums of the full storage: c[P, Q] + c[Q, P], c[P, P].
+            half_keys, inverse = np.unique(
+                tw._pair_key(full_keys >> 2 * n, full_keys & (4**n - 1), n), return_inverse=True
+            )
+            got, want = _on_common_keys(keys, vals, half_keys, np.bincount(inverse, full_vals))
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), step
+    got = np.array(tw.evolve(spec))
+    assert np.max(np.abs(got - purities) / purities) < 1e-12
+
+
+@pytest.mark.parametrize("placement", [NOISE_ON_GATE_SUPPORT, NOISE_ON_REGISTER])
 @pytest.mark.parametrize(
     "noise, gamma",
     [(ch.LOCAL_DEPOLARIZING, 0.75), (ch.DEPHASING, 0.5), (ch.BIT_FLIP, 0.5)],
@@ -345,14 +425,29 @@ def test_generator_table_matches_pauli_products(n):
 
 @pytest.mark.parametrize("label", ch.pauli_labels(1) + ch.pauli_labels(2))
 def test_generator_twirl_pair_matrix_matches_dense(label):
-    got = tw._generator_twirl(label, 2)
+    got = generator_twirl_closed_form(label, 2)
     assert np.max(np.abs(got - generator_twirl_pair_matrix_dense(label))) < 1e-13
 
 
 @pytest.mark.parametrize("label", ch.pauli_labels(1) + ch.pauli_labels(2))
 def test_generator_twirl_matrix_matches_dense(label):
-    got = tw._generator_twirl(label, 1)
+    got = generator_twirl_closed_form(label, 1)
     assert np.max(np.abs(got - generator_twirl_matrix_dense(label))) < 1e-13
+
+
+@pytest.mark.parametrize("t", [1, 2])
+@pytest.mark.parametrize("label", ch.pauli_labels(1) + ch.pauli_labels(2) + ["XYZ"])
+def test_generator_composite_norm_gathers_the_dense_product(label, t):
+    model = ch.NoiseModel.uniform(2 ** len(label), 0.1, 0.01)
+    m_noise = model.single_copy_transfer()
+    if t == 2:
+        m_noise = np.kron(m_noise, m_noise)
+    step = m_noise @ generator_twirl_closed_form(label, t)
+    for k in (1, 3):
+        power = np.linalg.matrix_power(step, k)
+        want = float(np.sum(power * power))
+        got = tw.composite_noise_norm(tw.SINGLE_GENERATOR, model, t, k, generator=label)
+        assert abs(got - want) <= 1e-12 * want, k
 
 
 @pytest.mark.parametrize("label", ["xyz", "XA", "Z "])
