@@ -16,9 +16,10 @@ two-copy circuit evolution, the Pauli-pair twirl of dense coefficient
 matrices (a stack of them at once), the evolution over all 16^n Pauli-pair
 coefficients, the sparse pair evolution that stores both triangles, the
 dense single-generator twirls over strings and string pairs (by Pauli
-overlaps and in closed form), the dense Haar pair twirl, the Haar and single-generator composite norms as powers
-of dense matrices, the two-copy weights in closed form, the Monte-Carlo
-estimators as loops over single draws, the dilated ensemble's transfer
+overlaps and in closed form), the dense Haar pair twirl, the Haar and
+single-generator composite norms as powers of dense matrices, the
+two-copy weights in closed form, the Monte-Carlo estimators as loops over
+single draws, the dilated ensemble's transfer
 matrix as t!^2 products, every reference transfer matrix built and
 carried in full, the
 right eigenpairs of tau X from one dense t! x t! eigensolve, the
