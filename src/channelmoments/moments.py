@@ -684,6 +684,12 @@ def invariance_checks(spec_a: EnsembleSpec, spec_b: EnsembleSpec) -> list:
 MC_CHUNK = 256
 
 
+def check_mc_samples(samples: int) -> None:
+    """Reject a Monte-Carlo run of fewer than 100 samples."""
+    if samples < 100:
+        raise ValueError("need at least 100 samples")
+
+
 @dataclass(frozen=True)
 class MCEstimate:
     value: float
@@ -727,8 +733,7 @@ def frame_potential_mc(spec: EnsembleSpec, samples: int, seed: int = 0) -> MCEst
     Draws independent channel pairs and averages the t-th power of the
     superoperator overlap sum_{jk} |Tr[K_j^dag M_k]|^2.
     """
-    if samples < 100:
-        raise ValueError("need at least 100 samples")
+    check_mc_samples(samples)
     if spec.k != 1:
         raise ValueError(f"the sampler draws single channels; k = {spec.k} is not supported")
     rng = np.random.default_rng(seed)

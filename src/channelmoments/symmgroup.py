@@ -12,7 +12,8 @@ Conventions used throughout the package:
 The sub-permutation partial order ``pi <= sigma`` is additivity of the size
 metric, ``size(inv(pi) * sigma) == size(sigma) - size(pi)``.  Below a fixed
 cycle this order is the lattice of non-crossing partitions of the cycle's
-index sequence, which is what ``enumerate_subpermutations`` exploits.
+index sequence, so ``subpermutation_count`` is a product of Catalan numbers
+over the cycles.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import combinations, product
 from math import comb
 from typing import NamedTuple
 
@@ -142,58 +142,6 @@ def support(sigma: Permutation) -> frozenset:
 
 def catalan(k: int) -> int:
     return comb(2 * k, k) // (k + 1)
-
-
-def _noncrossing_partitions(items):
-    """All non-crossing partitions of an ordered sequence, as block lists.
-
-    Recursion on the block containing the first element: chosen block members
-    split the remainder into independent gaps, which keeps every produced
-    partition non-crossing by construction.
-    """
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    m = len(rest)
-    for k in range(m + 1):
-        for picks in combinations(range(m), k):
-            block = [first] + [rest[i] for i in picks]
-            bounds = list(picks) + [m]
-            gaps = []
-            lo = 0
-            for b in bounds:
-                gaps.append(rest[lo:b])
-                lo = b + 1
-            for sub in product(*[list(_noncrossing_partitions(g)) for g in gaps]):
-                out = [block]
-                for part in sub:
-                    out.extend(part)
-                yield out
-
-
-def enumerate_subpermutations(sigma: Permutation) -> list:
-    """All pi with pi below sigma, built per cycle from non-crossing partitions.
-
-    A block {i1 < i2 < ...} of positions inside a cycle (c0, c1, ...) becomes
-    the sub-cycle (c_i1, c_i2, ...) in the same orientation.  The count is the
-    product of Catalan numbers of the cycle lengths.
-    """
-    t = sigma.t
-    per_cycle = []
-    for cyc in sigma.cycles:
-        opts = []
-        for part in _noncrossing_partitions(range(len(cyc))):
-            blocks = [tuple(cyc[i] for i in block) for block in part if len(block) > 1]
-            opts.append(blocks)
-        per_cycle.append(opts)
-    out = []
-    for combo in product(*per_cycle):
-        blocks = [b for blocks in combo for b in blocks]
-        out.append(from_cycles(t, blocks))
-    out.sort(key=canonical_key)
-    return out
 
 
 def subpermutation_count(sigma: Permutation) -> int:

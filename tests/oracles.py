@@ -6,7 +6,8 @@ of each element of S_t, the inverse of ``channels.vectorize``, a channel
 applied through its superoperator, the trace-preservation and unitality
 tests of a superoperator, Fraction matrices from rows, the relative size
 and the normalized character of permutations, the sub-permutation order by
-the size metric, the derangement count, a quadruple-sum norm,
+the size metric and by non-crossing partitions of each cycle, the
+derangement count, a quadruple-sum norm,
 the leading-eigenvector overlap, two exact matrix inverses, a reordered
 two-copy superoperator, the t-fold superoperator as a sum over Kraus
 tuples, the Pauli transfer matrix as a loop of traces, a one-leg channel
@@ -34,7 +35,7 @@ as a loop over matrix entries.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from itertools import product
+from itertools import combinations, product
 from math import factorial, log, sqrt
 
 import numpy as np
@@ -107,6 +108,58 @@ def is_subpermutation(pi, sigma) -> bool:
     if pi.t != sigma.t:
         raise sg.OrderMismatchError(f"order mismatch: {pi.t} != {sigma.t}")
     return relative_size(pi, sigma) == sigma.size - pi.size
+
+
+def _noncrossing_partitions(items):
+    """All non-crossing partitions of an ordered sequence, as block lists.
+
+    Recursion on the block containing the first element: chosen block members
+    split the remainder into independent gaps, which keeps every produced
+    partition non-crossing by construction.
+    """
+    items = list(items)
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    m = len(rest)
+    for k in range(m + 1):
+        for picks in combinations(range(m), k):
+            block = [first] + [rest[i] for i in picks]
+            bounds = list(picks) + [m]
+            gaps = []
+            lo = 0
+            for b in bounds:
+                gaps.append(rest[lo:b])
+                lo = b + 1
+            for sub in product(*[list(_noncrossing_partitions(g)) for g in gaps]):
+                out = [block]
+                for part in sub:
+                    out.extend(part)
+                yield out
+
+
+def enumerate_subpermutations(sigma) -> list:
+    """All pi with pi below sigma, built per cycle from non-crossing partitions.
+
+    A block {i1 < i2 < ...} of positions inside a cycle (c0, c1, ...) becomes
+    the sub-cycle (c_i1, c_i2, ...) in the same orientation.  The count is the
+    product of Catalan numbers of the cycle lengths.
+    """
+    t = sigma.t
+    per_cycle = []
+    for cyc in sigma.cycles:
+        opts = []
+        for part in _noncrossing_partitions(range(len(cyc))):
+            blocks = [tuple(cyc[i] for i in block) for block in part if len(block) > 1]
+            opts.append(blocks)
+        per_cycle.append(opts)
+    out = []
+    for combo in product(*per_cycle):
+        blocks = [b for blocks in combo for b in blocks]
+        out.append(sg.from_cycles(t, blocks))
+    out.sort(key=sg.canonical_key)
+    return out
 
 
 def derangement_count(l: int) -> int:

@@ -359,10 +359,49 @@ def test_spectrum_command(capsys):
 
 
 def test_verify_suites_pass(capsys):
-    for suite in ("mobius", "oracle", "invariance", "spectrum"):
+    for suite in ("mobius", "weingarten", "localized", "oracle", "invariance", "spectrum"):
         code, out = run_cli(capsys, "verify", "--suite", suite)
         assert code == 0, out
         assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("fault", ["dropped_relation", "flipped_sign", "extra_relation"])
+def test_verify_finds_a_fault_in_the_cached_tables(capsys, monkeypatch, fault):
+    from channelmoments import localized as loc
+
+    order, mobius = loc._subperm_table(4).copy(), loc._order_matrix(4).copy()
+    # Index 0 is the identity, 1 and 2 are distinct transpositions.
+    assert order[1, 0] and not order[1, 2] and mobius[1, 0] == -1
+    if fault == "dropped_relation":
+        order[1, 0] = False
+    elif fault == "flipped_sign":
+        mobius[1, 0] = 1
+    else:
+        order[1, 2] = True
+    for name, table in (("_subperm_table", order), ("_order_matrix", mobius)):
+        real = getattr(loc, name)
+        monkeypatch.setattr(loc, name, lambda t, real=real, table=table: table if t == 4 else real(t))
+    for suite, check in (("mobius", "mobius_lattice_t4"), ("localized", "phi_inverse_t4")):
+        code, out = run_cli(capsys, "verify", "--suite", suite)
+        assert code == 1
+        assert f"{suite},{check},FAIL," in out
+
+
+@pytest.mark.parametrize("suite", ["all", "mc"])
+def test_verify_rejects_too_few_samples_before_any_suite(capsys, monkeypatch, tmp_path, suite):
+    ran = []
+    for name in cli.SUITES:
+        monkeypatch.setitem(cli.SUITES, name, lambda seed, samples, name=name: ran.append(name) or [])
+    target = tmp_path / "verify.csv"
+    code = main(["--out", str(target), "verify", "--suite", suite, "--samples", "50"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: need at least 100 samples\n"
+    assert ran == [] and not target.exists()
+
+
+def test_verify_without_mc_takes_any_sample_count(capsys):
+    code, out = run_cli(capsys, "verify", "--suite", "mobius", "--samples", "0")
+    assert code == 0 and "FAIL" not in out
 
 
 def test_out_file(tmp_path, capsys):
