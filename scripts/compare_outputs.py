@@ -30,7 +30,8 @@ superoperators for t <= 3, and the t <= 2 superoperators and transfers of
 two noise models.  It also holds the text that ``cli.main`` writes, in CSV
 and in JSON, for the seven README commands at small sizes, exact transfer
 matrices for t <= 4 in both bases with k = 1, 2, a float transfer matrix,
-exact Weingarten matrices at t = d = 4 and an exact hierarchy scan at
+exact Weingarten matrices at t = d = 4, float ones at t = d = 5 (so the
+row labels cover every cycle type of S_5) and an exact hierarchy scan at
 t = 2, 3; the config fields ``provenance`` and ``suite_seconds`` are taken
 out first, because they differ between trees and between runs.
 
@@ -59,6 +60,7 @@ CLI_COMMANDS = [
       for t in range(1, 5) for k in (1, 2) for basis in ("permutation", "localized")),
     "--float transfer --ensemble chaar --t 3 --d 2 --dE 3",
     "--exact weingarten --t 4 --d 4",
+    "--float weingarten --t 5 --d 5",
     "--exact hierarchy --t-list 2,3",
 ]
 

@@ -1,19 +1,24 @@
-"""Permutation algebra for the symmetric group S_t.
+"""Permutation algebra for the symmetric group S_t, on int8 image arrays.
 
 Conventions used throughout the package:
 
-- a permutation is stored by its image tuple, ``sigma(i) = images[i]``;
-- ``compose(a, b)`` applies ``b`` first, i.e. ``compose(a, b)(i) = a(b(i))``;
+- a permutation is a row of images, ``sigma(i) = images[i]``, and
+  ``symmetric_group(t)`` holds all of S_t as a (t!, t) int8 array in
+  canonical order;
+- a product applies its right factor first, ``(a b)(i) = a(b(i))``;
 - a cycle ``(c0, c1, ..., ck)`` maps ``c0 -> c1 -> ... -> ck -> c0``;
-- ``sigma.size`` is the minimal number of transpositions in a factorization
-  of ``sigma``, equal to ``t`` minus the number of orbits (fixed points count
-  as orbits).
+- the size of sigma is the minimal number of transpositions in a
+  factorization of sigma, equal to ``t`` minus the number of orbits (fixed
+  points count as orbits).
 
-The sub-permutation partial order ``pi <= sigma`` is additivity of the size
-metric, ``size(inv(pi) * sigma) == size(sigma) - size(pi)``.  Below a fixed
-cycle this order is the lattice of non-crossing partitions of the cycle's
-index sequence, so ``subpermutation_count`` is a product of Catalan numbers
-over the cycles.
+Every table over S_t is an array indexed by canonical position: the
+per-element size, class, Möbius value and support mask, and the product
+table of inv(sigma_i) sigma_j.  The sub-permutation partial order
+``pi <= sigma`` is additivity of the size metric,
+``size(inv(pi) * sigma) == size(sigma) - size(pi)``.  Below a fixed cycle
+this order is the lattice of non-crossing partitions of the cycle's index
+sequence, so the count below sigma is a product of Catalan numbers over
+its cycles, and its Möbius value one of signed Catalan numbers.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import permutations
 from math import comb
 from typing import NamedTuple
 
@@ -41,145 +47,65 @@ def max_order() -> int:
         raise ValueError(f"{MAX_ORDER_ENV}={raw!r} is not an integer") from None
 
 
-class OrderMismatchError(ValueError):
-    """Raised when combining permutations of different order t."""
-
-
-class Permutation:
-    """An element of S_t, with eagerly computed cycle data.
-
-    Instances are immutable and hashable; all derived quantities (cycles,
-    size, support) are computed once at construction.
-    """
-
-    __slots__ = ("images", "t", "cycles", "size", "support", "_hash")
-
-    def __init__(self, images):
-        images = tuple(images)
-        t = len(images)
-        if sorted(images) != list(range(t)):
-            raise ValueError(f"not a bijection on [{t}]: {images!r}")
-        self.images = images
-        self.t = t
-
-        seen = [False] * t
-        cycles = []
-        for start in range(t):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            j = images[start]
-            while j != start:
-                cyc.append(j)
-                seen[j] = True
-                j = images[j]
-            if len(cyc) > 1:
-                cycles.append(tuple(cyc))
-        self.cycles = tuple(sorted(cycles))
-        self.size = sum(len(c) - 1 for c in cycles)
-        self.support = frozenset(i for i in range(t) if images[i] != i)
-        self._hash = hash(images)
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"Perm({self.cycle_label()}, t={self.t})"
-
-    def cycle_type(self):
-        """Partition of t listing all orbit lengths, fixed points included."""
-        lens = [len(c) for c in self.cycles]
-        lens += [1] * (self.t - sum(lens))
-        return tuple(sorted(lens, reverse=True))
-
-    def cycle_label(self) -> str:
-        """Compact text form, e.g. ``e`` or ``(0 1)(2 3 4)``."""
-        if not self.cycles:
-            return "e"
-        return "".join("(" + " ".join(map(str, c)) + ")" for c in self.cycles)
-
-
-def identity(t: int) -> Permutation:
-    return Permutation(range(t))
-
-
-def transposition(t: int, i: int, j: int) -> Permutation:
-    images = list(range(t))
-    images[i], images[j] = j, i
-    return Permutation(images)
-
-
-def from_cycles(t: int, cycles) -> Permutation:
-    """Build a permutation from disjoint cycles, each mapping c[k] -> c[k+1]."""
-    images = list(range(t))
-    for cyc in cycles:
-        for k, c in enumerate(cyc):
-            images[c] = cyc[(k + 1) % len(cyc)]
-    return Permutation(images)
-
-
-def compose(a: Permutation, b: Permutation) -> Permutation:
-    """Product a∘b: apply b, then a."""
-    if a.t != b.t:
-        raise OrderMismatchError(f"order mismatch: {a.t} != {b.t}")
-    return Permutation(tuple(a.images[b.images[i]] for i in range(a.t)))
-
-
-def inverse(a: Permutation) -> Permutation:
-    inv = [0] * a.t
-    for i, x in enumerate(a.images):
-        inv[x] = i
-    return Permutation(inv)
-
-
-def support(sigma: Permutation) -> frozenset:
-    return sigma.support
-
-
 def catalan(k: int) -> int:
     return comb(2 * k, k) // (k + 1)
 
 
-def subpermutation_count(sigma: Permutation) -> int:
-    """Catalan-product count of the lattice below sigma (no enumeration)."""
-    n = 1
-    for cyc in sigma.cycles:
-        n *= catalan(len(cyc))
-    return n
+class _Elements(NamedTuple):
+    """S_t in canonical order: ``images`` (t!, t) int8, and per element its
+    ``size`` (int8), class ``cls`` (int8, position in ``classes``), Möbius
+    value ``mobius`` (int16) and support bitmask ``mask`` (int64);
+    ``classes`` is the value of ``conjugacy_classes``."""
 
-
-def mobius(sigma: Permutation) -> int:
-    """Product over cycles of (-1)^(len-1) * catalan(len-1)."""
-    m = 1
-    for cyc in sigma.cycles:
-        k = len(cyc) - 1
-        m *= (-1) ** k * catalan(k)
-    return m
-
-
-def canonical_key(sigma: Permutation):
-    """Sort key grouping permutations by support, smallest supports first."""
-    mask = 0
-    for i in sigma.support:
-        mask |= 1 << i
-    return (len(sigma.support), mask, sigma.images)
+    images: np.ndarray
+    size: np.ndarray
+    cls: np.ndarray
+    mobius: np.ndarray
+    mask: np.ndarray
+    classes: tuple
 
 
 @lru_cache(maxsize=None)
-def _symmetric_group_cached(t: int) -> tuple:
-    from itertools import permutations as _perms
+def _elements(t: int) -> _Elements:
+    """The ``_Elements`` of S_t, read-only, from the image rows alone.
 
-    elems = [Permutation(p) for p in _perms(range(t))]
-    elems.sort(key=canonical_key)
-    return tuple(elems)
+    The canonical order sorts by (support size, support mask, images).
+    The cycle length of each point comes from t gathers of the image rows,
+    and the rows of lengths, sorted descending, are unique per cycle type;
+    their lexicographic order is that of the partitions.
+    """
+    images = np.array(list(permutations(range(t))), dtype=np.int8).reshape(-1, t)
+    moved = images != np.arange(t)
+    mask = moved @ (1 << np.arange(t, dtype=np.int64))
+    order = np.lexsort((*images.T[::-1], mask, moved.sum(axis=1)))
+    images, mask = images[order], mask[order]
+    lengths = np.zeros_like(images)
+    power = images
+    for k in range(1, t + 1):
+        lengths[(power == np.arange(t)) & (lengths == 0)] = k
+        power = np.take_along_axis(images, power, axis=1)
+    rows, cls, counts = np.unique(-np.sort(-lengths, axis=1), axis=0,
+                                  return_inverse=True, return_counts=True)
+    classes, size, mobius = [], [], []
+    for row, count in zip(rows.tolist(), counts.tolist()):
+        parts, j = [], 0
+        while j < t:
+            parts.append(row[j])
+            j += row[j]
+        classes.append((tuple(parts), count))
+        size.append(t - len(parts))
+        mobius.append(np.prod([(-1) ** (k - 1) * catalan(k - 1) for k in parts]))
+    cls = cls.ravel().astype(np.int8)
+    out = _Elements(images, np.array(size, dtype=np.int8)[cls], cls,
+                    np.array(mobius, dtype=np.int16)[cls], mask, tuple(classes))
+    for a in out[:5]:
+        a.flags.writeable = False
+    return out
 
 
-def symmetric_group(t: int) -> tuple:
-    """All of S_t in canonical block order (identity first)."""
+def symmetric_group(t: int) -> np.ndarray:
+    """All of S_t as a read-only (t!, t) int8 array of image rows,
+    ``sigma(i) = images[i]``, in canonical order (identity first)."""
     if t < 1:
         raise ValueError("order must be >= 1")
     if t > max_order():
@@ -187,17 +113,14 @@ def symmetric_group(t: int) -> tuple:
             f"t={t} exceeds the cap {max_order()} "
             f"(set {MAX_ORDER_ENV} to raise it)"
         )
-    return _symmetric_group_cached(t)
+    return _elements(t).images
 
 
-@lru_cache(maxsize=None)
 def conjugacy_classes(t: int) -> tuple:
-    """Cycle types in sorted order, paired with member counts."""
-    counts: dict = {}
-    for p in symmetric_group(t):
-        key = p.cycle_type()
-        counts[key] = counts.get(key, 0) + 1
-    return tuple(sorted(counts.items()))
+    """Cycle types (partitions of t, parts descending) in sorted order,
+    paired with member counts."""
+    symmetric_group(t)  # the cap check
+    return _elements(t).classes
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,9 +161,9 @@ def product_table(t: int) -> ProductTable:
     product comes from a lookup on the base-t code of its image row.  Rows
     are built one at a time, so temporaries stay at t! * t entries.
     """
-    group = symmetric_group(t)
-    n = len(group)
-    images = np.array([p.images for p in group], dtype=np.int8).reshape(n, t)
+    images = symmetric_group(t)
+    el = _elements(t)
+    n = len(images)
     inverses = np.argsort(images, axis=1).astype(np.int8)
     weights = t ** np.arange(t - 1, -1, -1, dtype=np.int64)
     codes = images @ weights
@@ -249,16 +172,14 @@ def product_table(t: int) -> ProductTable:
     prod = np.empty((n, n), dtype=np.int16 if n <= 2**15 else np.int32)
     for i in range(n):
         prod[i] = lookup[inverses[i][images] @ weights]
-    kidx = {key: c for c, (key, _) in enumerate(conjugacy_classes(t))}
-    cls = np.array([kidx[p.cycle_type()] for p in group], dtype=np.int8)
-    size = np.array([p.size for p in group], dtype=np.int8)
+    cls, size = el.cls, el.size
     reps = np.unique(cls, return_index=True)[1]
     return ProductTable(
         prod=prod,
         size=size,
         cls=cls,
-        mobius=np.array([mobius(p) for p in group], dtype=np.int16),
-        mask=np.array([canonical_key(p)[1] for p in group], dtype=np.int64),
+        mobius=el.mobius,
+        mask=el.mask,
         reps=reps,
         class_sizes=np.bincount(cls),
         rep_cls=cls[prod[reps]],

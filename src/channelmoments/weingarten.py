@@ -98,7 +98,5 @@ def jucys_murphy_sum(t: int, d: int) -> Fraction:
 
 def character_sum(t: int, d: int) -> Fraction:
     """Direct summation of d^(-size) over the group (oracle for the closed form)."""
-    return sum(
-        (Fraction(1, d**p.size) for p in sg.symmetric_group(t)), Fraction(0)
-    )
+    return sum((Fraction(1, d**s) for s in sg.product_table(t).size.tolist()), Fraction(0))
 

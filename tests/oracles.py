@@ -1,7 +1,12 @@
 """Reference implementations that only the tests use.
 
 Each one computes by a route independent of (or more literal than) the
-package code it checks, or is a helper that only the tests call: the index
+package code it checks, or is a helper that only the tests call: the
+``Permutation`` object layer (the class with its cycles, size, support,
+cycle type and cycle label, the identity, transpositions, permutations
+from cycles, composition, inverse, support, the Catalan-product count of
+the order below an element, its Möbius value, the canonical sort key, and
+all of S_t as objects in canonical order), the index
 of each element of S_t, the inverse of ``channels.vectorize``, a channel
 applied through its superoperator, the trace-preservation and unitality
 tests of a superoperator, Fraction matrices from rows, the relative size
@@ -35,7 +40,7 @@ as a loop over matrix entries.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import factorial, log, sqrt
 
 import numpy as np
@@ -51,10 +56,142 @@ from channelmoments.moments import MCEstimate, leading_right_vector
 from channelmoments.specs import CHAAR, DEPOLARIZE, HAAR, LOCALIZED, ZERO_STATE, CircuitSpec
 
 
+class OrderMismatchError(ValueError):
+    """Raised when combining permutations of different order t."""
+
+
+class Permutation:
+    """An element of S_t, with eagerly computed cycle data.
+
+    Instances are immutable and hashable; all derived quantities (cycles,
+    size, support) are computed once at construction.
+    """
+
+    __slots__ = ("images", "t", "cycles", "size", "support", "_hash")
+
+    def __init__(self, images):
+        images = tuple(images)
+        t = len(images)
+        if sorted(images) != list(range(t)):
+            raise ValueError(f"not a bijection on [{t}]: {images!r}")
+        self.images = images
+        self.t = t
+
+        seen = [False] * t
+        cycles = []
+        for start in range(t):
+            if seen[start]:
+                continue
+            cyc = [start]
+            seen[start] = True
+            j = images[start]
+            while j != start:
+                cyc.append(j)
+                seen[j] = True
+                j = images[j]
+            if len(cyc) > 1:
+                cycles.append(tuple(cyc))
+        self.cycles = tuple(sorted(cycles))
+        self.size = sum(len(c) - 1 for c in cycles)
+        self.support = frozenset(i for i in range(t) if images[i] != i)
+        self._hash = hash(images)
+
+    def __eq__(self, other):
+        return isinstance(other, Permutation) and self.images == other.images
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"Perm({self.cycle_label()}, t={self.t})"
+
+    def cycle_type(self):
+        """Partition of t listing all orbit lengths, fixed points included."""
+        lens = [len(c) for c in self.cycles]
+        lens += [1] * (self.t - sum(lens))
+        return tuple(sorted(lens, reverse=True))
+
+    def cycle_label(self) -> str:
+        """Compact text form, e.g. ``e`` or ``(0 1)(2 3 4)``."""
+        if not self.cycles:
+            return "e"
+        return "".join("(" + " ".join(map(str, c)) + ")" for c in self.cycles)
+
+
+def identity(t: int) -> Permutation:
+    return Permutation(range(t))
+
+
+def transposition(t: int, i: int, j: int) -> Permutation:
+    images = list(range(t))
+    images[i], images[j] = j, i
+    return Permutation(images)
+
+
+def from_cycles(t: int, cycles) -> Permutation:
+    """Build a permutation from disjoint cycles, each mapping c[k] -> c[k+1]."""
+    images = list(range(t))
+    for cyc in cycles:
+        for k, c in enumerate(cyc):
+            images[c] = cyc[(k + 1) % len(cyc)]
+    return Permutation(images)
+
+
+def compose(a: Permutation, b: Permutation) -> Permutation:
+    """Product a∘b: apply b, then a."""
+    if a.t != b.t:
+        raise OrderMismatchError(f"order mismatch: {a.t} != {b.t}")
+    return Permutation(tuple(a.images[b.images[i]] for i in range(a.t)))
+
+
+def inverse(a: Permutation) -> Permutation:
+    inv = [0] * a.t
+    for i, x in enumerate(a.images):
+        inv[x] = i
+    return Permutation(inv)
+
+
+def support(sigma: Permutation) -> frozenset:
+    return sigma.support
+
+
+def subpermutation_count(sigma: Permutation) -> int:
+    """Catalan-product count of the lattice below sigma (no enumeration)."""
+    n = 1
+    for cyc in sigma.cycles:
+        n *= sg.catalan(len(cyc))
+    return n
+
+
+def mobius(sigma: Permutation) -> int:
+    """Product over cycles of (-1)^(len-1) * catalan(len-1)."""
+    m = 1
+    for cyc in sigma.cycles:
+        k = len(cyc) - 1
+        m *= (-1) ** k * sg.catalan(k)
+    return m
+
+
+def canonical_key(sigma: Permutation):
+    """Sort key grouping permutations by support, smallest supports first."""
+    mask = 0
+    for i in sigma.support:
+        mask |= 1 << i
+    return (len(sigma.support), mask, sigma.images)
+
+
+@lru_cache(maxsize=None)
+def symmetric_group(t: int) -> tuple:
+    """All of S_t as ``Permutation`` objects in canonical order (identity
+    first), sorted by ``canonical_key``; oracle for
+    ``symmgroup.symmetric_group``."""
+    return tuple(sorted(map(Permutation, permutations(range(t))), key=canonical_key))
+
+
 @lru_cache(maxsize=None)
 def group_index(t: int) -> dict:
     """images tuple -> position in the canonical order of S_t."""
-    return {p.images: i for i, p in enumerate(sg.symmetric_group(t))}
+    return {p.images: i for i, p in enumerate(symmetric_group(t))}
 
 
 def unvectorize(v: np.ndarray) -> np.ndarray:
@@ -92,7 +229,7 @@ def frac_array(rows) -> np.ndarray:
 
 def relative_size(pi, sigma) -> int:
     """size(inv(pi) * sigma), the transposition distance from pi to sigma."""
-    return sg.compose(sg.inverse(pi), sigma).size
+    return compose(inverse(pi), sigma).size
 
 
 def character(sigma, d: int, pi=None) -> Fraction:
@@ -106,7 +243,7 @@ def is_subpermutation(pi, sigma) -> bool:
     """True iff pi lies below sigma in the sub-permutation order: the size
     metric is additive along pi <= sigma."""
     if pi.t != sigma.t:
-        raise sg.OrderMismatchError(f"order mismatch: {pi.t} != {sigma.t}")
+        raise OrderMismatchError(f"order mismatch: {pi.t} != {sigma.t}")
     return relative_size(pi, sigma) == sigma.size - pi.size
 
 
@@ -157,8 +294,8 @@ def enumerate_subpermutations(sigma) -> list:
     out = []
     for combo in product(*per_cycle):
         blocks = [b for blocks in combo for b in blocks]
-        out.append(sg.from_cycles(t, blocks))
-    out.sort(key=sg.canonical_key)
+        out.append(from_cycles(t, blocks))
+    out.sort(key=canonical_key)
     return out
 
 

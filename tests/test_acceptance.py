@@ -14,7 +14,6 @@ import pytest
 from channelmoments import channels as ch
 from channelmoments import localized as loc
 from channelmoments import moments as mo
-from channelmoments import symmgroup as sg
 from channelmoments import twirlsim as tw
 from channelmoments import weingarten as wg
 from channelmoments.exactalg import mat_eq, product_is_identity
@@ -31,7 +30,7 @@ from channelmoments.specs import (
     depolarize,
     haar,
 )
-from oracles import gate_twirl_t2, group_index, unvectorize
+from oracles import gate_twirl_t2, group_index, symmetric_group, unvectorize
 
 
 def _report(num, name):
@@ -140,7 +139,7 @@ def test_acceptance_07_block_structure_and_exponents():
     # whose small-d ratio is polluted by subleading terms carry the
     # mixed-order flag at probes (8, 16) and must resolve at (16, 32)
     for t in (2, 3, 4):
-        group = sg.symmetric_group(t)
+        group = symmetric_group(t)
         idx = group_index(t)
         taus = [idx[p.images] for p in group if p.size == 1]
         for kind, rule, pattern_sel, tau_checks in (

@@ -18,6 +18,7 @@ from channelmoments import moments as mo
 from channelmoments import twirlsim as tw
 from channelmoments.cli import main
 from channelmoments.specs import CircuitSpec, chaar
+from oracles import symmetric_group
 
 
 def run_cli(capsys, *argv):
@@ -38,6 +39,15 @@ def test_weingarten_trivial(capsys):
     code, out = run_cli(capsys, "weingarten", "--t", "1", "--d", "5")
     assert code == 0
     assert "weingarten,0,0,e,e,1" in out
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+def test_matrix_row_labels_are_the_cycle_labels(t):
+    want = [p.cycle_label() for p in symmetric_group(t)]
+    n = len(want)
+    rows = list(cli._matrix_rows(np.zeros((n, n)), t))
+    assert [r[2] for r in rows[::n]] == want
+    assert [r[3] for r in rows[:n]] == want
 
 
 def test_weingarten_singular_exit_code(capsys):
@@ -570,6 +580,24 @@ def test_git_sha_reads_loose_packed_and_detached_heads(tmp_path):
     (tmp_path / "refs" / "heads").mkdir(parents=True)
     (tmp_path / "refs" / "heads" / "main").write_text(a + "\n")
     assert cli.git_sha(tmp_path) == a
+    # A worktree: its .git file names its own directory, whose HEAD is read
+    # there and whose branch refs are read from the common directory.
+    own = tmp_path / "worktrees" / "wt"
+    own.mkdir(parents=True)
+    (own / "HEAD").write_text("ref: refs/heads/topic\n")
+    (own / "commondir").write_text("../..\n")
+    checkout = tmp_path / "checkout"
+    checkout.mkdir()
+    (checkout / ".git").write_text(f"gitdir: {own}\n")
+    assert cli.git_sha(checkout / ".git") is None
+    (tmp_path / "packed-refs").write_text(f"{b} refs/heads/topic\n")
+    assert cli.git_sha(checkout / ".git") == b
+    (tmp_path / "refs" / "heads" / "topic").write_text(a + "\n")
+    assert cli.git_sha(checkout / ".git") == a
+    (checkout / ".git").write_text("gitdir: ../worktrees/wt\n")
+    assert cli.git_sha(checkout / ".git") == a
+    (own / "HEAD").write_text(b + "\n")
+    assert cli.git_sha(checkout / ".git") == b
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

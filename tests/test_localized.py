@@ -6,10 +6,16 @@ import pytest
 
 from channelmoments import localized as loc
 from channelmoments import moments as mo
-from channelmoments import symmgroup as sg
 from channelmoments.exactalg import mat_eq
 from channelmoments.specs import CHAAR, DEPOLARIZE, HAAR, LOCALIZED, EnsembleSpec
-from oracles import derangement_count, group_index, scaling_exponents_loop
+from oracles import (
+    derangement_count,
+    from_cycles,
+    group_index,
+    scaling_exponents_loop,
+    symmetric_group,
+    transposition,
+)
 
 
 def test_phi_t2():
@@ -18,10 +24,10 @@ def test_phi_t2():
 
 
 def test_phi_three_cycle_entry():
-    group = sg.symmetric_group(3)
+    group = symmetric_group(3)
     idx = group_index(3)
     phi = loc.phi_matrix(3)
-    i = idx[sg.from_cycles(3, [(0, 1, 2)]).images]
+    i = idx[from_cycles(3, [(0, 1, 2)]).images]
     assert phi[i, 0] == 2  # mobius of a 3-cycle
 
 
@@ -48,8 +54,8 @@ def test_localized_gram_transposition_block():
     # distinct transpositions are orthogonal
     lg3 = loc.localized_gram(3, 4)
     idx = group_index(3)
-    i = idx[sg.transposition(3, 0, 1).images]
-    j = idx[sg.transposition(3, 0, 2).images]
+    i = idx[transposition(3, 0, 1).images]
+    j = idx[transposition(3, 0, 2).images]
     assert lg3[i, i] == 15 and lg3[i, j] == 0
 
 
@@ -73,7 +79,7 @@ def test_block_size_identity(t):
     assert total == factorial(t)
     # and the support multiset of the group matches the block sizes
     by_support = {}
-    for p in sg.symmetric_group(t):
+    for p in symmetric_group(t):
         by_support[p.support] = by_support.get(p.support, 0) + 1
     for supp, count in by_support.items():
         assert count == derangement_count(len(supp))
@@ -82,7 +88,7 @@ def test_block_size_identity(t):
 def test_haar_localized_identity_column_and_transpositions():
     for t, d in ((2, 5), (3, 3), (4, 4)):
         tm = mo.transfer(EnsembleSpec(HAAR, d=d, t=t), basis=LOCALIZED)
-        group = sg.symmetric_group(t)
+        group = symmetric_group(t)
         # identity column: delta at the identity
         for i in range(len(group)):
             assert tm.matrix[i, 0] == (1 if i == 0 else 0)
@@ -123,7 +129,7 @@ def test_chaar_localized_closed_forms_at_t3():
     den = d * d * dE * dE - 1
     tm = mo.transfer(EnsembleSpec(CHAAR, d=d, t=3, dE=dE), basis=LOCALIZED)
     idx = group_index(3)
-    taus = [p for p in sg.symmetric_group(3) if p.size == 1]
+    taus = [p for p in symmetric_group(3) if p.size == 1]
     for a in taus:
         i = idx[a.images]
         assert tm.matrix[i, 0] == Fraction(dE - 1, den)
@@ -202,7 +208,7 @@ def test_to_localized_requires_permutation_basis():
 def frac_to_localized(tm):
     """zeta^T (chi tau chi) zeta with Fraction characters and a Fraction matmul."""
     chi = np.array(
-        [Fraction(1, tm.d**p.size) for p in sg.symmetric_group(tm.t)], dtype=object
+        [Fraction(1, tm.d**p.size) for p in symmetric_group(tm.t)], dtype=object
     )
     zeta = loc.phi_inverse(tm.t)
     return zeta.T.dot(tm.matrix * chi[:, None] * chi[None, :]).dot(zeta)
@@ -234,7 +240,7 @@ def test_to_localized_t5_matches_definition():
     # Entry (i, j) sums chi tau chi over sigma_p >= sigma_i and sigma_q >= sigma_j,
     # added up in Fractions (a Fraction matmul at t = 5 takes about 8 s).
     tm = mo.transfer(EnsembleSpec(CHAAR, d=2, t=5, dE=3))
-    chi = np.array([Fraction(1, 2**p.size) for p in sg.symmetric_group(5)], dtype=object)
+    chi = np.array([Fraction(1, 2**p.size) for p in symmetric_group(5)], dtype=object)
     mid = tm.matrix * chi[:, None] * chi[None, :]
     up = loc.phi_inverse(5).astype(bool)  # up[p, i]: sigma_i <= sigma_p
     rows = np.array([mid[up[:, i]].sum(axis=0) for i in range(len(up))])

@@ -9,13 +9,25 @@ from hypothesis import strategies as st
 
 from channelmoments import symmgroup as sg
 from oracles import (
+    OrderMismatchError,
+    Permutation,
+    canonical_key,
     character,
+    compose,
     derangement_count,
     enumerate_subpermutations,
+    from_cycles,
     group_index,
+    identity,
+    inverse,
     is_subpermutation,
+    mobius,
     relative_size,
+    subpermutation_count,
+    support,
+    symmetric_group,
     symmetry_basis,
+    transposition,
 )
 
 
@@ -23,15 +35,15 @@ def bfs_transposition_distance(t):
     """Distance of every element of S_t from the identity in the
     transposition Cayley graph; independent oracle for size()."""
     transpositions = [
-        sg.transposition(t, i, j) for i in range(t) for j in range(i + 1, t)
+        transposition(t, i, j) for i in range(t) for j in range(i + 1, t)
     ]
-    dist = {sg.identity(t).images: 0}
-    frontier = [sg.identity(t)]
+    dist = {identity(t).images: 0}
+    frontier = [identity(t)]
     while frontier:
         nxt = []
         for p in frontier:
             for tau in transpositions:
-                q = sg.compose(tau, p)
+                q = compose(tau, p)
                 if q.images not in dist:
                     dist[q.images] = dist[p.images] + 1
                     nxt.append(q)
@@ -41,59 +53,59 @@ def bfs_transposition_distance(t):
 
 def test_size_equals_minimal_transposition_count():
     dist = bfs_transposition_distance(4)
-    for p in sg.symmetric_group(4):
+    for p in symmetric_group(4):
         assert p.size == dist[p.images]
 
 
 def test_size_examples():
-    assert sg.identity(4).size == 0
-    assert sg.transposition(4, 0, 1).size == 1
-    assert sg.compose(sg.transposition(3, 0, 1), sg.transposition(3, 0, 2)).size == 2
+    assert identity(4).size == 0
+    assert transposition(4, 0, 1).size == 1
+    assert compose(transposition(3, 0, 1), transposition(3, 0, 2)).size == 2
 
 
 def test_compose_identity_and_involution():
-    e = sg.identity(4)
-    for p in sg.symmetric_group(4):
-        assert sg.compose(e, p) == p
-        assert sg.compose(p, e) == p
+    e = identity(4)
+    for p in symmetric_group(4):
+        assert compose(e, p) == p
+        assert compose(p, e) == p
     for i in range(4):
         for j in range(i + 1, 4):
-            tau = sg.transposition(4, i, j)
-            assert sg.compose(tau, tau) == e
+            tau = transposition(4, i, j)
+            assert compose(tau, tau) == e
 
 
 def test_compose_transpositions_gives_three_cycle():
     # the product of (01) and (02) is the full 3-cycle on {0,1,2}
-    c = sg.compose(sg.transposition(3, 0, 1), sg.transposition(3, 0, 2))
+    c = compose(transposition(3, 0, 1), transposition(3, 0, 2))
     assert len(c.cycles) == 1 and len(c.cycles[0]) == 3
     assert c.support == frozenset({0, 1, 2})
 
 
 def test_compose_order_mismatch():
-    with pytest.raises(sg.OrderMismatchError):
-        sg.compose(sg.identity(2), sg.identity(3))
+    with pytest.raises(OrderMismatchError):
+        compose(identity(2), identity(3))
 
 
 def test_support_examples():
-    assert sg.support(sg.identity(3)) == frozenset()
-    assert sg.support(sg.transposition(4, 0, 1)) == frozenset({0, 1})
-    p = sg.from_cycles(5, [(0, 1, 2), (3, 4)])
-    assert sg.support(p) == frozenset({0, 1, 2, 3, 4})
+    assert support(identity(3)) == frozenset()
+    assert support(transposition(4, 0, 1)) == frozenset({0, 1})
+    p = from_cycles(5, [(0, 1, 2), (3, 4)])
+    assert support(p) == frozenset({0, 1, 2, 3, 4})
 
 
 def test_subpermutation_examples():
-    for sigma in sg.symmetric_group(4):
-        assert is_subpermutation(sg.identity(4), sigma)
-    three = sg.from_cycles(3, [(0, 1, 2)])
-    assert is_subpermutation(sg.transposition(3, 0, 1), three)
-    double = sg.from_cycles(4, [(0, 1), (2, 3)])
-    assert not is_subpermutation(double, sg.transposition(4, 0, 1))
+    for sigma in symmetric_group(4):
+        assert is_subpermutation(identity(4), sigma)
+    three = from_cycles(3, [(0, 1, 2)])
+    assert is_subpermutation(transposition(3, 0, 1), three)
+    double = from_cycles(4, [(0, 1), (2, 3)])
+    assert not is_subpermutation(double, transposition(4, 0, 1))
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
 def test_enumeration_matches_order_definition(t):
     # oracle: scan the whole group with the defining size condition
-    group = sg.symmetric_group(t)
+    group = symmetric_group(t)
     for sigma in group:
         want = {pi.images for pi in group if is_subpermutation(pi, sigma)}
         got = {pi.images for pi in enumerate_subpermutations(sigma)}
@@ -102,66 +114,66 @@ def test_enumeration_matches_order_definition(t):
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 6])
 def test_enumeration_count_matches_catalan_product(t):
-    for sigma in sg.symmetric_group(t):
-        assert len(enumerate_subpermutations(sigma)) == sg.subpermutation_count(sigma)
+    for sigma in symmetric_group(t):
+        assert len(enumerate_subpermutations(sigma)) == subpermutation_count(sigma)
 
 
 def test_enumeration_examples():
-    assert enumerate_subpermutations(sg.identity(3)) == [sg.identity(3)]
-    tau = sg.transposition(2, 0, 1)
-    assert enumerate_subpermutations(tau) == [sg.identity(2), tau]
-    three = sg.from_cycles(3, [(0, 1, 2)])
+    assert enumerate_subpermutations(identity(3)) == [identity(3)]
+    tau = transposition(2, 0, 1)
+    assert enumerate_subpermutations(tau) == [identity(2), tau]
+    three = from_cycles(3, [(0, 1, 2)])
     subs = enumerate_subpermutations(three)
     assert len(subs) == 5
     labels = {p.cycle_label() for p in subs}
     assert "e" in labels and three.cycle_label() in labels
-    five = sg.from_cycles(5, [(0, 1, 2, 3, 4)])
+    five = from_cycles(5, [(0, 1, 2, 3, 4)])
     assert len(enumerate_subpermutations(five)) == 42
 
 
 def test_mobius_examples():
-    assert sg.mobius(sg.identity(5)) == 1
-    assert sg.mobius(sg.transposition(5, 1, 3)) == -1
-    assert sg.mobius(sg.from_cycles(3, [(0, 1, 2)])) == 2
-    assert sg.mobius(sg.from_cycles(4, [(0, 1, 2, 3)])) == -5
+    assert mobius(identity(5)) == 1
+    assert mobius(transposition(5, 1, 3)) == -1
+    assert mobius(from_cycles(3, [(0, 1, 2)])) == 2
+    assert mobius(from_cycles(4, [(0, 1, 2, 3)])) == -5
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 6])
 def test_mobius_lattice_sum(t):
     # sum over the lattice below sigma of mobius(inv(pi) sigma) is delta_{sigma,e}
-    for sigma in sg.symmetric_group(t):
+    for sigma in symmetric_group(t):
         total = sum(
-            sg.mobius(sg.compose(sg.inverse(pi), sigma))
+            mobius(compose(inverse(pi), sigma))
             for pi in enumerate_subpermutations(sigma)
         )
         assert total == (1 if sigma.size == 0 else 0)
 
 
 def test_factorization_over_disjoint_cycles():
-    p = sg.from_cycles(5, [(0, 1), (2, 3, 4)])
-    assert sg.subpermutation_count(p) == sg.catalan(2) * sg.catalan(3)
-    assert sg.mobius(p) == (-1) * 2
+    p = from_cycles(5, [(0, 1), (2, 3, 4)])
+    assert subpermutation_count(p) == sg.catalan(2) * sg.catalan(3)
+    assert mobius(p) == (-1) * 2
 
 
 def test_character_examples():
-    assert character(sg.identity(3), 7) == 1
-    assert character(sg.transposition(2, 0, 1), 2) == Fraction(1, 2)
-    assert character(sg.from_cycles(3, [(0, 1, 2)]), 3) == Fraction(1, 9)
-    e = sg.identity(3)
-    c = sg.from_cycles(3, [(0, 1, 2)])
+    assert character(identity(3), 7) == 1
+    assert character(transposition(2, 0, 1), 2) == Fraction(1, 2)
+    assert character(from_cycles(3, [(0, 1, 2)]), 3) == Fraction(1, 9)
+    e = identity(3)
+    c = from_cycles(3, [(0, 1, 2)])
     assert character(e, 3, pi=c) == Fraction(1, 9)
 
 
 @settings(max_examples=200)
 @given(st.permutations(range(5)), st.permutations(range(5)))
 def test_triangle_inequality(a, b):
-    sigma, pi = sg.Permutation(a), sg.Permutation(b)
+    sigma, pi = Permutation(a), Permutation(b)
     rel = relative_size(pi, sigma)
     assert abs(sigma.size - pi.size) <= rel <= sigma.size + pi.size
 
 
 def test_partial_order_properties():
-    group = sg.symmetric_group(4)
+    group = symmetric_group(4)
     below = {
         sigma.images: {pi.images for pi in enumerate_subpermutations(sigma)}
         for sigma in group
@@ -177,13 +189,38 @@ def test_partial_order_properties():
 
 
 def test_canonical_order():
-    group = sg.symmetric_group(4)
-    assert group[0] == sg.identity(4)
-    keys = [sg.canonical_key(p) for p in group]
+    group = symmetric_group(4)
+    assert group[0] == identity(4)
+    keys = [canonical_key(p) for p in group]
     assert keys == sorted(keys)
     # transpositions come right after the identity, ordered by support
-    assert group[1] == sg.transposition(4, 0, 1)
-    assert group_index(4)[sg.identity(4).images] == 0
+    assert group[1] == transposition(4, 0, 1)
+    assert group_index(4)[identity(4).images] == 0
+
+
+@pytest.mark.parametrize("t", [6, 7])
+def test_element_data_matches_objects(t, monkeypatch):
+    """The image rows, sizes, classes, Möbius values and support masks of
+    the array build against ``Permutation`` objects, past the default cap;
+    no product table is built."""
+    monkeypatch.setenv(sg.MAX_ORDER_ENV, str(t))
+    group = symmetric_group(t)
+    images = sg.symmetric_group(t)
+    assert images.dtype == np.int8 and not images.flags.writeable
+    assert images.tolist() == [list(p.images) for p in group]
+    counts = {}
+    for p in group:
+        counts[p.cycle_type()] = counts.get(p.cycle_type(), 0) + 1
+    assert sg.conjugacy_classes(t) == tuple(sorted(counts.items()))
+    kidx = {key: c for c, key in enumerate(sorted(counts))}
+    el = sg._elements(t)
+    assert el.images is images
+    assert el.size.tolist() == [p.size for p in group]
+    assert el.cls.tolist() == [kidx[p.cycle_type()] for p in group]
+    assert el.mobius.tolist() == [mobius(p) for p in group]
+    assert el.mask.tolist() == [canonical_key(p)[1] for p in group]
+    assert [a.dtype for a in el[1:5]] == [np.int8, np.int8, np.int16, np.int64]
+    assert not any(a.flags.writeable for a in el[:5])
 
 
 def test_order_cap(monkeypatch):
@@ -200,11 +237,11 @@ def test_derangement_count():
 def symmetry_group_images(t):
     """Index images of every element of H (inversion and conjugation by
     (0 1), (2 3), ...) over S_t, composed from ``Permutation`` objects."""
-    group, index = sg.symmetric_group(t), group_index(t)
-    gens = [sg.inverse]
+    group, index = symmetric_group(t), group_index(t)
+    gens = [inverse]
     for a in range(0, t - 1, 2):
-        g = sg.transposition(t, a, a + 1)
-        gens.append(lambda p, g=g: sg.compose(g, sg.compose(p, g)))
+        g = transposition(t, a, a + 1)
+        gens.append(lambda p, g=g: compose(g, compose(p, g)))
     images = [list(range(len(group)))]
     for gen in gens:
         images += [[index[gen(group[i]).images] for i in img] for img in images]

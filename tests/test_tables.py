@@ -14,7 +14,7 @@ from channelmoments import symmgroup as sg
 from channelmoments import weingarten as wg
 from channelmoments.exactalg import solve_exact
 from channelmoments.specs import chaar, haar
-from oracles import enumerate_subpermutations, group_index
+from oracles import compose, enumerate_subpermutations, group_index, inverse, mobius, symmetric_group
 
 ORDERS = [1, 2, 3, 4, 5]
 
@@ -22,8 +22,8 @@ ORDERS = [1, 2, 3, 4, 5]
 @lru_cache(maxsize=None)
 def relative(t):
     """rel[i][j] = inv(sigma_i) * sigma_j by explicit composition."""
-    group = sg.symmetric_group(t)
-    return [[sg.compose(sg.inverse(p), q) for q in group] for p in group]
+    group = symmetric_group(t)
+    return [[compose(inverse(p), q) for q in group] for p in group]
 
 
 def class_index(t):
@@ -31,18 +31,18 @@ def class_index(t):
 
 
 def phi_oracle(t):
-    group = sg.symmetric_group(t)
+    group = symmetric_group(t)
     idx = group_index(t)
     n = len(group)
     out = np.full((n, n), 0, dtype=object)
     for i, sigma in enumerate(group):
         for pi in enumerate_subpermutations(sigma):
-            out[i, idx[pi.images]] = sg.mobius(sg.compose(sg.inverse(pi), sigma))
+            out[i, idx[pi.images]] = mobius(compose(inverse(pi), sigma))
     return out
 
 
 def localized_gram_oracle(t, d, exact):
-    group = sg.symmetric_group(t)
+    group = symmetric_group(t)
     rel = relative(t)
     n = len(group)
     raw = np.empty((n, n), dtype=object if exact else float)
@@ -65,7 +65,7 @@ def assert_same_exact(got, want):
 
 @pytest.mark.parametrize("t", ORDERS)
 def test_product_table_matches_composition(t):
-    group = sg.symmetric_group(t)
+    group = symmetric_group(t)
     tab = sg.product_table(t)
     rel = relative(t)
     idx = group_index(t)
@@ -74,7 +74,7 @@ def test_product_table_matches_composition(t):
     kidx = class_index(t)
     assert tab.size.tolist() == [p.size for p in group]
     assert tab.cls.tolist() == [kidx[p.cycle_type()] for p in group]
-    assert tab.mobius.tolist() == [sg.mobius(p) for p in group]
+    assert tab.mobius.tolist() == [mobius(p) for p in group]
     assert tab.mask.tolist() == [sum(1 << i for i in p.support) for p in group]
     cls = tab.cls.tolist()
     assert tab.reps.tolist() == [cls.index(c) for c in range(len(kidx))]
@@ -103,9 +103,9 @@ def test_conjugation_table_is_inner_automorphism_to_representative(t):
 def conjugation_orbits(t):
     """Label of each pair (a, b) under simultaneous conjugation: the least
     (g a g^-1, g b g^-1) over g, by explicit composition."""
-    group = sg.symmetric_group(t)
+    group = symmetric_group(t)
     idx = group_index(t)
-    conj = [[idx[sg.compose(sg.compose(g, p), sg.inverse(g)).images] for p in group]
+    conj = [[idx[compose(compose(g, p), inverse(g)).images] for p in group]
             for g in group]
     return [[min((c[a], c[b]) for c in conj) for b in range(len(group))]
             for a in range(len(group))]
@@ -174,7 +174,7 @@ def test_pair_class_table(t):
 
 @pytest.mark.parametrize("t", ORDERS)
 def test_subperm_table(t):
-    group = sg.symmetric_group(t)
+    group = symmetric_group(t)
     idx = group_index(t)
     want = np.zeros((len(group), len(group)), dtype=bool)
     for i, sigma in enumerate(group):
@@ -208,7 +208,7 @@ def test_localized_gram_float(t, d):
 
 @pytest.mark.parametrize("t", ORDERS)
 def test_support_pattern(t):
-    group = sg.symmetric_group(t)
+    group = symmetric_group(t)
     same = [[p.support == q.support for q in group] for p in group]
     contains = [[p.support >= q.support for q in group] for p in group]
     got_same, got_contains = loc.support_pattern(t)
@@ -222,14 +222,14 @@ def test_weingarten_function(t, dd):
     d = t + dd
     keys = list(class_index(t))
     kidx = class_index(t)
-    group = sg.symmetric_group(t)
+    group = symmetric_group(t)
     reps = {}
     for p in group:
         reps.setdefault(p.cycle_type(), p)
     a = np.full((len(keys), len(keys)), Fraction(0), dtype=object)
     for r, key in enumerate(keys):
         for u in group:
-            c = kidx[sg.compose(sg.inverse(u), reps[key]).cycle_type()]
+            c = kidx[compose(inverse(u), reps[key]).cycle_type()]
             a[r, c] += Fraction(1, d**u.size)
     rhs = np.array([[Fraction(int(key == (1,) * t))] for key in keys], dtype=object)
     sol = solve_exact(a, rhs)

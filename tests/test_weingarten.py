@@ -3,13 +3,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from channelmoments import symmgroup as sg
 from channelmoments import weingarten as wg
 from channelmoments.exactalg import (
     mat_eq,
     product_is_identity,
 )
-from oracles import chaar_transfer_perm, group_index, invert_bareiss, invert_exact
+from oracles import (
+    chaar_transfer_perm,
+    compose,
+    from_cycles,
+    group_index,
+    inverse,
+    invert_bareiss,
+    invert_exact,
+    mobius,
+    symmetric_group,
+)
 
 
 def test_gram_examples():
@@ -17,8 +26,8 @@ def test_gram_examples():
     g = wg.gram_matrix(2, 2)
     assert g.tolist() == [[1, Fraction(1, 2)], [Fraction(1, 2), 1]]
     g3 = wg.gram_matrix(3, 3)
-    group = sg.symmetric_group(3)
-    i = group_index(3)[sg.from_cycles(3, [(0, 1, 2)]).images]
+    group = symmetric_group(3)
+    i = group_index(3)[from_cycles(3, [(0, 1, 2)]).images]
     assert g3[0, i] == Fraction(1, 9)
     # symmetric with unit diagonal
     assert mat_eq(g3, g3.T)
@@ -85,10 +94,10 @@ def test_jucys_murphy_matches_direct_sum(t, d):
 @pytest.mark.parametrize("t", [2, 3, 4])
 def test_weingarten_sign_is_mobius_sign_at_large_d(t):
     w = wg.weingarten_matrix(t, 64)
-    group = sg.symmetric_group(t)
+    group = symmetric_group(t)
     for i, p in enumerate(group):
         for j, q in enumerate(group):
-            mob = sg.mobius(sg.compose(sg.inverse(p), q))
+            mob = mobius(compose(inverse(p), q))
             assert (w[i, j] > 0) == (mob > 0)
             assert (w[i, j] < 0) == (mob < 0)
 
