@@ -23,8 +23,8 @@ depolarize ensembles (more samples than one Monte-Carlo chunk, so that the
 dumps show whether the random stream changed), hierarchy-scan rows, the
 reference purities for n <= 7, reference variances on fixed (rho, O) pairs
 with d = 2, 3, composite noise norms of both unitary ensembles for
-t = 1, 2, d = 2, 4 and k <= 3 and of the generator XYZ at d = 8 (k = 1),
-and the channel layer: Pauli transfer
+t = 1, 2, d = 2, 4 and k <= 3 and of the generator XYZ at d = 8 (k = 1, 3 and
+non-unital shift eta = 0, 0.01), and the channel layer: Pauli transfer
 matrices of the four standard noises and of their two-qubit krons, their
 superoperators for t <= 3, and the t <= 2 superoperators and transfers of
 two noise models.  It also holds the text that ``cli.main`` writes, in CSV
@@ -199,11 +199,13 @@ def _grid():
                     for label in labels:
                         out[("composite_generator", label) + key] = tw.composite_noise_norm(
                             tw.SINGLE_GENERATOR, model, t, k, generator=label)
-    # The single-generator twirl at d = 8, a 4096 x 4096 pair matrix.
-    model = ch.NoiseModel.uniform(8, 0.1, 0.0)
-    for t in (1, 2):
-        out[("composite_generator", "XYZ", 8, 0.1, 0.0, t, 1)] = tw.composite_noise_norm(
-            tw.SINGLE_GENERATOR, model, t, 1, generator="XYZ")
+    # The single-generator norm at d = 8, over 4096 string pairs at t = 2.
+    for eta in (0.0, 0.01):
+        model = ch.NoiseModel.uniform(8, 0.1, eta)
+        for t in (1, 2):
+            for k in (1, 3):
+                out[("composite_generator", "XYZ", 8, 0.1, eta, t, k)] = tw.composite_noise_norm(
+                    tw.SINGLE_GENERATOR, model, t, k, generator="XYZ")
     noises = {kind: ch.standard_noise(kind, 0.1) for kind in ch.NOISE_KINDS}
     for kind, kraus in noises.items():
         out[("pauli_transfer", kind)] = ch.pauli_transfer(kraus, 1)

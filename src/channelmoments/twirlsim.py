@@ -127,20 +127,9 @@ def first_layer_order(spec: CircuitSpec) -> list:
 
 def pauli_action(nlegs: int, labels: dict) -> tuple:
     """(perm, phase) with P|i> = phase[i] |perm[i]>; leg 0 is the MSB."""
-    dim = 1 << nlegs
-    idx = np.arange(dim)
-    perm = idx.copy()
-    phase = np.ones(dim, dtype=complex)
-    for leg, p in labels.items():
-        shift = nlegs - 1 - leg
-        bit = (idx >> shift) & 1
-        if p in ("X", "Y"):
-            perm = perm ^ (1 << shift)
-        if p == "Y":
-            phase = phase * np.where(bit == 0, 1j, -1j)
-        elif p == "Z":
-            phase = phase * np.where(bit == 0, 1.0, -1.0)
-    return perm, phase
+    p = ch.pauli_string(nlegs, "".join(labels.get(leg, "I") for leg in range(nlegs)))
+    perm = np.abs(p).argmax(axis=0)
+    return perm, p[perm, np.arange(len(p))]
 
 
 def pauli_sandwich(m: np.ndarray, action: tuple) -> np.ndarray:
@@ -353,6 +342,9 @@ def reference_purities(n: int, dE: int) -> dict:
 
 HAAR_UNITARIES = "haar_unitaries"
 SINGLE_GENERATOR = "single_generator"
+# Entries of one block of columns stepped through the single-generator
+# norm (8 MB of float64).
+STEP_BLOCK = 1 << 20
 
 
 def _haar_composite_norm(m: np.ndarray, d: int, t: int, k: int) -> float:
@@ -390,13 +382,16 @@ def composite_noise_norm(
     Supported for t in {1, 2}; Haar unitaries via ``_haar_composite_norm``.
     The single-generator ensemble needs a Pauli ``generator`` label string
     over IXYZ and works in the orthonormalized Pauli-string basis, where
-    concatenation is a matrix power and the squared HS norm a Frobenius
-    norm.  From (anti, partner, sign) = ``generator_table``, the twirl is
-    T1 = diag(1 - anti) over strings, and over string pairs T2 at row
-    (P, Q) is [anti(P) = anti(Q)] (I + F (x) F) / 2 for the signed partner
-    map F[P, partner(P)] = sign(P), the twirl rule of the module docstring.
-    Each row of T2 has at most two nonzeros, so the noise N times T2 is a
-    gather of the columns of N.
+    concatenation is a k-fold product of the step N T (noise N after twirl
+    T) and the squared HS norm a Frobenius norm.  From (anti, partner,
+    sign) = ``generator_table``, the twirl rule of the module docstring is
+    the row gather x <- keep (x + s x[pp]) / 2: over strings with
+    keep = 1 - anti, pp = partner and s = sign (t = 1), and over string
+    pairs with keep = [anti(P) = anti(Q)], pp = (partner P, partner Q) and
+    s = sign(P) sign(Q) (t = 2).  N applies the single-copy transfer to
+    each copy axis.  The step runs k times on blocks of ``STEP_BLOCK``
+    entries of identity columns, whose squared entries sum to the norm, so
+    no 16^n x 16^n matrix is formed.
     """
     if t not in (1, 2):
         raise ValueError("composite norms implemented for t = 1, 2 only")
@@ -413,24 +408,23 @@ def composite_noise_norm(
         raise ValueError("generator label length must match the noise dimension")
     if not set(generator) <= set("IXYZ"):
         raise ValueError(f"generator label {generator!r} has a letter outside IXYZ")
-    anti, partner, sign = generator_table(len(generator), dict(enumerate(generator)))
-    if t == 1:
-        step = m_noise * (1.0 - anti)
-    else:
-        # Column (P, Q) of N T2 is (N[:, (P, Q)] mask[P, Q] + N[:, pp] (mask s)[pp]) / 2
-        # over the pair partner pp = (partner P, partner Q), an involution,
-        # with mask = [anti(P) = anti(Q)] and s = sign(P) sign(Q).
-        nb = len(anti)
-        mask = (anti[:, None] == anti).ravel()
-        pp = (partner[:, None] * nb + partner).ravel()
-        m_noise = np.kron(m_noise, m_noise)
-        step = m_noise[:, pp]
-        step *= (mask * np.outer(sign, sign).ravel())[pp]
-        m_noise *= mask
-        step += m_noise
-        step *= 0.5
-    power = np.linalg.matrix_power(step, k)
-    return float(np.sum(power * power))
+    anti, pp, s = generator_table(len(generator), dict(enumerate(generator)))
+    nb, keep = len(anti), ~anti
+    if t == 2:
+        keep, pp = (anti[:, None] == anti).ravel(), (pp[:, None] * nb + pp).ravel()
+        s = np.outer(s, s).ravel()
+    dim, total = len(keep), 0.0
+    cols = max(1, STEP_BLOCK // dim)
+    half, half_s = (0.5 * keep)[:, None], (0.5 * keep * s)[:, None]
+    for start in range(0, dim, cols):
+        x = np.eye(dim, min(cols, dim - start), -start)
+        for _ in range(k):
+            x = m_noise @ (half * x + half_s * x[pp]).reshape(nb, -1)
+            if t == 2:
+                x = m_noise @ x.reshape(nb, nb, -1)
+            x = x.reshape(dim, -1)
+        total += np.vdot(x, x)
+    return float(total)
 
 
 # -- reference-ensemble expectation statistics --------------------------------

@@ -733,7 +733,8 @@ def generator_twirl_closed_form(labels: str, t: int) -> np.ndarray:
     sign) = ``twirlsim.generator_table``: T1 = diag(1 - anti), and T2 at row
     (P, Q) is [anti(P) = anti(Q)] (I + F (x) F) / 2 for the signed partner
     map F[P, partner(P)] = sign(P).  The single-generator branch of
-    ``twirlsim.composite_noise_norm`` gathers N T2 instead of forming T2."""
+    ``twirlsim.composite_noise_norm`` applies T as a row gather instead of
+    forming it."""
     anti, partner, sign = tw.generator_table(len(labels), dict(enumerate(labels)))
     if t == 1:
         return np.diag(1.0 - anti)

@@ -562,6 +562,19 @@ def test_generator_composite_norm_matches_dense_power(label, t, gamma, eta):
         assert abs(got - want) <= 1e-12 * want, k
 
 
+@pytest.mark.parametrize("t", [1, 2])
+@pytest.mark.parametrize("label", ["Z", "XY"])
+def test_generator_composite_norm_sums_uneven_blocks(label, t, monkeypatch):
+    # Three columns per block, so the last block of the 4^(n t) columns holds
+    # one: the string Z...Z (or its pair), which the twirl keeps for these labels.
+    monkeypatch.setattr(tw, "STEP_BLOCK", 3 * 4 ** (len(label) * t))
+    model = ch.NoiseModel.uniform(2 ** len(label), 0.1, 0.01)
+    for k in (1, 2, 3):
+        got = tw.composite_noise_norm(tw.SINGLE_GENERATOR, model, t, k, generator=label)
+        want = generator_composite_norm_dense(model, t, k, label)
+        assert abs(got - want) <= 1e-12 * want, k
+
+
 @pytest.mark.parametrize("ensemble", [tw.HAAR_UNITARIES, tw.SINGLE_GENERATOR])
 @pytest.mark.parametrize("k", [0, -1])
 def test_composite_noise_norm_rejects_k_below_one(ensemble, k):
