@@ -238,6 +238,8 @@ def cmd_simulate(args) -> int:
     gammas = _number_list(args.gamma, "--gamma", float)
     if not all(0.0 <= g <= 1.0 for g in gammas):
         raise ValueError(f"gamma must lie in [0, 1], got {args.gamma}")
+    if not noises and any(gammas):
+        raise ValueError(f"--gamma {args.gamma} needs a --noise kind")
     for name, grid in (("ansatz", ansatze), ("noise", noises), ("gamma", gammas)):
         check_grid(name, grid)
     # Each noise name, also one that no gamma > 0 puts in a trajectory.

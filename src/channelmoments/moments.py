@@ -21,10 +21,10 @@ In the permutation basis every reference ensemble has tau = D W with
 D = diag(f[size]) and W = w[cls prod], and X = x[size][prod]; ``_tables``
 gives (f, x, w) and is the only place that says what an ensemble is.  W and
 X are convolutions by class functions: each is fixed by its row 0, and so
-are C = W X and Q = W X W.  ``_class_rows`` reads the rows of X and W at
-the class representatives and the class values of c = w X, as pairwise
-sums; ``spectrum`` and ``hierarchy_scan`` work from these and never build
-a transfer matrix, X or W.  tau X = D C, and the k-fold
+are C = W X and Q = W X W.  Class functions multiply on the class algebra
+(``symmgroup.convolution``): ``_class_values`` gives x and c = w * x by
+class, and ``spectrum`` and ``hierarchy_scan`` work from these and never
+build a transfer matrix, X or W.  tau X = D C, and the k-fold
 norm and trace are Tr[Y_k Q Y_k X] and Tr[Y_k C] with Y_k = D (C D)^(k-1).
 D and the class-function matrices commute with the group H of
 ``symmgroup.symmetry_blocks``, so the traces are sums over its small
@@ -159,30 +159,22 @@ def gram(t: int, d: int, basis: str = PERMUTATION, exact: bool = True) -> np.nda
     raise ValueError(f"unknown basis {basis!r}")
 
 
-def _class_rows(t: int, f: np.ndarray, x: np.ndarray, w: np.ndarray) -> tuple:
-    """(f[size], X[reps], W[reps], c) of the ``_tables`` values (f, x, w):
-    f over S_t, the rows of X = x[size][prod] and W = w[cls][prod] at the
-    class representatives, and c = w X by class, c_r = (W X)[r, 0].
-
-    The values may be Fractions, ``exactalg.split`` numerators or floats.
-    c is numpy's pairwise sum of the products, not a BLAS dot: the eigensolve
-    weights each class value by its class size (up to 144 at t = 6), and the
-    pairwise sum keeps the Haar eigenvalues at t = d = 6 within 2.1e-14 of 1,
-    where the dot leaves 2.9e-13.
-    """
+def _class_values(t: int, f: np.ndarray, x: np.ndarray, w: np.ndarray) -> tuple:
+    """(f[size], x by class, c = w * x by class) of the ``_tables`` values
+    (f, x, w), from ``sg.convolution``: c holds the class values of C = W X.
+    The values may be Fractions, ``exactalg.split`` numerators or floats."""
     tab = sg.product_table(t)
-    xr = x[tab.rep_size]
-    return f[tab.size], xr, w[tab.rep_cls], (xr * w[tab.cls]).sum(axis=1)
+    xc = x[tab.size[tab.reps]]
+    return f[tab.size], xc, sg.convolution(t, xc) @ w
 
 
 def _reference_values(spec: EnsembleSpec, ks, exact: bool) -> dict:
     """{k: (norm^2, trace)} of the k-fold reference ensemble ``spec``, k in ``ks``,
     from the blocks of ``sg.symmetry_blocks``.
 
-    C = W X = c[prod] and Q = W C = q[prod] for the class functions c of
-    ``_class_rows`` and q = w C, both pairwise sums as there (a BLAS dot
-    puts the float Haar norm^2 at t = d = 6, k = 3 off by 9.3e-12, the
-    pairwise sums by 2.3e-13).  tau_k X = (D C)^k = Y_k C with the
+    C = W X = c[prod] and Q = W C = q[prod] for the class values c of
+    ``_class_values`` and q = w * c, both products on the class algebra
+    (``sg.convolution``).  tau_k X = (D C)^k = Y_k C with the
     symmetric Y_k = D (C D)^(k-1), so norm^2 = Tr[Y_k Q Y_k X] and
     trace = Tr[Y_k C].  D, C, Q and X commute with the group H of the
     blocks, so each trace is a sum over blocks.  A class function's block
@@ -202,11 +194,10 @@ def _reference_values(spec: EnsembleSpec, ks, exact: bool) -> dict:
     t, kmax = spec.t, max(ks)
     blocks = sg.symmetry_blocks(t)
     (f, df), (x, dx), (w, dw) = split_all(*_tables(spec, exact))
-    f, xr, wr, c = _class_rows(t, f, x, w)
-    q = (wr * c[sg.product_table(t).cls]).sum(axis=1)
+    f, x, c = _class_values(t, f, x, w)
     dc, dd = dx * dw, df * blocks.order
     dq, dcd = dc * dw, dc * dd
-    values = np.array((c, q, xr[:, 0]))  # xr[:, 0]: x by class
+    values = np.array((c, sg.convolution(t, c) @ w, x))
     n2, tr = dict.fromkeys(ks, 0), dict.fromkeys(ks, 0)
     for _, reps, stab, weights in blocks.groups:
         blk = _class_blocks(values, weights)
@@ -369,7 +360,7 @@ def _class_blocks(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def _right_eigenpairs(spec: EnsembleSpec, f: np.ndarray, c: np.ndarray) -> tuple:
     """The ``BlockPairs`` of tau X = D C, one per group of
     ``sg.symmetry_blocks``, with D = diag(f) and C = c[cls][prod] for c by
-    class (see ``_class_rows``).
+    class (see ``_class_values``).
 
     D and C commute with the group H of ``sg.symmetry_blocks``, so tau X is
     block diagonal in its basis, and T_b = F_b C_b with F_b = f[reps] and
@@ -423,13 +414,13 @@ def spectrum(spec: EnsembleSpec) -> SpectralReport:
 
     Since (tau X)^k = tau_k X, the k-fold eigenvalues are the k-th powers
     of those of tau X, with the same eigenvectors.  Everything comes from
-    ``_class_rows``, as the norms of ``_reference_values`` do: tau X = D C
-    is read from the class values of c, and no X or W is built.  x, f[size] and w are class
-    functions, and so is a convolution of class functions, so row 0 of the
-    dual k-fold matrix (X tau)^k = (X D W)^k is one, and so is
-    (D C)^k psi for the class function psi = f x.  One loop of k steps
-    applies the k-fold operators: p(t) x t! mat-vecs on the class values of
-    the dual row and of psi, and D C on ``PROBES`` seeded probe columns.
+    ``_class_values``, as the norms of ``_reference_values`` do: tau X = D C
+    is read from the class values of c, and no X or W is built.  x, f[size]
+    and w are class functions, and so is a convolution of class functions,
+    so row 0 of the dual k-fold matrix (X tau)^k = (X D W)^k is one, and so
+    is (D C)^k psi for the class function psi = f x.  One loop of k steps
+    applies the k-fold operators: ``sg.convolution`` by x, then w, on the
+    dual row and by c on psi, and D C on ``PROBES`` seeded probe columns.
 
     The eigenpair residual is the larger of two parts, and neither forms
     the eigenvector matrix V or tau X.  The block part is the largest
@@ -445,8 +436,9 @@ def spectrum(spec: EnsembleSpec) -> SpectralReport:
     t, k = spec.t, spec.k
     tab = sg.product_table(t)
     f_s, x, w = _tables(spec, exact=False)
-    f, xr, wr, c = _class_rows(t, f_s, x, w)
-    fr, e_cls, c_rows = f[tab.reps], np.eye(1, len(c))[0], c[tab.rep_cls]
+    f, xc, c = _class_values(t, f_s, x, w)
+    fr, e_cls = f[tab.reps], np.eye(1, len(c))[0]
+    mx, mw, mc = (sg.convolution(t, v) for v in (xc, w, c))
     psi = (f_s * x)[tab.size]  # ``leading_right_vector``, from the same tables
     blocks = sg.symmetry_blocks(t)
     evals, blocked = np.empty(len(f)), np.empty(len(f))
@@ -467,8 +459,8 @@ def spectrum(spec: EnsembleSpec) -> SpectralReport:
     # Row 0 of (X D W)^k and (D C)^k psi by class, and (tau X)^k V z.
     row, right = e_cls, psi[tab.reps]
     for _ in range(k):
-        row = wr.dot((xr.dot(row[tab.cls]) * fr)[tab.cls])
-        right = fr * c_rows.dot(right[tab.cls])
+        row = mw @ (fr * (mx @ row))
+        right = fr * (mc @ right)
         vz = _class_matvec(c[tab.cls], tab.prod, vz)
         vz *= f[:, None]
     vz -= vlz

@@ -133,8 +133,9 @@ class ProductTable:
     ``size``, ``cls`` (position in ``conjugacy_classes``), ``mobius`` and
     ``mask`` (support bitmask) are indexed by canonical position.  ``reps``
     is the first canonical index in each class and ``class_sizes`` the
-    member count, both in ``conjugacy_classes`` order; ``rep_cls`` and
-    ``rep_size`` are the rows of ``cls[prod]`` and ``size[prod]`` there.
+    member count, both in ``conjugacy_classes`` order; ``rep_cls`` holds the
+    rows of ``cls[prod]`` there, and ``algebra[r, a, b]`` the count of u with
+    inv(rep_r) u in class a and u in class b (see ``convolution``).
     """
 
     prod: np.ndarray
@@ -145,7 +146,7 @@ class ProductTable:
     reps: np.ndarray
     class_sizes: np.ndarray
     rep_cls: np.ndarray
-    rep_size: np.ndarray
+    algebra: np.ndarray
 
     def __post_init__(self):
         # The cached table is shared by every caller.
@@ -172,19 +173,27 @@ def product_table(t: int) -> ProductTable:
     prod = np.empty((n, n), dtype=np.int16 if n <= 2**15 else np.int32)
     for i in range(n):
         prod[i] = lookup[inverses[i][images] @ weights]
-    cls, size = el.cls, el.size
-    reps = np.unique(cls, return_index=True)[1]
+    cls, reps = el.cls, np.unique(el.cls, return_index=True)[1]
+    rep_cls, p = cls[prod[reps]], len(reps)
+    flat = (np.arange(p)[:, None] * p + rep_cls) * p + cls
     return ProductTable(
         prod=prod,
-        size=size,
+        size=el.size,
         cls=cls,
         mobius=el.mobius,
         mask=el.mask,
         reps=reps,
         class_sizes=np.bincount(cls),
-        rep_cls=cls[prod[reps]],
-        rep_size=size[prod[reps]],
+        rep_cls=rep_cls,
+        algebra=np.bincount(flat.ravel(), minlength=p**3).reshape(p, p, p),
     )
+
+
+def convolution(t: int, b: np.ndarray) -> np.ndarray:
+    """Convolution by the class function b, a p(t) x p(t) matrix on values by
+    class: ``convolution(t, b) @ a`` is a * b = b * a, sum_u a(g inv(u)) b(u)
+    at g = rep_r; exact on object arrays, float otherwise."""
+    return product_table(t).algebra @ b
 
 
 @lru_cache(maxsize=None)

@@ -49,20 +49,17 @@ def inverse_powers(base: int, count: int, exact: bool) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def weingarten_function(t: int, d: int):
-    """Class function w with sum_u d^(-|u|) w(class(inv(u) g)) = delta_{g,e}.
+    """Class function w with sum_u d^(-|u|) w(class(inv(u) g)) = delta_{g,e},
+    i.e. w * x = e_0 for x = d^(-size), solved on ``symmgroup.convolution``.
 
     Returns a read-only vector of Fractions in ``conjugacy_classes`` order.
     Raises SingularGramError when the overlap form is degenerate.
     """
-    n = len(sg.conjugacy_classes(t))
     tab = sg.product_table(t)
-    # counts[r, c, s]: elements u of size s with inv(rep_r) * u in class c.
-    flat = (np.arange(n)[:, None] * n + tab.rep_cls) * t + tab.size
-    counts = np.bincount(flat.ravel(), minlength=n * n * t).reshape(n, n, t)
-    a = counts.astype(object).dot(inverse_powers(d, t, exact=True))
+    a = sg.convolution(t, inverse_powers(d, t, exact=True)[tab.size[tab.reps]])
     try:
         # Right-hand side e_0: class 0 is the identity.
-        sol = solve_exact(a, np.eye(n, 1, dtype=object))[:, 0]
+        sol = solve_exact(a, np.eye(len(a), 1, dtype=object))[:, 0]
     except SingularMatrixError as exc:
         raise SingularGramError(
             f"Gram matrix of S_{t} overlaps is singular at d={d} (need d >= t)"

@@ -7,7 +7,8 @@ cycle type and cycle label, the identity, transpositions, permutations
 from cycles, composition, inverse, support, the Catalan-product count of
 the order below an element, its Möbius value, the canonical sort key, and
 all of S_t as objects in canonical order), the index
-of each element of S_t, the inverse of ``channels.vectorize``, a channel
+of each element of S_t, the class-algebra structure constants by
+composition, the inverse of ``channels.vectorize``, a channel
 applied through its superoperator, the trace-preservation and unitality
 tests of a superoperator, Fraction matrices from rows, the relative size
 and the normalized character of permutations, the sub-permutation order by
@@ -192,6 +193,23 @@ def symmetric_group(t: int) -> tuple:
 def group_index(t: int) -> dict:
     """images tuple -> position in the canonical order of S_t."""
     return {p.images: i for i, p in enumerate(symmetric_group(t))}
+
+
+def class_algebra_counts(t: int) -> np.ndarray:
+    """(p(t), p(t), p(t)) counts: entry [r, a, b] is the number of u with
+    inv(rep_r) u in class a and u in class b, by composing ``Permutation``
+    objects, for classes in sorted cycle-type order and rep_r the first of
+    class r in canonical order; oracle for ``symmgroup.product_table(t).algebra``."""
+    group = symmetric_group(t)
+    kinds = {key: i for i, key in enumerate(sorted({p.cycle_type() for p in group}))}
+    reps = {}
+    for p in group:
+        reps.setdefault(kinds[p.cycle_type()], p)
+    out = np.zeros((len(kinds),) * 3, dtype=np.int64)
+    for r, rep in reps.items():
+        for u in group:
+            out[r, kinds[compose(inverse(rep), u).cycle_type()], kinds[u.cycle_type()]] += 1
+    return out
 
 
 def unvectorize(v: np.ndarray) -> np.ndarray:
@@ -948,8 +966,9 @@ def reference_values_rows(spec, ks, exact: bool) -> dict:
     """
     tab, pcls = sg.product_table(spec.t), wg._pair_class_table(spec.t)
     (f, df), (x, dx), (w, dw) = split_all(*mo._tables(spec, exact))
-    f, xr, wr, c = mo._class_rows(spec.t, f, x, w)
+    xr, wr, f = x[tab.size][tab.prod[tab.reps]], w[pcls[tab.reps]], f[tab.size]
     dc = dx * dw
+    c = (xr * w[tab.cls]).sum(axis=1)  # (X W)[r, 0] = (W X)[r, 0]
     q, dq = (wr * c[tab.cls]).sum(axis=1), dc * dw
     cd, qm = c[pcls], q[pcls]
     cd *= f
@@ -998,7 +1017,8 @@ def spectrum_residuals_dense(spec) -> dict:
     t, k = spec.t, spec.k
     tab, pcls = sg.product_table(t), wg._pair_class_table(t)
     f_s, x, w = mo._tables(spec, exact=False)
-    f, _, _, c = mo._class_rows(t, f_s, x, w)
+    f, xr = f_s[tab.size], x[tab.size][tab.prod[tab.reps]]
+    c = (xr * w[tab.cls]).sum(axis=1)  # (X W)[r, 0] = (W X)[r, 0]
     power = np.linalg.matrix_power(c[pcls] * f[:, None], k)
     evals, evecs = lifted_eigenpairs(t, mo._right_eigenpairs(spec, f, c))
     evecs /= np.linalg.norm(evecs, axis=0)

@@ -222,7 +222,8 @@ def test_exact_hierarchy_rows_are_fractions(capsys):
 
 
 def test_simulate_noiseless_rows_carry_gamma_zero(capsys):
-    code, out = run_cli(capsys, "simulate", "--n", "2", "--layers", "2", "--gamma", "0.1,0.2")
+    code, out = run_cli(capsys, "simulate", "--n", "2", "--layers", "2",
+                        "--noise", "dephasing", "--gamma", "0.1,0.0,0.2")
     assert code == 0
     traj = [l for l in out.splitlines() if l.startswith("hea,none")]
     assert len(traj) == 2
@@ -446,6 +447,8 @@ def test_out_file_matches_stdout(tmp_path, capsys, fmt):
         ("simulate", "--n", "2", "--layers", "1", "--noise", "foo"),
         ("simulate", "--n", "2", "--layers", "1", "--noise", "dephasing", "--gamma", "1.5"),
         ("simulate", "--n", "2", "--layers", "1", "--gamma", "1.5"),
+        ("simulate", "--n", "1", "--layers", "1", "--gamma", "0.3"),
+        ("simulate", "--n", "1", "--layers", "1", "--gamma", "0.0,0.3"),
         ("simulate", "--n", "0", "--layers", "1"),
         ("simulate", "--n", "-1", "--layers", "1"),
         ("simulate", "--n", "2", "--layers", "-1"),

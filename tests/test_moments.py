@@ -175,7 +175,7 @@ def test_spectrum_matches_dense_eig(t):
 def test_blocked_eigenvalues_match_dense_eigh(t):
     cls = sg.product_table(t).cls
     for spec in [haar(t, t)] + [chaar(max(2, -(-t // dE)), dE, t) for dE in (1, 2, 3)]:
-        f, _, _, c = mo._class_rows(t, *mo._tables(spec, exact=False))
+        f, _, c = mo._class_values(t, *mo._tables(spec, exact=False))
         got = lifted_eigenpairs(t, mo._right_eigenpairs(spec, f, c))[0]
         want = right_eigenpairs_dense(spec, f, c[cls])[0]
         assert np.abs(np.sort(got) - want).max() < 1e-12, spec.label()
@@ -186,10 +186,10 @@ def test_class_rows_exact_equal_matrix_rows(t):
     tab, pcls = sg.product_table(t), wg._pair_class_table(t)
     for spec in (haar(max(2, t), t), chaar(2, 2, t), depolarize(2, t)):
         f, x, w = mo._tables(spec, exact=True)
-        f_all, xr, wr, c = mo._class_rows(t, f, x, w)
+        f_all, xc, c = mo._class_values(t, f, x, w)
         big_x, big_w = mo.gram(t, spec.d), w[pcls]
         assert np.array_equal(f_all, f[tab.size])
-        assert mat_eq(xr, big_x[tab.reps]) and mat_eq(wr, big_w[tab.reps])
+        assert mat_eq(xc, big_x[tab.reps, 0])
         assert np.array_equal(c, big_w.dot(big_x)[tab.reps, 0]), spec.label()
         assert all(type(v) is Fraction for v in c)
 
@@ -239,7 +239,7 @@ def test_spectrum_eigenpair_residual_sees_wrong_pairs(monkeypatch, t):
     eigenvalue scaled by 1 + 1e-3, also on haar(t, t), a projector."""
     spec = chaar(2, 3, t)
     blocks, eigenpairs = sg.symmetry_blocks(t), mo._right_eigenpairs
-    c = mo._class_rows(t, *mo._tables(spec, exact=False))[3]
+    c = mo._class_values(t, *mo._tables(spec, exact=False))[2]
     *big, weights = blocks.groups[-1]  # its block 0 is the first of the largest size
     weights = weights.copy()
     weights[0, 0, np.argmax(np.abs(c)), 0] += 1
@@ -284,7 +284,8 @@ def test_spectrum_eigenpair_residual_sees_wrong_pairs(monkeypatch, t):
 
 def test_float_haar_t6_norm_within_3e12():
     """Haar at d = t = 6 has norm^2 = 720 for every k.  The class values of
-    c and q are pairwise sums; a BLAS dot puts k = 3 off by 9.3e-12."""
+    c and q from the class-algebra product put k = 3 off by 1.8e-12; a BLAS
+    dot over the class rows put it off by 9.3e-12."""
     got = mo._reference_values(haar(6, 6), (1, 2, 3), exact=False)
     for k, (n2, _) in got.items():
         assert abs(n2 - 720) <= 3e-12, (k, n2)
@@ -292,8 +293,9 @@ def test_float_haar_t6_norm_within_3e12():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_spectrum_haar_t6_eigenvalues_at_one(k):
-    """Haar at d = t = 6 is a projector: every eigenvalue is 1.  A BLAS dot
-    for c leaves 2.9e-13 at k = 1; the pairwise sum 2.1e-14."""
+    """Haar at d = t = 6 is a projector: every eigenvalue is 1.  The
+    class-algebra product for c leaves 2.7e-14 at k = 1; a BLAS dot over the
+    class rows left 2.9e-13."""
     ev = mo.spectrum(haar(6, 6, k=k)).eigenvalues
     assert np.abs(ev - 1).max() <= 2e-13, k
 

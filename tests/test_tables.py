@@ -14,7 +14,15 @@ from channelmoments import symmgroup as sg
 from channelmoments import weingarten as wg
 from channelmoments.exactalg import solve_exact
 from channelmoments.specs import chaar, haar
-from oracles import compose, enumerate_subpermutations, group_index, inverse, mobius, symmetric_group
+from oracles import (
+    class_algebra_counts,
+    compose,
+    enumerate_subpermutations,
+    group_index,
+    inverse,
+    mobius,
+    symmetric_group,
+)
 
 ORDERS = [1, 2, 3, 4, 5]
 
@@ -81,8 +89,39 @@ def test_product_table_matches_composition(t):
     assert tab.class_sizes.tolist() == [n for _, n in sg.conjugacy_classes(t)]
     rows = [rel[r] for r in tab.reps]
     assert tab.rep_cls.tolist() == [[kidx[p.cycle_type()] for p in row] for row in rows]
-    assert tab.rep_size.tolist() == [[p.size for p in row] for row in rows]
+    counts = np.zeros((len(kidx),) * 3, dtype=np.int64)
+    for r, row in enumerate(rows):
+        for p, u in zip(row, group):
+            counts[r, kidx[p.cycle_type()], kidx[u.cycle_type()]] += 1
+    assert tab.algebra.tolist() == counts.tolist()
     assert not any(a.flags.writeable for a in vars(tab).values())
+
+
+@pytest.mark.parametrize("t", ORDERS)
+def test_class_algebra_matches_brute_force_counts(t):
+    """The structure constants against counts over ``Permutation`` objects:
+    one count off fails.  They are symmetric in the two factor classes (the
+    class algebra is commutative), and at the identity, inv(e) u = u, the
+    counts are the class sizes on the diagonal."""
+    tab = sg.product_table(t)
+    assert np.array_equal(tab.algebra, class_algebra_counts(t))
+    assert np.array_equal(tab.algebra, tab.algebra.transpose(0, 2, 1))
+    assert np.array_equal(tab.algebra[0], np.diag(tab.class_sizes))
+
+
+@pytest.mark.parametrize("t", ORDERS)
+def test_convolution_is_row_of_class_function_matrix_product(t):
+    """``convolution(t, b) @ a`` is the class values of A B, A = a[cls prod]
+    and B = b[cls prod], exactly on ints and Fractions, and commutes."""
+    rng = np.random.default_rng(t)
+    pcls = wg._pair_class_table(t)
+    reps = sg.product_table(t).reps
+    p = len(reps)
+    a = np.array([int(v) for v in rng.integers(-9, 10, p)], dtype=object)
+    b = np.array([Fraction(int(n), int(m)) for n, m in rng.integers(1, 10, (p, 2))], dtype=object)
+    got = sg.convolution(t, b) @ a
+    assert_same_exact(got, a[pcls[reps]].dot(b[pcls[:, 0]]))  # (A B)[reps, 0]
+    assert_same_exact(sg.convolution(t, a) @ b, got)
 
 
 @pytest.mark.parametrize("t", ORDERS)
