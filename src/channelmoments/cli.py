@@ -521,7 +521,8 @@ def main(argv=None) -> int:
     Every package error subclasses ValueError, so this is the single error
     boundary of the command line; a dimension too large for a float is one
     too (``weingarten.inverse_powers``), and any other number too large for
-    a float or a machine integer overflows, which is bad input as well.
+    a float or a machine integer overflows, which is bad input as well, as
+    is a Monte-Carlo sample too large for memory.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -535,7 +536,7 @@ def main(argv=None) -> int:
         if args.exact is None:
             args.exact = args.command != "hierarchy"
         return args.func(args)
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, MemoryError) as exc:
         print("error: " + " ".join(str(exc).split()), file=sys.stderr)
         return 2
 

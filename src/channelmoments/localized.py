@@ -15,8 +15,9 @@ class rows of L, on the exact or float numerators of ``exactalg.split``
 alike.  L is read from one cached table each: for the transport, zeta^T
 from the boolean ``_subperm_table``; for the Gram, the int16 Möbius matrix
 of ``_order_matrix``.  numpy's dot casts either to the number type of M.
-The transport reads and writes the class rows of
-``specs.TransferMatrix``; only the right operand M is gathered in full.
+Both gather M in full from its class rows (``symmgroup.from_class_rows``)
+inside the product L[reps] M, so that M is freed before L^T is cast.  The
+transport reads and writes the class rows of ``specs.TransferMatrix``.
 """
 
 from __future__ import annotations
@@ -40,12 +41,8 @@ def _subperm_table(t: int) -> np.ndarray:
 
 
 def phi_inverse(t: int) -> np.ndarray:
-    """Zeta matrix of the sub-permutation order, entries 0/1."""
-    table = _subperm_table(t)
-    n = table.shape[0]
-    out = np.full((n, n), 0, dtype=object)
-    out[table] = 1
-    return out
+    """Zeta matrix of the sub-permutation order, entries 0/1 (Python ints)."""
+    return _subperm_table(t).astype(np.int8).astype(object)
 
 
 @lru_cache(maxsize=None)
@@ -78,12 +75,10 @@ def localized_gram(t: int, d: int, exact: bool = True) -> np.ndarray:
     """
     if t < 1 or d < 1:
         raise ValueError("t and d must be >= 1")
-    tab = sg.product_table(t)
-    expo = tab.size[:, None] + tab.size[None, :] - tab.size[tab.prod]
-    lower = _order_matrix(t)
-    # The class rows of L R first, so that R is freed before L^T is cast.
-    rows = lower[tab.reps].dot(
-        np.array([d**e for e in range(2 * t - 1)], dtype=object if exact else float)[expo])
+    tab, lower = sg.product_table(t), _order_matrix(t)
+    powers = np.array([d**e for e in range(2 * t - 1)], dtype=object if exact else float)
+    rows = lower[tab.reps].dot(sg.from_class_rows(
+        t, powers[tab.size[tab.reps, None] + tab.size - tab.size[tab.prod[tab.reps]]]))
     return sg.from_class_rows(t, sg.class_product(rows, lower.T))
 
 
@@ -96,17 +91,16 @@ def to_localized(tm: TransferMatrix) -> TransferMatrix:
     sup-permutations.  With tau = A / a (``exactalg.split``) and
     chi = c / d^(t-1), c = d^(t-1-size) integral, this is the matrix
     zeta^T (c A c) zeta over a d^(2t-2), in the number type of A, split and
-    joined on the class rows; c A c is gathered in full from its rows.
+    joined on the class rows.
     """
     if tm.basis != PERMUTATION:
         raise ValueError("input transfer matrix is not in the permutation basis")
     t, d = tm.t, tm.d
-    tab = sg.product_table(t)
+    tab, order = sg.product_table(t), _subperm_table(t)
     nums, denom = split(tm.rows)
     c = np.array([d ** (t - 1 - s) for s in range(t)], dtype=nums.dtype)[tab.size]
-    order = _subperm_table(t)
-    cac = sg.from_class_rows(t, nums * c[tab.reps][:, None] * c[None, :])
-    out = sg.class_product(order[:, tab.reps].T, cac, order)
+    rows = order[:, tab.reps].T.dot(sg.from_class_rows(t, nums * c[tab.reps, None] * c))
+    out = sg.class_product(rows, order)
     return replace(tm, rows=join(out, denom * d ** (2 * t - 2)), basis=LOCALIZED)
 
 
@@ -154,14 +148,9 @@ def _resolve_dE(rule, d: int) -> int:
     return dE
 
 
-def scaling_exponents(
-    ensemble_kind: str,
-    t: int,
-    d_pair: tuple,
-    dE_rule="d2",
-    basis: str = LOCALIZED,
-) -> ExponentReport:
-    """Estimate per-entry power laws in 1/d from two probe dimensions.
+def scaling_exponents(ensemble_kind: str, t: int, d_pair: tuple, dE_rule="d2") -> ExponentReport:
+    """Estimate per-entry power laws in 1/d of the exact localized transfer
+    matrix from two probe dimensions.
 
     Entries exactly zero at both dimensions are structural zeros; nonzero
     entries get l = log(|v1|/|v2|) / log(d2/d1), flagged as mixed order when
@@ -175,7 +164,7 @@ def scaling_exponents(
     mats = []
     for d in (d1, d2):
         spec = EnsembleSpec(ensemble_kind, d=d, t=t, dE=_resolve_dE(dE_rule, d))
-        tm = moments.transfer(spec, basis=basis, exact=True)
+        tm = moments.transfer(spec, basis=LOCALIZED, exact=True)
         mats.append(tm.matrix)
     zero1, zero2 = mats[0] == 0, mats[1] == 0
     live = ~(zero1 | zero2)

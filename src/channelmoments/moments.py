@@ -307,10 +307,12 @@ def leading_right_vector(spec: EnsembleSpec, exact: bool = False) -> np.ndarray:
     return (f * x)[sg.product_table(spec.t).size]
 
 
-# Seeded probe columns of the eigenpair residual, and the entries of one
-# chunk of a gathered or cast float64 temporary (1 MB).
+# Seeded probe columns of the eigenpair residual, the entries of one
+# chunk of a gathered or cast float64 temporary (1 MB), and the relative
+# tolerance of the checks of ``hierarchy_scan``.
 PROBES = 4
 GATHER_CHUNK = 1 << 17
+SCAN_REL_TOL = 1e-9
 
 
 @lru_cache(maxsize=None)
@@ -415,7 +417,8 @@ def spectrum(spec: EnsembleSpec) -> SpectralReport:
     Since (tau X)^k = tau_k X, the k-fold eigenvalues are the k-th powers
     of those of tau X, with the same eigenvectors.  Everything comes from
     ``_class_values``, as the norms of ``_reference_values`` do: tau X = D C
-    is read from the class values of c, and no X or W is built.  x, f[size]
+    is read from the class values of c, taken on exact numerators and cast
+    once (for Haar c is e_0), and no X or W is built.  x, f[size]
     and w are class functions, and so is a convolution of class functions,
     so row 0 of the dual k-fold matrix (X tau)^k = (X D W)^k is one, and so
     is (D C)^k psi for the class function psi = f x.  One loop of k steps
@@ -436,7 +439,9 @@ def spectrum(spec: EnsembleSpec) -> SpectralReport:
     t, k = spec.t, spec.k
     tab = sg.product_table(t)
     f_s, x, w = _tables(spec, exact=False)
-    f, xc, c = _class_values(t, f_s, x, w)
+    f, xc, _ = _class_values(t, f_s, x, w)
+    (f_e, _), (x_e, dx), (w_e, dw) = split_all(*_tables(spec, exact=True))
+    c = join(_class_values(t, f_e, x_e, w_e)[2], dx * dw).astype(float)
     fr, e_cls = f[tab.reps], np.eye(1, len(c))[0]
     mx, mw, mc = (sg.convolution(t, v) for v in (xc, w, c))
     psi = (f_s * x)[tab.size]  # ``leading_right_vector``, from the same tables
@@ -509,15 +514,15 @@ def hierarchy_scan(
     d_list,
     dE_rules=("1", "2", "d", "d2"),
     exact: bool = False,
-    rel_tol: float = 1e-9,
 ) -> ScanResult:
     """Norm and trace over a (t, k, d, dE) grid, with hierarchy checks;
     exact values stay Fractions.
 
     Checks recorded as violations rather than raised: norm^2 outside
     [1, t!], growth in environment dimension at fixed (t, k, d), and growth
-    in concatenation count at fixed (t, d, dE).  The whole grid is checked
-    before any matrix is built; points with d * dE < t are left out, and
+    in concatenation count at fixed (t, d, dE), up to ``SCAN_REL_TOL``.
+    The whole grid is checked before any matrix is built; points with
+    d * dE < t are left out, and
     their (t, d, dE) are logged in one line at INFO level.  Each finished
     (t, d, dE) group is logged at INFO level.
     """
@@ -563,7 +568,7 @@ def hierarchy_scan(
     flags = [[] for _ in points]
     violations = []
     for i, (p, n2) in enumerate(zip(points, norms)):
-        if not (1.0 - rel_tol <= n2 <= factorial(p[0]) * (1 + rel_tol)):
+        if not (1.0 - SCAN_REL_TOL <= n2 <= factorial(p[0]) * (1 + SCAN_REL_TOL)):
             flags[i].append("bounds")
             violations.append(("bounds", p, n2))
     for name, key_at, var_at in (("monotone_dE", (0, 1, 2), 3), ("monotone_k", (0, 2, 3), 1)):
@@ -573,7 +578,7 @@ def hierarchy_scan(
         for key, members in groups.items():
             members.sort(key=lambda i: points[i][var_at])
             for a, b in zip(members, members[1:]):
-                if norms[b] > norms[a] * (1 + rel_tol) + rel_tol:
+                if norms[b] > norms[a] * (1 + SCAN_REL_TOL) + SCAN_REL_TOL:
                     pair = (points[a][var_at], points[b][var_at])
                     violations.append((name, key + pair, (norms[a], norms[b])))
                     flags[b].append(name)
@@ -672,8 +677,10 @@ def invariance_checks(spec_a: EnsembleSpec, spec_b: EnsembleSpec) -> list:
     return results
 
 
-# Samples per stacked draw of the Monte-Carlo estimators.
+# The most samples, and entries of its largest array, of one stacked draw
+# of the Monte-Carlo estimators (see ``stacked_draws``).
 MC_CHUNK = 256
+MC_ENTRIES = 1 << 22
 
 
 def check_mc_samples(samples: int) -> None:
@@ -709,13 +716,15 @@ def sample_stinespring_kraus(d: int, dE: int, rng: np.random.Generator, count: i
     return u[..., 0].transpose(0, 2, 1, 3)
 
 
-def stacked_draws(draw, samples: int) -> np.ndarray:
-    """Concatenation of ``draw(m)`` over chunks of at most ``MC_CHUNK`` samples.
-
-    The chunks bound the memory of a stack; samples are drawn in stream
-    order, so the values do not depend on the chunk size.
+def stacked_draws(draw, samples: int, entries: int) -> np.ndarray:
+    """Concatenation of ``draw(m)`` over stacks of m samples, ``entries``
+    per sample in a stack's largest array (its Ginibre matrices, 2 (d dE)^2
+    per channel, for channel samples): at most ``MC_CHUNK`` samples and
+    ``MC_ENTRIES`` entries, and at least one sample.  Samples are drawn in
+    stream order, so the values do not depend on the stack size.
     """
-    sizes = [min(MC_CHUNK, samples - i) for i in range(0, samples, MC_CHUNK)]
+    chunk = max(1, min(MC_CHUNK, MC_ENTRIES // entries))
+    sizes = [min(chunk, samples - i) for i in range(0, samples, chunk)]
     return np.concatenate([draw(m) for m in sizes])
 
 
@@ -736,5 +745,6 @@ def frame_potential_mc(spec: EnsembleSpec, samples: int, seed: int = 0) -> MCEst
         overlaps = np.einsum("naij,nbij->nab", pairs[:, 0].conj(), pairs[:, 1])
         return np.sum(np.abs(overlaps) ** 2, axis=(1, 2)) ** spec.t
 
-    vals = np.ones(samples) if spec.kind == DEPOLARIZE else stacked_draws(draw, samples)
+    entries = 4 * (d * dE) ** 2  # two channels per sample
+    vals = np.ones(samples) if spec.kind == DEPOLARIZE else stacked_draws(draw, samples, entries)
     return MCEstimate(float(np.mean(vals)), float(np.std(vals, ddof=1) / sqrt(samples)), samples)

@@ -503,7 +503,7 @@ def mc_expectation_moments(spec, rho: np.ndarray, obs: np.ndarray, samples: int,
             out = _run_circuits(spec, rho, rng.uniform(0.0, 2 * np.pi, size=(m, n_params)))
             return np.trace(out @ obs, axis1=1, axis2=2).real
 
-        vals = mo.stacked_draws(draw, samples)
+        vals = mo.stacked_draws(draw, samples, d * d)
     elif spec.kind == DEPOLARIZE:
         vals = np.full(samples, (np.trace(rho) * np.trace(obs)).real / d)
     else:
@@ -513,7 +513,7 @@ def mc_expectation_moments(spec, rho: np.ndarray, obs: np.ndarray, samples: int,
             out = (kraus @ rho @ kraus.conj().swapaxes(-1, -2)).sum(axis=1)
             return np.trace(out @ obs, axis1=1, axis2=2).real
 
-        vals = mo.stacked_draws(draw, samples)
+        vals = mo.stacked_draws(draw, samples, 2 * (d * spec.dE) ** 2)
     mean = float(np.mean(vals))
     var = float(np.var(vals, ddof=1))
     m4 = float(np.mean((vals - mean) ** 4))

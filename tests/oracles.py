@@ -34,8 +34,8 @@ reference norms and traces from the rows at the class representatives,
 the dense
 symmetry-block basis from its lift and the block eigenpairs lifted to a
 dense eigenvector matrix with it, the spectral residuals
-from dense matrix powers, and the scaling exponents
-as a loop over matrix entries.
+from dense matrix powers, the localized Gram from its full exponent
+table, and the scaling exponents as a loop over matrix entries.
 """
 
 from dataclasses import dataclass
@@ -1030,6 +1030,17 @@ def spectrum_residuals_dense(spec) -> dict:
         "leading_right": float(np.abs(power @ psi - psi).max()),
         "leading_left": float(np.abs(dual[0] - np.eye(1, len(f))[0]).max()),
     }
+
+
+def localized_gram_exponent_table(t: int, d: int, exact: bool) -> np.ndarray:
+    """``localized.localized_gram`` with R gathered from its full t! x t!
+    exponent table size(eta) + size(kappa) - size(inv(eta) kappa), not from
+    its class rows; the same products L[reps] R and then L^T."""
+    tab = sg.product_table(t)
+    expo = tab.size[:, None] + tab.size[None, :] - tab.size[tab.prod]
+    lower = loc._order_matrix(t)
+    powers = np.array([d**e for e in range(2 * t - 1)], dtype=object if exact else float)
+    return sg.from_class_rows(t, lower[tab.reps].dot(powers[expo]).dot(lower.T))
 
 
 def scaling_exponents_loop(m1: np.ndarray, m2: np.ndarray, d_pair: tuple) -> tuple:

@@ -465,6 +465,9 @@ def test_out_file_matches_stdout(tmp_path, capsys, fmt):
         ("hierarchy", "--t-list", "2", "--k-list", "1", "--d-list", str(10**400)),
         ("spectrum", "--ensemble", "chaar", "--t", "2", "--d", str(10**400), "--dE", "2"),
         ("--float", "transfer", "--ensemble", "haar", "--t", "2", "--d", str(10**400)),
+        # One sample's Ginibre stack at d dE = 9e6 is 2.3 PiB; numpy refuses it.
+        ("mc", "--ensemble", "chaar", "--t", "2", "--d", "3000", "--dE", "3000",
+         "--samples", "100"),
     ],
 )
 def test_bad_input_is_one_error_line(capsys, tmp_path, argv):

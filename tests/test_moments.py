@@ -203,7 +203,8 @@ def test_spectrum_leading_residuals_scale_with_w(monkeypatch, t):
 
     def scaled(spec, exact):
         f, x, w = tables(spec, exact)
-        return f, x, w * s
+        # spectrum takes c on the exact tables, which need s as a Fraction.
+        return f, x, w * (Fraction(s) if exact else s)
 
     monkeypatch.setattr(mo, "_tables", scaled)
     for spec in (haar(t, t), chaar(2, 3, t)):
@@ -293,11 +294,20 @@ def test_float_haar_t6_norm_within_3e12():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_spectrum_haar_t6_eigenvalues_at_one(k):
-    """Haar at d = t = 6 is a projector: every eigenvalue is 1.  The
-    class-algebra product for c leaves 2.7e-14 at k = 1; a BLAS dot over the
+    """Haar at d = t = 6 is a projector: every eigenvalue is 1.  A float
+    class-algebra product for c left 2.7e-14 at k = 1; a BLAS dot over the
     class rows left 2.9e-13."""
     ev = mo.spectrum(haar(6, 6, k=k)).eigenvalues
     assert np.abs(ev - 1).max() <= 2e-13, k
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_spectrum_haar_t6_eigenvalues_within_1e15(k):
+    """c = w * x is exactly e_0 for Haar at d >= t.  Taken on exact
+    numerators and cast once, it puts the d = t = 6 eigenvalues within
+    2.2e-16 k of 1; the float product put them 2.7e-14 k away."""
+    ev = mo.spectrum(haar(6, 6, k=k)).eigenvalues
+    assert np.abs(ev - 1).max() <= 1e-15, k
 
 
 def test_spectrum_unique_leading_eigenvalue():
@@ -365,10 +375,11 @@ def test_hierarchy_scan_small_grid():
             assert abs(row.norm2 - factorial(row.t)) < 1e-9
 
 
-def test_hierarchy_scan_flags_violations_in_order():
+def test_hierarchy_scan_flags_violations_in_order(monkeypatch):
     # A negative tolerance turns the checks around, so that every kind of
     # violation occurs; k is listed unsorted to exercise the k ordering.
-    res = mo.hierarchy_scan([2, 3], [3, 1], [3], ("1", "2", "d"), rel_tol=-0.1)
+    monkeypatch.setattr(mo, "SCAN_REL_TOL", -0.1)
+    res = mo.hierarchy_scan([2, 3], [3, 1], [3], ("1", "2", "d"))
     bd, de, mk = "bounds", "monotone_dE", "monotone_k"
     assert [(r.t, r.k, r.d, r.dE, r.flags) for r in res.rows] == [
         (2, 3, 3, 1, (bd, mk)),

@@ -20,6 +20,7 @@ from oracles import (
     enumerate_subpermutations,
     group_index,
     inverse,
+    localized_gram_exponent_table,
     mobius,
     symmetric_group,
 )
@@ -243,6 +244,16 @@ def test_localized_gram_exact(t, d):
 def test_localized_gram_float(t, d):
     got = loc.localized_gram(t, d, exact=False)
     assert np.array_equal(got, localized_gram_oracle(t, d, exact=False))
+
+
+@pytest.mark.parametrize("d", [2, 7])
+def test_localized_gram_t6_float_matches_exponent_table(d):
+    got = loc.localized_gram(6, d, exact=False)
+    assert np.array_equal(got, localized_gram_exponent_table(6, d, exact=False))
+
+
+def test_localized_gram_t6_exact_matches_exponent_table():
+    assert_same_exact(loc.localized_gram(6, 3), localized_gram_exponent_table(6, 3, exact=True))
 
 
 @pytest.mark.parametrize("t", ORDERS)

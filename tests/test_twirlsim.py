@@ -762,6 +762,32 @@ def test_mc_expectation_moments_matches_single_draw_loop(spec, samples):
     )
 
 
+@pytest.mark.parametrize(
+    "spec", [EnsembleSpec(HAAR, d=3, t=2), EnsembleSpec(CHAAR, d=2, t=2, dE=3)],
+    ids=lambda s: s.label(),
+)
+def test_mc_stacks_stay_within_entry_budget(monkeypatch, spec):
+    """With the entry budget at 7 frame-potential samples (14 expectation
+    samples), both estimators draw uneven stacks of the same stream and give
+    the same estimates, and no Ginibre stack holds more entries."""
+    w = np.arange(1.0, spec.d + 1)
+    rho, obs = np.diag(w / w.sum()), np.diag(w - 2)
+    dim, samples = spec.d * spec.dE, 101
+
+    def estimates():
+        return (mo.frame_potential_mc(spec, samples, seed=23),
+                tw.mc_expectation_moments(spec, rho, obs, samples, seed=23))
+
+    want, counts, draw = estimates(), [], mo.sample_haar_unitary
+    monkeypatch.setattr(mo, "MC_ENTRIES", 7 * 4 * dim**2 + 1)
+    monkeypatch.setattr(mo, "sample_haar_unitary",
+                        lambda dim, rng, count: counts.append(count) or draw(dim, rng, count))
+    assert estimates() == want
+    # Two unitaries per frame-potential sample, one per expectation sample.
+    assert counts == [14] * 14 + [6] + [14] * 7 + [3]
+    assert max(counts) * 2 * dim**2 <= mo.MC_ENTRIES
+
+
 @pytest.mark.parametrize("placement", [NOISE_ON_GATE_SUPPORT, NOISE_ON_REGISTER])
 @pytest.mark.parametrize("ansatz, label", [(HEA, "ZI"), (MAT, "XI")])
 def test_mc_circuit_matches_single_draw_loop(ansatz, label, placement):
