@@ -35,15 +35,23 @@ row labels cover every cycle type of S_5) and an exact hierarchy scan at
 t = 2, 3; the config fields ``provenance`` and ``suite_seconds`` are taken
 out first, because they differ between trees and between runs.
 
+A t! x t! result (the Gram, Weingarten and localized Gram matrices and
+every transfer matrix) is stored as its rows at the first element of each
+cycle type, which fix a matrix fixed by simultaneous conjugation, and a
+SHA-256 digest of all its entries, so a change anywhere in it shows as a
+differing digest and the float drift is measured on the rows.
+
     PYTHONPATH=src python scripts/compare_outputs.py dump new.pkl
     python scripts/compare_outputs.py compare old.pkl new.pkl
 """
 
+import hashlib
 import json
 import pickle
 import sys
 import tempfile
 from dataclasses import astuple, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -102,6 +110,39 @@ def _cli_text() -> dict:
     return out
 
 
+@lru_cache(maxsize=None)
+def _class_reps(t: int) -> list:
+    """The first canonical index of each cycle type of S_t, in the sorted
+    order of the types, read from the image rows alone, so that every tree
+    picks the same rows."""
+    from channelmoments import symmgroup as sg
+
+    first = {}
+    for i, images in enumerate(sg.symmetric_group(t).tolist()):
+        lengths, seen = [], set()
+        for start in range(t):
+            a, n = start, 0
+            while a not in seen:
+                seen.add(a)
+                a, n = images[a], n + 1
+            lengths += [n] if n else []
+        first.setdefault(tuple(sorted(lengths, reverse=True)), i)
+    return [first[key] for key in sorted(first)]
+
+
+def _rows_and_digest(t: int, m: np.ndarray) -> tuple:
+    """(rows of m at ``_class_reps(t)``, SHA-256 of all of m): the digest
+    reads the dtype, the shape and each entry's type name and value for an
+    exact matrix, the bytes for a float one."""
+    h = hashlib.sha256(f"{m.dtype} {m.shape}".encode())
+    if m.dtype == object:
+        for v in m.flat:
+            h.update(f"{type(v).__name__} {v};".encode())
+    else:
+        h.update(m.tobytes())
+    return m[_class_reps(t)], h.hexdigest()
+
+
 def _grid():
     from channelmoments import channels as ch
     from channelmoments import localized as loc
@@ -115,9 +156,11 @@ def _grid():
         for t in range(1, t_max + 1):
             for d in sorted({max(t, 2), t + 1}):
                 key = (exact, t, d)
-                out[("gram",) + key] = wg.gram_matrix(t, d, exact=exact)
-                out[("weingarten",) + key] = wg.weingarten_matrix(t, d, exact=exact)
-                out[("localized_gram",) + key] = loc.localized_gram(t, d, exact=exact)
+                out[("gram",) + key] = _rows_and_digest(t, wg.gram_matrix(t, d, exact=exact))
+                out[("weingarten",) + key] = _rows_and_digest(
+                    t, wg.weingarten_matrix(t, d, exact=exact))
+                out[("localized_gram",) + key] = _rows_and_digest(
+                    t, loc.localized_gram(t, d, exact=exact))
                 specs = [haar(d, t), depolarize(d, t)] + [chaar(d, dE, t) for dE in (1, 2, 3)]
                 for spec in specs:
                     name = (spec.label(),) + key
@@ -126,7 +169,7 @@ def _grid():
                         x = mo.gram(t, d, basis=basis, exact=exact)
                         for k in (1, 2, 3):
                             tm = mo.transfer(replace(spec, k=k), basis=basis, exact=exact)
-                            out[("transfer", basis, k) + name] = tm.matrix
+                            out[("transfer", basis, k) + name] = _rows_and_digest(t, tm.matrix)
                             out[("norm_squared", basis, k) + name] = mo.norm_squared(tm, x)
                             out[("trace", basis, k) + name] = mo.trace(tm, x)
                     if not exact:

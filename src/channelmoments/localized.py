@@ -36,8 +36,8 @@ from .specs import LOCALIZED, PERMUTATION, EnsembleSpec, TransferMatrix
 @lru_cache(maxsize=None)
 def _subperm_table(t: int) -> np.ndarray:
     """Boolean matrix of the partial order: entry (i, j) iff sigma_j <= sigma_i."""
-    tab = sg.product_table(t)
-    return tab.size[tab.prod.T] == tab.size[:, None] - tab.size[None, :]
+    size = sg.elements(t).size
+    return size[sg.product_table(t).T] == size[:, None] - size[None, :]
 
 
 def phi_inverse(t: int) -> np.ndarray:
@@ -48,8 +48,7 @@ def phi_inverse(t: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _order_matrix(t: int) -> np.ndarray:
     """The Möbius matrix L of the localized Gram L R L^T, in int16."""
-    tab = sg.product_table(t)
-    out = np.where(_subperm_table(t), tab.mobius[tab.prod.T], 0)
+    out = np.where(_subperm_table(t), sg.elements(t).mobius[sg.product_table(t).T], 0)
     out.flags.writeable = False
     return out
 
@@ -75,10 +74,10 @@ def localized_gram(t: int, d: int, exact: bool = True) -> np.ndarray:
     """
     if t < 1 or d < 1:
         raise ValueError("t and d must be >= 1")
-    tab, lower = sg.product_table(t), _order_matrix(t)
+    el, lower = sg.elements(t), _order_matrix(t)
     powers = np.array([d**e for e in range(2 * t - 1)], dtype=object if exact else float)
-    rows = lower[tab.reps].dot(sg.from_class_rows(
-        t, powers[tab.size[tab.reps, None] + tab.size - tab.size[tab.prod[tab.reps]]]))
+    rows = lower[el.reps].dot(sg.from_class_rows(
+        t, powers[el.size[el.reps, None] + el.size - el.size[el.reps][el.rep_cls]]))
     return sg.from_class_rows(t, sg.class_product(rows, lower.T))
 
 
@@ -96,17 +95,17 @@ def to_localized(tm: TransferMatrix) -> TransferMatrix:
     if tm.basis != PERMUTATION:
         raise ValueError("input transfer matrix is not in the permutation basis")
     t, d = tm.t, tm.d
-    tab, order = sg.product_table(t), _subperm_table(t)
+    el, order = sg.elements(t), _subperm_table(t)
     nums, denom = split(tm.rows)
-    c = np.array([d ** (t - 1 - s) for s in range(t)], dtype=nums.dtype)[tab.size]
-    rows = order[:, tab.reps].T.dot(sg.from_class_rows(t, nums * c[tab.reps, None] * c))
+    c = np.array([d ** (t - 1 - s) for s in range(t)], dtype=nums.dtype)[el.size]
+    rows = order[:, el.reps].T.dot(sg.from_class_rows(t, nums * c[el.reps, None] * c))
     out = sg.class_product(rows, order)
     return replace(tm, rows=join(out, denom * d ** (2 * t - 2)), basis=LOCALIZED)
 
 
 def support_pattern(t: int):
     """(same_support, contains) boolean matrices over the canonical order."""
-    mask = sg.product_table(t).mask
+    mask = sg.elements(t).mask
     same = mask[:, None] == mask[None, :]
     contains = (mask[:, None] & mask[None, :]) == mask[None, :]
     return same, contains

@@ -139,9 +139,9 @@ def transfer(spec: EnsembleSpec, basis: str = PERMUTATION, exact: bool = True) -
     """
     if basis not in (PERMUTATION, LOCALIZED):
         raise ValueError(f"unknown basis {basis!r}")
-    t, tab = spec.t, sg.product_table(spec.t)
+    t, el = spec.t, sg.elements(spec.t)
     f, _, w = _tables(spec, exact)
-    rows = np.multiply.outer(f, w)[tab.size[tab.reps][:, None], tab.rep_cls]
+    rows = np.multiply.outer(f, w)[el.size[el.reps][:, None], el.rep_cls]
     tm = TransferMatrix(rows, PERMUTATION, replace(spec, k=1))
     if basis == LOCALIZED:
         tm = replace(tm, basis=LOCALIZED) if spec.kind == DEPOLARIZE else loc.to_localized(tm)
@@ -163,9 +163,9 @@ def _class_values(t: int, f: np.ndarray, x: np.ndarray, w: np.ndarray) -> tuple:
     """(f[size], x by class, c = w * x by class) of the ``_tables`` values
     (f, x, w), from ``sg.convolution``: c holds the class values of C = W X.
     The values may be Fractions, ``exactalg.split`` numerators or floats."""
-    tab = sg.product_table(t)
-    xc = x[tab.size[tab.reps]]
-    return f[tab.size], xc, sg.convolution(t, xc) @ w
+    el = sg.elements(t)
+    xc = x[el.size[el.reps]]
+    return f[el.size], xc, sg.convolution(t, xc) @ w
 
 
 def _reference_values(spec: EnsembleSpec, ks, exact: bool) -> dict:
@@ -228,8 +228,8 @@ def _class_trace(t: int, rows: np.ndarray, right: np.ndarray):
     """Tr[P Q] for t! x t! matrices P and Q fixed by simultaneous
     conjugation, from the class rows of P and Q in full: the diagonal of P Q
     is a class function, so this is sum_r |K_r| P[r] . Q[:, r]."""
-    tab = sg.product_table(t)
-    return tab.class_sizes.dot((rows * right[:, tab.reps].T).sum(axis=1))
+    el = sg.elements(t)
+    return el.class_sizes.dot((rows * right[:, el.reps].T).sum(axis=1))
 
 
 def concatenate(tm: TransferMatrix, gram_matrix: np.ndarray, k: int) -> TransferMatrix:
@@ -304,7 +304,7 @@ def leading_right_vector(spec: EnsembleSpec, exact: bool = False) -> np.ndarray:
     basis, from the ensemble's ``_tables``: (d dE)^(-size) for the dilated
     ensemble, the identity indicator for the rank-one reference."""
     f, x, _ = _tables(spec, exact)
-    return (f * x)[sg.product_table(spec.t).size]
+    return (f * x)[sg.elements(spec.t).size]
 
 
 # Seeded probe columns of the eigenpair residual, the entries of one
@@ -403,7 +403,7 @@ def _right_eigenpairs(spec: EnsembleSpec, f: np.ndarray, c: np.ndarray) -> tuple
 
 
 def _class_matvec(v: np.ndarray, prod: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """v[prod] @ x for v over S_t and ``prod`` of ``sg.product_table``,
+    """v[prod] @ x for v over S_t and the pair table ``prod = sg.product_table(t)``,
     gathered in row chunks of at most ``GATHER_CHUNK`` entries."""
     rows, out = max(1, GATHER_CHUNK // len(prod)), np.empty_like(x)
     for i in range(0, len(prod), rows):
@@ -437,14 +437,14 @@ def spectrum(spec: EnsembleSpec) -> SpectralReport:
     ``GATHER_CHUNK`` entries.
     """
     t, k = spec.t, spec.k
-    tab = sg.product_table(t)
+    el = sg.elements(t)
     f_s, x, w = _tables(spec, exact=False)
     f, xc, _ = _class_values(t, f_s, x, w)
     (f_e, _), (x_e, dx), (w_e, dw) = split_all(*_tables(spec, exact=True))
     c = join(_class_values(t, f_e, x_e, w_e)[2], dx * dw).astype(float)
-    fr, e_cls = f[tab.reps], np.eye(1, len(c))[0]
+    fr, e_cls = f[el.reps], np.eye(1, len(c))[0]
     mx, mw, mc = (sg.convolution(t, v) for v in (xc, w, c))
-    psi = (f_s * x)[tab.size]  # ``leading_right_vector``, from the same tables
+    psi = leading_right_vector(spec)
     blocks = sg.symmetry_blocks(t)
     evals, blocked = np.empty(len(f)), np.empty(len(f))
     coords = np.empty((2, len(f), PROBES))
@@ -462,20 +462,20 @@ def spectrum(spec: EnsembleSpec) -> SpectralReport:
     vz, vlz = np.add.reduceat(blocks.lift_coef[:, None] * coords[:, blocks.lift_cols],
                               blocks.row_starts, axis=1)
     # Row 0 of (X D W)^k and (D C)^k psi by class, and (tau X)^k V z.
-    row, right = e_cls, psi[tab.reps]
+    row, right = e_cls, psi[el.reps]
     for _ in range(k):
         row = mw @ (fr * (mx @ row))
         right = fr * (mc @ right)
-        vz = _class_matvec(c[tab.cls], tab.prod, vz)
+        vz = _class_matvec(c[el.cls], sg.product_table(t), vz)
         vz *= f[:, None]
     vz -= vlz
     return SpectralReport(
         eigenvalues=evals[np.argsort(-np.abs(evals))],
         leading_right=psi / np.sqrt(psi.dot(psi)),
-        leading_left=e_cls[tab.cls],
+        leading_left=e_cls[el.cls],
         residuals={
             "eigenpairs": sqrt(max(blocked.max(), (vz * vz).sum(axis=0).max())),
-            "leading_right": float(np.abs(right - psi[tab.reps]).max()),
+            "leading_right": float(np.abs(right - psi[el.reps]).max()),
             "leading_left": float(np.abs(row - e_cls).max()),
         },
     )
@@ -484,10 +484,14 @@ def spectrum(spec: EnsembleSpec) -> SpectralReport:
 def design_distance_depolarize(spec: EnsembleSpec) -> float:
     """HS distance to the rank-one trace-preserving reference: sqrt(norm^2 - 1)."""
     n2 = _reference_values(spec, (spec.k,), exact=False)[spec.k][0]
-    radicand = n2 - 1.0
-    if radicand < -1e-9:
+    if n2 - 1.0 < -1e-9:
         raise ArithmeticError(f"norm^2 = {n2} below 1: inconsistent norm computation")
-    return sqrt(max(radicand, 0.0))
+    return _eps_dep(n2)
+
+
+def _eps_dep(n2) -> float:
+    """The HS distance sqrt(norm^2 - 1) to the rank-one reference, 0 below 1."""
+    return sqrt(max(n2 - 1.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -583,7 +587,7 @@ def hierarchy_scan(
                     violations.append((name, key + pair, (norms[a], norms[b])))
                     flags[b].append(name)
     rows = [
-        ScanRow(*p, n2, values[p][1], sqrt(max(n2 - 1.0, 0.0)), tuple(f))
+        ScanRow(*p, n2, values[p][1], _eps_dep(n2), tuple(f))
         for p, n2, f in zip(points, norms, flags)
     ]
     return ScanResult(tuple(rows), tuple(violations))
@@ -623,7 +627,7 @@ def invariance_checks(spec_a: EnsembleSpec, spec_b: EnsembleSpec) -> list:
     dep = transfer(depolarize(d, t), basis=PERMUTATION, exact=True)
     ta = transfer(spec_a, basis=PERMUTATION, exact=True)
     tb = transfer(spec_b, basis=PERMUTATION, exact=True)
-    xi, dx = split(x[sg.product_table(t).reps])
+    xi, dx = split(x[sg.elements(t).reps])
     xi = sg.from_class_rows(t, xi)
     # Split rows, the numerators gathered in full as right operands, and the
     # class rows of each left factor times X.

@@ -79,7 +79,7 @@ class TransferMatrix:
     stored as its class rows.
 
     The matrix is fixed by simultaneous conjugation of S_t, so its rows at
-    the class representatives ``symmgroup.product_table(t).reps`` fix it.
+    the class representatives ``symmgroup.elements(t).reps`` fix it.
     ``rows`` holds them, a (p(t), t!) numpy array: an object array of
     Fractions or ints on the exact path, or float64.  Exactness is read from
     it (``exact``), so it cannot disagree with the numbers.  ``matrix``
@@ -98,10 +98,10 @@ class TransferMatrix:
     def __post_init__(self):
         if self.basis not in (PERMUTATION, LOCALIZED):
             raise ValueError(f"unknown basis {self.basis!r}")
-        tab = sg.product_table(self.t)
-        if self.rows.shape != (len(tab.reps), len(tab.cls)):
+        el = sg.elements(self.t)
+        if self.rows.shape != (len(el.reps), len(el.cls)):
             raise ValueError(f"class rows of shape {self.rows.shape}, "
-                             f"need {(len(tab.reps), len(tab.cls))} at t = {self.t}")
+                             f"need {(len(el.reps), len(el.cls))} at t = {self.t}")
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, basis: str, ensemble: EnsembleSpec):

@@ -11,9 +11,11 @@ Conventions used throughout the package:
   factorization of sigma, equal to ``t`` minus the number of orbits (fixed
   points count as orbits).
 
-Every table over S_t is an array indexed by canonical position: the
-per-element size, class, Möbius value and support mask, and the product
-table of inv(sigma_i) sigma_j.  The sub-permutation partial order
+Every table over S_t is an array indexed by canonical position.  The class
+data of ``elements(t)``, O(p(t) t!) entries for p(t) classes, is all that
+class functions need; the pair table ``product_table(t)`` of
+inv(sigma_i) sigma_j is t!^2 entries, built only by the routes that index
+pairs.  The sub-permutation partial order
 ``pi <= sigma`` is additivity of the size metric,
 ``size(inv(pi) * sigma) == size(sigma) - size(pi)``.  Below a fixed cycle
 this order is the lattice of non-crossing partitions of the cycle's index
@@ -24,7 +26,6 @@ its cycles, and its Möbius value one of signed Catalan numbers.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import permutations
 from math import comb
@@ -51,11 +52,15 @@ def catalan(k: int) -> int:
     return comb(2 * k, k) // (k + 1)
 
 
-class _Elements(NamedTuple):
+class Elements(NamedTuple):
     """S_t in canonical order: ``images`` (t!, t) int8, and per element its
     ``size`` (int8), class ``cls`` (int8, position in ``classes``), Möbius
     value ``mobius`` (int16) and support bitmask ``mask`` (int64);
-    ``classes`` is the value of ``conjugacy_classes``."""
+    ``classes`` is the value of ``conjugacy_classes``.  ``reps`` is the
+    first canonical index in each class and ``class_sizes`` the member
+    count; ``rep_cls[r, j]`` (int8) is the class of inv(rep_r) sigma_j, and
+    ``algebra[r, a, b]`` the count of u with inv(rep_r) u in class a and u
+    in class b (see ``convolution``)."""
 
     images: np.ndarray
     size: np.ndarray
@@ -63,49 +68,68 @@ class _Elements(NamedTuple):
     mobius: np.ndarray
     mask: np.ndarray
     classes: tuple
+    reps: np.ndarray
+    class_sizes: np.ndarray
+    rep_cls: np.ndarray
+    algebra: np.ndarray
+
+
+def _cycle_codes(images: np.ndarray) -> np.ndarray:
+    """The cycle type of each image row of ``images`` (n, t) as an int64
+    code: the cycle length of each point, from t flat gathers of the rows,
+    and digit k - 1, base t + 1, the count of points on k-cycles.  Larger
+    cycles are the higher digits, so the codes order as the partitions do."""
+    n, t = images.shape
+    flat, rows = images.ravel(), np.arange(0, n * t, t)[:, None]
+    lengths = np.zeros_like(images)
+    power = images
+    for k in range(1, t + 1):
+        lengths[(power == np.arange(t, dtype=images.dtype)) & (lengths == 0)] = k
+        power = flat[power + rows]
+    return ((t + 1) ** np.arange(t + 1, dtype=np.int64) // (t + 1))[lengths].sum(axis=1)
 
 
 @lru_cache(maxsize=None)
-def _elements(t: int) -> _Elements:
-    """The ``_Elements`` of S_t, read-only, from the image rows alone.
+def _elements(t: int) -> Elements:
+    """The ``Elements`` of S_t, read-only, from the image rows alone.
 
     The canonical order sorts by (support size, support mask, images).
-    The cycle length of each point comes from t gathers of the image rows,
-    and the rows of lengths, sorted descending, are unique per cycle type;
-    their lexicographic order is that of the partitions.
+    Classes are the distinct ``_cycle_codes`` in increasing order, and
+    ``rep_cls`` looks up the codes of the compositions inv(rep_r) sigma_j,
+    fancy indexing on the image rows, among them.
     """
     images = np.array(list(permutations(range(t))), dtype=np.int8).reshape(-1, t)
     moved = images != np.arange(t)
     mask = moved @ (1 << np.arange(t, dtype=np.int64))
     order = np.lexsort((*images.T[::-1], mask, moved.sum(axis=1)))
     images, mask = images[order], mask[order]
-    lengths = np.zeros_like(images)
-    power = images
-    for k in range(1, t + 1):
-        lengths[(power == np.arange(t)) & (lengths == 0)] = k
-        power = np.take_along_axis(images, power, axis=1)
-    rows, cls, counts = np.unique(-np.sort(-lengths, axis=1), axis=0,
-                                  return_inverse=True, return_counts=True)
+    codes, reps, cls = np.unique(_cycle_codes(images), return_index=True, return_inverse=True)
+    class_sizes, p = np.bincount(cls), len(reps)
     classes, size, mobius = [], [], []
-    for row, count in zip(rows.tolist(), counts.tolist()):
-        parts, j = [], 0
-        while j < t:
-            parts.append(row[j])
-            j += row[j]
+    for code, count in zip(codes.tolist(), class_sizes.tolist()):
+        on = [code // (t + 1) ** (k - 1) % (t + 1) for k in range(t + 1)]  # points on k-cycles
+        parts = [k for k in range(t, 0, -1) for _ in range(on[k] // k)]
         classes.append((tuple(parts), count))
         size.append(t - len(parts))
         mobius.append(np.prod([(-1) ** (k - 1) * catalan(k - 1) for k in parts]))
-    cls = cls.ravel().astype(np.int8)
-    out = _Elements(images, np.array(size, dtype=np.int8)[cls], cls,
-                    np.array(mobius, dtype=np.int16)[cls], mask, tuple(classes))
-    for a in out[:5]:
+    cls = cls.astype(np.int8)
+    # Row r: the classes of the image rows of inv(rep_r) sigma_j.
+    inverses = np.argsort(images[reps], axis=1).astype(np.int8)
+    rep_cls = np.searchsorted(codes, _cycle_codes(inverses[:, images].reshape(-1, t)))
+    rep_cls = rep_cls.astype(np.int8).reshape(p, -1)
+    flat = (np.arange(p)[:, None] * p + rep_cls) * p + cls
+    out = Elements(images, np.array(size, dtype=np.int8)[cls], cls,
+                   np.array(mobius, dtype=np.int16)[cls], mask, tuple(classes), reps,
+                   class_sizes, rep_cls,
+                   np.bincount(flat.ravel(), minlength=p**3).reshape(p, p, p))
+    for a in (*out[:5], *out[6:]):
         a.flags.writeable = False
     return out
 
 
-def symmetric_group(t: int) -> np.ndarray:
-    """All of S_t as a read-only (t!, t) int8 array of image rows,
-    ``sigma(i) = images[i]``, in canonical order (identity first)."""
+def elements(t: int) -> Elements:
+    """The cached ``Elements`` of S_t; raise ValueError unless
+    1 <= t <= ``max_order()``."""
     if t < 1:
         raise ValueError("order must be >= 1")
     if t > max_order():
@@ -113,87 +137,48 @@ def symmetric_group(t: int) -> np.ndarray:
             f"t={t} exceeds the cap {max_order()} "
             f"(set {MAX_ORDER_ENV} to raise it)"
         )
-    return _elements(t).images
+    return _elements(t)
+
+
+def symmetric_group(t: int) -> np.ndarray:
+    """All of S_t as a read-only (t!, t) int8 array of image rows,
+    ``sigma(i) = images[i]``, in canonical order (identity first)."""
+    return elements(t).images
 
 
 def conjugacy_classes(t: int) -> tuple:
     """Cycle types (partitions of t, parts descending) in sorted order,
     paired with member counts."""
-    symmetric_group(t)  # the cap check
-    return _elements(t).classes
-
-
-@dataclass(frozen=True, eq=False)
-class ProductTable:
-    """Relative products of S_t in canonical order, with per-element data.
-
-    ``prod[i, j]`` is the canonical index of inv(sigma_i) * sigma_j.  Every
-    pair table over S_t (Gram, Weingarten, sub-permutation order, Möbius
-    matrix, localized Gram) is a per-element vector indexed by ``prod``.
-    ``size``, ``cls`` (position in ``conjugacy_classes``), ``mobius`` and
-    ``mask`` (support bitmask) are indexed by canonical position.  ``reps``
-    is the first canonical index in each class and ``class_sizes`` the
-    member count, both in ``conjugacy_classes`` order; ``rep_cls`` holds the
-    rows of ``cls[prod]`` there, and ``algebra[r, a, b]`` the count of u with
-    inv(rep_r) u in class a and u in class b (see ``convolution``).
-    """
-
-    prod: np.ndarray
-    size: np.ndarray
-    cls: np.ndarray
-    mobius: np.ndarray
-    mask: np.ndarray
-    reps: np.ndarray
-    class_sizes: np.ndarray
-    rep_cls: np.ndarray
-    algebra: np.ndarray
-
-    def __post_init__(self):
-        # The cached table is shared by every caller.
-        for a in vars(self).values():
-            a.flags.writeable = False
+    return elements(t).classes
 
 
 @lru_cache(maxsize=None)
-def product_table(t: int) -> ProductTable:
-    """The cached ``ProductTable`` of S_t, built from int8 image arrays.
-
+def product_table(t: int) -> np.ndarray:
+    """The cached, read-only pair table of S_t: ``prod[i, j]`` is the
+    canonical index of inv(sigma_i) * sigma_j (int16 while t! <= 2^15).
+    Every t! x t! table over S_t is a per-element vector indexed by it.
     Composition is fancy indexing on the images, and the index of each
     product comes from a lookup on the base-t code of its image row.  Rows
     are built one at a time, so temporaries stay at t! * t entries.
     """
     images = symmetric_group(t)
-    el = _elements(t)
     n = len(images)
     inverses = np.argsort(images, axis=1).astype(np.int8)
     weights = t ** np.arange(t - 1, -1, -1, dtype=np.int64)
-    codes = images @ weights
     lookup = np.zeros(t**t, dtype=np.int32)
-    lookup[codes] = np.arange(n)
+    lookup[images @ weights] = np.arange(n)
     prod = np.empty((n, n), dtype=np.int16 if n <= 2**15 else np.int32)
     for i in range(n):
         prod[i] = lookup[inverses[i][images] @ weights]
-    cls, reps = el.cls, np.unique(el.cls, return_index=True)[1]
-    rep_cls, p = cls[prod[reps]], len(reps)
-    flat = (np.arange(p)[:, None] * p + rep_cls) * p + cls
-    return ProductTable(
-        prod=prod,
-        size=el.size,
-        cls=cls,
-        mobius=el.mobius,
-        mask=el.mask,
-        reps=reps,
-        class_sizes=np.bincount(cls),
-        rep_cls=rep_cls,
-        algebra=np.bincount(flat.ravel(), minlength=p**3).reshape(p, p, p),
-    )
+    prod.flags.writeable = False
+    return prod
 
 
 def convolution(t: int, b: np.ndarray) -> np.ndarray:
     """Convolution by the class function b, a p(t) x p(t) matrix on values by
     class: ``convolution(t, b) @ a`` is a * b = b * a, sum_u a(g inv(u)) b(u)
     at g = rep_r; exact on object arrays, float otherwise."""
-    return product_table(t).algebra @ b
+    return elements(t).algebra @ b
 
 
 @lru_cache(maxsize=None)
@@ -202,21 +187,21 @@ def conjugation_table(t: int) -> np.ndarray:
     (a, b), ``cls[a] * t! + conj[a, b]``, with ``conj[a, b]`` the index of
     g^-1 sigma_b g for one g with g r g^-1 = sigma_a and r the
     representative of sigma_a's class; int16 while p(t) t! < 2^15 (t <= 6),
-    else int32.  Gathers on ``prod``."""
-    tab = product_table(t)
-    inv, n = tab.prod[:, 0], len(tab.cls)
+    else int32.  Gathers on ``product_table``."""
+    el, prod = elements(t), product_table(t)
+    inv, n = prod[:, 0], len(el.cls)
     # Row c is g r_c g^-1 over all g; take the first g that gives each a.
-    g = np.unique(tab.prod[inv[tab.prod[inv[:, None], tab.reps].T], inv], return_index=True)[1]
+    g = np.unique(prod[inv[prod[inv[:, None], el.reps].T], inv], return_index=True)[1]
     g %= n
-    dtype = np.int16 if len(tab.reps) * n < 2**15 else np.int32
-    flat = tab.prod[inv[tab.prod[g]], g[:, None]].astype(dtype)
-    flat += n * tab.cls[:, None].astype(dtype)
+    dtype = np.int16 if len(el.reps) * n < 2**15 else np.int32
+    flat = prod[inv[prod[g]], g[:, None]].astype(dtype)
+    flat += n * el.cls[:, None].astype(dtype)
     flat.flags.writeable = False
     return flat
 
 
 def from_class_rows(t: int, rows: np.ndarray, at=slice(None)) -> np.ndarray:
-    """The conjugation-invariant matrix with these rows at ``product_table(t).reps``,
+    """The conjugation-invariant matrix with these rows at ``elements(t).reps``,
     or its rows ``at`` (an int gives one row): one gather of the raveled
     rows through ``conjugation_table(t)``."""
     return rows.ravel()[conjugation_table(t)[at]]
@@ -232,9 +217,9 @@ def class_product(rows: np.ndarray, *rest) -> np.ndarray:
 
 
 def check_conjugation_invariant(t: int, matrix: np.ndarray) -> np.ndarray:
-    """The rows at ``product_table(t).reps`` of ``matrix``; raise ValueError
+    """The rows at ``elements(t).reps`` of ``matrix``; raise ValueError
     unless it is t! x t! and exactly its own ``from_class_rows``."""
-    reps, n = product_table(t).reps, len(product_table(t).cls)
+    reps, n = elements(t).reps, len(elements(t).cls)
     if not (matrix.shape == (n, n) and mat_eq(from_class_rows(t, matrix[reps]), matrix)):
         raise ValueError(f"operand is not a {n} x {n} matrix fixed by simultaneous conjugation")
     return matrix[reps]
@@ -279,14 +264,14 @@ def symmetry_blocks(t: int) -> SymmetryBlocks:
     are gathers on ``prod``: J = prod[:, 0] and Ad_g(sigma) =
     prod[inv[prod[g, sigma]], g] (g^-1 = g).
     """
-    tab = product_table(t)
-    n = len(tab.cls)
-    inv = tab.prod[:, 0].astype(np.intp)
+    el, prod = elements(t), product_table(t)
+    n = len(el.cls)
+    inv = prod[:, 0].astype(np.intp)
     gens = [inv]
     for a in range(0, t - 1, 2):
         # (a a+1) is the only element with support {a, a+1}.
-        g = np.flatnonzero(tab.mask == 3 << a)[0]
-        gens.append(tab.prod[inv[tab.prod[g]], g].astype(np.intp))
+        g = np.flatnonzero(el.mask == 3 << a)[0]
+        gens.append(prod[inv[prod[g]], g].astype(np.intp))
     # act[h] for h a bitmask over the generators.
     act = np.empty((1 << len(gens), n), dtype=np.intp)
     act[0] = np.arange(n)
@@ -299,7 +284,7 @@ def symmetry_blocks(t: int) -> SymmetryBlocks:
     trivial = odd @ stab == 0  # (s, orbit): chi_s is 1 on all of H_i
     stab_order = np.count_nonzero(stab, axis=0)
     chi = 1.0 - 2.0 * odd
-    classes = np.arange(len(tab.reps))[:, None, None, None]
+    classes = np.arange(len(el.reps))[:, None, None, None]
     blocks, lift, start = [], [], 0
     for s in range(len(act)):
         keep = np.flatnonzero(trivial[s])
@@ -309,7 +294,7 @@ def symmetry_blocks(t: int) -> SymmetryBlocks:
         elems = act[:, reps]  # (h, i): h r_i
         rows, first = np.unique(elems, return_index=True)
         h, pos = np.divmod(first, len(reps))
-        cls = tab.cls[tab.prod[reps[:, None], elems[:, None, :]]]  # (h, i, j)
+        cls = el.cls[prod[reps[:, None], elems[:, None, :]]]  # (h, i, j)
         weights = np.einsum("khij,h->ikj", cls == classes, chi[s]).astype(np.int8)
         blocks.append((start + np.arange(len(reps)), reps, stab_order[keep], weights))
         lift.append((rows, start + pos, chi[s, h] * np.sqrt(stab_order[keep][pos] / len(act))))

@@ -27,14 +27,13 @@ class SingularGramError(ValueError):
 @lru_cache(maxsize=None)
 def _pair_class_table(t: int) -> np.ndarray:
     """Index of the cycle type of inv(sigma_i)*sigma_j for all pairs."""
-    tab = sg.product_table(t)
-    return tab.cls[tab.prod]
+    return sg.elements(t).cls[sg.product_table(t)]
 
 
 def inverse_powers(base: int, count: int, exact: bool) -> np.ndarray:
     """[base^0, base^-1, ..., base^-(count-1)]: Fractions, or floats.
 
-    Indexed by ``symmgroup.product_table(t).size`` (with count = t) it is
+    Indexed by ``symmgroup.elements(t).size`` (with count = t) it is
     the vector base^(-size(sigma)) over S_t.  A dimension beyond the float
     range raises ValueError on the float path.
     """
@@ -55,8 +54,8 @@ def weingarten_function(t: int, d: int):
     Returns a read-only vector of Fractions in ``conjugacy_classes`` order.
     Raises SingularGramError when the overlap form is degenerate.
     """
-    tab = sg.product_table(t)
-    a = sg.convolution(t, inverse_powers(d, t, exact=True)[tab.size[tab.reps]])
+    el = sg.elements(t)
+    a = sg.convolution(t, inverse_powers(d, t, exact=True)[el.size[el.reps]])
     try:
         # Right-hand side e_0: class 0 is the identity.
         sol = solve_exact(a, np.eye(len(a), 1, dtype=object))[:, 0]
@@ -72,8 +71,7 @@ def gram_matrix(t: int, d: int, exact: bool = True) -> np.ndarray:
     """Normalized overlap matrix, entry (sigma, pi) = d^(-size(inv(sigma) pi))."""
     if t < 1 or d < 1:
         raise ValueError("t and d must be >= 1")
-    tab = sg.product_table(t)
-    return inverse_powers(d, t, exact)[tab.size][tab.prod]
+    return inverse_powers(d, t, exact)[sg.elements(t).size][sg.product_table(t)]
 
 
 def weingarten_values(t: int, d: int, exact: bool = True) -> np.ndarray:
@@ -95,5 +93,5 @@ def jucys_murphy_sum(t: int, d: int) -> Fraction:
 
 def character_sum(t: int, d: int) -> Fraction:
     """Direct summation of d^(-size) over the group (oracle for the closed form)."""
-    return sum((Fraction(1, d**s) for s in sg.product_table(t).size.tolist()), Fraction(0))
+    return sum((Fraction(1, d**s) for s in sg.elements(t).size.tolist()), Fraction(0))
 

@@ -199,7 +199,7 @@ def class_algebra_counts(t: int) -> np.ndarray:
     """(p(t), p(t), p(t)) counts: entry [r, a, b] is the number of u with
     inv(rep_r) u in class a and u in class b, by composing ``Permutation``
     objects, for classes in sorted cycle-type order and rep_r the first of
-    class r in canonical order; oracle for ``symmgroup.product_table(t).algebra``."""
+    class r in canonical order; oracle for ``symmgroup.elements(t).algebra``."""
     group = symmetric_group(t)
     kinds = {key: i for i, key in enumerate(sorted({p.cycle_type() for p in group}))}
     reps = {}
@@ -353,7 +353,7 @@ def chaar_transfer_perm(t: int, d: int, dE: int, exact: bool = True) -> np.ndarr
     dE^(-size) times the Weingarten matrix of the composite dimension d*dE,
     one product per entry.  dE = 1 is the Haar ensemble.  Oracle for
     moments.transfer."""
-    scale = wg.inverse_powers(dE, t, exact)[sg.product_table(t).size]
+    scale = wg.inverse_powers(dE, t, exact)[sg.elements(t).size]
     return scale[:, None] * wg.weingarten_matrix(t, d * dE, exact=exact)
 
 
@@ -365,7 +365,7 @@ def transfer_full(spec, basis: str, exact: bool) -> np.ndarray:
     each product taken from the rows of its full left operand and gathered
     by ``symmgroup.from_class_rows``.  Oracle for the class-row storage."""
     t, d = spec.t, spec.d
-    tab = sg.product_table(t)
+    tab = sg.elements(t)
     f, _, w = mo._tables(spec, exact)
     m = np.multiply.outer(f, w)[tab.size[:, None], wg._pair_class_table(t)]
     if basis == LOCALIZED and spec.kind != DEPOLARIZE:
@@ -944,7 +944,7 @@ def right_eigenpairs_dense(spec, f: np.ndarray, c: np.ndarray) -> tuple:
         evecs[0, 1:] = -c[1:]
     else:
         half = np.sqrt(f)
-        sym = c[sg.product_table(spec.t).prod]
+        sym = c[sg.product_table(spec.t)]
         sym *= half[:, None]
         sym *= half
         evals, evecs = np.linalg.eigh(sym)
@@ -964,9 +964,9 @@ def reference_values_rows(spec, ks, exact: bool) -> dict:
     there of Y_k (v) and of X Y_k (u, times n_r) follow from
     (v, u) <- (v, u) C D, p(t) x t! by t! x t! products.
     """
-    tab, pcls = sg.product_table(spec.t), wg._pair_class_table(spec.t)
+    tab, pcls = sg.elements(spec.t), wg._pair_class_table(spec.t)
     (f, df), (x, dx), (w, dw) = split_all(*mo._tables(spec, exact))
-    xr, wr, f = x[tab.size][tab.prod[tab.reps]], w[pcls[tab.reps]], f[tab.size]
+    xr, wr, f = x[tab.size][sg.product_table(spec.t)[tab.reps]], w[pcls[tab.reps]], f[tab.size]
     dc = dx * dw
     c = (xr * w[tab.cls]).sum(axis=1)  # (X W)[r, 0] = (W X)[r, 0]
     q, dq = (wr * c[tab.cls]).sum(axis=1), dc * dw
@@ -1015,16 +1015,16 @@ def spectrum_residuals_dense(spec) -> dict:
     column-normalized lifted eigenpairs of ``moments._right_eigenpairs``,
     to psi = f x and to e_0."""
     t, k = spec.t, spec.k
-    tab, pcls = sg.product_table(t), wg._pair_class_table(t)
+    tab, pcls = sg.elements(t), wg._pair_class_table(t)
     f_s, x, w = mo._tables(spec, exact=False)
-    f, xr = f_s[tab.size], x[tab.size][tab.prod[tab.reps]]
+    f, xr = f_s[tab.size], x[tab.size][sg.product_table(t)[tab.reps]]
     c = (xr * w[tab.cls]).sum(axis=1)  # (X W)[r, 0] = (W X)[r, 0]
     power = np.linalg.matrix_power(c[pcls] * f[:, None], k)
     evals, evecs = lifted_eigenpairs(t, mo._right_eigenpairs(spec, f, c))
     evecs /= np.linalg.norm(evecs, axis=0)
     pair = power @ evecs - evecs * evals**k
     psi = leading_right_vector(spec)
-    dual = np.linalg.matrix_power(x[tab.size][tab.prod] @ (f[:, None] * w[pcls]), k)
+    dual = np.linalg.matrix_power(x[tab.size][sg.product_table(t)] @ (f[:, None] * w[pcls]), k)
     return {
         "eigenpairs": float(np.linalg.norm(pair, axis=0).max()),
         "leading_right": float(np.abs(power @ psi - psi).max()),
@@ -1036,8 +1036,8 @@ def localized_gram_exponent_table(t: int, d: int, exact: bool) -> np.ndarray:
     """``localized.localized_gram`` with R gathered from its full t! x t!
     exponent table size(eta) + size(kappa) - size(inv(eta) kappa), not from
     its class rows; the same products L[reps] R and then L^T."""
-    tab = sg.product_table(t)
-    expo = tab.size[:, None] + tab.size[None, :] - tab.size[tab.prod]
+    tab = sg.elements(t)
+    expo = tab.size[:, None] + tab.size[None, :] - tab.size[sg.product_table(t)]
     lower = loc._order_matrix(t)
     powers = np.array([d**e for e in range(2 * t - 1)], dtype=object if exact else float)
     return sg.from_class_rows(t, lower[tab.reps].dot(powers[expo]).dot(lower.T))

@@ -173,7 +173,7 @@ def test_spectrum_matches_dense_eig(t):
 
 @pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
 def test_blocked_eigenvalues_match_dense_eigh(t):
-    cls = sg.product_table(t).cls
+    cls = sg.elements(t).cls
     for spec in [haar(t, t)] + [chaar(max(2, -(-t // dE)), dE, t) for dE in (1, 2, 3)]:
         f, _, c = mo._class_values(t, *mo._tables(spec, exact=False))
         got = lifted_eigenpairs(t, mo._right_eigenpairs(spec, f, c))[0]
@@ -183,7 +183,7 @@ def test_blocked_eigenvalues_match_dense_eigh(t):
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4])
 def test_class_rows_exact_equal_matrix_rows(t):
-    tab, pcls = sg.product_table(t), wg._pair_class_table(t)
+    tab, pcls = sg.elements(t), wg._pair_class_table(t)
     for spec in (haar(max(2, t), t), chaar(2, 2, t), depolarize(2, t)):
         f, x, w = mo._tables(spec, exact=True)
         f_all, xc, c = mo._class_values(t, f, x, w)
@@ -918,7 +918,7 @@ def test_class_row_transfer_matches_full_builder(spec, basis, k, exact):
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
     x = mo.gram(spec.t, spec.d, basis=basis, exact=exact)
     (a, da), (b, db) = split_all(want, x)
-    rows = sg.class_product(a[sg.product_table(spec.t).reps], b, a.T)
+    rows = sg.class_product(a[sg.elements(spec.t).reps], b, a.T)
     n2, want_n2 = mo.norm_squared(tm, x), join((sg.from_class_rows(spec.t, rows) * b.T).sum(),
                                                (da * db) ** 2)
     if exact:

@@ -252,7 +252,7 @@ def symmetry_group_images(t):
 def test_symmetry_blocks_orthonormal_basis(t):
     """The group columns partition the t!, each group's arrays agree in
     (g, m), and the lift's U is orthonormal."""
-    blocks, n, p = sg.symmetry_blocks(t), factorial(t), len(sg.product_table(t).reps)
+    blocks, n, p = sg.symmetry_blocks(t), factorial(t), len(sg.elements(t).reps)
     cols = np.concatenate([g[0].ravel() for g in blocks.groups])
     assert np.array_equal(np.sort(cols), np.arange(n))
     sizes = [g[0].shape[1] for g in blocks.groups]
@@ -280,12 +280,12 @@ def test_symmetry_blocks_stabilizer_orders(t):
 @pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 6])
 def test_symmetry_group_fixes_class_function_matrices(t):
     rng = np.random.default_rng(t)
-    tab = sg.product_table(t)
+    tab = sg.elements(t)
     images = symmetry_group_images(t)
     assert len(images) == 2 ** (1 + t // 2)
     for _ in range(3):
         f = rng.standard_normal(t)[tab.size]
-        c = rng.standard_normal(len(tab.reps))[tab.cls[tab.prod]]
+        c = rng.standard_normal(len(tab.reps))[tab.cls[sg.product_table(t)]]
         for img in images:
             assert np.array_equal(f[img], f)
             assert np.array_equal(c[img[:, None], img], c)

@@ -1,6 +1,7 @@
-"""Every S_t pair table derived from ``symmgroup.product_table`` against
-element-wise ``Permutation`` oracles: exact equality, including the entry
-types of exact object arrays."""
+"""The class data of ``symmgroup.elements`` and every S_t pair table
+derived from ``symmgroup.product_table`` against element-wise
+``Permutation`` oracles: exact equality, including the entry types of
+exact object arrays."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -75,11 +76,11 @@ def assert_same_exact(got, want):
 @pytest.mark.parametrize("t", ORDERS)
 def test_product_table_matches_composition(t):
     group = symmetric_group(t)
-    tab = sg.product_table(t)
+    tab = sg.elements(t)
     rel = relative(t)
     idx = group_index(t)
     want = [[idx[rel[i][j].images] for j in range(len(group))] for i in range(len(group))]
-    assert tab.prod.tolist() == want
+    assert sg.product_table(t).tolist() == want
     kidx = class_index(t)
     assert tab.size.tolist() == [p.size for p in group]
     assert tab.cls.tolist() == [kidx[p.cycle_type()] for p in group]
@@ -95,7 +96,54 @@ def test_product_table_matches_composition(t):
         for p, u in zip(row, group):
             counts[r, kidx[p.cycle_type()], kidx[u.cycle_type()]] += 1
     assert tab.algebra.tolist() == counts.tolist()
-    assert not any(a.flags.writeable for a in vars(tab).values())
+    arrays = [a for a in tab if isinstance(a, np.ndarray)]
+    assert len(arrays) == len(tab) - 1  # all but ``classes``
+    assert not any(a.flags.writeable for a in arrays + [sg.product_table(t)])
+
+
+@pytest.mark.parametrize("t", ORDERS)
+def test_cycle_codes_of_composed_rows_match_cycle_types(t):
+    """The code of each composed image row inv(sigma_i) sigma_j ranks, among
+    the distinct codes, as its ``Permutation`` cycle type among the classes."""
+    images = sg.symmetric_group(t)
+    inverses = np.argsort(images, axis=1).astype(np.int8)
+    composed = inverses[:, images]  # (i, j): inv(sigma_i) sigma_j
+    codes = sg._cycle_codes(composed.reshape(-1, t))
+    assert codes.dtype == np.int64
+    distinct = np.unique(codes)
+    assert len(distinct) == len(sg.conjugacy_classes(t))
+    kidx = class_index(t)
+    want = [[kidx[p.cycle_type()] for p in row] for row in relative(t)]
+    assert np.searchsorted(distinct, codes).reshape(len(images), -1).tolist() == want
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 6])
+def test_class_routes_build_no_pair_table(t, monkeypatch):
+    """The Weingarten function and values, the classes, convolution, the
+    class rows of a k = 1 permutation-basis transfer and the
+    ``TransferMatrix`` constructor read only ``elements``: with
+    ``product_table`` raising and the element and Weingarten caches cleared,
+    they give what they gave before."""
+    d, spec = t + 1, chaar(2, 3, t)
+    w = wg.weingarten_function(t, d)
+    classes, rows = sg.conjugacy_classes(t), mo.transfer(spec).rows
+    conv = sg.convolution(t, w)
+
+    def no_pair_table(t):
+        raise AssertionError("the pair table was built")
+
+    monkeypatch.setattr(sg, "product_table", no_pair_table)
+    sg._elements.cache_clear()
+    wg.weingarten_function.cache_clear()
+    assert_same_exact(wg.weingarten_function(t, d), w)
+    assert np.array_equal(wg.weingarten_values(t, d, exact=False), w.astype(float))
+    assert sg.conjugacy_classes(t) == classes
+    assert_same_exact(sg.convolution(t, w), conv)
+    got = mo.transfer(spec)
+    assert_same_exact(got.rows, rows)
+    assert mo.TransferMatrix(got.rows, got.basis, got.ensemble).rows is got.rows
+    with pytest.raises(ValueError, match="class rows of shape"):
+        mo.TransferMatrix(got.rows[1:], got.basis, got.ensemble)
 
 
 @pytest.mark.parametrize("t", ORDERS)
@@ -104,7 +152,7 @@ def test_class_algebra_matches_brute_force_counts(t):
     one count off fails.  They are symmetric in the two factor classes (the
     class algebra is commutative), and at the identity, inv(e) u = u, the
     counts are the class sizes on the diagonal."""
-    tab = sg.product_table(t)
+    tab = sg.elements(t)
     assert np.array_equal(tab.algebra, class_algebra_counts(t))
     assert np.array_equal(tab.algebra, tab.algebra.transpose(0, 2, 1))
     assert np.array_equal(tab.algebra[0], np.diag(tab.class_sizes))
@@ -116,7 +164,7 @@ def test_convolution_is_row_of_class_function_matrix_product(t):
     and B = b[cls prod], exactly on ints and Fractions, and commutes."""
     rng = np.random.default_rng(t)
     pcls = wg._pair_class_table(t)
-    reps = sg.product_table(t).reps
+    reps = sg.elements(t).reps
     p = len(reps)
     a = np.array([int(v) for v in rng.integers(-9, 10, p)], dtype=object)
     b = np.array([Fraction(int(n), int(m)) for n, m in rng.integers(1, 10, (p, 2))], dtype=object)
@@ -129,14 +177,15 @@ def test_convolution_is_row_of_class_function_matrix_product(t):
 def test_conjugation_table_is_inner_automorphism_to_representative(t):
     """Row a is a bijection that keeps classes and relative products (an
     automorphism, inner for t != 6) and takes sigma_a to its representative."""
-    tab = sg.product_table(t)
+    tab = sg.elements(t)
     table = sg.conjugation_table(t)
     assert sg.conjugation_table(t) is table and not table.flags.writeable
     n = len(tab.cls)
     conj = table - n * tab.cls.astype(np.intp)[:, None]
     assert np.array_equal(np.sort(conj, axis=1), np.broadcast_to(np.arange(n), (n, n)))
     assert np.array_equal(tab.cls[conj], np.broadcast_to(tab.cls, (n, n)))
-    assert np.array_equal(conj[:, tab.prod], tab.prod[conj[:, :, None], conj[:, None, :]])
+    prod = sg.product_table(t)
+    assert np.array_equal(conj[:, prod], prod[conj[:, :, None], conj[:, None, :]])
     assert np.array_equal(np.diagonal(conj), tab.reps[tab.cls])
 
 
@@ -161,7 +210,7 @@ def test_from_class_rows_rebuilds_conjugation_invariant_matrix(t, exact):
         for orbit in row:
             value.setdefault(orbit, Fraction(int(rng.integers(-99, 99)), int(rng.integers(1, 9))))
     m = np.array([[value[o] for o in row] for row in orbits], dtype=object if exact else float)
-    got = sg.from_class_rows(t, m[sg.product_table(t).reps])
+    got = sg.from_class_rows(t, m[sg.elements(t).reps])
     assert got.dtype == m.dtype
     if exact:
         assert_same_exact(got, m)
@@ -175,7 +224,7 @@ def test_from_class_rows_reads_the_two_index_gather(t, exact):
     """The one flat index reads what the class vector and the conjugation
     columns read together, ``rows[cls[:, None], conj]``: in full, for one
     row and for a slice of rows."""
-    tab, rng = sg.product_table(t), np.random.default_rng(t)
+    tab, rng = sg.elements(t), np.random.default_rng(t)
     n = len(tab.cls)
     cls = tab.cls.astype(np.intp)
     conj = sg.conjugation_table(t) - n * cls[:, None]
@@ -199,7 +248,7 @@ def test_check_conjugation_invariant_compares_values_not_objects(t):
     distinct = np.array([[Fraction(v.numerator, v.denominator) for v in row] for row in x],
                         dtype=object)
     rows = sg.check_conjugation_invariant(t, distinct)
-    assert rows.tolist() == x[sg.product_table(t).reps].tolist()
+    assert rows.tolist() == x[sg.elements(t).reps].tolist()
     distinct[2, 1] = Fraction(distinct[2, 1].numerator + 1, distinct[2, 1].denominator)
     with pytest.raises(ValueError, match="fixed by simultaneous conjugation"):
         sg.check_conjugation_invariant(t, distinct)
