@@ -12,12 +12,13 @@ Both the transport and the localized Gram matrix are products L M L^T with
 L supported on the sub-permutation order and L and M fixed by simultaneous
 conjugation of S_t, so ``symmgroup.class_product`` takes them from the
 class rows of L, on the exact or float numerators of ``exactalg.split``
-alike.  L is read from one cached table each: for the transport, zeta^T
-from the boolean ``_subperm_table``; for the Gram, the int16 Möbius matrix
-of ``_order_matrix``.  numpy's dot casts either to the number type of M.
-Both gather M in full from its class rows (``symmgroup.from_class_rows``)
-inside the product L[reps] M, so that M is freed before L^T is cast.  The
-transport reads and writes the class rows of ``specs.TransferMatrix``.
+alike.  L is read from one cached ``symmgroup.class_matrix`` gather each:
+for the transport, zeta^T from the boolean ``_subperm_table``; for the
+Gram, the int16 Möbius matrix of ``_order_matrix``.  numpy's dot casts
+either to the number type of M.  Both gather M in full from its class rows
+(``symmgroup.from_class_rows``) inside the product L[reps] M, so that M is
+freed before L^T is cast.  The transport reads and writes the class rows of
+``specs.TransferMatrix``.
 """
 
 from __future__ import annotations
@@ -35,9 +36,12 @@ from .specs import LOCALIZED, PERMUTATION, EnsembleSpec, TransferMatrix
 
 @lru_cache(maxsize=None)
 def _subperm_table(t: int) -> np.ndarray:
-    """Boolean matrix of the partial order: entry (i, j) iff sigma_j <= sigma_i."""
-    size = sg.elements(t).size
-    return size[sg.product_table(t).T] == size[:, None] - size[None, :]
+    """Read-only boolean matrix of the partial order: entry (i, j) iff
+    sigma_j <= sigma_i, i.e. size(inv(sigma_i) sigma_j) = size_i - size_j."""
+    el = sg.elements(t)
+    out = sg.class_matrix(t, el.size[el.reps]) == el.size[:, None] - el.size[None, :]
+    out.flags.writeable = False
+    return out
 
 
 def phi_inverse(t: int) -> np.ndarray:
@@ -47,27 +51,23 @@ def phi_inverse(t: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _order_matrix(t: int) -> np.ndarray:
-    """The Möbius matrix L of the localized Gram L R L^T, in int16."""
-    out = np.where(_subperm_table(t), sg.elements(t).mobius[sg.product_table(t).T], 0)
+    """The Möbius matrix L of the localized Gram L R L^T, in int16 and
+    read-only: entry (sigma, pi) = mobius(inv(pi) sigma) on the order."""
+    el = sg.elements(t)
+    out = np.where(_subperm_table(t), sg.class_matrix(t, el.mobius[el.reps]), 0)
     out.flags.writeable = False
     return out
 
 
-@lru_cache(maxsize=None)
 def phi_matrix(t: int) -> np.ndarray:
-    """Möbius matrix: entry (sigma, pi) = mobius(inv(pi) sigma) on the order.
-
-    Python ints; cached and read-only, since every caller shares it.
-    """
-    out = _order_matrix(t).astype(object)
-    out.flags.writeable = False
-    return out
+    """``_order_matrix(t)`` in Python ints; only perfbench counts it."""
+    return _order_matrix(t).astype(object)
 
 
 def localized_gram(t: int, d: int, exact: bool = True) -> np.ndarray:
     """Normalized overlaps of the localized operators; block-diagonal in support.
 
-    Computed as phi . R . phi^T with R(eta, kappa) =
+    Computed as L R L^T, L = ``_order_matrix(t)``, with R(eta, kappa) =
     d^(size(eta) + size(kappa) - size(inv(eta) kappa)), which is a
     non-negative power of d by the triangle inequality of the size metric:
     Python ints on the exact path, floats otherwise.

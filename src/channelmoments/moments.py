@@ -18,10 +18,10 @@ over 1) and turned back into a value by ``exactalg.join``, so no code in
 this module branches on exactness.
 
 In the permutation basis every reference ensemble has tau = D W with
-D = diag(f[size]) and W = w[cls prod], and X = x[size][prod]; ``_tables``
-gives (f, x, w) and is the only place that says what an ensemble is.  W and
-X are convolutions by class functions: each is fixed by its row 0, and so
-are C = W X and Q = W X W.  Class functions multiply on the class algebra
+D = diag(f[size]), and W and X the ``symmgroup.class_matrix`` of w and x;
+``_tables`` gives (f, x, w) and is the only place that says what an
+ensemble is.  W and X are convolutions by class functions: each is fixed by
+its row 0, and so are C = W X and Q = W X W.  Class functions multiply on the class algebra
 (``symmgroup.convolution``): ``_class_values`` gives x and c = w * x by
 class, and ``spectrum`` and ``hierarchy_scan`` work from these and never
 build a transfer matrix, X or W.  tau X = D C, and the k-fold
@@ -132,8 +132,8 @@ def _tables(spec: EnsembleSpec, exact: bool) -> tuple:
 def transfer(spec: EnsembleSpec, basis: str = PERMUTATION, exact: bool = True) -> TransferMatrix:
     """Transfer matrix of a reference ensemble, concatenated ``spec.k`` times.
 
-    The class rows of the permutation-basis matrix diag(f[size]) w[cls prod]
-    are gathered from the t p(t) products of the ensemble's ``_tables``.  The
+    The class rows of the permutation-basis matrix tau = D W are gathered
+    from the t p(t) products of the ensemble's ``_tables``.  The
     localized matrix is transported from it, except for the rank-one
     reference e_0 e_0^T, which is the same in both bases (zeta[0, j] = delta_j0).
     """
@@ -172,7 +172,7 @@ def _reference_values(spec: EnsembleSpec, ks, exact: bool) -> dict:
     """{k: (norm^2, trace)} of the k-fold reference ensemble ``spec``, k in ``ks``,
     from the blocks of ``sg.symmetry_blocks``.
 
-    C = W X = c[prod] and Q = W C = q[prod] for the class values c of
+    C = W X and Q = W C are the ``sg.class_matrix`` of the class values c of
     ``_class_values`` and q = w * c, both products on the class algebra
     (``sg.convolution``).  tau_k X = (D C)^k = Y_k C with the
     symmetric Y_k = D (C D)^(k-1), so norm^2 = Tr[Y_k Q Y_k X] and
@@ -361,8 +361,8 @@ def _class_blocks(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def _right_eigenpairs(spec: EnsembleSpec, f: np.ndarray, c: np.ndarray) -> tuple:
     """The ``BlockPairs`` of tau X = D C, one per group of
-    ``sg.symmetry_blocks``, with D = diag(f) and C = c[cls][prod] for c by
-    class (see ``_class_values``).
+    ``sg.symmetry_blocks``, with D = diag(f) and C = ``sg.class_matrix(t, c)``
+    for c by class (see ``_class_values``).
 
     D and C commute with the group H of ``sg.symmetry_blocks``, so tau X is
     block diagonal in its basis, and T_b = F_b C_b with F_b = f[reps] and
@@ -402,15 +402,6 @@ def _right_eigenpairs(spec: EnsembleSpec, f: np.ndarray, c: np.ndarray) -> tuple
     return tuple(out)
 
 
-def _class_matvec(v: np.ndarray, prod: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """v[prod] @ x for v over S_t and the pair table ``prod = sg.product_table(t)``,
-    gathered in row chunks of at most ``GATHER_CHUNK`` entries."""
-    rows, out = max(1, GATHER_CHUNK // len(prod)), np.empty_like(x)
-    for i in range(0, len(prod), rows):
-        np.matmul(v[prod[i:i + rows]], x, out=out[i:i + rows])
-    return out
-
-
 def spectrum(spec: EnsembleSpec) -> SpectralReport:
     """Eigenvalues and leading eigenpair of the k-concatenated ensemble.
 
@@ -433,8 +424,8 @@ def spectrum(spec: EnsembleSpec) -> SpectralReport:
     reduction itself (Freivalds' check of a matrix product): V z and
     V Lambda^k z, from the block coordinates by the lift of U in
     ``sg.symmetry_blocks``, and the largest |(tau X)^k V z - V Lambda^k z|
-    over the unit probes z, with tau X gathered in row chunks of
-    ``GATHER_CHUNK`` entries.
+    over the unit probes z, with the rows of C gathered by
+    ``sg.class_matrix`` in chunks of ``GATHER_CHUNK`` entries.
     """
     t, k = spec.t, spec.k
     el = sg.elements(t)
@@ -463,10 +454,12 @@ def spectrum(spec: EnsembleSpec) -> SpectralReport:
                               blocks.row_starts, axis=1)
     # Row 0 of (X D W)^k and (D C)^k psi by class, and (tau X)^k V z.
     row, right = e_cls, psi[el.reps]
+    step = max(1, GATHER_CHUNK // len(f))
     for _ in range(k):
         row = mw @ (fr * (mx @ row))
         right = fr * (mc @ right)
-        vz = _class_matvec(c[el.cls], sg.product_table(t), vz)
+        vz = np.concatenate([sg.class_matrix(t, c, slice(i, i + step)) @ vz
+                             for i in range(0, len(f), step)])
         vz *= f[:, None]
     vz -= vlz
     return SpectralReport(

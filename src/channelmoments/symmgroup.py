@@ -13,11 +13,12 @@ Conventions used throughout the package:
 
 Every table over S_t is an array indexed by canonical position.  The class
 data of ``elements(t)``, O(p(t) t!) entries for p(t) classes, is all that
-class functions need; the pair table ``product_table(t)`` of
-inv(sigma_i) sigma_j is t!^2 entries, built only by the routes that index
-pairs.  The sub-permutation partial order
-``pi <= sigma`` is additivity of the size metric,
-``size(inv(pi) * sigma) == size(sigma) - size(pi)``.  Below a fixed cycle
+class functions need; the private pair table ``_product_table(t)`` of
+inv(sigma_i) sigma_j is t!^2 entries, read only in this module: by
+``class_matrix``, which gathers every t! x t! matrix of a class function
+of inv(sigma) pi, and by ``conjugation_table`` and ``symmetry_blocks``.
+The sub-permutation partial order ``pi <= sigma`` is additivity of the size
+metric, ``size(inv(pi) * sigma) == size(sigma) - size(pi)``.  Below a fixed cycle
 this order is the lattice of non-crossing partitions of the cycle's index
 sequence, so the count below sigma is a product of Catalan numbers over
 its cycles, and its Möbius value one of signed Catalan numbers.
@@ -153,10 +154,9 @@ def conjugacy_classes(t: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def product_table(t: int) -> np.ndarray:
+def _product_table(t: int) -> np.ndarray:
     """The cached, read-only pair table of S_t: ``prod[i, j]`` is the
     canonical index of inv(sigma_i) * sigma_j (int16 while t! <= 2^15).
-    Every t! x t! table over S_t is a per-element vector indexed by it.
     Composition is fancy indexing on the images, and the index of each
     product comes from a lookup on the base-t code of its image row.  Rows
     are built one at a time, so temporaries stay at t! * t entries.
@@ -174,6 +174,14 @@ def product_table(t: int) -> np.ndarray:
     return prod
 
 
+def class_matrix(t: int, b: np.ndarray, at=slice(None)) -> np.ndarray:
+    """The t! x t! matrix of convolution by the class function b, entry
+    (i, j) = b(class of inv(sigma_i) sigma_j), or its rows ``at`` (an int
+    gives one row), for b by class as ``convolution`` takes it and in its
+    number type: one gather through ``_product_table(t)``."""
+    return b[elements(t).cls][_product_table(t)[at]]
+
+
 def convolution(t: int, b: np.ndarray) -> np.ndarray:
     """Convolution by the class function b, a p(t) x p(t) matrix on values by
     class: ``convolution(t, b) @ a`` is a * b = b * a, sum_u a(g inv(u)) b(u)
@@ -187,8 +195,8 @@ def conjugation_table(t: int) -> np.ndarray:
     (a, b), ``cls[a] * t! + conj[a, b]``, with ``conj[a, b]`` the index of
     g^-1 sigma_b g for one g with g r g^-1 = sigma_a and r the
     representative of sigma_a's class; int16 while p(t) t! < 2^15 (t <= 6),
-    else int32.  Gathers on ``product_table``."""
-    el, prod = elements(t), product_table(t)
+    else int32.  Gathers on ``_product_table``."""
+    el, prod = elements(t), _product_table(t)
     inv, n = prod[:, 0], len(el.cls)
     # Row c is g r_c g^-1 over all g; take the first g that gives each a.
     g = np.unique(prod[inv[prod[inv[:, None], el.reps].T], inv], return_index=True)[1]
@@ -264,7 +272,7 @@ def symmetry_blocks(t: int) -> SymmetryBlocks:
     are gathers on ``prod``: J = prod[:, 0] and Ad_g(sigma) =
     prod[inv[prod[g, sigma]], g] (g^-1 = g).
     """
-    el, prod = elements(t), product_table(t)
+    el, prod = elements(t), _product_table(t)
     n = len(el.cls)
     inv = prod[:, 0].astype(np.intp)
     gens = [inv]

@@ -133,7 +133,7 @@ def pauli_action(nlegs: int, labels: dict) -> tuple:
 
 
 def pauli_sandwich(m: np.ndarray, action: tuple) -> np.ndarray:
-    """P m P for a Hermitian Pauli-string action."""
+    """P m P for a Hermitian Pauli-string action; only tests and perfbench use it."""
     perm, phase = action
     out = np.empty_like(m)
     out[perm, :] = phase[:, None] * m

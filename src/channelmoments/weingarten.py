@@ -5,7 +5,8 @@ exactly when d >= t.  Because the Gram entries depend only on the cycle
 type of inv(sigma)*pi, the matrix is multiplication by a central element of
 the group algebra, so its inverse is again of that form: it suffices to
 solve a p(t) x p(t) class-function system instead of inverting the full
-t! x t! matrix.  A generic Bareiss inverse in the tests cross-checks this.
+t! x t! matrix, and ``symmgroup.class_matrix`` gathers either matrix from
+its class values.  A generic Bareiss inverse in the tests cross-checks this.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ class SingularGramError(ValueError):
     """The permutation overlaps are linearly dependent (d < t)."""
 
 
-@lru_cache(maxsize=None)
 def _pair_class_table(t: int) -> np.ndarray:
-    """Index of the cycle type of inv(sigma_i)*sigma_j for all pairs."""
-    return sg.elements(t).cls[sg.product_table(t)]
+    """Class of inv(sigma_i) sigma_j for all pairs; only perfbench calls it."""
+    el = sg.elements(t)
+    return sg.class_matrix(t, el.cls[el.reps])
 
 
 def inverse_powers(base: int, count: int, exact: bool) -> np.ndarray:
@@ -52,8 +53,11 @@ def weingarten_function(t: int, d: int):
     i.e. w * x = e_0 for x = d^(-size), solved on ``symmgroup.convolution``.
 
     Returns a read-only vector of Fractions in ``conjugacy_classes`` order.
-    Raises SingularGramError when the overlap form is degenerate.
+    Raises ValueError unless t, d >= 1, and SingularGramError when the
+    overlap form is degenerate.
     """
+    if t < 1 or d < 1:
+        raise ValueError("t and d must be >= 1")
     el = sg.elements(t)
     a = sg.convolution(t, inverse_powers(d, t, exact=True)[el.size[el.reps]])
     try:
@@ -71,7 +75,8 @@ def gram_matrix(t: int, d: int, exact: bool = True) -> np.ndarray:
     """Normalized overlap matrix, entry (sigma, pi) = d^(-size(inv(sigma) pi))."""
     if t < 1 or d < 1:
         raise ValueError("t and d must be >= 1")
-    return inverse_powers(d, t, exact)[sg.elements(t).size][sg.product_table(t)]
+    el = sg.elements(t)
+    return sg.class_matrix(t, inverse_powers(d, t, exact)[el.size[el.reps]])
 
 
 def weingarten_values(t: int, d: int, exact: bool = True) -> np.ndarray:
@@ -81,7 +86,7 @@ def weingarten_values(t: int, d: int, exact: bool = True) -> np.ndarray:
 
 def weingarten_matrix(t: int, d: int, exact: bool = True) -> np.ndarray:
     """Exact inverse of ``gram_matrix(t, d)``.  Requires d >= t."""
-    return weingarten_values(t, d, exact)[_pair_class_table(t)]
+    return sg.class_matrix(t, weingarten_values(t, d, exact))
 
 
 def jucys_murphy_sum(t: int, d: int) -> Fraction:

@@ -8,10 +8,11 @@ from cycles, composition, inverse, support, the Catalan-product count of
 the order below an element, its Möbius value, the canonical sort key, and
 all of S_t as objects in canonical order), the index
 of each element of S_t, the class-algebra structure constants by
-composition, the inverse of ``channels.vectorize``, a channel
-applied through its superoperator, the trace-preservation and unitality
-tests of a superoperator, Fraction matrices from rows, the relative size
-and the normalized character of permutations, the sub-permutation order by
+composition, the class of each pair of elements, the inverse of
+``channels.vectorize``, a channel applied through its superoperator, the
+trace-preservation and unitality tests of a superoperator, Fraction
+matrices from rows, the relative size and the normalized character of
+permutations, the sub-permutation order by
 the size metric and by non-crossing partitions of each cycle, the
 derangement count, a quadruple-sum norm,
 the leading-eigenvector overlap, two exact matrix inverses, a reordered
@@ -357,6 +358,12 @@ def chaar_transfer_perm(t: int, d: int, dE: int, exact: bool = True) -> np.ndarr
     return scale[:, None] * wg.weingarten_matrix(t, d * dE, exact=exact)
 
 
+def pair_class_table(t: int) -> np.ndarray:
+    """The class of inv(sigma_i) sigma_j for every pair (i, j), read off
+    ``symmgroup._product_table`` directly."""
+    return sg.elements(t).cls[sg._product_table(t)]
+
+
 def transfer_full(spec, basis: str, exact: bool) -> np.ndarray:
     """The t! x t! matrix of ``moments.transfer(spec, basis, exact)`` built
     and carried in full: the gather np.multiply.outer(f, w)[size, cls prod],
@@ -367,7 +374,7 @@ def transfer_full(spec, basis: str, exact: bool) -> np.ndarray:
     t, d = spec.t, spec.d
     tab = sg.elements(t)
     f, _, w = mo._tables(spec, exact)
-    m = np.multiply.outer(f, w)[tab.size[:, None], wg._pair_class_table(t)]
+    m = np.multiply.outer(f, w)[tab.size[:, None], pair_class_table(t)]
     if basis == LOCALIZED and spec.kind != DEPOLARIZE:
         (a, da), = split_all(m)
         c = np.array([d ** (t - 1 - s) for s in range(t)], dtype=a.dtype)[tab.size]
@@ -944,7 +951,7 @@ def right_eigenpairs_dense(spec, f: np.ndarray, c: np.ndarray) -> tuple:
         evecs[0, 1:] = -c[1:]
     else:
         half = np.sqrt(f)
-        sym = c[sg.product_table(spec.t)]
+        sym = c[sg._product_table(spec.t)]
         sym *= half[:, None]
         sym *= half
         evals, evecs = np.linalg.eigh(sym)
@@ -964,9 +971,9 @@ def reference_values_rows(spec, ks, exact: bool) -> dict:
     there of Y_k (v) and of X Y_k (u, times n_r) follow from
     (v, u) <- (v, u) C D, p(t) x t! by t! x t! products.
     """
-    tab, pcls = sg.elements(spec.t), wg._pair_class_table(spec.t)
+    tab, pcls = sg.elements(spec.t), pair_class_table(spec.t)
     (f, df), (x, dx), (w, dw) = split_all(*mo._tables(spec, exact))
-    xr, wr, f = x[tab.size][sg.product_table(spec.t)[tab.reps]], w[pcls[tab.reps]], f[tab.size]
+    xr, wr, f = x[tab.size][sg._product_table(spec.t)[tab.reps]], w[pcls[tab.reps]], f[tab.size]
     dc = dx * dw
     c = (xr * w[tab.cls]).sum(axis=1)  # (X W)[r, 0] = (W X)[r, 0]
     q, dq = (wr * c[tab.cls]).sum(axis=1), dc * dw
@@ -1015,16 +1022,16 @@ def spectrum_residuals_dense(spec) -> dict:
     column-normalized lifted eigenpairs of ``moments._right_eigenpairs``,
     to psi = f x and to e_0."""
     t, k = spec.t, spec.k
-    tab, pcls = sg.elements(t), wg._pair_class_table(t)
+    tab, pcls = sg.elements(t), pair_class_table(t)
     f_s, x, w = mo._tables(spec, exact=False)
-    f, xr = f_s[tab.size], x[tab.size][sg.product_table(t)[tab.reps]]
+    f, xr = f_s[tab.size], x[tab.size][sg._product_table(t)[tab.reps]]
     c = (xr * w[tab.cls]).sum(axis=1)  # (X W)[r, 0] = (W X)[r, 0]
     power = np.linalg.matrix_power(c[pcls] * f[:, None], k)
     evals, evecs = lifted_eigenpairs(t, mo._right_eigenpairs(spec, f, c))
     evecs /= np.linalg.norm(evecs, axis=0)
     pair = power @ evecs - evecs * evals**k
     psi = leading_right_vector(spec)
-    dual = np.linalg.matrix_power(x[tab.size][sg.product_table(t)] @ (f[:, None] * w[pcls]), k)
+    dual = np.linalg.matrix_power(x[tab.size][sg._product_table(t)] @ (f[:, None] * w[pcls]), k)
     return {
         "eigenpairs": float(np.linalg.norm(pair, axis=0).max()),
         "leading_right": float(np.abs(power @ psi - psi).max()),
@@ -1037,7 +1044,7 @@ def localized_gram_exponent_table(t: int, d: int, exact: bool) -> np.ndarray:
     exponent table size(eta) + size(kappa) - size(inv(eta) kappa), not from
     its class rows; the same products L[reps] R and then L^T."""
     tab = sg.elements(t)
-    expo = tab.size[:, None] + tab.size[None, :] - tab.size[sg.product_table(t)]
+    expo = tab.size[:, None] + tab.size[None, :] - tab.size[sg._product_table(t)]
     lower = loc._order_matrix(t)
     powers = np.array([d**e for e in range(2 * t - 1)], dtype=object if exact else float)
     return sg.from_class_rows(t, lower[tab.reps].dot(powers[expo]).dot(lower.T))

@@ -48,6 +48,12 @@ def _composite(ensemble, generator=None):
          "generator label length must match the noise dimension"),
         (lambda: wg.jucys_murphy_sum(0, 2), "t and d must be >= 1"),
         (lambda: wg.jucys_murphy_sum(2, 0), "t and d must be >= 1"),
+        (lambda: wg.weingarten_function(3, 0), "t and d must be >= 1"),
+        (lambda: wg.weingarten_function(3, -2), "t and d must be >= 1"),
+        (lambda: wg.weingarten_values(3, 0), "t and d must be >= 1"),
+        (lambda: wg.weingarten_values(3, -2, exact=False), "t and d must be >= 1"),
+        (lambda: wg.weingarten_matrix(3, 0), "t and d must be >= 1"),
+        (lambda: wg.weingarten_matrix(3, -2), "t and d must be >= 1"),
         (lambda: loc.scaling_exponents(HAAR, 2, (3, 2)), "d_pair must be increasing"),
         (lambda: loc.scaling_exponents(HAAR, 2, (3, 3)), "d_pair must be increasing"),
     ],

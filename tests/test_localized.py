@@ -19,21 +19,21 @@ from oracles import (
 
 
 def test_phi_t2():
-    assert loc.phi_matrix(2).tolist() == [[1, 0], [-1, 1]]
+    assert loc._order_matrix(2).tolist() == [[1, 0], [-1, 1]]
     assert loc.phi_inverse(2).tolist() == [[1, 0], [1, 1]]
 
 
 def test_phi_three_cycle_entry():
     group = symmetric_group(3)
     idx = group_index(3)
-    phi = loc.phi_matrix(3)
+    phi = loc._order_matrix(3)
     i = idx[from_cycles(3, [(0, 1, 2)]).images]
     assert phi[i, 0] == 2  # mobius of a 3-cycle
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
 def test_phi_inverts_zeta(t):
-    phi = loc.phi_matrix(t)
+    phi = loc._order_matrix(t)
     zeta = loc.phi_inverse(t)
     n = phi.shape[0]
     assert mat_eq(phi.dot(zeta), np.eye(n, dtype=object))

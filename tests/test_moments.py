@@ -9,7 +9,6 @@ import pytest
 from channelmoments import localized as loc
 from channelmoments import moments as mo
 from channelmoments import symmgroup as sg
-from channelmoments import weingarten as wg
 from channelmoments.exactalg import join, mat_eq, split_all
 from channelmoments.specs import (
     CHAAR,
@@ -29,6 +28,7 @@ from oracles import (
     leading_overlap,
     lifted_eigenpairs,
     norm_squared_quad,
+    pair_class_table,
     reference_values_rows,
     right_eigenpairs_dense,
     sample_haar_unitary_once,
@@ -183,7 +183,7 @@ def test_blocked_eigenvalues_match_dense_eigh(t):
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4])
 def test_class_rows_exact_equal_matrix_rows(t):
-    tab, pcls = sg.elements(t), wg._pair_class_table(t)
+    tab, pcls = sg.elements(t), pair_class_table(t)
     for spec in (haar(max(2, t), t), chaar(2, 2, t), depolarize(2, t)):
         f, x, w = mo._tables(spec, exact=True)
         f_all, xc, c = mo._class_values(t, f, x, w)

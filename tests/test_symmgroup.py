@@ -285,7 +285,7 @@ def test_symmetry_group_fixes_class_function_matrices(t):
     assert len(images) == 2 ** (1 + t // 2)
     for _ in range(3):
         f = rng.standard_normal(t)[tab.size]
-        c = rng.standard_normal(len(tab.reps))[tab.cls[sg.product_table(t)]]
+        c = rng.standard_normal(len(tab.reps))[tab.cls[sg._product_table(t)]]
         for img in images:
             assert np.array_equal(f[img], f)
             assert np.array_equal(c[img[:, None], img], c)

@@ -1,7 +1,7 @@
-"""The class data of ``symmgroup.elements`` and every S_t pair table
-derived from ``symmgroup.product_table`` against element-wise
-``Permutation`` oracles: exact equality, including the entry types of
-exact object arrays."""
+"""The class data of ``symmgroup.elements``, the pair table
+``symmgroup._product_table`` and every S_t matrix gathered from it by
+``symmgroup.class_matrix`` against element-wise ``Permutation`` oracles:
+exact equality, including the entry types of exact object arrays."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -23,6 +23,7 @@ from oracles import (
     inverse,
     localized_gram_exponent_table,
     mobius,
+    pair_class_table,
     symmetric_group,
 )
 
@@ -80,7 +81,7 @@ def test_product_table_matches_composition(t):
     rel = relative(t)
     idx = group_index(t)
     want = [[idx[rel[i][j].images] for j in range(len(group))] for i in range(len(group))]
-    assert sg.product_table(t).tolist() == want
+    assert sg._product_table(t).tolist() == want
     kidx = class_index(t)
     assert tab.size.tolist() == [p.size for p in group]
     assert tab.cls.tolist() == [kidx[p.cycle_type()] for p in group]
@@ -98,7 +99,7 @@ def test_product_table_matches_composition(t):
     assert tab.algebra.tolist() == counts.tolist()
     arrays = [a for a in tab if isinstance(a, np.ndarray)]
     assert len(arrays) == len(tab) - 1  # all but ``classes``
-    assert not any(a.flags.writeable for a in arrays + [sg.product_table(t)])
+    assert not any(a.flags.writeable for a in arrays + [sg._product_table(t)])
 
 
 @pytest.mark.parametrize("t", ORDERS)
@@ -122,7 +123,7 @@ def test_class_routes_build_no_pair_table(t, monkeypatch):
     """The Weingarten function and values, the classes, convolution, the
     class rows of a k = 1 permutation-basis transfer and the
     ``TransferMatrix`` constructor read only ``elements``: with
-    ``product_table`` raising and the element and Weingarten caches cleared,
+    ``_product_table`` raising and the element and Weingarten caches cleared,
     they give what they gave before."""
     d, spec = t + 1, chaar(2, 3, t)
     w = wg.weingarten_function(t, d)
@@ -132,7 +133,7 @@ def test_class_routes_build_no_pair_table(t, monkeypatch):
     def no_pair_table(t):
         raise AssertionError("the pair table was built")
 
-    monkeypatch.setattr(sg, "product_table", no_pair_table)
+    monkeypatch.setattr(sg, "_product_table", no_pair_table)
     sg._elements.cache_clear()
     wg.weingarten_function.cache_clear()
     assert_same_exact(wg.weingarten_function(t, d), w)
@@ -163,7 +164,7 @@ def test_convolution_is_row_of_class_function_matrix_product(t):
     """``convolution(t, b) @ a`` is the class values of A B, A = a[cls prod]
     and B = b[cls prod], exactly on ints and Fractions, and commutes."""
     rng = np.random.default_rng(t)
-    pcls = wg._pair_class_table(t)
+    pcls = pair_class_table(t)
     reps = sg.elements(t).reps
     p = len(reps)
     a = np.array([int(v) for v in rng.integers(-9, 10, p)], dtype=object)
@@ -184,7 +185,7 @@ def test_conjugation_table_is_inner_automorphism_to_representative(t):
     conj = table - n * tab.cls.astype(np.intp)[:, None]
     assert np.array_equal(np.sort(conj, axis=1), np.broadcast_to(np.arange(n), (n, n)))
     assert np.array_equal(tab.cls[conj], np.broadcast_to(tab.cls, (n, n)))
-    prod = sg.product_table(t)
+    prod = sg._product_table(t)
     assert np.array_equal(conj[:, prod], prod[conj[:, :, None], conj[:, None, :]])
     assert np.array_equal(np.diagonal(conj), tab.reps[tab.cls])
 
@@ -262,6 +263,27 @@ def test_pair_class_table(t):
 
 
 @pytest.mark.parametrize("t", ORDERS)
+def test_class_matrix(t):
+    """Entry (i, j) is b at the class of inv(sigma_i) sigma_j by explicit
+    composition, in b's number type: for the class indices themselves and
+    for Fraction and float class values, in full and at rows given as a
+    slice, an int and an index array."""
+    kidx = class_index(t)
+    pcls = np.array([[kidx[r.cycle_type()] for r in row] for row in relative(t)])
+    p, n = len(kidx), len(pcls)
+    whole = sg.class_matrix(t, np.arange(p))
+    assert whole.dtype == np.arange(p).dtype and whole.tolist() == pcls.tolist()
+    rng = np.random.default_rng(t)
+    frac = np.array([Fraction(int(a), int(b)) for a, b in rng.integers(1, 9, (p, 2))],
+                    dtype=object)
+    for b in (frac, rng.standard_normal(p)):
+        for at in (slice(None), slice(1, n, 2), n - 1, np.array([n - 1, 0, n // 2])):
+            got, want = sg.class_matrix(t, b, at), b[pcls[at]]
+            assert got.dtype == b.dtype
+            assert_same_exact(got, want)
+
+
+@pytest.mark.parametrize("t", ORDERS)
 def test_subperm_table(t):
     group = symmetric_group(t)
     idx = group_index(t)
@@ -277,9 +299,17 @@ def test_phi_matrix(t):
     assert_same_exact(loc.phi_matrix(t), phi_oracle(t))
 
 
-def test_phi_matrix_is_cached_read_only():
-    phi = loc.phi_matrix(4)
-    assert loc.phi_matrix(4) is phi and not phi.flags.writeable
+@pytest.mark.parametrize("t", ORDERS)
+def test_order_matrix(t):
+    got = loc._order_matrix(t)
+    assert got.dtype == np.int16
+    assert got.tolist() == phi_oracle(t).tolist()
+
+
+def test_order_tables_are_cached_read_only():
+    for table in (loc._subperm_table, loc._order_matrix):
+        got = table(4)
+        assert table(4) is got and not got.flags.writeable
 
 
 @pytest.mark.parametrize("t", ORDERS)
